@@ -17,12 +17,15 @@ import numpy as np
 
 from .circuit import (
     FINAL_STAGE,
+    SOURCE_STAGE,
     Circuit,
     StageTrace,
+    _evolve,
+    _insertion_runs,
     run_both,
     run_forward,
 )
-from .elements import PROBE, SYS, BeamSplitter, PhaseShift
+from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
 from .states import BraState, HybridState, coherent_overlap, inner_product
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -91,7 +94,10 @@ def postselect(
 
     The fidelity reference is the same projection taken from a twin run
     with every Kerr coupling switched off: the probe state the apparatus
-    emits when nothing interacted.
+    emits when nothing interacted.  The twin runs the same elements as the
+    traced circuit up to its first Kerr coupling, so it is not re-run from
+    the source: it resumes from the last state the trace recorded before
+    that coupling and is evolved only from there to the stage read.
     """
     stage = trace.detect_stage if at is None else at
     if stage not in trace.forward:
@@ -103,8 +109,7 @@ def postselect(
     conditional = projected.normalized()
     fidelity = None
     if compute_fidelity:
-        ref_trace = run_forward(trace.circuit.kerr_free())
-        ref_projected = ref_trace.forward[stage].project_mode(mode)
+        ref_projected = _kerr_free_state(trace, stage).project_mode(mode)
         if ref_projected.norm_sq() > 0.0:
             fidelity = state_fidelity(ref_projected, conditional)
     return PostSelectionResult(
@@ -115,6 +120,23 @@ def postselect(
         fidelity,
         mean_probe_photons(conditional),
     )
+
+
+def _kerr_free_state(trace: StageTrace, stage: str) -> HybridState:
+    """The forward state at ``stage`` of the traced circuit's Kerr-free twin."""
+    circuit = trace.circuit
+    state, start = circuit.source_state(), 0
+    if stage == SOURCE_STAGE:
+        return state
+    for i, el in enumerate(circuit.elements):
+        if isinstance(el, KerrCoupling):
+            break
+        if isinstance(el, Snapshot) and el.label in trace.forward:
+            state, start = trace.forward[el.label], i + 1
+            if el.label == stage:
+                return state
+    twin_rest = circuit.kerr_free().elements[start:]
+    return _evolve(state, twin_rest, {}, stop=stage, end=FINAL_STAGE)
 
 
 @dataclass(frozen=True)
@@ -156,9 +178,9 @@ def _scan_intensities(
         raise ValueError("circuit has no probe beam splitter to scan against")
     dp1: list[float] = []
     dp2: list[float] = []
-    for phi in phis:
-        scanned = circuit.insert(insert_at, PhaseShift(PROBE, 1, float(phi)))
-        result = postselect(run_forward(scanned), mode, compute_fidelity=False)
+    scans = (PhaseShift(PROBE, 1, phi) for phi in phis)
+    for stages in _insertion_runs(circuit, insert_at, scans, stop=circuit.detect_stage):
+        result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
         if result.conditional is None:
             raise ValueError(f"post-selection on mode {mode} is impossible; no fringe")
         means = result.probe_mean_photons
@@ -170,15 +192,21 @@ def _scan_intensities(
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
     """Scan a phase on probe mode 1 ahead of the probe recombiner.
 
-    For each phase the circuit is run forward, the photon is post-selected
-    on ``mode`` at the detection stage, and the conditional mean photon
-    numbers at both probe outputs are recorded.
+    For each phase the photon is post-selected on ``mode`` at the detection
+    stage, and the conditional mean photon numbers at both probe outputs
+    are recorded.  Everything ahead of the scanned phase is evolved once
+    for the scan and once for its Kerr-free reference; per phase only the
+    phase and the elements after it up to the detection stage are applied.
+    The results equal those of inserting the phase and running each
+    scanned circuit forward from the source.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) < 4:
         raise ValueError("need at least 4 scan points to fit the fringe")
     if circuit.k_probes != 2:
         raise ValueError("fringe scans require exactly two probe modes")
+    if not 0 <= mode < circuit.m_modes:
+        raise IndexError(f"mode {mode} outside [0, {circuit.m_modes})")
     dp1, dp2 = _scan_intensities(circuit, mode, phis)
     ref_dp1, _ = _scan_intensities(circuit.kerr_free(), mode, phis)
     shift = (_fit_cosine_phase(phis, ref_dp1) - _fit_cosine_phase(phis, dp1)) % (
@@ -289,6 +317,12 @@ def leakage_sweep(
     the detector-conditioned probe state at the fully evolved stage
     relative to the unperturbed circuit (the perturbation leaks Kerr-marked
     amplitude through the dark port into the detector).
+
+    ``arm_mode`` and ``dark_stage`` are checked before anything is evolved.
+    The unperturbed circuit is run once, and the elements up to the inner
+    splitter once; per delta only the phase and the elements after it are
+    applied.  The results equal those of inserting the phase and running
+    each perturbed circuit forward from the source.
     """
     insert_at = None
     for i, el in enumerate(circuit.elements):
@@ -301,6 +335,10 @@ def leakage_sweep(
             break
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
+    circuit._check_element_indices(PhaseShift(SYS, arm_mode, 0.0))
+    if dark_stage not in circuit.stages:
+        raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
+    deltas = tuple(float(d) for d in deltas)
     base = postselect(
         run_forward(circuit), circuit.postselect_mode, at=FINAL_STAGE,
         compute_fidelity=False,
@@ -308,17 +346,17 @@ def leakage_sweep(
     if base.conditional is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     points = []
-    for delta in deltas:
-        perturbed = circuit.insert(insert_at, PhaseShift(SYS, arm_mode, float(delta)))
-        trace = run_forward(perturbed)
-        if dark_stage not in trace.forward:
-            raise ValueError(f"stage {dark_stage!r} not present in the trace")
-        leak = trace.forward[dark_stage].project_mode(arm_mode).norm_sq()
+    arm_phases = (PhaseShift(SYS, arm_mode, delta) for delta in deltas)
+    for delta, stages in zip(deltas, _insertion_runs(circuit, insert_at, arm_phases)):
+        leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
         conditioned = postselect(
-            trace, circuit.postselect_mode, at=FINAL_STAGE, compute_fidelity=False
+            StageTrace(circuit, stages),
+            circuit.postselect_mode,
+            at=FINAL_STAGE,
+            compute_fidelity=False,
         )
         deficit = 1.0 - state_fidelity(base.conditional, conditioned.conditional)
-        points.append(LeakagePoint(float(delta), leak, deficit))
+        points.append(LeakagePoint(delta, leak, deficit))
     return tuple(points)
 
 

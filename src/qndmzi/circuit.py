@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .elements import (
     PROBE,
@@ -143,6 +143,35 @@ class StageTrace:
         )
 
 
+def _evolve(
+    state: HybridState,
+    elements: Iterable[Element],
+    stages: dict[str, HybridState],
+    stop: str | None = None,
+    end: str | None = None,
+    dagger: bool = False,
+    tol: float = MERGE_TOL,
+) -> HybridState:
+    """Apply ``elements`` to ``state`` in order; return the state reached.
+
+    Every snapshot passed records the current state into ``stages``.  The
+    loop returns right after recording snapshot ``stop``; when it runs out
+    of elements instead, the state is recorded under ``end`` (if given).
+    Resuming from a recorded state with the remaining elements performs the
+    same operations, in the same order, as one uninterrupted run.
+    """
+    for el in elements:
+        if isinstance(el, Snapshot):
+            stages[el.label] = state
+            if el.label == stop:
+                return state
+        else:
+            state = apply_element(state, el, dagger=dagger, tol=tol)
+    if end is not None:
+        stages[end] = state
+    return state
+
+
 def run_forward(circuit: Circuit, tol: float = MERGE_TOL) -> StageTrace:
     """Evolve the source state through the circuit, recording every snapshot.
 
@@ -151,13 +180,33 @@ def run_forward(circuit: Circuit, tol: float = MERGE_TOL) -> StageTrace:
     """
     state = circuit.source_state()
     stages: dict[str, HybridState] = {SOURCE_STAGE: state}
-    for el in circuit.elements:
-        if isinstance(el, Snapshot):
-            stages[el.label] = state
-        else:
-            state = apply_element(state, el, tol=tol)
-    stages[FINAL_STAGE] = state
+    _evolve(state, circuit.elements, stages, end=FINAL_STAGE, tol=tol)
     return StageTrace(circuit, forward=stages)
+
+
+def _insertion_runs(
+    circuit: Circuit,
+    index: int,
+    inserted: Iterable[Element],
+    stop: str = FINAL_STAGE,
+) -> Iterator[dict[str, HybridState]]:
+    """Forward stages of ``circuit`` with each of ``inserted`` placed at ``index``.
+
+    Yields, per inserted element, what ``run_forward(circuit.insert(index,
+    el)).forward`` holds up to stage ``stop``, with the same floating-point
+    operations.  The prefix ``circuit.elements[:index]`` is the same for
+    every run, so it is evolved once; each run resumes from it with the
+    inserted element and the suffix, and ends at ``stop``.  The caller
+    checks the inserted elements' indices.
+    """
+    source = circuit.source_state()
+    prefix: dict[str, HybridState] = {SOURCE_STAGE: source}
+    head = _evolve(source, circuit.elements[:index], prefix)
+    suffix = circuit.elements[index:]
+    for el in inserted:
+        stages = dict(prefix)
+        _evolve(head, (el,) + suffix, stages, stop=stop, end=FINAL_STAGE)
+        yield stages
 
 
 def probe_optics_image(circuit: Circuit, probes: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -169,12 +218,12 @@ def probe_optics_image(circuit: Circuit, probes: tuple[complex, ...]) -> tuple[c
     enters the Kerr medium ends up carrying.
     """
     carrier = HybridState.single_photon(circuit.m_modes, circuit.source_mode, probes)
-    for el in circuit.elements:
-        if isinstance(el, BeamSplitter) and el.target == PROBE:
-            carrier = apply_element(carrier, el)
-        elif isinstance(el, PhaseShift) and el.target == PROBE:
-            carrier = apply_element(carrier, el)
-    return carrier.branches[0].probes
+    optics = (
+        el
+        for el in circuit.elements
+        if isinstance(el, (BeamSplitter, PhaseShift)) and el.target == PROBE
+    )
+    return _evolve(carrier, optics, {}).branches[0].probes
 
 
 def default_final_bra(circuit: Circuit) -> BraState:
@@ -206,12 +255,9 @@ def run_backward(
     if bra.m_modes != circuit.m_modes or bra.k_probes != circuit.k_probes:
         raise ValueError("final bra does not match the circuit's dimensions")
     stages: dict[str, BraState] = {FINAL_STAGE: bra}
-    for el in reversed(circuit.elements):
-        if isinstance(el, Snapshot):
-            stages[el.label] = bra
-        else:
-            bra = apply_element(bra, el, dagger=True, tol=tol)
-    stages[SOURCE_STAGE] = bra
+    _evolve(
+        bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True, tol=tol
+    )
     return StageTrace(circuit, backward=stages)
 
 
