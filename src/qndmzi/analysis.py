@@ -20,12 +20,21 @@ from .circuit import (
     SOURCE_STAGE,
     Circuit,
     StageTrace,
+    _check_mode,
     _evolve,
     _insertion_runs,
     run_both,
     run_forward,
 )
-from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
+from .elements import (
+    PROBE,
+    SYS,
+    BeamSplitter,
+    KerrCoupling,
+    PhaseShift,
+    Snapshot,
+    _check_indices,
+)
 from .states import BraState, HybridState, coherent_overlap, inner_product
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -205,8 +214,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
         raise ValueError("need at least 4 scan points to fit the fringe")
     if circuit.k_probes != 2:
         raise ValueError("fringe scans require exactly two probe modes")
-    if not 0 <= mode < circuit.m_modes:
-        raise IndexError(f"mode {mode} outside [0, {circuit.m_modes})")
+    _check_mode("mode", mode, circuit.m_modes)
     dp1, dp2 = _scan_intensities(circuit, mode, phis)
     ref_dp1, _ = _scan_intensities(circuit.kerr_free(), mode, phis)
     shift = (_fit_cosine_phase(phis, ref_dp1) - _fit_cosine_phase(phis, dp1)) % (
@@ -335,7 +343,7 @@ def leakage_sweep(
             break
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
-    circuit._check_element_indices(PhaseShift(SYS, arm_mode, 0.0))
+    _check_indices(PhaseShift(SYS, arm_mode, 0.0), circuit.m_modes, circuit.k_probes)
     if dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
     deltas = tuple(float(d) for d in deltas)

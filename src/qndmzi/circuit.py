@@ -24,14 +24,29 @@ from .elements import (
     KerrCoupling,
     PhaseShift,
     Snapshot,
+    _check_indices,
     apply_element,
 )
-from .states import Branch, BraState, HybridState, MERGE_TOL
+from .states import Branch, BraState, HybridState, MERGE_TOL, _check_finite
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
 
 _BALANCED = math.sqrt(0.5)
+
+
+def _check_mode(what: str, mode: int, m_modes: int) -> None:
+    if not 0 <= mode < m_modes:
+        raise IndexError(f"{what} {mode} outside [0, {m_modes})")
+
+
+def _check_label(label: str, seen: set[str]) -> None:
+    """Reject a reserved or repeated snapshot label; add it to ``seen``."""
+    if label in (SOURCE_STAGE, FINAL_STAGE):
+        raise ValueError(f"snapshot label {label!r} is reserved")
+    if label in seen:
+        raise ValueError(f"duplicate snapshot label {label!r}")
+    seen.add(label)
 
 
 @dataclass(frozen=True)
@@ -54,47 +69,18 @@ class Circuit:
                 f"{len(self.source_probes)} source probe amplitudes for "
                 f"{self.k_probes} probe modes"
             )
-        if not 0 <= self.source_mode < self.m_modes:
-            raise IndexError(f"source mode {self.source_mode} outside [0, {self.m_modes})")
-        if not 0 <= self.postselect_mode < self.m_modes:
-            raise IndexError(
-                f"postselect mode {self.postselect_mode} outside [0, {self.m_modes})"
-            )
+        _check_mode("source mode", self.source_mode, self.m_modes)
+        _check_mode("postselect mode", self.postselect_mode, self.m_modes)
+        for p in self.source_probes:
+            _check_finite(p, "source probe amplitude")
         seen: set[str] = set()
         for el in self.elements:
             if isinstance(el, Snapshot):
-                if el.label in (SOURCE_STAGE, FINAL_STAGE):
-                    raise ValueError(f"snapshot label {el.label!r} is reserved")
-                if el.label in seen:
-                    raise ValueError(f"duplicate snapshot label {el.label!r}")
-                seen.add(el.label)
+                _check_label(el.label, seen)
             else:
-                self._check_element_indices(el)
+                _check_indices(el, self.m_modes, self.k_probes)
         if self.detect_stage != FINAL_STAGE and self.detect_stage not in seen:
             raise ValueError(f"detection stage {self.detect_stage!r} has no snapshot")
-
-    def _check_element_indices(self, el: Element) -> None:
-        def check(idx: int, bound: int, what: str) -> None:
-            if not 0 <= idx < bound:
-                raise IndexError(f"{what} {idx} outside [0, {bound}) in {el!r}")
-
-        if isinstance(el, BeamSplitter):
-            bound, what = (
-                (self.m_modes, "system mode")
-                if el.target == SYS
-                else (self.k_probes, "probe mode")
-            )
-            check(el.mode_a, bound, what)
-            check(el.mode_b, bound, what)
-        elif isinstance(el, KerrCoupling):
-            for m in el.system_modes:
-                check(m, self.m_modes, "system mode")
-            check(el.probe_mode, self.k_probes, "probe mode")
-        elif isinstance(el, PhaseShift):
-            if el.target == SYS:
-                check(el.index, self.m_modes, "system mode")
-            else:
-                check(el.index, self.k_probes, "probe mode")
 
     @property
     def snapshot_labels(self) -> tuple[str, ...]:
@@ -115,9 +101,7 @@ class Circuit:
     def kerr_free(self) -> "Circuit":
         """Twin circuit with every Kerr coupling switched off."""
         els = tuple(
-            replace(el, eps_tau=0.0, eta_tau=0.0, inner_branch_phase=0.0)
-            if isinstance(el, KerrCoupling)
-            else el
+            replace(el, eps_tau=0.0) if isinstance(el, KerrCoupling) else el
             for el in self.elements
         )
         return replace(self, elements=els)
@@ -268,13 +252,7 @@ def run_both(
     return run_forward(circuit, tol).merged_with(run_backward(circuit, final_bra, tol))
 
 
-def build_nested_mzi(
-    r: float,
-    alpha: complex = 2.0,
-    eps_tau: float = 0.0,
-    eta_tau: float = 0.0,
-    inner_branch_phase: float = 0.0,
-) -> Circuit:
+def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Circuit:
     """The nested interferometer with a Kerr-coupled probe interferometer.
 
     System modes: 0 carries arm A of the outer interferometer, 1 and 2 are
@@ -305,7 +283,7 @@ def build_nested_mzi(
         PhaseShift(PROBE, 0, math.pi / 2),
         BeamSplitter(PROBE, 0, 1, _BALANCED),
         Snapshot("L2"),
-        KerrCoupling(frozenset({1, 2}), 0, eps_tau, eta_tau, inner_branch_phase),
+        KerrCoupling(frozenset({1, 2}), 0, eps_tau),
         Snapshot("L2p"),
         BeamSplitter(SYS, 1, 2, _BALANCED),
         Snapshot("L3"),

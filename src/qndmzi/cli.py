@@ -31,7 +31,7 @@ from .analysis import (
     tsvf_report,
 )
 from .circuit import Circuit, build_nested_mzi, run_both, run_forward
-from .fileformat import CircuitFormatError, format_complex, parse_circuit
+from .fileformat import CircuitFormatError, format_complex, parse_circuit, parse_complex
 from .states import HybridState
 
 
@@ -42,8 +42,6 @@ class ComplexParam(click.ParamType):
         if isinstance(value, complex):
             return value
         try:
-            from .fileformat import parse_complex
-
             return parse_complex(str(value))
         except ValueError:
             self.fail(f"{value!r} is not a complex literal (a+bi)", param, ctx)
@@ -117,12 +115,11 @@ def main(ctx: click.Context, out_dir: str) -> None:
 @click.option("--r", type=float, required=True, help="Outer beam-splitter reflectivity.")
 @click.option("--alpha", type=COMPLEX, default="2", show_default=True, help="Probe arm amplitude.")
 @click.option("--eps-tau", type=float, default=0.0, show_default=True, help="Kerr cross-phase (radians).")
-@click.option("--eta-tau", type=float, default=0.0, show_default=True, help="Photon-photon coupling (radians).")
 @click.pass_context
-def nested_mzi(ctx, r: float, alpha: complex, eps_tau: float, eta_tau: float) -> None:
+def nested_mzi(ctx, r: float, alpha: complex, eps_tau: float) -> None:
     """Built-in nested interferometer with the Kerr-coupled probe."""
     try:
-        ctx.obj["circuit"] = build_nested_mzi(r, alpha, eps_tau, eta_tau)
+        ctx.obj["circuit"] = build_nested_mzi(r, alpha, eps_tau)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

@@ -5,7 +5,9 @@ phase shifter, and the Kerr cross-phase coupling that rotates a probe's
 coherent amplitude conditioned on the photon occupying one of the coupled
 system modes.  All appliers are pure functions returning new, merged states;
 passing ``dagger=True`` applies the conjugate-transpose element, which is
-how bra states evolve backward.
+how bra states evolve backward.  Every mode index an element names is
+checked against the state's dimensions by one private checker, which
+:class:`~qndmzi.circuit.Circuit` and the file parser call as well.
 """
 
 from __future__ import annotations
@@ -63,25 +65,19 @@ class KerrCoupling:
     """Cross-phase medium threading ``system_modes`` and one probe mode.
 
     A branch whose photon sits in one of ``system_modes`` has its coherent
-    amplitude at ``probe_mode`` rotated by exp(-i eps_tau).  The photon-photon
-    term of strength ``eta_tau`` couples the occupations of the two threaded
-    system modes; with a single photon that product of occupations is
-    identically zero, so it contributes no phase.  ``inner_branch_phase``
-    optionally multiplies threaded branches by exp(-i inner_branch_phase)
-    for conventions that carry such a prefactor explicitly.
+    amplitude at ``probe_mode`` rotated by exp(-i eps_tau).  A photon-photon
+    term would couple the occupations of two threaded system modes, but one
+    photon never occupies two modes at once, so the model has none.
     """
 
     system_modes: frozenset[int]
     probe_mode: int
     eps_tau: float
-    eta_tau: float = 0.0
-    inner_branch_phase: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "system_modes", frozenset(int(m) for m in self.system_modes))
-        for name in ("eps_tau", "eta_tau", "inner_branch_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.eps_tau):
+            raise ValueError("eps_tau must be finite")
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,25 @@ class Snapshot:
 Element = Union[BeamSplitter, KerrCoupling, PhaseShift, Snapshot]
 
 
+def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
+    """Raise IndexError unless every mode ``el`` names lies in [0, M) or [0, K)."""
+    if isinstance(el, BeamSplitter):
+        pair = (el.mode_a, el.mode_b)
+        sys_idx, probe_idx = (pair, ()) if el.target == SYS else ((), pair)
+    elif isinstance(el, PhaseShift):
+        sys_idx, probe_idx = ((el.index,), ()) if el.target == SYS else ((), (el.index,))
+    elif isinstance(el, KerrCoupling):
+        sys_idx, probe_idx = sorted(el.system_modes), (el.probe_mode,)
+    else:
+        return
+    for idx in sys_idx:
+        if not 0 <= idx < m_modes:
+            raise IndexError(f"system mode {idx} outside [0, {m_modes}) in {el!r}")
+    for idx in probe_idx:
+        if not 0 <= idx < k_probes:
+            raise IndexError(f"probe mode {idx} outside [0, {k_probes}) in {el!r}")
+
+
 def _replace_probe(probes: tuple[complex, ...], idx: int, value: complex) -> tuple[complex, ...]:
     return probes[:idx] + (value,) + probes[idx + 1 :]
 
@@ -115,6 +130,7 @@ def _replace_probe(probes: tuple[complex, ...], idx: int, value: complex) -> tup
 def apply_beam_splitter(
     state: HybridState, bs: BeamSplitter, dagger: bool = False, tol: float = MERGE_TOL
 ) -> HybridState:
+    _check_indices(bs, state.m_modes, state.k_probes)
     (u00, u01), (u10, u11) = bs.unitary()
     if dagger:
         u00, u01, u10, u11 = (
@@ -125,8 +141,6 @@ def apply_beam_splitter(
         )
     a, b = bs.mode_a, bs.mode_b
     if bs.target == SYS:
-        if not (0 <= a < state.m_modes and 0 <= b < state.m_modes):
-            raise IndexError(f"system modes ({a}, {b}) outside [0, {state.m_modes})")
         out: list[Branch] = []
         for br in state.branches:
             if br.mode == a:
@@ -138,8 +152,6 @@ def apply_beam_splitter(
             else:
                 out.append(br)
     else:
-        if not (0 <= a < state.k_probes and 0 <= b < state.k_probes):
-            raise IndexError(f"probe modes ({a}, {b}) outside [0, {state.k_probes})")
         out = []
         for br in state.branches:
             pa, pb = br.probes[a], br.probes[b]
@@ -152,24 +164,16 @@ def apply_beam_splitter(
 def apply_kerr(
     state: HybridState, coupling: KerrCoupling, dagger: bool = False, tol: float = MERGE_TOL
 ) -> HybridState:
-    if not 0 <= coupling.probe_mode < state.k_probes:
-        raise IndexError(f"probe mode {coupling.probe_mode} outside [0, {state.k_probes})")
-    for m in coupling.system_modes:
-        if not 0 <= m < state.m_modes:
-            raise IndexError(f"system mode {m} outside [0, {state.m_modes})")
+    _check_indices(coupling, state.m_modes, state.k_probes)
     sign = 1.0 if dagger else -1.0
     rot = cmath.exp(sign * 1j * coupling.eps_tau)
-    branch_ph = cmath.exp(sign * 1j * coupling.inner_branch_phase)
     out = []
     for br in state.branches:
         if br.mode in coupling.system_modes:
-            # The photon-photon term applies exp(-i eta_tau n_i n_j) over the
-            # threaded mode pair; one photon occupies a single mode, so the
-            # occupation product is 0 and the factor is exactly 1.
             probes = _replace_probe(
                 br.probes, coupling.probe_mode, rot * br.probes[coupling.probe_mode]
             )
-            out.append(Branch(br.mode, branch_ph * br.amp, probes))
+            out.append(Branch(br.mode, br.amp, probes))
         else:
             out.append(br)
     return merge_branches(type(state)(state.m_modes, state.k_probes, tuple(out)), tol)
@@ -178,19 +182,16 @@ def apply_kerr(
 def apply_phase(
     state: HybridState, shift: PhaseShift, dagger: bool = False, tol: float = MERGE_TOL
 ) -> HybridState:
+    _check_indices(shift, state.m_modes, state.k_probes)
     factor = cmath.exp((-1j if dagger else 1j) * shift.phi)
     out = []
     if shift.target == SYS:
-        if not 0 <= shift.index < state.m_modes:
-            raise IndexError(f"system mode {shift.index} outside [0, {state.m_modes})")
         for br in state.branches:
             if br.mode == shift.index:
                 out.append(Branch(br.mode, factor * br.amp, br.probes))
             else:
                 out.append(br)
     else:
-        if not 0 <= shift.index < state.k_probes:
-            raise IndexError(f"probe mode {shift.index} outside [0, {state.k_probes})")
         for br in state.branches:
             probes = _replace_probe(br.probes, shift.index, factor * br.probes[shift.index])
             out.append(Branch(br.mode, br.amp, probes))

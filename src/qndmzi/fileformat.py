@@ -7,28 +7,39 @@ One element per line, whitespace-separated tokens, ``#`` starts a comment::
     bs sys 0 1 r=0.6
     snapshot L1
     phase probe 0 phi=1.5707963267948966
-    kerr sys=1,2 probe=0 eps_tau=0.3 eta_tau=0.0
+    kerr sys=1,2 probe=0 eps_tau=0.3
     postselect mode=0 at=L3p
 
 Complex literals are written ``a+bi`` (a bare real is accepted on input).
 ``postselect`` takes an optional ``at=LABEL`` naming the snapshot at which
-detection statistics are evaluated (default: the fully evolved state), and
-``kerr`` an optional ``branch_phase=``.  Unknown keywords are errors; every
-diagnostic carries its line number.
+detection statistics are evaluated (default: the fully evolved state).
+Unknown keywords are errors; every diagnostic carries its line number.
+
+Files from older versions may give ``kerr`` two more tokens, in this order:
+``eta_tau=F``, a photon-photon strength that is inert for one photon (it
+must be a number and is then dropped), and ``branch_phase=F``, which reads
+as ``phase sys M phi=-F`` for each threaded mode M, in ascending order,
+right after the coupling.
 """
 
 from __future__ import annotations
 
-from .circuit import FINAL_STAGE, Circuit
+from .circuit import (
+    FINAL_STAGE,
+    Circuit,
+    _check_label,
+    _check_mode,
+)
 from .elements import (
-    PROBE,
     SYS,
     BeamSplitter,
     Element,
     KerrCoupling,
     PhaseShift,
     Snapshot,
+    _check_indices,
 )
+from .states import _check_finite
 
 
 class CircuitFormatError(ValueError):
@@ -66,54 +77,60 @@ def format_complex(z: complex) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
 
-def _kv(token: str, key: str, line_no: int) -> str:
+def _kv(token: str, key: str) -> str:
     if not token.startswith(key + "="):
-        raise CircuitFormatError(line_no, f"expected {key}=..., got {token!r}")
+        raise ValueError(f"expected {key}=..., got {token!r}")
     return token[len(key) + 1 :]
 
 
-def _int_field(token: str, key: str, line_no: int) -> int:
-    raw = _kv(token, key, line_no)
+def _int_field(token: str, key: str) -> int:
+    raw = _kv(token, key)
     try:
         return int(raw)
     except ValueError:
-        raise CircuitFormatError(line_no, f"malformed integer in {token!r}") from None
+        raise ValueError(f"malformed integer in {token!r}") from None
 
 
-def _float_field(token: str, key: str, line_no: int) -> float:
-    raw = _kv(token, key, line_no)
+def _float_field(token: str, key: str) -> float:
+    raw = _kv(token, key)
     try:
         return float(raw)
     except ValueError:
-        raise CircuitFormatError(line_no, f"malformed number in {token!r}") from None
+        raise ValueError(f"malformed number in {token!r}") from None
 
 
-def _complex_field(token: str, key: str, line_no: int) -> complex:
-    raw = _kv(token, key, line_no)
+def _kerr_line(tokens: list[str]) -> list[Element]:
+    """The coupling a ``kerr`` line declares, then any ``branch_phase`` phases."""
+    if not 4 <= len(tokens) <= 6:
+        raise ValueError(
+            "expected: kerr sys=I,J probe=P eps_tau=F [eta_tau=F] [branch_phase=F]"
+        )
+    raw_sys = _kv(tokens[1], "sys")
     try:
-        return parse_complex(raw)
-    except ValueError as exc:
-        raise CircuitFormatError(line_no, str(exc)) from None
-
-
-def _check_sys_index(idx: int, m_modes: int, line_no: int) -> int:
-    if not 0 <= idx < m_modes:
-        raise CircuitFormatError(line_no, f"system mode {idx} outside declared range [0, {m_modes})")
-    return idx
-
-
-def _check_probe_index(idx: int, k_probes: int, line_no: int) -> int:
-    if not 0 <= idx < k_probes:
-        raise CircuitFormatError(line_no, f"probe mode {idx} outside declared range [0, {k_probes})")
-    return idx
+        sys_modes = frozenset(int(s) for s in raw_sys.split(","))
+    except ValueError:
+        raise ValueError(f"malformed mode list {raw_sys!r}") from None
+    probe = _int_field(tokens[2], "probe")
+    out: list[Element] = [KerrCoupling(sys_modes, probe, _float_field(tokens[3], "eps_tau"))]
+    rest = tokens[4:]
+    if rest and rest[0].startswith("eta_tau="):
+        _float_field(rest.pop(0), "eta_tau")
+    if rest:
+        phi = -_float_field(rest.pop(0), "branch_phase")
+        out += [PhaseShift(SYS, m, phi) for m in sorted(sys_modes)]
+    if rest:
+        raise ValueError(f"unexpected token {rest[0]!r}")
+    return out
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the line format into a :class:`Circuit`.
 
     Raises :class:`CircuitFormatError` naming the line for: unknown
-    keywords, malformed complex literals, indices outside the declared
-    ranges, duplicate snapshot labels, and a missing source line.
+    keywords, malformed or non-finite numbers, indices outside the declared
+    ranges, reserved or duplicate snapshot labels, and a missing source
+    line.  Each element is checked as its line is read, by the same checks
+    :class:`Circuit` makes.
     """
     m_modes: int | None = None
     k_probes: int | None = None
@@ -130,110 +147,70 @@ def parse_circuit(text: str) -> Circuit:
             continue
         tokens = line.split()
         keyword = tokens[0]
-
-        if keyword == "modes":
-            if m_modes is not None:
-                raise CircuitFormatError(line_no, "duplicate modes declaration")
-            if len(tokens) != 4 or tokens[2] != "probes":
-                raise CircuitFormatError(line_no, "expected: modes M probes K")
-            try:
-                m_modes, k_probes = int(tokens[1]), int(tokens[3])
-            except ValueError:
-                raise CircuitFormatError(line_no, "mode counts must be integers") from None
-            if m_modes < 1 or k_probes < 0:
-                raise CircuitFormatError(line_no, "mode counts out of range")
-            continue
-
-        if m_modes is None or k_probes is None:
-            raise CircuitFormatError(line_no, f"{keyword!r} before the modes declaration")
-
-        if keyword == "source":
-            if source_probes is not None:
-                raise CircuitFormatError(line_no, "duplicate source line")
-            if len(tokens) != 2 + k_probes:
-                raise CircuitFormatError(
-                    line_no, f"source needs mode= and probe0=..probe{k_probes - 1}="
+        first_new = len(elements)
+        try:
+            if keyword == "modes":
+                if m_modes is not None:
+                    raise ValueError("duplicate modes declaration")
+                if len(tokens) != 4 or tokens[2] != "probes":
+                    raise ValueError("expected: modes M probes K")
+                try:
+                    m_modes, k_probes = int(tokens[1]), int(tokens[3])
+                except ValueError:
+                    raise ValueError("mode counts must be integers") from None
+                if m_modes < 1 or k_probes < 0:
+                    raise ValueError("mode counts out of range")
+                continue
+            if m_modes is None or k_probes is None:
+                raise ValueError(f"{keyword!r} before the modes declaration")
+            if keyword == "source":
+                if source_probes is not None:
+                    raise ValueError("duplicate source line")
+                if len(tokens) != 2 + k_probes:
+                    raise ValueError(f"source needs mode= and probe0=..probe{k_probes - 1}=")
+                source_mode = _int_field(tokens[1], "mode")
+                _check_mode("source mode", source_mode, m_modes)
+                source_probes = tuple(
+                    parse_complex(_kv(tokens[2 + k], f"probe{k}")) for k in range(k_probes)
                 )
-            source_mode = _check_sys_index(
-                _int_field(tokens[1], "mode", line_no), m_modes, line_no
-            )
-            source_probes = tuple(
-                _complex_field(tokens[2 + k], f"probe{k}", line_no)
-                for k in range(k_probes)
-            )
-        elif keyword == "bs":
-            if len(tokens) != 5:
-                raise CircuitFormatError(line_no, "expected: bs sys|probe A B r=R")
-            target = tokens[1]
-            if target not in (SYS, PROBE):
-                raise CircuitFormatError(line_no, f"unknown beam-splitter target {target!r}")
-            try:
-                a, b = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise CircuitFormatError(line_no, "beam-splitter ports must be integers") from None
-            if target == SYS:
-                _check_sys_index(a, m_modes, line_no)
-                _check_sys_index(b, m_modes, line_no)
+                for p in source_probes:
+                    _check_finite(p, "source probe amplitude")
+            elif keyword == "bs":
+                if len(tokens) != 5:
+                    raise ValueError("expected: bs sys|probe A B r=R")
+                try:
+                    a, b = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise ValueError("beam-splitter ports must be integers") from None
+                elements.append(BeamSplitter(tokens[1], a, b, _float_field(tokens[4], "r")))
+            elif keyword == "phase":
+                if len(tokens) != 4:
+                    raise ValueError("expected: phase sys|probe I phi=F")
+                try:
+                    idx = int(tokens[2])
+                except ValueError:
+                    raise ValueError("phase index must be an integer") from None
+                elements.append(PhaseShift(tokens[1], idx, _float_field(tokens[3], "phi")))
+            elif keyword == "kerr":
+                elements += _kerr_line(tokens)
+            elif keyword == "snapshot":
+                if len(tokens) != 2:
+                    raise ValueError("expected: snapshot LABEL")
+                _check_label(tokens[1], labels)
+                elements.append(Snapshot(tokens[1]))
+            elif keyword == "postselect":
+                if len(tokens) not in (2, 3):
+                    raise ValueError("expected: postselect mode=I [at=LABEL]")
+                postselect_mode = _int_field(tokens[1], "mode")
+                _check_mode("postselect mode", postselect_mode, m_modes)
+                if len(tokens) == 3:
+                    detect_stage = _kv(tokens[2], "at")
             else:
-                _check_probe_index(a, k_probes, line_no)
-                _check_probe_index(b, k_probes, line_no)
-            r = _float_field(tokens[4], "r", line_no)
-            try:
-                elements.append(BeamSplitter(target, a, b, r))
-            except ValueError as exc:
-                raise CircuitFormatError(line_no, str(exc)) from None
-        elif keyword == "phase":
-            if len(tokens) != 4:
-                raise CircuitFormatError(line_no, "expected: phase sys|probe I phi=F")
-            target = tokens[1]
-            if target not in (SYS, PROBE):
-                raise CircuitFormatError(line_no, f"unknown phase target {target!r}")
-            try:
-                idx = int(tokens[2])
-            except ValueError:
-                raise CircuitFormatError(line_no, "phase index must be an integer") from None
-            if target == SYS:
-                _check_sys_index(idx, m_modes, line_no)
-            else:
-                _check_probe_index(idx, k_probes, line_no)
-            elements.append(PhaseShift(target, idx, _float_field(tokens[3], "phi", line_no)))
-        elif keyword == "kerr":
-            if len(tokens) not in (5, 6):
-                raise CircuitFormatError(
-                    line_no, "expected: kerr sys=I,J probe=P eps_tau=F eta_tau=F [branch_phase=F]"
-                )
-            raw_sys = _kv(tokens[1], "sys", line_no)
-            try:
-                sys_modes = frozenset(int(s) for s in raw_sys.split(","))
-            except ValueError:
-                raise CircuitFormatError(line_no, f"malformed mode list {raw_sys!r}") from None
-            for m in sys_modes:
-                _check_sys_index(m, m_modes, line_no)
-            probe = _check_probe_index(
-                _int_field(tokens[2], "probe", line_no), k_probes, line_no
-            )
-            eps = _float_field(tokens[3], "eps_tau", line_no)
-            eta = _float_field(tokens[4], "eta_tau", line_no)
-            bp = _float_field(tokens[5], "branch_phase", line_no) if len(tokens) == 6 else 0.0
-            elements.append(KerrCoupling(sys_modes, probe, eps, eta, bp))
-        elif keyword == "snapshot":
-            if len(tokens) != 2:
-                raise CircuitFormatError(line_no, "expected: snapshot LABEL")
-            label = tokens[1]
-            if label in labels:
-                raise CircuitFormatError(line_no, f"duplicate snapshot label {label!r}")
-            labels.add(label)
-            elements.append(Snapshot(label))
-        elif keyword == "postselect":
-            if len(tokens) not in (2, 3):
-                raise CircuitFormatError(line_no, "expected: postselect mode=I [at=LABEL]")
-            postselect_mode = _check_sys_index(
-                _int_field(tokens[1], "mode", line_no), m_modes, line_no
-            )
-            if len(tokens) == 3:
-                detect_stage = _kv(tokens[2], "at", line_no)
-        else:
-            raise CircuitFormatError(line_no, f"unknown keyword {keyword!r}")
+                raise ValueError(f"unknown keyword {keyword!r}")
+            for el in elements[first_new:]:
+                _check_indices(el, m_modes, k_probes)
+        except (ValueError, IndexError) as exc:
+            raise CircuitFormatError(line_no, str(exc)) from None
 
     if m_modes is None:
         raise CircuitFormatError(None, "empty circuit: no modes declaration")
@@ -268,13 +245,9 @@ def serialize_circuit(circuit: Circuit) -> str:
             lines.append(f"phase {el.target} {el.index} phi={repr(el.phi)}")
         elif isinstance(el, KerrCoupling):
             sys_modes = ",".join(str(m) for m in sorted(el.system_modes))
-            line = (
-                f"kerr sys={sys_modes} probe={el.probe_mode} "
-                f"eps_tau={repr(el.eps_tau)} eta_tau={repr(el.eta_tau)}"
+            lines.append(
+                f"kerr sys={sys_modes} probe={el.probe_mode} eps_tau={repr(el.eps_tau)}"
             )
-            if el.inner_branch_phase != 0.0:
-                line += f" branch_phase={repr(el.inner_branch_phase)}"
-            lines.append(line)
         elif isinstance(el, Snapshot):
             lines.append(f"snapshot {el.label}")
         else:

@@ -100,10 +100,7 @@ def apply_element_fock(
         number_phase = number_phase.reshape(shape[1:])
         for m in range(m_modes):
             if m in element.system_modes:
-                # eta couples the occupations of the threaded system-mode
-                # pair; a one-photon basis state occupies a single mode, so
-                # that occupation product vanishes and eta adds no phase.
-                out[m] = out[m] * number_phase * np.exp(-1j * element.inner_branch_phase)
+                out[m] = out[m] * number_phase
         return out
     if isinstance(element, PhaseShift):
         out = arr.copy()

@@ -55,13 +55,11 @@ def random_element(rng: random.Random, m_modes: int = 3, k_probes: int = 2):
         return PhaseShift(PROBE, rng.randrange(k_probes), rng.uniform(0, 2 * math.pi))
     n_sys = rng.randint(1, min(2, m_modes))
     system_modes = frozenset(rng.sample(range(m_modes), n_sys))
-    return KerrCoupling(
-        system_modes,
-        rng.randrange(k_probes),
-        rng.uniform(0, 2 * math.pi),
-        rng.uniform(0, 2 * math.pi),
-        rng.choice([0.0, rng.uniform(0, 2 * math.pi)]),
-    )
+    kerr = KerrCoupling(system_modes, rng.randrange(k_probes), rng.uniform(0, 2 * math.pi))
+    # Two more draws, so that every seeded circuit keeps its other elements.
+    rng.uniform(0, 2 * math.pi)
+    rng.choice([0.0, rng.uniform(0, 2 * math.pi)])
+    return kerr
 
 
 def random_circuit(

@@ -249,6 +249,13 @@ class TestCircuitValidation:
                 source_probes=(0j,),
             )
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_source_probe_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite source probe"):
+            Circuit(m_modes=2, k_probes=1, elements=(), source_mode=0, source_probes=(bad,))
+        with pytest.raises(ValueError, match="non-finite source probe"):
+            build_nested_mzi(0.6, bad, 0.3)
+
     def test_probe_optics_image_folds_probe_elements_only(self):
         circuit = build_nested_mzi(0.6, 2.0, 1.2)
         image = probe_optics_image(circuit, circuit.source_probes)

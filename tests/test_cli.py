@@ -173,3 +173,48 @@ class TestCircuitFileInput:
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["circuit", "/nonexistent.txt", "run"])
         assert result.exit_code != 0
+
+
+class TestBadInputFailsCleanly:
+    HEADER = "modes 3 probes 2\nsource mode=0 probe0=1+0i probe1=0+0i\n"
+
+    @staticmethod
+    def assert_clean_error(result, *expected):
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Error:" in result.output
+        assert "Traceback" not in result.output
+        for text in expected:
+            assert text in result.output
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "snapshot final",
+            "snapshot source",
+            "phase sys 0 phi=nan",
+            "kerr sys=1 probe=0 eps_tau=inf",
+            "kerr sys=1 probe=0 eps_tau=inf eta_tau=0.0",
+        ],
+    )
+    def test_bad_element_line(self, runner, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(self.HEADER + "snapshot A\n" + line + "\n")
+        result = runner.invoke(main, ["circuit", str(path), "run"])
+        self.assert_clean_error(result, f"{path}: line 4: ")
+
+    def test_non_finite_source_probe_in_file(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("modes 3 probes 2\nsource mode=0 probe0=nan+0i probe1=0+0i\n")
+        result = runner.invoke(main, ["circuit", str(path), "run"])
+        self.assert_clean_error(result, f"{path}: line 2: ", "non-finite")
+
+    @pytest.mark.parametrize("command", ["run", "tsvf"])
+    def test_non_finite_alpha(self, runner, command):
+        result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", "nan", command])
+        self.assert_clean_error(result, "non-finite")
+
+    def test_eta_tau_option_is_gone(self, runner):
+        result = runner.invoke(main, PRESET + ["--eta-tau", "0.1", "run"])
+        assert result.exit_code == 2
+        assert "--eta-tau" in result.output

@@ -116,19 +116,6 @@ class TestApplyKerr:
         out = apply_kerr(s, KerrCoupling(frozenset({1, 2}), 0, 1.3))
         assert out.branches == s.branches
 
-    def test_photon_photon_term_is_inert_for_one_photon(self):
-        s = photon(1, probes=(1.0, 0j))
-        plain = apply_kerr(s, KerrCoupling(frozenset({1, 2}), 0, 0.4, eta_tau=0.0))
-        with_eta = apply_kerr(s, KerrCoupling(frozenset({1, 2}), 0, 0.4, eta_tau=2.2))
-        assert plain.branches == with_eta.branches
-
-    def test_inner_branch_phase_knob(self):
-        s = photon(1, probes=(1.0, 0j))
-        out = apply_kerr(
-            s, KerrCoupling(frozenset({1, 2}), 0, 0.0, inner_branch_phase=0.9)
-        )
-        assert out.branches[0].amp == pytest.approx(cmath.exp(-0.9j), abs=1e-15)
-
     def test_index_validation(self):
         with pytest.raises(IndexError):
             apply_kerr(photon(0), KerrCoupling(frozenset({5}), 0, 0.1))

@@ -1,14 +1,18 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from qndmzi import (
+    SYS,
     BeamSplitter,
     CircuitFormatError,
     KerrCoupling,
+    PhaseShift,
     Snapshot,
     build_nested_mzi,
     parse_circuit,
+    run_both,
     parse_complex,
     format_complex,
     serialize_circuit,
@@ -145,12 +149,38 @@ class TestParseCircuit:
     def test_kerr_with_branch_phase(self):
         text = (
             "modes 3 probes 1\nsource mode=0 probe0=1+0i\n"
-            "kerr sys=1,2 probe=0 eps_tau=0.2 eta_tau=0.1 branch_phase=0.4\n"
+            "kerr sys=2,1 probe=0 eps_tau=0.2 eta_tau=0.1 branch_phase=0.4\n"
         )
-        circuit = parse_circuit(text)
-        kerr = circuit.elements[0]
-        assert kerr.system_modes == frozenset({1, 2})
-        assert kerr.inner_branch_phase == pytest.approx(0.4)
+        assert parse_circuit(text).elements == (
+            KerrCoupling(frozenset({1, 2}), 0, 0.2),
+            PhaseShift(SYS, 1, -0.4),
+            PhaseShift(SYS, 2, -0.4),
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "snapshot final",
+            "snapshot source",
+            "phase sys 0 phi=nan",
+            "kerr sys=1 probe=0 eps_tau=inf",
+            "bs beam 0 1 r=0.5",
+            "kerr sys=1 probe=0 eps_tau=0.1 branch_phase=0.2 eta_tau=0.0",
+            "kerr sys=1 probe=0 eps_tau=0.1 eta_tau=0.0 branch_phase=inf",
+            "postselect mode=3",
+        ],
+    )
+    def test_bad_element_line_is_tagged(self, line):
+        text = "modes 3 probes 1\nsource mode=0 probe0=1+0i\n" + line + "\n"
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(text)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("source", ["mode=0 probe0=nan+0i", "mode=0 probe0=1+infi", "mode=3 probe0=1"])
+    def test_bad_source_line_is_tagged(self, source):
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(f"modes 3 probes 1\nsource {source}\n")
+        assert err.value.line_no == 2
 
     def test_bad_reflectivity_names_line(self):
         text = "modes 2 probes 1\nsource mode=0 probe0=0+0i\nbs sys 0 1 r=1.4\n"
@@ -160,6 +190,12 @@ class TestParseCircuit:
 
 
 class TestRoundTrip:
+    def test_readme_example_is_the_serialized_preset(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        intro = "One element per line, whitespace-separated, `#` starts a comment:\n\n```\n"
+        example = readme.split(intro)[1].split("```")[0]
+        assert example == serialize_circuit(build_nested_mzi(0.6, 2, 0.3))
+
     def test_preset_serialization_round_trips(self):
         for r, eps in [(0.6, 0.3), (0.25, 2.0), (1.0, 0.0)]:
             circuit = build_nested_mzi(r, 2.0, eps)
@@ -178,3 +214,37 @@ class TestRoundTrip:
             circuit = random_circuit(rng)
             again = parse_circuit(serialize_circuit(circuit))
             assert again == circuit
+
+
+class TestOlderFiles:
+    """Files that still carry the removed ``eta_tau=`` and ``branch_phase=`` tokens."""
+
+    APPARATUS = serialize_circuit(build_nested_mzi(0.45, 1.5 - 0.5j, 0.8))
+    KERR = "kerr sys=1,2 probe=0 eps_tau=0.8"
+
+    @pytest.mark.parametrize("eta", ["0.0", "2.2", "-1e-3"])
+    def test_eta_tau_is_read_and_dropped(self, eta):
+        old = self.APPARATUS.replace(self.KERR, f"{self.KERR} eta_tau={eta}")
+        assert old != self.APPARATUS
+        assert parse_circuit(old) == parse_circuit(self.APPARATUS)
+
+    def test_malformed_eta_tau_names_line(self):
+        old = self.APPARATUS.replace(self.KERR, f"{self.KERR} eta_tau=abc")
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(old)
+        assert err.value.line_no == self.APPARATUS.splitlines().index(self.KERR) + 1
+        assert "abc" in str(err.value)
+
+    def test_branch_phase_evolves_like_explicit_phase_lines(self):
+        old = self.APPARATUS.replace(self.KERR, f"{self.KERR} eta_tau=0.7 branch_phase=0.45")
+        explicit = self.APPARATUS.replace(
+            self.KERR, f"{self.KERR}\nphase sys 1 phi=-0.45\nphase sys 2 phi=-0.45"
+        )
+        a, b = run_both(parse_circuit(old)), run_both(parse_circuit(explicit))
+        for label in a.circuit.stages:
+            assert a.forward[label] == b.forward[label]
+            assert a.backward[label] == b.backward[label]
+
+    def test_serializer_writes_no_eta_tau(self):
+        assert "eta_tau" not in self.APPARATUS
+        assert f"{self.KERR}\n" in self.APPARATUS
