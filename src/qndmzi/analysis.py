@@ -35,7 +35,7 @@ from .elements import (
     Snapshot,
     _check_indices,
 )
-from .states import BraState, HybridState, coherent_overlap, inner_product
+from .states import HybridState, _pair_sum, inner_product
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
 #: forward and backward waves.  Exposed because the verdict is a judgement
@@ -53,19 +53,7 @@ def mean_probe_photons(state: HybridState) -> tuple[float, ...]:
     norm = state.norm_sq()
     if norm <= 0.0:
         raise ValueError("mean photon number of a null state is undefined")
-    means = []
-    for k in range(state.k_probes):
-        acc = 0j
-        for u in state.branches:
-            for v in state.branches:
-                if u.mode != v.mode:
-                    continue
-                term = u.amp.conjugate() * v.amp * u.probes[k].conjugate() * v.probes[k]
-                for pu, pv in zip(u.probes, v.probes):
-                    term *= coherent_overlap(pu, pv)
-                acc += term
-        means.append(acc.real / norm)
-    return tuple(means)
+    return tuple(_pair_sum(state, state, k).real / norm for k in range(state.k_probes))
 
 
 def state_fidelity(a: HybridState, b: HybridState) -> float:
@@ -273,13 +261,19 @@ class TsvfReport:
 
 def tsvf_report(
     circuit: Circuit,
-    final_bra: BraState | None = None,
     threshold: float = OVERLAP_THRESHOLD,
     trace: StageTrace | None = None,
 ) -> TsvfReport:
-    """Two-state (forward plus backward) report over every recorded stage."""
+    """Two-state (forward plus backward) report over every recorded stage.
+
+    ``trace`` defaults to :func:`run_both`; a trace built from
+    ``run_backward(circuit, bra)`` reports against a custom final bra.
+    ``threshold`` must be finite and nonnegative.
+    """
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"overlap threshold must be finite and >= 0, got {threshold!r}")
     if trace is None:
-        trace = run_both(circuit, final_bra)
+        trace = run_both(circuit)
     stage_reports = []
     for label in circuit.stages:
         fwd = trace.forward[label]

@@ -27,7 +27,7 @@ from .elements import (
     _check_indices,
     apply_element,
 )
-from .states import Branch, BraState, HybridState, MERGE_TOL, _check_finite
+from .states import Branch, HybridState, _check_finite
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
@@ -113,18 +113,11 @@ class StageTrace:
 
     circuit: Circuit
     forward: Mapping[str, HybridState] = field(default_factory=dict)
-    backward: Mapping[str, BraState] = field(default_factory=dict)
+    backward: Mapping[str, HybridState] = field(default_factory=dict)
 
     @property
     def detect_stage(self) -> str:
         return self.circuit.detect_stage
-
-    def merged_with(self, other: "StageTrace") -> "StageTrace":
-        return StageTrace(
-            self.circuit,
-            {**self.forward, **other.forward},
-            {**self.backward, **other.backward},
-        )
 
 
 def _evolve(
@@ -134,7 +127,6 @@ def _evolve(
     stop: str | None = None,
     end: str | None = None,
     dagger: bool = False,
-    tol: float = MERGE_TOL,
 ) -> HybridState:
     """Apply ``elements`` to ``state`` in order; return the state reached.
 
@@ -150,13 +142,13 @@ def _evolve(
             if el.label == stop:
                 return state
         else:
-            state = apply_element(state, el, dagger=dagger, tol=tol)
+            state = apply_element(state, el, dagger=dagger)
     if end is not None:
         stages[end] = state
     return state
 
 
-def run_forward(circuit: Circuit, tol: float = MERGE_TOL) -> StageTrace:
+def run_forward(circuit: Circuit) -> StageTrace:
     """Evolve the source state through the circuit, recording every snapshot.
 
     The fully evolved state is stored under ``"final"`` and the input under
@@ -164,7 +156,7 @@ def run_forward(circuit: Circuit, tol: float = MERGE_TOL) -> StageTrace:
     """
     state = circuit.source_state()
     stages: dict[str, HybridState] = {SOURCE_STAGE: state}
-    _evolve(state, circuit.elements, stages, end=FINAL_STAGE, tol=tol)
+    _evolve(state, circuit.elements, stages, end=FINAL_STAGE)
     return StageTrace(circuit, forward=stages)
 
 
@@ -210,7 +202,7 @@ def probe_optics_image(circuit: Circuit, probes: tuple[complex, ...]) -> tuple[c
     return _evolve(carrier, optics, {}).branches[0].probes
 
 
-def default_final_bra(circuit: Circuit) -> BraState:
+def default_final_bra(circuit: Circuit) -> HybridState:
     """Post-selection bra: photon at the detector mode, probes unperturbed.
 
     The probe part is the source probe state carried through the probe
@@ -219,37 +211,34 @@ def default_final_bra(circuit: Circuit) -> BraState:
     probe leave in the no-interaction fringe state".
     """
     probes = probe_optics_image(circuit, circuit.source_probes)
-    return BraState(
+    return HybridState(
         circuit.m_modes,
         circuit.k_probes,
         (Branch(circuit.postselect_mode, 1.0, probes),),
     )
 
 
-def run_backward(
-    circuit: Circuit, final_bra: BraState | None = None, tol: float = MERGE_TOL
-) -> StageTrace:
+def run_backward(circuit: Circuit, final_bra: HybridState | None = None) -> StageTrace:
     """Evolve a bra backward through the circuit, conjugate-transposing each element.
 
-    Snapshots are recorded under the same labels as the forward run; the
-    starting bra is stored under ``"final"`` and the fully back-evolved bra
-    under ``"source"``.
+    ``final_bra`` is a :class:`HybridState` read as a bra (default:
+    :func:`default_final_bra`).  Snapshots are recorded under the same labels
+    as the forward run; the starting bra is stored under ``"final"`` and the
+    fully back-evolved bra under ``"source"``.
     """
     bra = default_final_bra(circuit) if final_bra is None else final_bra
     if bra.m_modes != circuit.m_modes or bra.k_probes != circuit.k_probes:
         raise ValueError("final bra does not match the circuit's dimensions")
-    stages: dict[str, BraState] = {FINAL_STAGE: bra}
-    _evolve(
-        bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True, tol=tol
-    )
+    stages: dict[str, HybridState] = {FINAL_STAGE: bra}
+    _evolve(bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True)
     return StageTrace(circuit, backward=stages)
 
 
-def run_both(
-    circuit: Circuit, final_bra: BraState | None = None, tol: float = MERGE_TOL
-) -> StageTrace:
+def run_both(circuit: Circuit) -> StageTrace:
     """Forward and backward traces over the same circuit."""
-    return run_forward(circuit, tol).merged_with(run_backward(circuit, final_bra, tol))
+    return StageTrace(
+        circuit, run_forward(circuit).forward, run_backward(circuit).backward
+    )
 
 
 def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Circuit:

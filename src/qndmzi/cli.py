@@ -84,12 +84,15 @@ def _record_state(prefix: str, state: HybridState) -> list[str]:
     return lines
 
 
-def _out_path(ctx: click.Context, out: str | None, default_name: str) -> Path | None:
+def _write_csv(ctx: click.Context, out: str | None, default_name: str, text: str) -> None:
+    """Write CSV ``text`` to ``out`` ('-': stdout; default: the output directory)."""
     if out == "-":
-        return None
-    if out is not None:
-        return Path(out)
-    return Path(ctx.obj["out_dir"]) / default_name
+        click.echo(text, nl=False)
+        return
+    path = Path(out) if out is not None else Path(ctx.obj["out_dir"]) / default_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    click.echo(f"wrote {path}")
 
 
 def _circuit(ctx: click.Context) -> Circuit:
@@ -211,14 +214,7 @@ def fringes_cmd(ctx, mode: int, points: int, out: str | None) -> None:
         scan = fringe_scan(circuit, mode, phis)
     except (ValueError, IndexError) as exc:
         raise click.ClickException(str(exc))
-    csv_text = fringe_csv(scan)
-    path = _out_path(ctx, out, "fringes.csv")
-    if path is None:
-        click.echo(csv_text, nl=False)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(csv_text)
-        click.echo(f"wrote {path}")
+    _write_csv(ctx, out, "fringes.csv", fringe_csv(scan))
     click.echo(f"extracted shift {scan.extracted_shift:.12g}")
     click.echo(f"visibility {scan.visibility:.12g}")
 
@@ -235,7 +231,10 @@ def _compact_complex(z: complex) -> str:
 def tsvf_cmd(ctx, threshold: float, fmt: str) -> None:
     """Print the forward/backward overlap verdict per stage and mode."""
     circuit = _circuit(ctx)
-    report = tsvf_report(circuit, threshold=threshold)
+    try:
+        report = tsvf_report(circuit, threshold=threshold)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     if fmt == "record":
         lines = []
         for stage in report.stages:
@@ -280,14 +279,7 @@ def leakage_cmd(ctx, delta_min: float, delta_max: float, points: int, out: str |
         rows = leakage_sweep(circuit, deltas)
     except (ValueError, IndexError) as exc:
         raise click.ClickException(str(exc))
-    csv_text = leakage_csv(rows)
-    path = _out_path(ctx, out, "leakage.csv")
-    if path is None:
-        click.echo(csv_text, nl=False)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(csv_text)
-        click.echo(f"wrote {path}")
+    _write_csv(ctx, out, "leakage.csv", leakage_csv(rows))
 
 
 for _cmd in (run_cmd, postselect_cmd, fringes_cmd, tsvf_cmd, leakage_cmd):

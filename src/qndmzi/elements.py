@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .states import Branch, HybridState, MERGE_TOL, merge_branches
+from .states import Branch, HybridState, merge_branches
 
 SYS = "sys"
 PROBE = "probe"
@@ -128,7 +128,7 @@ def _replace_probe(probes: tuple[complex, ...], idx: int, value: complex) -> tup
 
 
 def apply_beam_splitter(
-    state: HybridState, bs: BeamSplitter, dagger: bool = False, tol: float = MERGE_TOL
+    state: HybridState, bs: BeamSplitter, dagger: bool = False
 ) -> HybridState:
     _check_indices(bs, state.m_modes, state.k_probes)
     (u00, u01), (u10, u11) = bs.unitary()
@@ -158,11 +158,11 @@ def apply_beam_splitter(
             probes = _replace_probe(br.probes, a, u00 * pa + u01 * pb)
             probes = _replace_probe(probes, b, u10 * pa + u11 * pb)
             out.append(Branch(br.mode, br.amp, probes))
-    return merge_branches(type(state)(state.m_modes, state.k_probes, tuple(out)), tol)
+    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_kerr(
-    state: HybridState, coupling: KerrCoupling, dagger: bool = False, tol: float = MERGE_TOL
+    state: HybridState, coupling: KerrCoupling, dagger: bool = False
 ) -> HybridState:
     _check_indices(coupling, state.m_modes, state.k_probes)
     sign = 1.0 if dagger else -1.0
@@ -176,11 +176,11 @@ def apply_kerr(
             out.append(Branch(br.mode, br.amp, probes))
         else:
             out.append(br)
-    return merge_branches(type(state)(state.m_modes, state.k_probes, tuple(out)), tol)
+    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_phase(
-    state: HybridState, shift: PhaseShift, dagger: bool = False, tol: float = MERGE_TOL
+    state: HybridState, shift: PhaseShift, dagger: bool = False
 ) -> HybridState:
     _check_indices(shift, state.m_modes, state.k_probes)
     factor = cmath.exp((-1j if dagger else 1j) * shift.phi)
@@ -195,19 +195,19 @@ def apply_phase(
         for br in state.branches:
             probes = _replace_probe(br.probes, shift.index, factor * br.probes[shift.index])
             out.append(Branch(br.mode, br.amp, probes))
-    return merge_branches(type(state)(state.m_modes, state.k_probes, tuple(out)), tol)
+    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_element(
-    state: HybridState, element: Element, dagger: bool = False, tol: float = MERGE_TOL
+    state: HybridState, element: Element, dagger: bool = False
 ) -> HybridState:
     """Apply one element (or its conjugate transpose) to a state."""
     if isinstance(element, BeamSplitter):
-        return apply_beam_splitter(state, element, dagger, tol)
+        return apply_beam_splitter(state, element, dagger)
     if isinstance(element, KerrCoupling):
-        return apply_kerr(state, element, dagger, tol)
+        return apply_kerr(state, element, dagger)
     if isinstance(element, PhaseShift):
-        return apply_phase(state, element, dagger, tol)
+        return apply_phase(state, element, dagger)
     if isinstance(element, Snapshot):
         return state
     raise TypeError(f"unknown element {element!r}")

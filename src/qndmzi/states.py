@@ -12,9 +12,11 @@ histories (as in the interferometers built here).  A system beam splitter
 can at worst double the branch count, so deep circuits that keep marking
 branches distinctly grow it exponentially.
 
-Bra (dual) vectors are stored un-conjugated, with conjugation applied inside
-:func:`inner_product`; backward evolution can therefore reuse the element
-code with conjugate-transposed matrices.
+A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
+:func:`inner_product` conjugates its first argument, so backward evolution
+reuses the element code with conjugate-transposed matrices.  This module is
+the only one that knows how a state is stored, when branches merge and how
+branch pairs overlap.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-#: Default absolute tolerance for merging duplicate branches and dropping
-#: empty ones.  Well above double-precision noise, far below any physical
-#: amplitude in the circuits simulated here.
+#: Absolute tolerance for merging duplicate branches and dropping empty
+#: ones; read only by :func:`merge_branches`.  Well above double-precision
+#: noise, far below any physical amplitude in the circuits simulated here.
 MERGE_TOL = 1e-12
 
 
@@ -101,10 +103,10 @@ class HybridState:
         if not 0 <= mode < self.m_modes:
             raise IndexError(f"mode {mode} outside [0, {self.m_modes})")
         kept = tuple(br for br in self.branches if br.mode == mode)
-        return type(self)(self.m_modes, self.k_probes, kept)
+        return HybridState(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
-        return type(self)(
+        return HybridState(
             self.m_modes,
             self.k_probes,
             tuple(Branch(b.mode, factor * b.amp, b.probes) for b in self.branches),
@@ -115,22 +117,6 @@ class HybridState:
         if n <= 0.0:
             raise ValueError("cannot normalize a null state")
         return self.scaled(1.0 / math.sqrt(n))
-
-    def as_bra(self) -> "BraState":
-        """Reinterpret as a bra; the stored amplitudes are left untouched."""
-        return BraState(self.m_modes, self.k_probes, self.branches)
-
-    def as_ket(self) -> "HybridState":
-        return HybridState(self.m_modes, self.k_probes, self.branches)
-
-
-class BraState(HybridState):
-    """Dual vector with the same storage layout as :class:`HybridState`.
-
-    Conjugation happens inside :func:`inner_product`; evolving a bra
-    backward through a circuit applies each element's conjugate transpose
-    to this un-conjugated representation.
-    """
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -148,6 +134,29 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     )
 
 
+def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
+    """Sum over mode-matched branch pairs of conj(amp_u) amp_v prod <u_j|v_j>.
+
+    With ``k`` given, each term also carries conj(u_k) v_k, which turns the
+    sum into the probe-``k`` number matrix element <bra|n_k|ket>.  Inner
+    products, norms and mean photon numbers all sum here, so an overflowed
+    coherent overlap raises instead of passing on as NaN.
+    """
+    total = 0j
+    for u in bra.branches:
+        for v in ket.branches:
+            if u.mode != v.mode:
+                continue
+            term = u.amp.conjugate() * v.amp
+            if k is not None:
+                term = term * u.probes[k].conjugate() * v.probes[k]
+            for pu, pv in zip(u.probes, v.probes):
+                term *= coherent_overlap(pu, pv)
+            total += term
+    _check_finite(total, "inner product")
+    return total
+
+
 def inner_product(bra: HybridState, ket: HybridState) -> complex:
     """<bra|ket> with the first argument treated as the bra side.
 
@@ -160,40 +169,28 @@ def inner_product(bra: HybridState, ket: HybridState) -> complex:
             f"shape ({bra.m_modes}, {bra.k_probes}) vs "
             f"({ket.m_modes}, {ket.k_probes})"
         )
-    total = 0j
-    for u in bra.branches:
-        for v in ket.branches:
-            if u.mode != v.mode:
-                continue
-            term = u.amp.conjugate() * v.amp
-            for pu, pv in zip(u.probes, v.probes):
-                term *= coherent_overlap(pu, pv)
-            total += term
-    return total
+    return _pair_sum(bra, ket)
 
 
-def _probes_close(p: tuple[complex, ...], q: tuple[complex, ...], tol: float) -> bool:
-    return all(abs(a - b) <= tol for a, b in zip(p, q))
-
-
-def merge_branches(state: HybridState, tol: float = MERGE_TOL) -> HybridState:
+def merge_branches(state: HybridState) -> HybridState:
     """Combine duplicate branches, drop empty ones, sort canonically.
 
-    Branches with equal mode and probe amplitudes within ``tol`` (absolute,
-    per component) are summed; branches with ``|amp| < tol`` are removed.
-    The result is sorted by mode, then lexicographically by probe
-    amplitudes, so equal states compare equal branch-for-branch.
+    Branches with equal mode and probe amplitudes within :data:`MERGE_TOL`
+    (absolute, per component) are summed; branches with
+    ``|amp| < MERGE_TOL`` are removed.  The result is sorted by mode, then
+    lexicographically by probe amplitudes, so equal states compare equal
+    branch-for-branch.
     """
-    if tol < 0:
-        raise ValueError("merge tolerance must be nonnegative")
     groups: list[Branch] = []
     for br in state.branches:
         for i, g in enumerate(groups):
-            if g.mode == br.mode and _probes_close(g.probes, br.probes, tol):
+            if g.mode == br.mode and all(
+                abs(a - b) <= MERGE_TOL for a, b in zip(g.probes, br.probes)
+            ):
                 groups[i] = Branch(g.mode, g.amp + br.amp, g.probes)
                 break
         else:
             groups.append(br)
-    kept = [g for g in groups if abs(g.amp) >= tol]
+    kept = [g for g in groups if abs(g.amp) >= MERGE_TOL]
     kept.sort(key=lambda b: (b.mode, tuple((p.real, p.imag) for p in b.probes)))
-    return type(state)(state.m_modes, state.k_probes, tuple(kept))
+    return HybridState(state.m_modes, state.k_probes, tuple(kept))

@@ -1,0 +1,41 @@
+"""Every per-layer metric the benchmark declares names a live package attribute.
+
+The benchmark's tracer reads a layer it cannot find as zero, so a traced
+function that is renamed or deleted would silently zero its metric.  Each
+``per_layer`` name of ``BENCHMARK.json`` in a package module is
+``<module>.<attribute path>.<measure>``; the attribute path must resolve to
+a public attribute defined in ``qndmzi.<module>`` (``init`` stands for
+``__init__``), since the tracer names a function after the module that
+defines it.  The file is only read.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+MODULES = ("states", "elements", "circuit", "analysis", "fileformat")
+
+
+def layer_names():
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    return [n for n in names if n.split(".")[0] in MODULES]
+
+
+def test_package_layers_are_declared():
+    assert layer_names()
+
+
+@pytest.mark.parametrize("name", layer_names())
+def test_layer_resolves(name):
+    module, *path, _measure = name.split(".")
+    owner = importlib.import_module(f"qndmzi.{module}")
+    defined_in = owner.__name__
+    for attr in path:
+        attr = "__init__" if attr == "init" else attr
+        assert attr == "__init__" or not attr.startswith("_"), name
+        assert attr in vars(owner), name
+        owner = vars(owner)[attr]
+    assert callable(owner) and owner.__module__ == defined_in, name

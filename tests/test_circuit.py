@@ -8,8 +8,8 @@ from qndmzi import (
     SYS,
     BeamSplitter,
     Branch,
-    BraState,
     Circuit,
+    HybridState,
     PhaseShift,
     Snapshot,
     build_nested_mzi,
@@ -121,7 +121,6 @@ class TestRunBackward:
         alpha = 2.0
         circuit = build_nested_mzi(0.6, alpha, 0.3)
         bra = default_final_bra(circuit)
-        assert isinstance(bra, BraState)
         assert bra.branches[0].mode == 0
         assert bra.branches[0].probes[0] == pytest.approx(1j * S2 * alpha, abs=1e-12)
         assert bra.branches[0].probes[1] == pytest.approx(0j, abs=1e-12)
@@ -159,7 +158,7 @@ class TestRunBackward:
             source_mode=0,
             source_probes=(1 + 0j, 0j),
         )
-        bra = BraState(3, 2, (Branch(1, 0.5j, (0.2 + 0j, 0j)),))
+        bra = HybridState(3, 2, (Branch(1, 0.5j, (0.2 + 0j, 0j)),))
         trace = run_backward(circuit, bra)
         for label in ("final", "A", "B", "source"):
             assert trace.backward[label].branches == bra.branches
@@ -167,7 +166,7 @@ class TestRunBackward:
     def test_dimension_mismatch_rejected(self):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
         with pytest.raises(ValueError):
-            run_backward(circuit, BraState(3, 1, (Branch(0, 1.0, (0j,)),)))
+            run_backward(circuit, HybridState(3, 1, (Branch(0, 1.0, (0j,)),)))
 
 
 class TestTimeReversalConsistency:

@@ -214,6 +214,24 @@ class TestBadInputFailsCleanly:
         result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", "nan", command])
         self.assert_clean_error(result, "non-finite")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_tsvf_threshold(self, runner, threshold):
+        result = runner.invoke(main, PRESET + ["tsvf", "--threshold", threshold])
+        self.assert_clean_error(result, "threshold")
+
+    def test_zero_tsvf_threshold_accepted(self, runner):
+        result = runner.invoke(main, PRESET + ["tsvf", "--threshold", "0"])
+        assert result.exit_code == 0, result.output
+        assert "OVERLAP" in result.output
+
+    @pytest.mark.parametrize(
+        "alpha, command",
+        [("1e160", ["tsvf"]), ("1e200", ["postselect", "--mode", "0"])],
+    )
+    def test_overflowed_overlap(self, runner, alpha, command):
+        result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", alpha] + command)
+        self.assert_clean_error(result, "non-finite inner product")
+
     def test_eta_tau_option_is_gone(self, runner):
         result = runner.invoke(main, PRESET + ["--eta-tau", "0.1", "run"])
         assert result.exit_code == 2

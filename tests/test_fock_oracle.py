@@ -76,7 +76,7 @@ class TestInnerProductAgreement:
         for _ in range(40):
             a = random_state(rng)
             b = random_state(rng)
-            exact = inner_product(a.as_bra(), b)
+            exact = inner_product(a, b)
             brute = fock_inner(state_to_fock(a), state_to_fock(b))
             assert abs(exact - brute) < TOL
 

@@ -5,7 +5,6 @@ import pytest
 
 from qndmzi import (
     Branch,
-    BraState,
     DimensionMismatchError,
     HybridState,
     build_nested_mzi,
@@ -51,12 +50,12 @@ class TestCoherentOverlap:
 class TestInnerProduct:
     def test_normalized_single_branch(self):
         s = HybridState.single_photon(3, 0, (0.7 + 0.1j,))
-        assert inner_product(s.as_bra(), s) == pytest.approx(1.0, abs=1e-15)
+        assert inner_product(s, s) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_photon_modes(self):
         a = HybridState.single_photon(3, 0, (1 + 0j,))
         b = HybridState.single_photon(3, 1, (1 + 0j,))
-        assert inner_product(a.as_bra(), b) == 0.0
+        assert inner_product(a, b) == 0.0
 
     def test_exit_stage_state_is_normalized(self):
         # The branch in the detector mode contributes r^2, the exit branch
@@ -74,8 +73,8 @@ class TestInnerProduct:
         for _ in range(25):
             a = random_state(rng)
             b = random_state(rng)
-            lhs = inner_product(a.as_bra(), b)
-            rhs = inner_product(b.as_bra(), a)
+            lhs = inner_product(a, b)
+            rhs = inner_product(b, a)
             assert lhs == pytest.approx(rhs.conjugate(), abs=1e-13)
 
     def test_dimension_mismatch_rejected(self):
@@ -83,9 +82,9 @@ class TestInnerProduct:
         b = HybridState.single_photon(2, 0, (0j, 0j))
         c = HybridState.single_photon(3, 0, (0j,))
         with pytest.raises(DimensionMismatchError):
-            inner_product(a.as_bra(), b)
+            inner_product(a, b)
         with pytest.raises(DimensionMismatchError):
-            inner_product(a.as_bra(), c)
+            inner_product(a, c)
 
 
 class TestMergeBranches:
@@ -120,11 +119,6 @@ class TestMergeBranches:
             twice = merge_branches(once)
             assert once.branches == twice.branches
 
-    def test_negative_tolerance_rejected(self):
-        s = HybridState.single_photon(2, 0, (0j,))
-        with pytest.raises(ValueError):
-            merge_branches(s, tol=-1.0)
-
     def test_canonical_ordering(self):
         s = HybridState(
             3,
@@ -154,10 +148,3 @@ class TestStateValidation:
             Branch(0, complex("nan"), (0j,))
         with pytest.raises(ValueError):
             Branch(0, 1.0, (complex("inf"),))
-
-    def test_bra_reinterpretation_keeps_data(self):
-        s = HybridState.single_photon(3, 1, (0.2j, 1 + 0j), amp=0.5j)
-        bra = s.as_bra()
-        assert isinstance(bra, BraState)
-        assert bra.branches == s.branches
-        assert bra.as_ket().branches == s.branches
