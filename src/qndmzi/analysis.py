@@ -268,14 +268,22 @@ def tsvf_report(
 
     ``trace`` defaults to :func:`run_both`; a trace built from
     ``run_backward(circuit, bra)`` reports against a custom final bra.
-    ``threshold`` must be finite and nonnegative.
+    ``threshold`` must be finite and nonnegative; a given ``trace`` must
+    belong to ``circuit`` and hold both directions at every stage.
     """
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"overlap threshold must be finite and >= 0, got {threshold!r}")
     if trace is None:
         trace = run_both(circuit)
+    elif trace.circuit is not circuit and trace.circuit != circuit:
+        raise ValueError("trace was recorded on a different circuit")
     stage_reports = []
     for label in circuit.stages:
+        if label not in trace.forward or label not in trace.backward:
+            raise ValueError(
+                f"trace has no forward and backward state at stage {label!r}; "
+                "build it with run_both"
+            )
         fwd = trace.forward[label]
         bwd = trace.backward[label]
         den = inner_product(bwd, fwd)

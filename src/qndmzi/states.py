@@ -12,6 +12,14 @@ histories (as in the interferometers built here).  A system beam splitter
 can at worst double the branch count, so deep circuits that keep marking
 branches distinctly grow it exponentially.
 
+Cost model for n branches: :func:`merge_branches` is expected O(n), since
+each branch looks up candidate groups in a per-mode index of cells along
+Re(probes[0]) instead of scanning every earlier group; the pair sum behind
+:func:`inner_product` is O(n^2).  Merging is greedy in input order: a
+branch within tolerance of two groups joins the earliest.  The cell width
+``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance that scales with
+the probe magnitude must rescale the cells too.
+
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
 reuses the element code with conjugate-transposed matrices.  This module is
@@ -30,13 +38,22 @@ from dataclasses import dataclass
 #: noise, far below any physical amplitude in the circuits simulated here.
 MERGE_TOL = 1e-12
 
+#: Width of a merge-index cell along Re(probes[0]).  Derived from
+#: MERGE_TOL: at 4 * MERGE_TOL a tolerance interval (width 2 * MERGE_TOL)
+#: reaches at most the one neighbouring cell on its key's nearer side.
+_CELL = 4 * MERGE_TOL
+
+#: Cell of every |Re(probes[0])| above ~7e296, where Re/_CELL overflows.
+#: Exact: there, two floats within MERGE_TOL of each other are equal.
+_HUGE_CELL = "huge"
+
 
 class DimensionMismatchError(ValueError):
     """Two states disagree on the number of system modes or probe modes."""
 
 
 def _check_finite(z: complex, what: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"non-finite {what}: {z!r}")
 
 
@@ -54,10 +71,12 @@ class Branch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "amp", complex(self.amp))
-        object.__setattr__(self, "probes", tuple(complex(p) for p in self.probes))
-        _check_finite(self.amp, "branch amplitude")
-        for p in self.probes:
+        amp = complex(self.amp)
+        probes = tuple(map(complex, self.probes))
+        object.__setattr__(self, "amp", amp)
+        object.__setattr__(self, "probes", probes)
+        _check_finite(amp, "branch amplitude")
+        for p in probes:
             _check_finite(p, "probe amplitude")
 
 
@@ -141,17 +160,32 @@ def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> compl
     sum into the probe-``k`` number matrix element <bra|n_k|ket>.  Inner
     products, norms and mean photon numbers all sum here, so an overflowed
     coherent overlap raises instead of passing on as NaN.
+
+    The overlap is :func:`coherent_overlap` inlined with the same operations
+    in the same order, so every sum is bit-equal to calling it; -|u|^2/2 and
+    conj(u) are computed once per bra branch, and only when it has a
+    mode-matched partner.  Cost: O(n^2) in the branch pairs.
     """
+    exp = cmath.exp
     total = 0j
     for u in bra.branches:
+        mode = u.mode
+        u_terms = None
         for v in ket.branches:
-            if u.mode != v.mode:
+            if v.mode != mode:
                 continue
-            term = u.amp.conjugate() * v.amp
-            if k is not None:
-                term = term * u.probes[k].conjugate() * v.probes[k]
-            for pu, pv in zip(u.probes, v.probes):
-                term *= coherent_overlap(pu, pv)
+            if u_terms is None:
+                u_amp = u.amp.conjugate()
+                u_k = None if k is None else u.probes[k].conjugate()
+                u_terms = [
+                    (-0.5 * (p.real * p.real + p.imag * p.imag), p.conjugate())
+                    for p in u.probes
+                ]
+            term = u_amp * v.amp
+            if u_k is not None:
+                term = term * u_k * v.probes[k]
+            for (hu, cu), pv in zip(u_terms, v.probes):
+                term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
             total += term
     _check_finite(total, "inner product")
     return total
@@ -172,6 +206,10 @@ def inner_product(bra: HybridState, ket: HybridState) -> complex:
     return _pair_sum(bra, ket)
 
 
+def _canonical_key(br: Branch) -> tuple[int, list[tuple[float, float]]]:
+    return (br.mode, [(p.real, p.imag) for p in br.probes])
+
+
 def merge_branches(state: HybridState) -> HybridState:
     """Combine duplicate branches, drop empty ones, sort canonically.
 
@@ -180,17 +218,53 @@ def merge_branches(state: HybridState) -> HybridState:
     ``|amp| < MERGE_TOL`` are removed.  The result is sorted by mode, then
     lexicographically by probe amplitudes, so equal states compare equal
     branch-for-branch.
+
+    Merging is greedy in input order: a branch joins the earliest group
+    (the first branch of each group fixes its probes) that it matches, or
+    starts a new one, so a branch within tolerance of two groups joins the
+    earlier.  Candidate groups come from an index keyed by mode, then by the
+    cell ``floor(Re(probes[0]) / _CELL)``; a match lies in the branch's own
+    cell or in the neighbouring cell nearer to its key, so only those two are
+    searched, which makes merging expected O(n) in the branch count (the
+    pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is derived
+    from :data:`MERGE_TOL`; a relative tolerance must rescale it.
     """
+    floor = math.floor
     groups: list[Branch] = []
+    index: dict[int, dict[int | str, list[int]]] = {}
     for br in state.branches:
-        for i, g in enumerate(groups):
-            if g.mode == br.mode and all(
-                abs(a - b) <= MERGE_TOL for a, b in zip(g.probes, br.probes)
-            ):
-                groups[i] = Branch(g.mode, g.amp + br.amp, g.probes)
-                break
-        else:
+        probes = br.probes
+        key = probes[0].real / _CELL if probes else 0.0
+        try:
+            cell = floor(key)
+        except OverflowError:
+            cell = _HUGE_CELL
+        cells = index.get(br.mode)
+        if cells is None:
+            index[br.mode] = {cell: [len(groups)]}
             groups.append(br)
+            continue
+        if cell is _HUGE_CELL:
+            near = None
+        else:
+            near = cell - 1 if key - cell < 0.5 else cell + 1
+        match = None
+        for c in (cell, near):
+            for i in cells.get(c, ()):
+                if match is not None and i > match:
+                    break
+                for a, b in zip(groups[i].probes, probes):
+                    if abs(a - b) > MERGE_TOL:
+                        break
+                else:
+                    match = i
+                    break
+        if match is None:
+            cells.setdefault(cell, []).append(len(groups))
+            groups.append(br)
+        else:
+            g = groups[match]
+            groups[match] = Branch(g.mode, g.amp + br.amp, g.probes)
     kept = [g for g in groups if abs(g.amp) >= MERGE_TOL]
-    kept.sort(key=lambda b: (b.mode, tuple((p.real, p.imag) for p in b.probes)))
+    kept.sort(key=_canonical_key)
     return HybridState(state.m_modes, state.k_probes, tuple(kept))

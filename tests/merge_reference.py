@@ -1,0 +1,27 @@
+"""The greedy O(n^2) merge loop the engine had before its cell index.
+
+``states.merge_branches`` now finds candidate groups through a per-mode
+cell index.  This copy keeps the old loop, operation for operation (scan
+every earlier group, first match wins), as the oracle the merge equality
+tests compare against bit for bit.
+"""
+
+from __future__ import annotations
+
+from qndmzi import MERGE_TOL, Branch, HybridState
+
+
+def reference_merge_branches(state: HybridState) -> HybridState:
+    groups: list[Branch] = []
+    for br in state.branches:
+        for i, g in enumerate(groups):
+            if g.mode == br.mode and all(
+                abs(a - b) <= MERGE_TOL for a, b in zip(g.probes, br.probes)
+            ):
+                groups[i] = Branch(g.mode, g.amp + br.amp, g.probes)
+                break
+        else:
+            groups.append(br)
+    kept = [g for g in groups if abs(g.amp) >= MERGE_TOL]
+    kept.sort(key=lambda b: (b.mode, tuple((p.real, p.imag) for p in b.probes)))
+    return HybridState(state.m_modes, state.k_probes, tuple(kept))

@@ -234,6 +234,23 @@ class TestTsvf:
             direct = inner_product(trace.backward[stage.stage], trace.forward[stage.stage])
             assert stage.transition_amplitude == pytest.approx(direct, abs=1e-14)
 
+    def test_trace_of_another_circuit_rejected(self):
+        from qndmzi import run_both
+
+        with pytest.raises(ValueError, match="different circuit"):
+            tsvf_report(preset(), trace=run_both(build_nested_mzi(0.2, 2.0, 0.0)))
+
+    def test_trace_of_an_equal_circuit_accepted(self):
+        from qndmzi import run_both
+
+        report = tsvf_report(preset(), trace=run_both(preset()))
+        assert report == tsvf_report(preset())
+
+    def test_forward_only_trace_rejected(self):
+        circuit = preset()
+        with pytest.raises(ValueError, match="run_both"):
+            tsvf_report(circuit, trace=run_forward(circuit))
+
 
 class TestLeakage:
     def test_unperturbed_point_is_clean(self):
