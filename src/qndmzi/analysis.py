@@ -20,22 +20,13 @@ from .circuit import (
     SOURCE_STAGE,
     Circuit,
     StageTrace,
-    _check_mode,
     _evolve,
     _insertion_runs,
     run_both,
     run_forward,
 )
-from .elements import (
-    PROBE,
-    SYS,
-    BeamSplitter,
-    KerrCoupling,
-    PhaseShift,
-    Snapshot,
-    _check_indices,
-)
-from .states import HybridState, _pair_sum, inner_product
+from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
+from .states import HybridState, _check_mode, _pair_sum, inner_product
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
 #: forward and backward waves.  Exposed because the verdict is a judgement
@@ -120,7 +111,11 @@ def postselect(
 
 
 def _kerr_free_state(trace: StageTrace, stage: str) -> HybridState:
-    """The forward state at ``stage`` of the traced circuit's Kerr-free twin."""
+    """The forward state at ``stage`` of the traced circuit's Kerr-free twin.
+
+    Resumes from the last snapshot before the first coupling and applies
+    the circuit's remaining elements with every coupling skipped.
+    """
     circuit = trace.circuit
     state, start = circuit.source_state(), 0
     if stage == SOURCE_STAGE:
@@ -132,8 +127,8 @@ def _kerr_free_state(trace: StageTrace, stage: str) -> HybridState:
             state, start = trace.forward[el.label], i + 1
             if el.label == stage:
                 return state
-    twin_rest = circuit.kerr_free().elements[start:]
-    return _evolve(state, twin_rest, {}, stop=stage, end=FINAL_STAGE)
+    rest = (el for el in circuit.elements[start:] if not isinstance(el, KerrCoupling))
+    return _evolve(state, rest, {}, stop=stage, end=FINAL_STAGE)
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,7 @@ def leakage_sweep(
             break
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
-    _check_indices(PhaseShift(SYS, arm_mode, 0.0), circuit.m_modes, circuit.k_probes)
+    _check_mode("system mode", arm_mode, circuit.m_modes)
     if dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
     deltas = tuple(float(d) for d in deltas)

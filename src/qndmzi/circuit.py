@@ -27,7 +27,7 @@ from .elements import (
     _check_indices,
     apply_element,
 )
-from .states import Branch, HybridState, _check_finite
+from .states import HybridState, _check_finite, _check_mode, _check_shape
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
@@ -35,13 +35,10 @@ FINAL_STAGE = "final"
 _BALANCED = math.sqrt(0.5)
 
 
-def _check_mode(what: str, mode: int, m_modes: int) -> None:
-    if not 0 <= mode < m_modes:
-        raise IndexError(f"{what} {mode} outside [0, {m_modes})")
-
-
 def _check_label(label: str, seen: set[str]) -> None:
-    """Reject a reserved or repeated snapshot label; add it to ``seen``."""
+    """Reject an unwritable, reserved or repeated snapshot label; add it to ``seen``."""
+    if not isinstance(label, str) or label.split() != [label] or "#" in label:
+        raise ValueError(f"snapshot label {label!r} must be non-empty, no whitespace or '#'")
     if label in (SOURCE_STAGE, FINAL_STAGE):
         raise ValueError(f"snapshot label {label!r} is reserved")
     if label in seen:
@@ -69,8 +66,9 @@ class Circuit:
                 f"{len(self.source_probes)} source probe amplitudes for "
                 f"{self.k_probes} probe modes"
             )
-        _check_mode("source mode", self.source_mode, self.m_modes)
-        _check_mode("postselect mode", self.postselect_mode, self.m_modes)
+        for name in ("source_mode", "postselect_mode"):
+            mode = _check_mode(name.replace("_", " "), getattr(self, name), self.m_modes)
+            object.__setattr__(self, name, mode)
         for p in self.source_probes:
             _check_finite(p, "source probe amplitude")
         seen: set[str] = set()
@@ -185,52 +183,26 @@ def _insertion_runs(
         yield stages
 
 
-def probe_optics_image(circuit: Circuit, probes: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Image of probe amplitudes under the circuit's probe-only optics.
-
-    Folds every probe beam splitter and probe phase over the amplitudes in
-    circuit order, skipping Kerr couplings (their action is conditioned on
-    the photon's branch).  This is the probe state a branch that never
-    enters the Kerr medium ends up carrying.
-    """
-    carrier = HybridState.single_photon(circuit.m_modes, circuit.source_mode, probes)
-    optics = (
-        el
-        for el in circuit.elements
-        if isinstance(el, (BeamSplitter, PhaseShift)) and el.target == PROBE
-    )
-    return _evolve(carrier, optics, {}).branches[0].probes
-
-
-def default_final_bra(circuit: Circuit) -> HybridState:
-    """Post-selection bra: photon at the detector mode, probes unperturbed.
-
-    The probe part is the source probe state carried through the probe
-    optics alone, i.e. the coherent state the probe interferometer emits
-    when nothing interacted inside it.  Post-selecting on it asks "did the
-    probe leave in the no-interaction fringe state".
-    """
-    probes = probe_optics_image(circuit, circuit.source_probes)
-    return HybridState(
-        circuit.m_modes,
-        circuit.k_probes,
-        (Branch(circuit.postselect_mode, 1.0, probes),),
-    )
-
-
 def run_backward(circuit: Circuit, final_bra: HybridState | None = None) -> StageTrace:
     """Evolve a bra backward through the circuit, conjugate-transposing each element.
 
-    ``final_bra`` is a :class:`HybridState` read as a bra (default:
-    :func:`default_final_bra`).  Snapshots are recorded under the same labels
+    ``final_bra`` is a :class:`HybridState` read as a bra.  By default the
+    photon sits at the detector mode and the probes hold the source probe
+    state carried through the probe optics alone (Kerr couplings skipped):
+    the coherent state the probe interferometer emits when nothing
+    interacted inside it.  Snapshots are recorded under the same labels
     as the forward run; the starting bra is stored under ``"final"`` and the
     fully back-evolved bra under ``"source"``.
     """
-    bra = default_final_bra(circuit) if final_bra is None else final_bra
-    if bra.m_modes != circuit.m_modes or bra.k_probes != circuit.k_probes:
-        raise ValueError("final bra does not match the circuit's dimensions")
-    stages: dict[str, HybridState] = {FINAL_STAGE: bra}
-    _evolve(bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True)
+    if final_bra is None:
+        final_bra = HybridState.single_photon(
+            circuit.m_modes, circuit.postselect_mode, circuit.source_probes
+        )
+        optics = (el for el in circuit.elements if getattr(el, "target", None) == PROBE)
+        final_bra = _evolve(final_bra, optics, {})
+    _check_shape(final_bra, circuit)
+    stages: dict[str, HybridState] = {FINAL_STAGE: final_bra}
+    _evolve(final_bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True)
     return StageTrace(circuit, backward=stages)
 
 
@@ -262,8 +234,6 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     stays dark.  No phase-free pair of identical balanced splitters closes
     onto the same port it was fed from.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"reflectivity r={r} outside [0, 1]")
     alpha = complex(alpha)
     elements: tuple[Element, ...] = (
         BeamSplitter(SYS, 0, 1, r),

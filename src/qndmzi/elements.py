@@ -5,9 +5,10 @@ phase shifter, and the Kerr cross-phase coupling that rotates a probe's
 coherent amplitude conditioned on the photon occupying one of the coupled
 system modes.  All appliers are pure functions returning new, merged states;
 passing ``dagger=True`` applies the conjugate-transpose element, which is
-how bra states evolve backward.  Every mode index an element names is
-checked against the state's dimensions by one private checker, which
-:class:`~qndmzi.circuit.Circuit` and the file parser call as well.
+how bra states evolve backward.  Constructors reject non-integer mode
+indices; every index is checked against the state's dimensions by one
+private checker, which :class:`~qndmzi.circuit.Circuit` and the file
+parser call as well.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .states import Branch, HybridState, merge_branches
+from .states import Branch, HybridState, _check_mode, merge_branches
 
 SYS = "sys"
 PROBE = "probe"
 
 
-def _check_target(target: str) -> None:
+def _check_target(target: str) -> str:
+    """Check ``target``; return the name of the modes it addresses."""
     if target not in (SYS, PROBE):
         raise ValueError(f"target must be {SYS!r} or {PROBE!r}, got {target!r}")
+    return "system mode" if target == SYS else "probe mode"
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ class BeamSplitter:
     reflectivity: float
 
     def __post_init__(self) -> None:
-        _check_target(self.target)
+        what = _check_target(self.target)
+        object.__setattr__(self, "mode_a", _check_mode(what, self.mode_a))
+        object.__setattr__(self, "mode_b", _check_mode(what, self.mode_b))
         if self.mode_a == self.mode_b:
             raise ValueError("beam splitter ports must differ")
         if not 0.0 <= self.reflectivity <= 1.0:
@@ -75,7 +80,11 @@ class KerrCoupling:
     eps_tau: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "system_modes", frozenset(int(m) for m in self.system_modes))
+        modes = frozenset(_check_mode("system mode", m) for m in self.system_modes)
+        if not modes:
+            raise ValueError("Kerr coupling names no system mode")
+        object.__setattr__(self, "system_modes", modes)
+        object.__setattr__(self, "probe_mode", _check_mode("probe mode", self.probe_mode))
         if not math.isfinite(self.eps_tau):
             raise ValueError("eps_tau must be finite")
 
@@ -89,7 +98,8 @@ class PhaseShift:
     phi: float
 
     def __post_init__(self) -> None:
-        _check_target(self.target)
+        what = _check_target(self.target)
+        object.__setattr__(self, "index", _check_mode(what, self.index))
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
 

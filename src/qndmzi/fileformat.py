@@ -24,12 +24,7 @@ right after the coupling.
 
 from __future__ import annotations
 
-from .circuit import (
-    FINAL_STAGE,
-    Circuit,
-    _check_label,
-    _check_mode,
-)
+from .circuit import FINAL_STAGE, Circuit, _check_label
 from .elements import (
     SYS,
     BeamSplitter,
@@ -39,7 +34,7 @@ from .elements import (
     Snapshot,
     _check_indices,
 )
-from .states import _check_finite
+from .states import _check_finite, _check_mode
 
 
 class CircuitFormatError(ValueError):
@@ -83,12 +78,15 @@ def _kv(token: str, key: str) -> str:
     return token[len(key) + 1 :]
 
 
-def _int_field(token: str, key: str) -> int:
-    raw = _kv(token, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"malformed integer in {token!r}") from None
+def _index(token: str) -> int | float:
+    """A mode index.  A non-integer number reads as a float, which the element
+    and circuit checks then reject with the text they give in Python."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    raise ValueError(f"malformed index {token!r}")
 
 
 def _float_field(token: str, key: str) -> float:
@@ -106,11 +104,8 @@ def _kerr_line(tokens: list[str]) -> list[Element]:
             "expected: kerr sys=I,J probe=P eps_tau=F [eta_tau=F] [branch_phase=F]"
         )
     raw_sys = _kv(tokens[1], "sys")
-    try:
-        sys_modes = frozenset(int(s) for s in raw_sys.split(","))
-    except ValueError:
-        raise ValueError(f"malformed mode list {raw_sys!r}") from None
-    probe = _int_field(tokens[2], "probe")
+    sys_modes = frozenset(map(_index, raw_sys.split(","))) if raw_sys else frozenset()
+    probe = _index(_kv(tokens[2], "probe"))
     out: list[Element] = [KerrCoupling(sys_modes, probe, _float_field(tokens[3], "eps_tau"))]
     rest = tokens[4:]
     if rest and rest[0].startswith("eta_tau="):
@@ -127,10 +122,10 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the line format into a :class:`Circuit`.
 
     Raises :class:`CircuitFormatError` naming the line for: unknown
-    keywords, malformed or non-finite numbers, indices outside the declared
-    ranges, reserved or duplicate snapshot labels, and a missing source
-    line.  Each element is checked as its line is read, by the same checks
-    :class:`Circuit` makes.
+    keywords, malformed or non-finite numbers, non-integer indices or ones
+    outside the declared ranges, bad, reserved or duplicate snapshot labels,
+    and a missing source line.  Each line is checked as it is read, by the
+    same checks, with the same text, that :class:`Circuit` makes.
     """
     m_modes: int | None = None
     k_probes: int | None = None
@@ -167,8 +162,9 @@ def parse_circuit(text: str) -> Circuit:
                 if source_probes is not None:
                     raise ValueError("duplicate source line")
                 if len(tokens) != 2 + k_probes:
-                    raise ValueError(f"source needs mode= and probe0=..probe{k_probes - 1}=")
-                source_mode = _int_field(tokens[1], "mode")
+                    probes = f"and probe0=..probe{k_probes - 1}=" if k_probes else "only"
+                    raise ValueError(f"source needs mode= {probes}")
+                source_mode = _index(_kv(tokens[1], "mode"))
                 _check_mode("source mode", source_mode, m_modes)
                 source_probes = tuple(
                     parse_complex(_kv(tokens[2 + k], f"probe{k}")) for k in range(k_probes)
@@ -178,30 +174,23 @@ def parse_circuit(text: str) -> Circuit:
             elif keyword == "bs":
                 if len(tokens) != 5:
                     raise ValueError("expected: bs sys|probe A B r=R")
-                try:
-                    a, b = int(tokens[2]), int(tokens[3])
-                except ValueError:
-                    raise ValueError("beam-splitter ports must be integers") from None
+                a, b = _index(tokens[2]), _index(tokens[3])
                 elements.append(BeamSplitter(tokens[1], a, b, _float_field(tokens[4], "r")))
             elif keyword == "phase":
                 if len(tokens) != 4:
                     raise ValueError("expected: phase sys|probe I phi=F")
-                try:
-                    idx = int(tokens[2])
-                except ValueError:
-                    raise ValueError("phase index must be an integer") from None
+                idx = _index(tokens[2])
                 elements.append(PhaseShift(tokens[1], idx, _float_field(tokens[3], "phi")))
             elif keyword == "kerr":
                 elements += _kerr_line(tokens)
             elif keyword == "snapshot":
-                if len(tokens) != 2:
-                    raise ValueError("expected: snapshot LABEL")
-                _check_label(tokens[1], labels)
-                elements.append(Snapshot(tokens[1]))
+                label = line[len(keyword) :].strip()
+                _check_label(label, labels)
+                elements.append(Snapshot(label))
             elif keyword == "postselect":
                 if len(tokens) not in (2, 3):
                     raise ValueError("expected: postselect mode=I [at=LABEL]")
-                postselect_mode = _int_field(tokens[1], "mode")
+                postselect_mode = _index(_kv(tokens[1], "mode"))
                 _check_mode("postselect mode", postselect_mode, m_modes)
                 if len(tokens) == 3:
                     detect_stage = _kv(tokens[2], "at")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 #: Absolute tolerance for merging duplicate branches and dropping empty
@@ -52,6 +53,25 @@ class DimensionMismatchError(ValueError):
     """Two states disagree on the number of system modes or probe modes."""
 
 
+def _check_shape(a, b) -> None:
+    """Raise unless ``a`` and ``b`` (states or circuits) agree on M and K."""
+    if a.m_modes != b.m_modes or a.k_probes != b.k_probes:
+        raise DimensionMismatchError(
+            f"shape ({a.m_modes}, {a.k_probes}) vs ({b.m_modes}, {b.k_probes})"
+        )
+
+
+def _check_mode(what: str, mode: int, m_modes: int | None = None) -> int:
+    """``mode`` as an int; raises unless it is an integer (in [0, m_modes))."""
+    try:
+        index = operator.index(mode)
+    except TypeError:
+        raise ValueError(f"{what} {mode} is not an integer") from None
+    if m_modes is not None and not 0 <= index < m_modes:
+        raise IndexError(f"{what} {mode} outside [0, {m_modes})")
+    return index
+
+
 def _check_finite(z: complex, what: str) -> None:
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite {what}: {z!r}")
@@ -70,7 +90,7 @@ class Branch:
     probes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", operator.index(self.mode))
         amp = complex(self.amp)
         probes = tuple(map(complex, self.probes))
         object.__setattr__(self, "amp", amp)
@@ -103,15 +123,11 @@ class HybridState:
 
     @classmethod
     def single_photon(
-        cls,
-        m_modes: int,
-        mode: int,
-        probes: tuple[complex, ...],
-        amp: complex = 1.0,
+        cls, m_modes: int, mode: int, probes: tuple[complex, ...]
     ) -> "HybridState":
         """State with one photon in ``mode`` and the given probe amplitudes."""
         probes = tuple(complex(p) for p in probes)
-        return cls(m_modes, len(probes), (Branch(mode, amp, probes),))
+        return cls(m_modes, len(probes), (Branch(mode, 1.0, probes),))
 
     def norm_sq(self) -> float:
         """Squared norm including coherent cross terms between branches."""
@@ -119,8 +135,7 @@ class HybridState:
 
     def project_mode(self, mode: int) -> "HybridState":
         """Unnormalized restriction to branches with the photon in ``mode``."""
-        if not 0 <= mode < self.m_modes:
-            raise IndexError(f"mode {mode} outside [0, {self.m_modes})")
+        _check_mode("mode", mode, self.m_modes)
         kept = tuple(br for br in self.branches if br.mode == mode)
         return HybridState(self.m_modes, self.k_probes, kept)
 
@@ -198,11 +213,7 @@ def inner_product(bra: HybridState, ket: HybridState) -> complex:
     matching pairs contribute conj(amp_bra) * amp_ket times the product of
     coherent overlaps of their probe amplitudes.
     """
-    if bra.m_modes != ket.m_modes or bra.k_probes != ket.k_probes:
-        raise DimensionMismatchError(
-            f"shape ({bra.m_modes}, {bra.k_probes}) vs "
-            f"({ket.m_modes}, {ket.k_probes})"
-        )
+    _check_shape(bra, ket)
     return _pair_sum(bra, ket)
 
 

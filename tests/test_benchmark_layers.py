@@ -6,16 +6,21 @@ function that is renamed or deleted would silently zero its metric.  Each
 ``<module>.<attribute path>.<measure>``; the attribute path must resolve to
 a public attribute defined in ``qndmzi.<module>`` (``init`` stands for
 ``__init__``), since the tracer names a function after the module that
-defines it.  The file is only read.
+defines it.  The tracer also wraps the methods its ``METHODS`` table names
+through ``vars(cls)[attr]``, so each must still be defined in its class.
+Both files are only read.
 """
 
+import ast
 import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+TRACING = ROOT / "perfbench" / "tracing.py"
 MODULES = ("states", "elements", "circuit", "analysis", "fileformat")
 
 
@@ -39,3 +44,17 @@ def test_layer_resolves(name):
         assert attr in vars(owner), name
         owner = vars(owner)[attr]
     assert callable(owner) and owner.__module__ == defined_in, name
+
+
+def traced_methods():
+    """The ``METHODS`` table of the tracer, read without importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["METHODS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no METHODS table in {TRACING}")
+
+
+@pytest.mark.parametrize("module,cls,attr,name", traced_methods())
+def test_traced_method_exists(module, cls, attr, name):
+    owner = vars(importlib.import_module(f"qndmzi.{module}"))[cls]
+    assert callable(vars(owner).get(attr)), name

@@ -8,14 +8,13 @@ from qndmzi import (
     SYS,
     BeamSplitter,
     Branch,
+    FINAL_STAGE,
     Circuit,
     HybridState,
     PhaseShift,
     Snapshot,
     build_nested_mzi,
-    default_final_bra,
     inner_product,
-    probe_optics_image,
     run_backward,
     run_both,
     run_forward,
@@ -120,7 +119,7 @@ class TestRunBackward:
     def test_default_bra_is_the_unperturbed_probe_output(self):
         alpha = 2.0
         circuit = build_nested_mzi(0.6, alpha, 0.3)
-        bra = default_final_bra(circuit)
+        bra = run_backward(circuit).backward[FINAL_STAGE]
         assert bra.branches[0].mode == 0
         assert bra.branches[0].probes[0] == pytest.approx(1j * S2 * alpha, abs=1e-12)
         assert bra.branches[0].probes[1] == pytest.approx(0j, abs=1e-12)
@@ -257,6 +256,6 @@ class TestCircuitValidation:
 
     def test_probe_optics_image_folds_probe_elements_only(self):
         circuit = build_nested_mzi(0.6, 2.0, 1.2)
-        image = probe_optics_image(circuit, circuit.source_probes)
+        image = run_backward(circuit).backward[FINAL_STAGE].branches[0].probes
         assert image[0] == pytest.approx(1j * S2 * 2.0, abs=1e-12)
         assert image[1] == pytest.approx(0j, abs=1e-12)

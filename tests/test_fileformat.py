@@ -2,10 +2,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qndmzi import (
+    FINAL_STAGE,
     SYS,
     BeamSplitter,
+    Circuit,
     CircuitFormatError,
     KerrCoupling,
     PhaseShift,
@@ -17,7 +21,7 @@ from qndmzi import (
     format_complex,
     serialize_circuit,
 )
-from helpers import random_circuit, random_complex
+from helpers import random_circuit, random_complex, random_element
 
 EXAMPLE = """\
 modes 3 probes 2
@@ -182,6 +186,12 @@ class TestParseCircuit:
             parse_circuit(f"modes 3 probes 1\nsource {source}\n")
         assert err.value.line_no == 2
 
+    def test_probe_free_source_needs_the_mode_only(self):
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit("modes 2 probes 0\nsource mode=0 probe0=1\n")
+        assert str(err.value) == "line 2: source needs mode= only"
+        assert parse_circuit("modes 2 probes 0\nsource mode=1\n").source_mode == 1
+
     def test_bad_reflectivity_names_line(self):
         text = "modes 2 probes 1\nsource mode=0 probe0=0+0i\nbs sys 0 1 r=1.4\n"
         with pytest.raises(CircuitFormatError) as err:
@@ -214,6 +224,32 @@ class TestRoundTrip:
             circuit = random_circuit(rng)
             again = parse_circuit(serialize_circuit(circuit))
             assert again == circuit
+
+
+_finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _circuit_args(draw):
+    """Seeded elements, arbitrary-text snapshot labels, random modes and stage."""
+    rng = draw(st.randoms(use_true_random=False))
+    labels = draw(st.lists(st.text(max_size=6), max_size=3, unique=True))
+    elements = [random_element(rng) for _ in range(rng.randint(0, 6))]
+    for label in labels:
+        elements.insert(rng.randint(0, len(elements)), Snapshot(label))
+    probes = (draw(_finite_complex), draw(_finite_complex))
+    stage = rng.choice(labels + [FINAL_STAGE])
+    return elements, rng.randrange(3), probes, rng.randrange(3), stage
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_circuit_args())
+def test_every_accepted_circuit_round_trips(args):
+    try:
+        circuit = Circuit(3, 2, *args)
+    except ValueError:
+        reject()
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
 class TestOlderFiles:

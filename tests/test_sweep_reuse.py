@@ -21,14 +21,14 @@ from qndmzi import (
     SOURCE_STAGE,
     SYS,
     BeamSplitter,
+    Branch,
     Circuit,
-    KerrCoupling,
+    HybridState,
     LeakagePoint,
     PhaseShift,
     Snapshot,
     apply_element,
     build_nested_mzi,
-    default_final_bra,
     fringe_scan,
     leakage_sweep,
     postselect,
@@ -147,7 +147,7 @@ class TestBitIdentity:
 
 
 class TestSharedLoop:
-    """run_forward, run_backward and probe_optics_image share one loop."""
+    """run_forward and run_backward share one loop."""
 
     @staticmethod
     def _naive(circuit):
@@ -159,7 +159,12 @@ class TestSharedLoop:
             else:
                 state = apply_element(state, el)
         fwd[FINAL_STAGE] = state
-        bra = default_final_bra(circuit)
+        carrier = circuit.source_state()
+        for el in circuit.elements:
+            if isinstance(el, (BeamSplitter, PhaseShift)) and el.target == PROBE:
+                carrier = apply_element(carrier, el)
+        probes = carrier.branches[0].probes
+        bra = HybridState(3, 2, (Branch(circuit.postselect_mode, 1.0, probes),))
         bwd = {FINAL_STAGE: bra}
         for el in reversed(circuit.elements):
             if isinstance(el, Snapshot):
@@ -214,15 +219,9 @@ class TestWorkCount:
         calls = _count_elements(monkeypatch)
         result = postselect(trace, 0)
         assert result.fidelity_vs_reference == pytest.approx(1.0)
-        # From snapshot L2: the switched-off coupling, the inner recombiner,
+        # From snapshot L2, with the coupling skipped: the inner recombiner,
         # the probe phase and the probe recombiner, then detection at L3p.
-        assert [type(el) for el in calls] == [
-            KerrCoupling,
-            BeamSplitter,
-            PhaseShift,
-            BeamSplitter,
-        ]
-        assert calls[0].eps_tau == 0.0
+        assert [type(el) for el in calls] == [BeamSplitter, PhaseShift, BeamSplitter]
 
 
 class TestErrorPaths:
