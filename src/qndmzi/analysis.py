@@ -94,7 +94,7 @@ def postselect(
     probability = projected.norm_sq()
     if probability <= 0.0:
         return PostSelectionResult(mode, stage, 0.0, None, None, None)
-    conditional = projected.normalized()
+    conditional = projected.scaled(1.0 / math.sqrt(probability))
     fidelity = None
     if compute_fidelity:
         ref_projected = _kerr_free_state(trace, stage).project_mode(mode)

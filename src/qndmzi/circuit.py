@@ -13,6 +13,7 @@ together with both inner arms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -46,6 +47,17 @@ def _check_label(label: str, seen: set[str]) -> None:
     seen.add(label)
 
 
+def _check_counts(m_modes: int, k_probes: int) -> tuple[int, int]:
+    """The mode counts as ints; raises unless M >= 1 and K >= 0 are integers."""
+    try:
+        counts = operator.index(m_modes), operator.index(k_probes)
+    except TypeError:
+        raise ValueError("mode counts must be integers") from None
+    if counts[0] < 1 or counts[1] < 0:
+        raise ValueError("mode counts out of range")
+    return counts
+
+
 @dataclass(frozen=True)
 class Circuit:
     m_modes: int
@@ -57,6 +69,9 @@ class Circuit:
     detect_stage: str = FINAL_STAGE
 
     def __post_init__(self) -> None:
+        m_modes, k_probes = _check_counts(self.m_modes, self.k_probes)
+        object.__setattr__(self, "m_modes", m_modes)
+        object.__setattr__(self, "k_probes", k_probes)
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(
             self, "source_probes", tuple(complex(p) for p in self.source_probes)

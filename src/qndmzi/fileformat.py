@@ -24,7 +24,7 @@ right after the coupling.
 
 from __future__ import annotations
 
-from .circuit import FINAL_STAGE, Circuit, _check_label
+from .circuit import FINAL_STAGE, Circuit, _check_counts, _check_label
 from .elements import (
     SYS,
     BeamSplitter,
@@ -150,11 +150,10 @@ def parse_circuit(text: str) -> Circuit:
                 if len(tokens) != 4 or tokens[2] != "probes":
                     raise ValueError("expected: modes M probes K")
                 try:
-                    m_modes, k_probes = int(tokens[1]), int(tokens[3])
+                    counts = int(tokens[1]), int(tokens[3])
                 except ValueError:
-                    raise ValueError("mode counts must be integers") from None
-                if m_modes < 1 or k_probes < 0:
-                    raise ValueError("mode counts out of range")
+                    counts = tokens[1], tokens[3]  # _check_counts rejects them
+                m_modes, k_probes = _check_counts(*counts)
                 continue
             if m_modes is None or k_probes is None:
                 raise ValueError(f"{keyword!r} before the modes declaration")

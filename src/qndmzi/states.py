@@ -14,11 +14,14 @@ branches distinctly grow it exponentially.
 
 Cost model for n branches: :func:`merge_branches` is expected O(n), since
 each branch looks up candidate groups in a per-mode index of cells along
-Re(probes[0]) instead of scanning every earlier group; the pair sum behind
-:func:`inner_product` is O(n^2).  Merging is greedy in input order: a
-branch within tolerance of two groups joins the earliest.  The cell width
-``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance that scales with
-the probe magnitude must rescale the cells too.
+Re(probes[0]) instead of scanning every earlier group.  Merging is greedy
+in input order: a branch within tolerance of two groups joins the earliest.
+The cell width ``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance
+that scales with the probe magnitude must rescale the cells too.  The pair
+sum behind :func:`inner_product` is O(n^2) work either way: below
+``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
+:func:`coherent_overlap` terms; from there on it is one vectorised numpy
+Gram matrix per mode block, equal to the loop up to rounding.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -47,6 +50,17 @@ _CELL = 4 * MERGE_TOL
 #: Cell of every |Re(probes[0])| above ~7e296, where Re/_CELL overflows.
 #: Exact: there, two floats within MERGE_TOL of each other are equal.
 _HUGE_CELL = "huge"
+
+#: Branch pairs (bra branches times ket branches) from which :func:`_pair_sum`
+#: sums as a numpy Gram matrix.  The Gram is faster from about 64 pairs, but
+#: below this bound every state of the apparatus, the sweeps and the golden
+#: files (at most 32 x 32 pairs) keeps the loop's exact bits; at 64 x 64 the
+#: Gram is about 10x faster than the loop.
+_GRAM_MIN_PAIRS = 4096
+
+#: Gram entries evaluated at once: bounds the temporaries of one mode block
+#: to 256 kB each, however many branches it holds.
+_GRAM_BLOCK = 1 << 14
 
 
 class DimensionMismatchError(ValueError):
@@ -176,11 +190,15 @@ def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> compl
     products, norms and mean photon numbers all sum here, so an overflowed
     coherent overlap raises instead of passing on as NaN.
 
-    The overlap is :func:`coherent_overlap` inlined with the same operations
-    in the same order, so every sum is bit-equal to calling it; -|u|^2/2 and
-    conj(u) are computed once per bra branch, and only when it has a
-    mode-matched partner.  Cost: O(n^2) in the branch pairs.
+    From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
+    instead.  Below it, the overlap is :func:`coherent_overlap` inlined with
+    the same operations in the same order, so every sum is bit-equal to
+    calling it; -|u|^2/2 and conj(u) are computed once per bra branch, and
+    only when it has a mode-matched partner.  Cost: O(n^2) in the branch
+    pairs on either path.
     """
+    if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
+        return _gram_pair_sum(bra, ket, k)
     exp = cmath.exp
     total = 0j
     for u in bra.branches:
@@ -202,6 +220,55 @@ def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> compl
             for (hu, cu), pv in zip(u_terms, v.probes):
                 term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
             total += term
+    _check_finite(total, "inner product")
+    return total
+
+
+def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
+    """:func:`_pair_sum` as one Gram matrix per mode that both sides hold.
+
+    For the n bra and m ket branches of one mode, the probes form U (n x K)
+    and V (m x K), and the exponent matrix is the sum over probes j of
+    hu[:, j, None] + hv[None, :, j] + outer(conj(U[:, j]), V[:, j]), with
+    hu = -|U|^2/2 and hv = -|V|^2/2 elementwise: each probe's exponent is
+    the loop's, bit for bit, but the block takes one ``exp`` per pair.  The
+    block's sum is conj(a_u) . exp(E) . a_v, at most ``_GRAM_BLOCK`` entries
+    at a time.  Only ufuncs and ``einsum`` run here, never BLAS, whose
+    threads would contend for a process pinned to one core.  Overflow gives
+    inf or NaN without a warning and raises in the finite check at the end.
+    """
+    import numpy as np
+
+    def by_mode(state):
+        groups: dict[int, list[Branch]] = {}
+        for br in state.branches:
+            groups.setdefault(br.mode, []).append(br)
+        return groups
+
+    kets = by_mode(ket)
+    total = 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, us in by_mode(bra).items():
+            vs = kets.get(mode)
+            if vs is None:
+                continue
+            cu = np.array([u.probes for u in us], dtype=complex).conj()
+            V = np.array([v.probes for v in vs], dtype=complex)
+            a_u = np.array([u.amp for u in us]).conj()
+            a_v = np.array([v.amp for v in vs])
+            if k is not None:
+                a_u = a_u * cu[:, k]
+                a_v = a_v * V[:, k]
+            hu = -0.5 * (cu.real * cu.real + cu.imag * cu.imag)
+            hv = -0.5 * (V.real * V.real + V.imag * V.imag)
+            rows = max(1, _GRAM_BLOCK // len(vs))
+            for i in range(0, len(us), rows):
+                block = slice(i, i + rows)
+                E = np.zeros((len(hu[block]), len(vs)), dtype=complex)
+                for j in range(ket.k_probes):
+                    E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
+                np.exp(E, out=E)
+                total += complex(np.einsum("i,ij,j->", a_u[block], E, a_v))
     _check_finite(total, "inner product")
     return total
 

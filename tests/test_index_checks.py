@@ -1,8 +1,8 @@
 """One index checker behind the circuit, the element appliers and the parser.
 
-A bad label, a non-integer index or a coupling without a system mode is
-rejected with the same text whether it is built in Python or read from a
-file.
+A bad label, a non-integer index or mode count, or a coupling without a
+system mode is rejected with the same text whether it is built in Python or
+read from a file.
 """
 
 import numpy as np
@@ -143,3 +143,34 @@ def test_integer_like_indices_are_stored_as_int(index):
               circuit.source_mode, circuit.postselect_mode)
     assert [type(v) for v in stored] == [int] * 6
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+#: (M, K built in Python, the modes line that carries them, expected diagnostic)
+BAD_COUNTS = [
+    (3.0, 2, "modes 3.0 probes 2", "mode counts must be integers"),
+    (3, 2.0, "modes 3 probes 2.0", "mode counts must be integers"),
+    (3, "2", "modes 3 probes two", "mode counts must be integers"),
+    (0, 2, "modes 0 probes 2", "mode counts out of range"),
+    (False, 0, "modes 0 probes 0", "mode counts out of range"),
+    (3, -1, "modes 3 probes -1", "mode counts out of range"),
+]
+
+
+@pytest.mark.parametrize("m_modes,k_probes,line,message", BAD_COUNTS,
+                         ids=[c[2] for c in BAD_COUNTS])
+def test_bad_mode_counts_fail_alike(m_modes, k_probes, line, message):
+    with pytest.raises(ValueError) as built:
+        Circuit(m_modes, k_probes, (), 0, ())
+    assert str(built.value) == message
+    with pytest.raises(CircuitFormatError) as parsed:
+        parse_circuit(f"{line}\nsource mode=0\n")
+    assert str(parsed.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize("m_modes,k_probes", [(True, True), (np.int64(3), np.int64(2))])
+def test_integer_like_mode_counts_are_stored_as_int(m_modes, k_probes):
+    circuit = Circuit(m_modes, k_probes, (), 0, (0.5j,) * int(k_probes))
+    assert (type(circuit.m_modes), type(circuit.k_probes)) == (int, int)
+    text = serialize_circuit(circuit)
+    assert text.startswith(f"modes {int(m_modes)} probes {int(k_probes)}\n")
+    assert parse_circuit(text) == circuit

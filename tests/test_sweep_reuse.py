@@ -14,7 +14,9 @@ from dataclasses import replace
 
 import pytest
 
+import qndmzi.analysis
 import qndmzi.circuit
+import qndmzi.states
 from qndmzi import (
     FINAL_STAGE,
     PROBE,
@@ -30,6 +32,7 @@ from qndmzi import (
     apply_element,
     build_nested_mzi,
     fringe_scan,
+    inner_product,
     leakage_sweep,
     postselect,
     run_backward,
@@ -222,6 +225,27 @@ class TestWorkCount:
         # From snapshot L2, with the coupling skipped: the inner recombiner,
         # the probe phase and the probe recombiner, then detection at L3p.
         assert [type(el) for el in calls] == [BeamSplitter, PhaseShift, BeamSplitter]
+
+    def test_postselect_takes_the_projection_norm_once(self, monkeypatch):
+        trace = run_forward(build_nested_mzi(0.6, 2.0, 0.3))
+        calls = []
+
+        def counted(bra, ket):
+            calls.append((bra, ket))
+            return inner_product(bra, ket)
+
+        monkeypatch.setattr(qndmzi.states, "inner_product", counted)
+        monkeypatch.setattr(qndmzi.analysis, "inner_product", counted)
+        postselect(trace, 0, compute_fidelity=False)
+        # The projection's norm, which also scales the conditional state, and
+        # the conditional state's norm in mean_probe_photons.  Normalizing
+        # the projection used to take its norm a second time.
+        assert len(calls) == 2
+        calls.clear()
+        postselect(trace, 0)
+        # The fidelity adds the twin's projection norm, then the two norms
+        # and the overlap of state_fidelity.
+        assert len(calls) == 6
 
 
 class TestErrorPaths:
