@@ -26,7 +26,7 @@ from .circuit import (
     run_forward,
 )
 from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
-from .states import HybridState, _check_mode, _pair_sum, inner_product
+from .states import HybridState, _check_mode, _mode_pair_sums, _pair_sum, inner_product
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
 #: forward and backward waves.  Exposed because the verdict is a judgement
@@ -41,7 +41,11 @@ _NULL_AMPLITUDE = 1e-12
 
 def mean_probe_photons(state: HybridState) -> tuple[float, ...]:
     """Mean photon number at each probe mode, <n_k> = <S|n_k|S>/<S|S>."""
-    norm = state.norm_sq()
+    return _probe_means(state, state.norm_sq())
+
+
+def _probe_means(state: HybridState, norm: float) -> tuple[float, ...]:
+    """:func:`mean_probe_photons` of a state whose squared norm is ``norm``."""
     if norm <= 0.0:
         raise ValueError("mean photon number of a null state is undefined")
     return tuple(_pair_sum(state, state, k).real / norm for k in range(state.k_probes))
@@ -49,7 +53,11 @@ def mean_probe_photons(state: HybridState) -> tuple[float, ...]:
 
 def state_fidelity(a: HybridState, b: HybridState) -> float:
     """|<a|b>|^2 between two pure states, normalizing both sides."""
-    na, nb = a.norm_sq(), b.norm_sq()
+    return _fidelity(a, b, a.norm_sq(), b.norm_sq())
+
+
+def _fidelity(a: HybridState, b: HybridState, na: float, nb: float) -> float:
+    """:func:`state_fidelity` of states whose squared norms are ``na``, ``nb``."""
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("fidelity with a null state is undefined")
     return abs(inner_product(a, b)) ** 2 / (na * nb)
@@ -95,18 +103,20 @@ def postselect(
     if probability <= 0.0:
         return PostSelectionResult(mode, stage, 0.0, None, None, None)
     conditional = projected.scaled(1.0 / math.sqrt(probability))
+    norm = conditional.norm_sq()
     fidelity = None
     if compute_fidelity:
         ref_projected = _kerr_free_state(trace, stage).project_mode(mode)
-        if ref_projected.norm_sq() > 0.0:
-            fidelity = state_fidelity(ref_projected, conditional)
+        ref_norm = ref_projected.norm_sq()
+        if ref_norm > 0.0:
+            fidelity = _fidelity(ref_projected, conditional, ref_norm, norm)
     return PostSelectionResult(
         mode,
         stage,
         probability,
         conditional,
         fidelity,
-        mean_probe_photons(conditional),
+        _probe_means(conditional, norm),
     )
 
 
@@ -281,23 +291,32 @@ def tsvf_report(
             )
         fwd = trace.forward[label]
         bwd = trace.backward[label]
-        den = inner_product(bwd, fwd)
-        possible = abs(den) > _NULL_AMPLITUDE
+        den, nums = _mode_pair_sums(bwd, fwd, _NULL_AMPLITUDE)
+        possible = nums is not None
+        f_amps, b_amps = _mode_amps(fwd), _mode_amps(bwd)
         mode_reports = []
         for m in range(circuit.m_modes):
-            f_amp = sum((br.amp for br in fwd.branches if br.mode == m), 0j)
-            b_amp = sum((br.amp for br in bwd.branches if br.mode == m), 0j)
             if possible:
-                weak = inner_product(bwd, fwd.project_mode(m)) / den
+                weak = nums.get(m, 0j) / den
                 nonzero = abs(weak) > threshold
             else:
                 weak = None
                 nonzero = False
-            mode_reports.append(TsvfModeReport(f_amp, b_amp, weak, nonzero))
+            mode_reports.append(
+                TsvfModeReport(f_amps.get(m, 0j), b_amps.get(m, 0j), weak, nonzero)
+            )
         stage_reports.append(
             TsvfStageReport(label, den, possible, tuple(mode_reports))
         )
     return TsvfReport(tuple(stage_reports), threshold)
+
+
+def _mode_amps(state: HybridState) -> dict[int, complex]:
+    """Sum of the branch amplitudes per mode, each from 0j in branch order."""
+    amps: dict[int, complex] = {}
+    for br in state.branches:
+        amps[br.mode] = amps.get(br.mode, 0j) + br.amp
+    return amps
 
 
 @dataclass(frozen=True)
@@ -323,7 +342,8 @@ def leakage_sweep(
     relative to the unperturbed circuit (the perturbation leaks Kerr-marked
     amplitude through the dark port into the detector).
 
-    ``arm_mode`` and ``dark_stage`` are checked before anything is evolved.
+    ``arm_mode``, ``dark_stage`` and every delta (which must be finite) are
+    checked before anything is evolved.
     The unperturbed circuit is run once, and the elements up to the inner
     splitter once; per delta only the phase and the elements after it are
     applied.  The results equal those of inserting the phase and running
@@ -344,6 +364,9 @@ def leakage_sweep(
     if dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
     deltas = tuple(float(d) for d in deltas)
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"leakage delta {delta!r} is not finite")
     base = postselect(
         run_forward(circuit), circuit.postselect_mode, at=FINAL_STAGE,
         compute_fidelity=False,

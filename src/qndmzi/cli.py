@@ -271,8 +271,9 @@ def tsvf_cmd(ctx, threshold: float, fmt: str) -> None:
 def leakage_cmd(ctx, delta_min: float, delta_max: float, points: int, out: str | None) -> None:
     """Sweep an inner-arm phase perturbation; record dark-port leakage as CSV."""
     circuit = _circuit(ctx)
-    if points < 2 or delta_min <= 0 or delta_max <= delta_min:
-        raise click.ClickException("need points >= 2 and 0 < delta-min < delta-max")
+    finite = math.isfinite(delta_min) and math.isfinite(delta_max)
+    if points < 2 or not finite or delta_min <= 0 or delta_max <= delta_min:
+        raise click.ClickException("need points >= 2 and finite 0 < delta-min < delta-max")
     ratio = delta_max / delta_min
     deltas = [delta_min * ratio ** (i / (points - 1)) for i in range(points)]
     try:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .states import Branch, HybridState, _check_mode, merge_branches
+from .states import HybridState, _branch, _check_finite, _check_mode, _state, merge_branches
 
 SYS = "sys"
 PROBE = "probe"
@@ -150,25 +150,30 @@ def apply_beam_splitter(
             u11.conjugate(),
         )
     a, b = bs.mode_a, bs.mode_b
+    out = []
     if bs.target == SYS:
-        out: list[Branch] = []
+        # Unchecked: every entry is real or imaginary with modulus <= 1, so
+        # each part of u * amp is one part of amp scaled by at most 1 (plus
+        # a zero product) and cannot overflow.
         for br in state.branches:
             if br.mode == a:
-                out.append(Branch(a, u00 * br.amp, br.probes))
-                out.append(Branch(b, u10 * br.amp, br.probes))
+                out.append(_branch(a, u00 * br.amp, br.probes))
+                out.append(_branch(b, u10 * br.amp, br.probes))
             elif br.mode == b:
-                out.append(Branch(a, u01 * br.amp, br.probes))
-                out.append(Branch(b, u11 * br.amp, br.probes))
+                out.append(_branch(a, u01 * br.amp, br.probes))
+                out.append(_branch(b, u11 * br.amp, br.probes))
             else:
                 out.append(br)
     else:
-        out = []
         for br in state.branches:
             pa, pb = br.probes[a], br.probes[b]
-            probes = _replace_probe(br.probes, a, u00 * pa + u01 * pb)
-            probes = _replace_probe(probes, b, u10 * pa + u11 * pb)
-            out.append(Branch(br.mode, br.amp, probes))
-    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
+            pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
+            probes = _replace_probe(_replace_probe(br.probes, a, pa), b, pb)
+            if not (cmath.isfinite(pa) and cmath.isfinite(pb)):
+                for p in probes:
+                    _check_finite(p, "probe amplitude")
+            out.append(_branch(br.mode, br.amp, probes))
+    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_kerr(
@@ -177,16 +182,16 @@ def apply_kerr(
     _check_indices(coupling, state.m_modes, state.k_probes)
     sign = 1.0 if dagger else -1.0
     rot = cmath.exp(sign * 1j * coupling.eps_tau)
+    k = coupling.probe_mode
     out = []
     for br in state.branches:
         if br.mode in coupling.system_modes:
-            probes = _replace_probe(
-                br.probes, coupling.probe_mode, rot * br.probes[coupling.probe_mode]
-            )
-            out.append(Branch(br.mode, br.amp, probes))
+            p = rot * br.probes[k]
+            _check_finite(p, "probe amplitude")
+            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, k, p)))
         else:
             out.append(br)
-    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
+    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_phase(
@@ -194,18 +199,22 @@ def apply_phase(
 ) -> HybridState:
     _check_indices(shift, state.m_modes, state.k_probes)
     factor = cmath.exp((-1j if dagger else 1j) * shift.phi)
+    i = shift.index
     out = []
     if shift.target == SYS:
         for br in state.branches:
-            if br.mode == shift.index:
-                out.append(Branch(br.mode, factor * br.amp, br.probes))
+            if br.mode == i:
+                amp = factor * br.amp
+                _check_finite(amp, "branch amplitude")
+                out.append(_branch(br.mode, amp, br.probes))
             else:
                 out.append(br)
     else:
         for br in state.branches:
-            probes = _replace_probe(br.probes, shift.index, factor * br.probes[shift.index])
-            out.append(Branch(br.mode, br.amp, probes))
-    return merge_branches(HybridState(state.m_modes, state.k_probes, tuple(out)))
+            p = factor * br.probes[i]
+            _check_finite(p, "probe amplitude")
+            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, i, p)))
+    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
 def apply_element(

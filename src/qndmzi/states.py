@@ -28,6 +28,15 @@ A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 reuses the element code with conjugate-transposed matrices.  This module is
 the only one that knows how a state is stored, when branches merge and how
 branch pairs overlap.
+
+Trust boundary: the public constructors :class:`Branch` and
+:class:`HybridState` coerce and check every value they are given.  States
+the engine derives from an already checked state (the element appliers,
+:func:`merge_branches` and :meth:`HybridState.project_mode`) are built by
+the private ``_branch`` and ``_state`` instead, which store their values
+as given.  Their callers keep a finite check only where arithmetic can
+overflow, with the same error as the public constructor; every other value
+is a complex, an int mode in range or a probe tuple of length K already.
 """
 
 from __future__ import annotations
@@ -114,6 +123,22 @@ class Branch:
             _check_finite(p, "probe amplitude")
 
 
+# Trusted construction sets fields the way the frozen dataclass __init__
+# does.  Writing through ``obj.__dict__`` instead would materialize the dict
+# and make every later attribute read about 2.5x slower (CPython 3.11).
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _branch(mode: int, amp: complex, probes: tuple[complex, ...]) -> Branch:
+    """A :class:`Branch` of already checked values, stored without coercion."""
+    br = _new(Branch)
+    _set(br, "mode", mode)
+    _set(br, "amp", amp)
+    _set(br, "probes", probes)
+    return br
+
+
 @dataclass(frozen=True)
 class HybridState:
     """Superposition of :class:`Branch` terms over M system and K probe modes."""
@@ -151,7 +176,7 @@ class HybridState:
         """Unnormalized restriction to branches with the photon in ``mode``."""
         _check_mode("mode", mode, self.m_modes)
         kept = tuple(br for br in self.branches if br.mode == mode)
-        return HybridState(self.m_modes, self.k_probes, kept)
+        return _state(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
         return HybridState(
@@ -165,6 +190,15 @@ class HybridState:
         if n <= 0.0:
             raise ValueError("cannot normalize a null state")
         return self.scaled(1.0 / math.sqrt(n))
+
+
+def _state(m_modes: int, k_probes: int, branches: tuple[Branch, ...]) -> HybridState:
+    """A :class:`HybridState` of branches already checked against (M, K)."""
+    state = _new(HybridState)
+    _set(state, "m_modes", m_modes)
+    _set(state, "k_probes", k_probes)
+    _set(state, "branches", branches)
+    return state
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -182,13 +216,20 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     )
 
 
-def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
+def _pair_sum(
+    bra: HybridState,
+    ket: HybridState,
+    k: int | None = None,
+    parts: dict[int, complex] | None = None,
+) -> complex:
     """Sum over mode-matched branch pairs of conj(amp_u) amp_v prod <u_j|v_j>.
 
     With ``k`` given, each term also carries conj(u_k) v_k, which turns the
     sum into the probe-``k`` number matrix element <bra|n_k|ket>.  Inner
     products, norms and mean photon numbers all sum here, so an overflowed
-    coherent overlap raises instead of passing on as NaN.
+    coherent overlap raises instead of passing on as NaN.  With ``parts``
+    given (below ``_GRAM_MIN_PAIRS`` only), each term is also added to
+    ``parts[mode]``, starting from 0j; those sums are not checked here.
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
     instead.  Below it, the overlap is :func:`coherent_overlap` inlined with
@@ -220,8 +261,37 @@ def _pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> compl
             for (hu, cu), pv in zip(u_terms, v.probes):
                 term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
             total += term
+            if parts is not None:
+                parts[mode] = parts.get(mode, 0j) + term
     _check_finite(total, "inner product")
     return total
+
+
+def _mode_pair_sums(
+    bra: HybridState, ket: HybridState, null: float
+) -> tuple[complex, dict[int, complex] | None]:
+    """<bra|ket> and, unless its modulus is at most ``null``, <bra|P_m|ket> per mode.
+
+    The numerators come as a dict keyed by mode (a mode missing from it
+    sums to 0j), each equal bit for bit to ``inner_product(bra,
+    ket.project_mode(m))`` and checked in mode order: below
+    ``_GRAM_MIN_PAIRS`` they are the partial sums of the one pass that gives
+    <bra|ket>, kept in its term order; from there on they are those calls.
+    """
+    _check_shape(bra, ket)
+    if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
+        total = _pair_sum(bra, ket)
+        if abs(total) <= null:
+            return total, None
+        modes = sorted({br.mode for br in ket.branches})
+        return total, {m: _pair_sum(bra, ket.project_mode(m)) for m in modes}
+    parts: dict[int, complex] = {}
+    total = _pair_sum(bra, ket, parts=parts)
+    if abs(total) <= null:
+        return total, None
+    for m in sorted(parts):
+        _check_finite(parts[m], "inner product")
+    return total, parts
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
@@ -284,8 +354,18 @@ def inner_product(bra: HybridState, ket: HybridState) -> complex:
     return _pair_sum(bra, ket)
 
 
-def _canonical_key(br: Branch) -> tuple[int, list[tuple[float, float]]]:
-    return (br.mode, [(p.real, p.imag) for p in br.probes])
+def _canonical_key(br: Branch) -> tuple[int, tuple[tuple[float, float], ...]]:
+    return (br.mode, tuple([(p.real, p.imag) for p in br.probes]))
+
+
+def _nonempty(br: Branch) -> bool:
+    """Whether ``br`` survives the merge: |amp| >= MERGE_TOL."""
+    try:
+        return abs(br.amp) >= MERGE_TOL
+    except OverflowError:
+        # Finite parts whose modulus exceeds the float range: far from
+        # empty.  Kept, so the next norm reports the overflow.
+        return True
 
 
 def merge_branches(state: HybridState) -> HybridState:
@@ -305,8 +385,12 @@ def merge_branches(state: HybridState) -> HybridState:
     cell or in the neighbouring cell nearer to its key, so only those two are
     searched, which makes merging expected O(n) in the branch count (the
     pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is derived
-    from :data:`MERGE_TOL`; a relative tolerance must rescale it.
+    from :data:`MERGE_TOL`; a relative tolerance must rescale it.  A state
+    of at most one branch has nothing to merge and skips the index.
     """
+    if len(state.branches) < 2:
+        kept = tuple(br for br in state.branches if _nonempty(br))
+        return _state(state.m_modes, state.k_probes, kept)
     floor = math.floor
     groups: list[Branch] = []
     index: dict[int, dict[int | str, list[int]]] = {}
@@ -342,7 +426,9 @@ def merge_branches(state: HybridState) -> HybridState:
             groups.append(br)
         else:
             g = groups[match]
-            groups[match] = Branch(g.mode, g.amp + br.amp, g.probes)
-    kept = [g for g in groups if abs(g.amp) >= MERGE_TOL]
+            amp = g.amp + br.amp
+            _check_finite(amp, "branch amplitude")
+            groups[match] = _branch(g.mode, amp, g.probes)
+    kept = [g for g in groups if _nonempty(g)]
     kept.sort(key=_canonical_key)
-    return HybridState(state.m_modes, state.k_probes, tuple(kept))
+    return _state(state.m_modes, state.k_probes, tuple(kept))

@@ -232,6 +232,29 @@ class TestBadInputFailsCleanly:
         result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", alpha] + command)
         self.assert_clean_error(result, "non-finite inner product")
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--delta-min", "nan"],
+            ["--delta-max", "nan"],
+            ["--delta-max", "inf"],
+            ["--delta-min", "-inf"],
+        ],
+    )
+    def test_non_finite_leakage_bound(self, runner, bounds):
+        result = runner.invoke(main, PRESET + ["leakage", *bounds, "--points", "3"])
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "finite 0 < delta-min < delta-max")
+
+    def test_leakage_bounds_whose_ratio_overflows(self, runner):
+        result = runner.invoke(
+            main,
+            PRESET + ["leakage", "--delta-min", "1e-300", "--delta-max", "1e300",
+                      "--points", "3"],
+        )
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "leakage delta inf is not finite")
+
     def test_eta_tau_option_is_gone(self, runner):
         result = runner.invoke(main, PRESET + ["--eta-tau", "0.1", "run"])
         assert result.exit_code == 2

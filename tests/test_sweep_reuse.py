@@ -243,9 +243,9 @@ class TestWorkCount:
         assert len(calls) == 2
         calls.clear()
         postselect(trace, 0)
-        # The fidelity adds the twin's projection norm, then the two norms
-        # and the overlap of state_fidelity.
-        assert len(calls) == 6
+        # The fidelity adds the twin's projection norm and the overlap; it
+        # reuses both norms instead of taking them again.
+        assert len(calls) == 4
 
 
 class TestErrorPaths:
@@ -292,6 +292,13 @@ class TestErrorPaths:
         calls = _count_elements(monkeypatch)
         with pytest.raises(ValueError, match="'nope'"):
             leakage_sweep(build_nested_mzi(0.6, 2.0, 0.3), deltas, dark_stage="nope")
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_leakage_sweep_non_finite_delta_fails_before_evolving(self, monkeypatch, bad):
+        calls = _count_elements(monkeypatch)
+        with pytest.raises(ValueError, match=f"leakage delta {bad!r} is not finite"):
+            leakage_sweep(build_nested_mzi(0.6, 2.0, 0.3), [1e-3, bad])
         assert calls == []
 
     def test_leakage_sweep_checks_arm_mode_before_dark_stage(self):
