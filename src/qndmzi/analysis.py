@@ -26,7 +26,9 @@ from .circuit import (
     run_forward,
 )
 from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
-from .states import HybridState, _check_mode, _mode_pair_sums, _pair_sum, inner_product
+from .states import (
+    HybridState, _check_finite, _check_mode, _check_shape, _pair_sum, inner_product
+)
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
 #: forward and backward waves.  Exposed because the verdict is a judgement
@@ -291,13 +293,17 @@ def tsvf_report(
             )
         fwd = trace.forward[label]
         bwd = trace.backward[label]
-        den, nums = _mode_pair_sums(bwd, fwd, _NULL_AMPLITUDE)
-        possible = nums is not None
+        _check_shape(bwd, fwd)
+        nums: dict[int, complex] = {}
+        den = _pair_sum(bwd, fwd, parts=nums)
+        possible = abs(den) > _NULL_AMPLITUDE
         f_amps, b_amps = _mode_amps(fwd), _mode_amps(bwd)
         mode_reports = []
         for m in range(circuit.m_modes):
             if possible:
-                weak = nums.get(m, 0j) / den
+                num = nums.get(m, 0j)
+                _check_finite(num, "inner product")
+                weak = num / den
                 nonzero = abs(weak) > threshold
             else:
                 weak = None
@@ -370,9 +376,10 @@ def leakage_sweep(
     base = postselect(
         run_forward(circuit), circuit.postselect_mode, at=FINAL_STAGE,
         compute_fidelity=False,
-    )
-    if base.conditional is None:
+    ).conditional
+    if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
+    base_norm = base.norm_sq()
     points = []
     arm_phases = (PhaseShift(SYS, arm_mode, delta) for delta in deltas)
     for delta, stages in zip(deltas, _insertion_runs(circuit, insert_at, arm_phases)):
@@ -382,8 +389,10 @@ def leakage_sweep(
             circuit.postselect_mode,
             at=FINAL_STAGE,
             compute_fidelity=False,
-        )
-        deficit = 1.0 - state_fidelity(base.conditional, conditioned.conditional)
+        ).conditional
+        if conditioned is None:
+            raise ValueError(f"detector-conditioned state at delta {delta!r} is null")
+        deficit = 1.0 - _fidelity(base, conditioned, base_norm, conditioned.norm_sq())
         points.append(LeakagePoint(delta, leak, deficit))
     return tuple(points)
 

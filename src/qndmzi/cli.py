@@ -30,7 +30,7 @@ from .analysis import (
     postselect,
     tsvf_report,
 )
-from .circuit import Circuit, build_nested_mzi, run_both, run_forward
+from .circuit import build_nested_mzi, run_both, run_forward
 from .fileformat import CircuitFormatError, format_complex, parse_circuit, parse_complex
 from .states import HybridState
 
@@ -95,11 +95,17 @@ def _write_csv(ctx: click.Context, out: str | None, default_name: str, text: str
     click.echo(f"wrote {path}")
 
 
-def _circuit(ctx: click.Context) -> Circuit:
-    return ctx.obj["circuit"]
+class _ErrorBoundary(click.Group):
+    """Root group: any command's ValueError or IndexError exits 1 with ``Error:``."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, IndexError) as exc:
+            raise click.ClickException(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.option(
     "--out-dir",
     envvar="QNDMZI_OUT_DIR",
@@ -121,10 +127,7 @@ def main(ctx: click.Context, out_dir: str) -> None:
 @click.pass_context
 def nested_mzi(ctx, r: float, alpha: complex, eps_tau: float) -> None:
     """Built-in nested interferometer with the Kerr-coupled probe."""
-    try:
-        ctx.obj["circuit"] = build_nested_mzi(r, alpha, eps_tau)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    ctx.obj["circuit"] = build_nested_mzi(r, alpha, eps_tau)
 
 
 @main.group("circuit")
@@ -144,7 +147,7 @@ def circuit_group(ctx, path: str) -> None:
 @click.pass_context
 def run_cmd(ctx, backward: bool, fmt: str) -> None:
     """Evolve the photon and print every stage's branches."""
-    circuit = _circuit(ctx)
+    circuit = ctx.obj["circuit"]
     trace = run_both(circuit) if backward else run_forward(circuit)
     if fmt == "record":
         lines = []
@@ -169,11 +172,7 @@ def run_cmd(ctx, backward: bool, fmt: str) -> None:
 @click.pass_context
 def postselect_cmd(ctx, mode: int, stage: str | None, fmt: str) -> None:
     """Project onto photon-in-mode; print probability and conditional probe."""
-    circuit = _circuit(ctx)
-    try:
-        result = postselect(run_forward(circuit), mode, at=stage)
-    except (ValueError, IndexError) as exc:
-        raise click.ClickException(str(exc))
+    result = postselect(run_forward(ctx.obj["circuit"]), mode, at=stage)
     if fmt == "record":
         lines = [
             f"postselect.mode={result.mode}",
@@ -208,12 +207,8 @@ def postselect_cmd(ctx, mode: int, stage: str | None, fmt: str) -> None:
 @click.pass_context
 def fringes_cmd(ctx, mode: int, points: int, out: str | None) -> None:
     """Scan a probe phase and record both detector intensities as CSV."""
-    circuit = _circuit(ctx)
     phis = [2.0 * math.pi * i / points for i in range(points)]
-    try:
-        scan = fringe_scan(circuit, mode, phis)
-    except (ValueError, IndexError) as exc:
-        raise click.ClickException(str(exc))
+    scan = fringe_scan(ctx.obj["circuit"], mode, phis)
     _write_csv(ctx, out, "fringes.csv", fringe_csv(scan))
     click.echo(f"extracted shift {scan.extracted_shift:.12g}")
     click.echo(f"visibility {scan.visibility:.12g}")
@@ -230,11 +225,7 @@ def _compact_complex(z: complex) -> str:
 @click.pass_context
 def tsvf_cmd(ctx, threshold: float, fmt: str) -> None:
     """Print the forward/backward overlap verdict per stage and mode."""
-    circuit = _circuit(ctx)
-    try:
-        report = tsvf_report(circuit, threshold=threshold)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    report = tsvf_report(ctx.obj["circuit"], threshold=threshold)
     if fmt == "record":
         lines = []
         for stage in report.stages:
@@ -270,16 +261,12 @@ def tsvf_cmd(ctx, threshold: float, fmt: str) -> None:
 @click.pass_context
 def leakage_cmd(ctx, delta_min: float, delta_max: float, points: int, out: str | None) -> None:
     """Sweep an inner-arm phase perturbation; record dark-port leakage as CSV."""
-    circuit = _circuit(ctx)
     finite = math.isfinite(delta_min) and math.isfinite(delta_max)
     if points < 2 or not finite or delta_min <= 0 or delta_max <= delta_min:
         raise click.ClickException("need points >= 2 and finite 0 < delta-min < delta-max")
     ratio = delta_max / delta_min
     deltas = [delta_min * ratio ** (i / (points - 1)) for i in range(points)]
-    try:
-        rows = leakage_sweep(circuit, deltas)
-    except (ValueError, IndexError) as exc:
-        raise click.ClickException(str(exc))
+    rows = leakage_sweep(ctx.obj["circuit"], deltas)
     _write_csv(ctx, out, "leakage.csv", leakage_csv(rows))
 
 

@@ -21,7 +21,8 @@ that scales with the probe magnitude must rescale the cells too.  The pair
 sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
 :func:`coherent_overlap` terms; from there on it is one vectorised numpy
-Gram matrix per mode block, equal to the loop up to rounding.
+Gram matrix per mode block, equal to the loop up to rounding.  Either
+path can also give the per-mode sums <bra|P_m|ket> in the same call.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -150,10 +151,7 @@ class HybridState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(self.branches))
         for br in self.branches:
-            if not 0 <= br.mode < self.m_modes:
-                raise IndexError(
-                    f"branch mode {br.mode} outside [0, {self.m_modes})"
-                )
+            _check_mode("branch mode", br.mode, self.m_modes)
             if len(br.probes) != self.k_probes:
                 raise DimensionMismatchError(
                     f"branch has {len(br.probes)} probe amplitudes, "
@@ -228,18 +226,23 @@ def _pair_sum(
     sum into the probe-``k`` number matrix element <bra|n_k|ket>.  Inner
     products, norms and mean photon numbers all sum here, so an overflowed
     coherent overlap raises instead of passing on as NaN.  With ``parts``
-    given (below ``_GRAM_MIN_PAIRS`` only), each term is also added to
-    ``parts[mode]``, starting from 0j; those sums are not checked here.
+    given, ``parts[m]`` also receives <bra|P_m|ket>, bit-equal to the sum
+    for ``ket.project_mode(m)`` (a mode missing from it sums to 0j).
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
-    instead.  Below it, the overlap is :func:`coherent_overlap` inlined with
+    instead, and each of ``parts`` is a checked sum of its own, in mode
+    order.  Below it, the overlap is :func:`coherent_overlap` inlined with
     the same operations in the same order, so every sum is bit-equal to
-    calling it; -|u|^2/2 and conj(u) are computed once per bra branch, and
-    only when it has a mode-matched partner.  Cost: O(n^2) in the branch
-    pairs on either path.
+    calling it, and ``parts`` holds the pass's unchecked partial sums;
+    -|u|^2/2 and conj(u) are computed once per bra branch, and only when it
+    has a mode-matched partner.  Cost: O(n^2) in the branch pairs either way.
     """
     if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
-        return _gram_pair_sum(bra, ket, k)
+        total = _gram_pair_sum(bra, ket, k)
+        if parts is not None:
+            for mode in sorted({br.mode for br in ket.branches}):
+                parts[mode] = _pair_sum(bra, ket.project_mode(mode), k)
+        return total
     exp = cmath.exp
     total = 0j
     for u in bra.branches:
@@ -265,33 +268,6 @@ def _pair_sum(
                 parts[mode] = parts.get(mode, 0j) + term
     _check_finite(total, "inner product")
     return total
-
-
-def _mode_pair_sums(
-    bra: HybridState, ket: HybridState, null: float
-) -> tuple[complex, dict[int, complex] | None]:
-    """<bra|ket> and, unless its modulus is at most ``null``, <bra|P_m|ket> per mode.
-
-    The numerators come as a dict keyed by mode (a mode missing from it
-    sums to 0j), each equal bit for bit to ``inner_product(bra,
-    ket.project_mode(m))`` and checked in mode order: below
-    ``_GRAM_MIN_PAIRS`` they are the partial sums of the one pass that gives
-    <bra|ket>, kept in its term order; from there on they are those calls.
-    """
-    _check_shape(bra, ket)
-    if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
-        total = _pair_sum(bra, ket)
-        if abs(total) <= null:
-            return total, None
-        modes = sorted({br.mode for br in ket.branches})
-        return total, {m: _pair_sum(bra, ket.project_mode(m)) for m in modes}
-    parts: dict[int, complex] = {}
-    total = _pair_sum(bra, ket, parts=parts)
-    if abs(total) <= null:
-        return total, None
-    for m in sorted(parts):
-        _check_finite(parts[m], "inner product")
-    return total, parts
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:

@@ -284,6 +284,12 @@ class TestLeakage:
         rows_dark = leakage_sweep(preset(eps=0.0), [1e-2])
         assert rows_dark[0].fidelity_deficit == pytest.approx(0.0, abs=1e-12)
 
+    def test_null_detector_state_at_a_delta_raises(self):
+        # The detector amplitude -r^2 + t^2 (1 - exp(i delta)) / 2 is 0 here.
+        circuit = build_nested_mzi(math.sqrt(0.5), 2, 0.0)
+        with pytest.raises(ValueError, match=r"^detector-conditioned state at delta 3\.14159"):
+            leakage_sweep(circuit, [math.pi])
+
 
 class TestCsv:
     def test_fringe_csv_layout(self):

@@ -177,6 +177,13 @@ class TestCircuitFileInput:
 
 class TestBadInputFailsCleanly:
     HEADER = "modes 3 probes 2\nsource mode=0 probe0=1+0i probe1=0+0i\n"
+    # The probe splitter's output overflows: an engine failure, not a parse error.
+    OVERFLOW = (
+        "modes 2 probes 2\n"
+        "source mode=0 probe0=1.5e308+0i probe1=0+1.5e308i\n"
+        "bs probe 0 1 r=0.7071067811865476\n"
+        "postselect mode=0\n"
+    )
 
     @staticmethod
     def assert_clean_error(result, *expected):
@@ -254,6 +261,34 @@ class TestBadInputFailsCleanly:
         )
         assert result.exit_code == 1
         self.assert_clean_error(result, "leakage delta inf is not finite")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run"],
+            ["run", "--backward"],
+            ["postselect", "--mode", "0"],
+            ["tsvf"],
+            ["fringes", "--mode", "0", "--out", "-"],
+            ["leakage", "--out", "-"],
+        ],
+    )
+    def test_engine_overflow_in_every_command(self, runner, tmp_path, command):
+        path = tmp_path / "overflow.txt"
+        path.write_text(self.OVERFLOW)
+        result = runner.invoke(main, ["circuit", str(path), *command])
+        assert result.exit_code == 1
+        self.assert_clean_error(result)
+
+    def test_null_detector_state_at_a_leakage_delta(self, runner):
+        result = runner.invoke(
+            main,
+            ["nested-mzi", "--r", "0.7071067811865476", "--eps-tau", "0", "leakage",
+             "--delta-min", "1", "--delta-max", "3.141592653589793", "--points", "2",
+             "--out", "-"],
+        )
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "at delta 3.141592653589793 is null")
 
     def test_eta_tau_option_is_gone(self, runner):
         result = runner.invoke(main, PRESET + ["--eta-tau", "0.1", "run"])

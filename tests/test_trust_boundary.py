@@ -16,7 +16,6 @@ import random
 import pytest
 
 import qndmzi.analysis
-import qndmzi.states
 from qndmzi import (
     FINAL_STAGE,
     MERGE_TOL,
@@ -29,6 +28,7 @@ from qndmzi import (
     KerrCoupling,
     PhaseShift,
     Snapshot,
+    StageTrace,
     apply_element,
     build_nested_mzi,
     inner_product,
@@ -38,7 +38,7 @@ from qndmzi import (
     run_forward,
     tsvf_report,
 )
-from qndmzi.states import _GRAM_MIN_PAIRS, _mode_pair_sums
+from qndmzi.states import _GRAM_MIN_PAIRS, _pair_sum
 
 from helpers import random_circuit
 
@@ -158,14 +158,11 @@ class TestMergeOfAnOverflowingModulus:
 class TestOnePassStageSums:
     @staticmethod
     def assert_stage_sums(bra, ket):
-        den, nums = _mode_pair_sums(bra, ket, 0.0)
-        assert den == inner_product(bra, ket)
-        if den == 0.0:
-            assert nums is None
-            return
+        parts = {}
+        assert _pair_sum(bra, ket, parts=parts) == inner_product(bra, ket)
         for m in range(ket.m_modes):
             want = inner_product(bra, ket.project_mode(m))
-            got = nums.get(m, 0j)
+            got = parts.get(m, 0j)
             assert (got.real, got.imag) == (want.real, want.imag)
             assert repr(got) == repr(want)
 
@@ -195,28 +192,43 @@ class TestOnePassStageSums:
         for label in circuit.stages:
             self.assert_stage_sums(backward[label], forward[label])
 
+    @staticmethod
+    def report(bra, ket):
+        """``tsvf_report`` of a bare circuit whose every stage holds ``bra``, ``ket``."""
+        circuit = Circuit(bra.m_modes, bra.k_probes, (), 0, (0j,) * bra.k_probes)
+        stages = circuit.stages
+        trace = StageTrace(circuit, dict.fromkeys(stages, ket), dict.fromkeys(stages, bra))
+        return tsvf_report(circuit, trace=trace)
+
     def test_null_transition_amplitude_gives_no_numerators(self):
         bra = HybridState(2, 0, (Branch(1, 1.0, ()),))
         ket = HybridState(2, 0, (Branch(0, 1.0, ()),))
-        assert _mode_pair_sums(bra, ket, 1e-12) == (0j, None)
+        for stage in self.report(bra, ket).stages:
+            assert stage.transition_amplitude == 0j
+            assert not stage.postselection_possible
+            assert [rep.weak_value for rep in stage.modes] == [None, None]
 
     def test_overflowed_numerator_raises_only_when_needed(self):
         # Terms +1e308 (mode 0) and -1e308 (mode 1) alternate: the running
         # total stays finite, while the mode-0 partial sum overflows.
         bra = HybridState(2, 0, tuple(Branch(m, 1e154, ()) for m in (0, 1, 0, 1)))
         ket = HybridState(2, 0, (Branch(0, 1e154, ()), Branch(1, -1e154, ())))
-        assert _mode_pair_sums(bra, ket, 1e-12) == (0j, None)
+        for stage in self.report(bra, ket).stages:
+            assert stage.transition_amplitude == 0j
+            assert [rep.weak_value for rep in stage.modes] == [None, None]
         with pytest.raises(ValueError, match="^non-finite inner product"):
             inner_product(bra, ket.project_mode(0))
+        # Mode-1 terms of -0.5e308 leave a possible total of 1e308.
+        ket = HybridState(2, 0, (Branch(0, 1e154, ()), Branch(1, -0.5e154, ())))
         with pytest.raises(ValueError, match="^non-finite inner product"):
-            _mode_pair_sums(bra, ket, -1.0)
+            self.report(bra, ket)
 
     def test_tsvf_report_sums_each_stage_once(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
         trace = run_both(circuit)
         want = tsvf_report(circuit, trace=trace)
         sums, products = [], []
-        pair_sum = qndmzi.states._pair_sum
+        pair_sum = qndmzi.analysis._pair_sum
 
         def counted_sum(*args, **kwargs):
             sums.append(args)
@@ -226,7 +238,7 @@ class TestOnePassStageSums:
             products.append((bra, ket))
             return inner_product(bra, ket)
 
-        monkeypatch.setattr(qndmzi.states, "_pair_sum", counted_sum)
+        monkeypatch.setattr(qndmzi.analysis, "_pair_sum", counted_sum)
         monkeypatch.setattr(qndmzi.analysis, "inner_product", counted_product)
         assert tsvf_report(circuit, trace=trace) == want
         # One pair sum per stage; the per-mode numerators were three more.
