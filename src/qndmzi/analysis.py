@@ -43,14 +43,16 @@ _NULL_AMPLITUDE = 1e-12
 
 def mean_probe_photons(state: HybridState) -> tuple[float, ...]:
     """Mean photon number at each probe mode, <n_k> = <S|n_k|S>/<S|S>."""
-    return _probe_means(state, state.norm_sq())
+    return _probe_means(state)[1]
 
 
-def _probe_means(state: HybridState, norm: float) -> tuple[float, ...]:
-    """:func:`mean_probe_photons` of a state whose squared norm is ``norm``."""
+def _probe_means(state: HybridState) -> tuple[float, tuple[float, ...]]:
+    """The squared norm of ``state`` and its :func:`mean_probe_photons`, in one pass."""
+    moments: list[complex] = []
+    norm = _pair_sum(state, state, moments).real
     if norm <= 0.0:
         raise ValueError("mean photon number of a null state is undefined")
-    return tuple(_pair_sum(state, state, k).real / norm for k in range(state.k_probes))
+    return norm, tuple(m.real / norm for m in moments)
 
 
 def state_fidelity(a: HybridState, b: HybridState) -> float:
@@ -100,26 +102,26 @@ def postselect(
     stage = trace.detect_stage if at is None else at
     if stage not in trace.forward:
         raise ValueError(f"stage {stage!r} not present in the forward trace")
-    projected = trace.forward[stage].project_mode(mode)
-    probability = projected.norm_sq()
-    if probability <= 0.0:
+    probability, conditional = _condition(trace.forward[stage], mode)
+    if conditional is None:
         return PostSelectionResult(mode, stage, 0.0, None, None, None)
-    conditional = projected.scaled(1.0 / math.sqrt(probability))
-    norm = conditional.norm_sq()
+    norm, means = _probe_means(conditional)
     fidelity = None
     if compute_fidelity:
         ref_projected = _kerr_free_state(trace, stage).project_mode(mode)
         ref_norm = ref_projected.norm_sq()
         if ref_norm > 0.0:
             fidelity = _fidelity(ref_projected, conditional, ref_norm, norm)
-    return PostSelectionResult(
-        mode,
-        stage,
-        probability,
-        conditional,
-        fidelity,
-        _probe_means(conditional, norm),
-    )
+    return PostSelectionResult(mode, stage, probability, conditional, fidelity, means)
+
+
+def _condition(state: HybridState, mode: int) -> tuple[float, HybridState | None]:
+    """Probability of photon-in-``mode`` and the normalized projection, or (0.0, None)."""
+    projected = state.project_mode(mode)
+    probability = projected.norm_sq()
+    if probability <= 0.0:
+        return 0.0, None
+    return probability, projected.scaled(1.0 / math.sqrt(probability))
 
 
 def _kerr_free_state(trace: StageTrace, stage: str) -> HybridState:
@@ -352,8 +354,9 @@ def leakage_sweep(
     checked before anything is evolved.
     The unperturbed circuit is run once, and the elements up to the inner
     splitter once; per delta only the phase and the elements after it are
-    applied.  The results equal those of inserting the phase and running
-    each perturbed circuit forward from the source.
+    applied, taking each detector projection's and conditional norm once.
+    The results equal those of inserting the phase and running each
+    perturbed circuit forward from the source.
     """
     insert_at = None
     for i, el in enumerate(circuit.elements):
@@ -373,10 +376,7 @@ def leakage_sweep(
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")
-    base = postselect(
-        run_forward(circuit), circuit.postselect_mode, at=FINAL_STAGE,
-        compute_fidelity=False,
-    ).conditional
+    _, base = _condition(run_forward(circuit).forward[FINAL_STAGE], circuit.postselect_mode)
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     base_norm = base.norm_sq()
@@ -384,12 +384,7 @@ def leakage_sweep(
     arm_phases = (PhaseShift(SYS, arm_mode, delta) for delta in deltas)
     for delta, stages in zip(deltas, _insertion_runs(circuit, insert_at, arm_phases)):
         leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
-        conditioned = postselect(
-            StageTrace(circuit, stages),
-            circuit.postselect_mode,
-            at=FINAL_STAGE,
-            compute_fidelity=False,
-        ).conditional
+        _, conditioned = _condition(stages[FINAL_STAGE], circuit.postselect_mode)
         if conditioned is None:
             raise ValueError(f"detector-conditioned state at delta {delta!r} is null")
         deficit = 1.0 - _fidelity(base, conditioned, base_norm, conditioned.norm_sq())

@@ -90,8 +90,11 @@ def _write_csv(ctx: click.Context, out: str | None, default_name: str, text: str
         click.echo(text, nl=False)
         return
     path = Path(out) if out is not None else Path(ctx.obj["out_dir"]) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
     click.echo(f"wrote {path}")
 
 
@@ -265,6 +268,8 @@ def leakage_cmd(ctx, delta_min: float, delta_max: float, points: int, out: str |
     if points < 2 or not finite or delta_min <= 0 or delta_max <= delta_min:
         raise click.ClickException("need points >= 2 and finite 0 < delta-min < delta-max")
     ratio = delta_max / delta_min
+    if not math.isfinite(ratio):
+        raise click.ClickException(f"delta-max / delta-min overflows: {delta_max!r} / {delta_min!r}")
     deltas = [delta_min * ratio ** (i / (points - 1)) for i in range(points)]
     rows = leakage_sweep(ctx.obj["circuit"], deltas)
     _write_csv(ctx, out, "leakage.csv", leakage_csv(rows))

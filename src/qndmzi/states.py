@@ -14,15 +14,16 @@ branches distinctly grow it exponentially.
 
 Cost model for n branches: :func:`merge_branches` is expected O(n), since
 each branch looks up candidate groups in a per-mode index of cells along
-Re(probes[0]) instead of scanning every earlier group.  Merging is greedy
-in input order: a branch within tolerance of two groups joins the earliest.
-The cell width ``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance
-that scales with the probe magnitude must rescale the cells too.  The pair
-sum behind :func:`inner_product` is O(n^2) work either way: below
-``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
-:func:`coherent_overlap` terms; from there on it is one vectorised numpy
-Gram matrix per mode block, equal to the loop up to rounding.  Either
-path can also give the per-mode sums <bra|P_m|ket> in the same call.
+Re(probes[0]) instead of scanning every earlier group; branches in distinct
+modes cannot merge and skip it.  Merging is greedy in input order: a branch
+within tolerance of two groups joins the earliest.  The cell width
+``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance that scales
+with the probe magnitude must rescale the cells too.  The pair sum behind
+:func:`inner_product` is O(n^2) work either way: below ``_GRAM_MIN_PAIRS``
+branch pairs it is a Python loop, bit-equal to summing
+:func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
+per mode block, equal to the loop up to rounding.  Either path also gives
+<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -33,7 +34,8 @@ branch pairs overlap.
 Trust boundary: the public constructors :class:`Branch` and
 :class:`HybridState` coerce and check every value they are given.  States
 the engine derives from an already checked state (the element appliers,
-:func:`merge_branches` and :meth:`HybridState.project_mode`) are built by
+:func:`merge_branches`, :meth:`HybridState.project_mode` and
+:meth:`HybridState.scaled`, which coerces only its factor) are built by
 the private ``_branch`` and ``_state`` instead, which store their values
 as given.  Their callers keep a finite check only where arithmetic can
 overflow, with the same error as the public constructor; every other value
@@ -177,11 +179,11 @@ class HybridState:
         return _state(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
-        return HybridState(
-            self.m_modes,
-            self.k_probes,
-            tuple(Branch(b.mode, factor * b.amp, b.probes) for b in self.branches),
-        )
+        factor = complex(factor)
+        branches = tuple(_branch(b.mode, factor * b.amp, b.probes) for b in self.branches)
+        for b in branches:
+            _check_finite(b.amp, "branch amplitude")
+        return _state(self.m_modes, self.k_probes, branches)
 
     def normalized(self) -> "HybridState":
         n = self.norm_sq()
@@ -217,34 +219,40 @@ def coherent_overlap(a: complex, b: complex) -> complex:
 def _pair_sum(
     bra: HybridState,
     ket: HybridState,
-    k: int | None = None,
+    moments: list[complex] | None = None,
     parts: dict[int, complex] | None = None,
 ) -> complex:
     """Sum over mode-matched branch pairs of conj(amp_u) amp_v prod <u_j|v_j>.
 
-    With ``k`` given, each term also carries conj(u_k) v_k, which turns the
-    sum into the probe-``k`` number matrix element <bra|n_k|ket>.  Inner
-    products, norms and mean photon numbers all sum here, so an overflowed
-    coherent overlap raises instead of passing on as NaN.  With ``parts``
-    given, ``parts[m]`` also receives <bra|P_m|ket>, bit-equal to the sum
-    for ``ket.project_mode(m)`` (a mode missing from it sums to 0j).
+    With ``moments`` given, ``moments[k]`` also receives the probe-``k``
+    number matrix element <bra|n_k|ket> for every k: the same terms times
+    conj(u_k) v_k, from the same pass.  Inner products, norms and mean photon
+    numbers all sum here, so an overflowed coherent overlap raises instead
+    of passing on as NaN.  With ``parts`` given, ``parts[m]`` also receives
+    <bra|P_m|ket>, bit-equal to the sum for ``ket.project_mode(m)`` (a mode
+    missing from it sums to 0j).
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
-    instead, and each of ``parts`` is a checked sum of its own, in mode
-    order.  Below it, the overlap is :func:`coherent_overlap` inlined with
-    the same operations in the same order, so every sum is bit-equal to
-    calling it, and ``parts`` holds the pass's unchecked partial sums;
-    -|u|^2/2 and conj(u) are computed once per bra branch, and only when it
-    has a mode-matched partner.  Cost: O(n^2) in the branch pairs either way.
+    instead, once per moment too, and each of ``parts`` is a checked sum of
+    its own, in mode order.  Below it, the overlap is :func:`coherent_overlap`
+    inlined with the same operations in the same order, so every sum is
+    bit-equal to calling it, and ``parts`` holds the pass's unchecked partial
+    sums; -|u|^2/2 and conj(u) are computed once per bra branch, and only
+    when it has a mode-matched partner, and each pair's overlaps once for
+    the norm and all K moments.  Cost: O(n^2) in the branch pairs either way.
     """
     if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
-        total = _gram_pair_sum(bra, ket, k)
+        total = _gram_pair_sum(bra, ket)
+        if moments is not None:
+            moments[:] = [_gram_pair_sum(bra, ket, k) for k in range(ket.k_probes)]
         if parts is not None:
             for mode in sorted({br.mode for br in ket.branches}):
-                parts[mode] = _pair_sum(bra, ket.project_mode(mode), k)
+                parts[mode] = _pair_sum(bra, ket.project_mode(mode))
         return total
     exp = cmath.exp
     total = 0j
+    if moments is not None:
+        moments[:] = [0j] * ket.k_probes
     for u in bra.branches:
         mode = u.mode
         u_terms = None
@@ -253,20 +261,30 @@ def _pair_sum(
                 continue
             if u_terms is None:
                 u_amp = u.amp.conjugate()
-                u_k = None if k is None else u.probes[k].conjugate()
                 u_terms = [
                     (-0.5 * (p.real * p.real + p.imag * p.imag), p.conjugate())
                     for p in u.probes
                 ]
             term = u_amp * v.amp
-            if u_k is not None:
-                term = term * u_k * v.probes[k]
-            for (hu, cu), pv in zip(u_terms, v.probes):
-                term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
+            if moments is None:
+                for (hu, cu), pv in zip(u_terms, v.probes):
+                    term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
+            else:
+                overlaps = [exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
+                            for (hu, cu), pv in zip(u_terms, v.probes)]
+                for k, ((_, cu), pv) in enumerate(zip(u_terms, v.probes)):
+                    weighted = term * cu * pv
+                    for o in overlaps:
+                        weighted *= o
+                    moments[k] += weighted
+                for o in overlaps:
+                    term *= o
             total += term
             if parts is not None:
                 parts[mode] = parts.get(mode, 0j) + term
     _check_finite(total, "inner product")
+    for moment in moments or ():
+        _check_finite(moment, "inner product")
     return total
 
 
@@ -334,6 +352,9 @@ def _canonical_key(br: Branch) -> tuple[int, tuple[tuple[float, float], ...]]:
     return (br.mode, tuple([(p.real, p.imag) for p in br.probes]))
 
 
+_mode_of = operator.attrgetter("mode")
+
+
 def _nonempty(br: Branch) -> bool:
     """Whether ``br`` survives the merge: |amp| >= MERGE_TOL."""
     try:
@@ -361,16 +382,19 @@ def merge_branches(state: HybridState) -> HybridState:
     cell or in the neighbouring cell nearer to its key, so only those two are
     searched, which makes merging expected O(n) in the branch count (the
     pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is derived
-    from :data:`MERGE_TOL`; a relative tolerance must rescale it.  A state
-    of at most one branch has nothing to merge and skips the index.
+    from :data:`MERGE_TOL`; a relative tolerance must rescale it.  At most
+    M branches in distinct modes cannot merge and skip the index: they are
+    only filtered and sorted by mode, their canonical order.
     """
-    if len(state.branches) < 2:
-        kept = tuple(br for br in state.branches if _nonempty(br))
-        return _state(state.m_modes, state.k_probes, kept)
+    branches = state.branches
+    if len(branches) <= state.m_modes and len({br.mode for br in branches}) == len(branches):
+        kept = [br for br in branches if _nonempty(br)]
+        kept.sort(key=_mode_of)
+        return _state(state.m_modes, state.k_probes, tuple(kept))
     floor = math.floor
     groups: list[Branch] = []
     index: dict[int, dict[int | str, list[int]]] = {}
-    for br in state.branches:
+    for br in branches:
         probes = br.probes
         key = probes[0].real / _CELL if probes else 0.0
         try:

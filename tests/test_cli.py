@@ -260,7 +260,30 @@ class TestBadInputFailsCleanly:
                       "--points", "3"],
         )
         assert result.exit_code == 1
-        self.assert_clean_error(result, "leakage delta inf is not finite")
+        # The bounds are finite, their ratio is not: the error names the
+        # bounds the user typed, not a delta derived from them.
+        self.assert_clean_error(result, "delta-max / delta-min overflows: 1e+300 / 1e-300")
+        assert "inf" not in result.output
+
+    @pytest.mark.parametrize(
+        "command", [["fringes", "--mode", "0", "--points", "8"], ["leakage", "--points", "2"]]
+    )
+    def test_csv_path_that_is_a_directory(self, runner, tmp_path, command):
+        result = runner.invoke(main, PRESET + [*command, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        self.assert_clean_error(result, f"cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize(
+        "command", [["fringes", "--mode", "0", "--points", "8"], ["leakage", "--points", "2"]]
+    )
+    def test_out_dir_that_is_a_file(self, runner, tmp_path, monkeypatch, command):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        monkeypatch.setenv("QNDMZI_OUT_DIR", str(blocker))
+        result = runner.invoke(main, PRESET + command)
+        assert result.exit_code == 1
+        self.assert_clean_error(result, f"cannot write {blocker / command[0]}.csv: ")
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize(
         "command",

@@ -191,7 +191,10 @@ def test_gram_matches_the_loop_property(bra_branches, ket_branches):
     assert len(bra.branches) * len(ket.branches) < _GRAM_MIN_PAIRS
     probe = max(abs(p) for br in bra.branches + ket.branches for p in br.probes)
     amps = sum(abs(u.amp) for u in bra.branches) * sum(abs(v.amp) for v in ket.branches)
+    moments = []
+    loop = {None: _pair_sum(bra, ket, moments)}
+    loop.update(enumerate(moments))
     for k in (None, 0, 1):
         scale = amps * max(1.0, probe**2) ** (1 if k is None else 2)
-        got, want = _gram_pair_sum(bra, ket, k), _pair_sum(bra, ket, k)
+        got, want = _gram_pair_sum(bra, ket, k), loop[k]
         assert abs(got - want) <= 1e-12 * scale, (k, got, want)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qndmzi.elements
+import qndmzi.states
 from qndmzi import (
     MERGE_TOL,
     SYS,
@@ -144,6 +145,80 @@ class TestAdversarialStates:
             merged = merge_branches(state)
             assert {br.probes[0].real: br.amp for br in merged.branches} == {first: 5, second: 2}
             assert_same_merge(state)
+
+
+class TestDistinctModeShortcut:
+    """States of at most M branches in distinct modes skip the index.
+
+    They cannot merge, so they are only filtered and sorted by mode.  The
+    index path sorts by ``_canonical_key``; counting its calls tells which
+    path a state took.
+    """
+
+    AMPS = (0.99 * MERGE_TOL, MERGE_TOL, 1.01 * MERGE_TOL, 1.0, -0.5j, -0.99 * MERGE_TOL)
+
+    @staticmethod
+    def canonical_keys(monkeypatch):
+        calls = []
+        key = qndmzi.states._canonical_key
+
+        def counted(br):
+            calls.append(br)
+            return key(br)
+
+        monkeypatch.setattr(qndmzi.states, "_canonical_key", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_reference(self, monkeypatch, seed):
+        keys = self.canonical_keys(monkeypatch)
+        rng = random.Random(6100 + seed)
+        for _ in range(60):
+            m_modes = rng.randint(1, 5)
+            k = rng.choice((0, 1, 2))
+            modes = rng.sample(range(m_modes), rng.randint(0, m_modes))
+            if rng.random() < 0.5:
+                modes.sort(reverse=True)
+            branches = tuple(
+                Branch(m, rng.choice(self.AMPS), tuple(random_complex(rng) for _ in range(k)))
+                for m in modes
+            )
+            assert_same_merge(HybridState(m_modes, k, branches))
+        assert keys == []
+
+    @pytest.mark.parametrize("m_modes", [1, 2, 3, 4])
+    def test_as_many_branches_as_modes(self, monkeypatch, m_modes):
+        keys = self.canonical_keys(monkeypatch)
+        for amp in self.AMPS:
+            for order in (range(m_modes)[::-1], (*range(1, m_modes), 0)):
+                branches = tuple(Branch(m, amp * (m + 1), (complex(m, -m),)) for m in order)
+                assert_same_merge(HybridState(m_modes, 1, branches))
+        assert keys == []
+
+    def test_overflowing_modulus_is_kept(self, monkeypatch):
+        # abs() of the amplitude overflows, so the reference cannot take it;
+        # the rest of the state must still match it bit for bit.
+        keys = self.canonical_keys(monkeypatch)
+        huge = Branch(1, 1e308 + 1e308j, (0.5j,))
+        rest = (Branch(2, 1.01 * MERGE_TOL, (1j,)), Branch(0, 0.99 * MERGE_TOL, (0j,)))
+        merged = merge_branches(HybridState(3, 1, (rest[0], huge, rest[1])))
+        want = reference_merge_branches(HybridState(3, 1, rest))
+        assert state_bits(merged) == state_bits(
+            HybridState(3, 1, (huge, *want.branches))
+        )
+        assert keys == []
+
+    def test_two_branches_in_one_mode_use_the_index(self, monkeypatch):
+        keys = self.canonical_keys(monkeypatch)
+        branches = (
+            Branch(2, 1.0, (0.5j,)),
+            Branch(0, 0.25, (1.0,)),
+            Branch(2, 0.5, (0.5j + 0.99 * MERGE_TOL,)),
+        )
+        state = HybridState(3, 1, branches)
+        assert [br.amp for br in merge_branches(state).branches] == [0.25, 1.5]
+        assert keys
+        assert_same_merge(state)
 
 
 class TestMagnitudeRange:

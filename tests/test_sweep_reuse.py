@@ -229,17 +229,19 @@ class TestWorkCount:
     def test_postselect_takes_the_projection_norm_once(self, monkeypatch):
         trace = run_forward(build_nested_mzi(0.6, 2.0, 0.3))
         calls = []
+        pair_sum = qndmzi.states._pair_sum
 
-        def counted(bra, ket):
-            calls.append((bra, ket))
-            return inner_product(bra, ket)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pair_sum(*args, **kwargs)
 
-        monkeypatch.setattr(qndmzi.states, "inner_product", counted)
-        monkeypatch.setattr(qndmzi.analysis, "inner_product", counted)
+        monkeypatch.setattr(qndmzi.states, "_pair_sum", counted)
+        monkeypatch.setattr(qndmzi.analysis, "_pair_sum", counted)
         postselect(trace, 0, compute_fidelity=False)
         # The projection's norm, which also scales the conditional state, and
-        # the conditional state's norm in mean_probe_photons.  Normalizing
-        # the projection used to take its norm a second time.
+        # one pass for the conditional state's norm and both probe moments.
+        # Normalizing the projection used to take its norm a second time,
+        # and each probe's moment used to be a pass of its own.
         assert len(calls) == 2
         calls.clear()
         postselect(trace, 0)

@@ -13,6 +13,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import qndmzi.analysis
@@ -95,6 +96,35 @@ class TestEngineStatesConform:
                     assert type(b.amp) is complex
                     assert type(b.probes) is tuple
                     assert all(type(p) is complex for p in b.probes)
+
+
+class TestScaled:
+    FACTORS = (0.5, -1j, 1.0 / math.sqrt(3.0), 2 - 3j, np.float64(0.3), np.complex128(0.1j), 7)
+
+    @pytest.mark.parametrize("circuit", list(engine_circuits())[:12])
+    def test_is_its_public_rebuild(self, circuit):
+        for state in stage_states(circuit):
+            for factor in self.FACTORS:
+                got = state.scaled(factor)
+                rebuilt = HybridState(
+                    state.m_modes,
+                    state.k_probes,
+                    tuple(Branch(b.mode, factor * b.amp, b.probes) for b in state.branches),
+                )
+                assert repr(got) == repr(rebuilt)
+                assert type(got.branches) is tuple
+                assert all(type(b.amp) is complex for b in got.branches)
+
+    def test_numpy_factor_gives_python_complex(self):
+        state = HybridState(2, 1, (Branch(0, 1.0, (2j,)), Branch(1, 0.5j, (1.0,))))
+        for b in state.scaled(np.float64(0.25)).branches:
+            assert type(b.amp) is complex
+        assert [b.amp for b in state.scaled(np.float64(0.25)).branches] == [0.25, 0.125j]
+
+    def test_overflow_raises(self):
+        state = HybridState(2, 0, (Branch(0, 1.0, ()), Branch(1, 1e10, ())))
+        with pytest.raises(ValueError, match=r"^non-finite branch amplitude: \(inf"):
+            state.scaled(1e300)
 
 
 class TestOverflowSitesRaise:
