@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from .circuit import (
     _evolve,
     _insertion_runs,
     run_both,
-    run_forward,
 )
 from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
 from .states import (
@@ -163,11 +163,17 @@ class FringeScan:
     visibility: float
 
 
-def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares fit of A cos(phi - u) + B; returns u."""
+def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
+    """Least-squares fit of A cos(phi - u) + B; returns u.
+
+    Raises when the fit is flat (A == 0), whose u is undefined; ``mode`` is
+    the post-selected mode, named in the error.
+    """
     phis = np.asarray(phis, dtype=float)
     design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
     coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
+    if coef[0] == 0.0 and coef[1] == 0.0:
+        raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
     return math.atan2(coef[1], coef[0])
 
 
@@ -184,7 +190,7 @@ def _scan_intensities(
         raise ValueError("circuit has no probe beam splitter to scan against")
     dp1: list[float] = []
     dp2: list[float] = []
-    scans = (PhaseShift(PROBE, 1, phi) for phi in phis)
+    scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
     for stages in _insertion_runs(circuit, insert_at, scans, stop=circuit.detect_stage):
         result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
         if result.conditional is None:
@@ -214,9 +220,8 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     _check_mode("mode", mode, circuit.m_modes)
     dp1, dp2 = _scan_intensities(circuit, mode, phis)
     ref_dp1, _ = _scan_intensities(circuit.kerr_free(), mode, phis)
-    shift = (_fit_cosine_phase(phis, ref_dp1) - _fit_cosine_phase(phis, dp1)) % (
-        2.0 * math.pi
-    )
+    ref_phase = _fit_cosine_phase(phis, ref_dp1, mode)
+    shift = (ref_phase - _fit_cosine_phase(phis, dp1, mode)) % (2.0 * math.pi)
     top, bottom = max(dp1), min(dp1)
     visibility = 0.0 if top + bottom == 0.0 else (top - bottom) / (top + bottom)
     return FringeScan(phis, tuple(dp1), tuple(dp2), shift, visibility)
@@ -352,9 +357,10 @@ def leakage_sweep(
 
     ``arm_mode``, ``dark_stage`` and every delta (which must be finite) are
     checked before anything is evolved.
-    The unperturbed circuit is run once, and the elements up to the inner
-    splitter once; per delta only the phase and the elements after it are
-    applied, taking each detector projection's and conditional norm once.
+    The elements up to the inner splitter are evolved once; the unperturbed
+    circuit resumes from there with the elements after it, and per delta
+    only the phase and those elements are applied, taking each detector
+    projection's and conditional norm once.
     The results equal those of inserting the phase and running each
     perturbed circuit forward from the source.
     """
@@ -376,13 +382,14 @@ def leakage_sweep(
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")
-    _, base = _condition(run_forward(circuit).forward[FINAL_STAGE], circuit.postselect_mode)
+    arm_phases = ((PhaseShift(SYS, arm_mode, delta),) for delta in deltas)
+    runs = _insertion_runs(circuit, insert_at, chain([()], arm_phases))
+    _, base = _condition(next(runs)[FINAL_STAGE], circuit.postselect_mode)
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     base_norm = base.norm_sq()
     points = []
-    arm_phases = (PhaseShift(SYS, arm_mode, delta) for delta in deltas)
-    for delta, stages in zip(deltas, _insertion_runs(circuit, insert_at, arm_phases)):
+    for delta, stages in zip(deltas, runs):
         leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
         _, conditioned = _condition(stages[FINAL_STAGE], circuit.postselect_mode)
         if conditioned is None:

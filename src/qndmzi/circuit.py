@@ -176,25 +176,26 @@ def run_forward(circuit: Circuit) -> StageTrace:
 def _insertion_runs(
     circuit: Circuit,
     index: int,
-    inserted: Iterable[Element],
+    inserted: Iterable[tuple[Element, ...]],
     stop: str = FINAL_STAGE,
 ) -> Iterator[dict[str, HybridState]]:
     """Forward stages of ``circuit`` with each of ``inserted`` placed at ``index``.
 
-    Yields, per inserted element, what ``run_forward(circuit.insert(index,
-    el)).forward`` holds up to stage ``stop``, with the same floating-point
-    operations.  The prefix ``circuit.elements[:index]`` is the same for
-    every run, so it is evolved once; each run resumes from it with the
-    inserted element and the suffix, and ends at ``stop``.  The caller
+    Yields, per tuple of elements inserted, what ``run_forward`` of the
+    circuit with those elements at ``index`` holds up to stage ``stop``,
+    with the same floating-point operations; an empty tuple gives the
+    circuit's own run.  The prefix ``circuit.elements[:index]`` is the same
+    for every run, so it is evolved once; each run resumes from it with the
+    inserted elements and the suffix, and ends at ``stop``.  The caller
     checks the inserted elements' indices.
     """
     source = circuit.source_state()
     prefix: dict[str, HybridState] = {SOURCE_STAGE: source}
     head = _evolve(source, circuit.elements[:index], prefix)
     suffix = circuit.elements[index:]
-    for el in inserted:
+    for els in inserted:
         stages = dict(prefix)
-        _evolve(head, (el,) + suffix, stages, stop=stop, end=FINAL_STAGE)
+        _evolve(head, els + suffix, stages, stop=stop, end=FINAL_STAGE)
         yield stages
 
 

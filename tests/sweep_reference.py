@@ -54,10 +54,13 @@ def reference_postselect(
     )
 
 
-def _fit_phase(phis: Sequence[float], values: Sequence[float]) -> float:
+def _fit_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
     phis = np.asarray(phis, dtype=float)
     design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
     coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
+    if coef[0] == 0.0 and coef[1] == 0.0:
+        # A flat fit (zero cosine amplitude) has no phase to report.
+        raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
     return math.atan2(coef[1], coef[0])
 
 
@@ -83,7 +86,7 @@ def reference_fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) ->
     phis = tuple(float(p) for p in phis)
     dp1, dp2 = _intensities(circuit, mode, phis)
     ref_dp1, _ = _intensities(circuit.kerr_free(), mode, phis)
-    shift = (_fit_phase(phis, ref_dp1) - _fit_phase(phis, dp1)) % (2.0 * math.pi)
+    shift = (_fit_phase(phis, ref_dp1, mode) - _fit_phase(phis, dp1, mode)) % (2.0 * math.pi)
     top, bottom = max(dp1), min(dp1)
     visibility = 0.0 if top + bottom == 0.0 else (top - bottom) / (top + bottom)
     return FringeScan(phis, tuple(dp1), tuple(dp2), shift, visibility)

@@ -120,6 +120,11 @@ class TestFringes:
         scan = fringe_scan(preset(eps=eps), 2, self.PHIS)
         assert scan.extracted_shift == pytest.approx(eps, abs=1e-6)
 
+    def test_flat_fringe_has_no_phase(self):
+        # No probe light: every intensity is 0, so the fit has no cosine.
+        with pytest.raises(ValueError, match="mode 2 is flat"):
+            fringe_scan(preset(alpha=0.0), 2, self.PHIS)
+
     def test_unperturbed_visibility_is_unity(self):
         for mode in (0, 2):
             scan = fringe_scan(preset(eps=0.0), 2 if mode else 0, self.PHIS)

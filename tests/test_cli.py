@@ -313,6 +313,16 @@ class TestBadInputFailsCleanly:
         assert result.exit_code == 1
         self.assert_clean_error(result, "at delta 3.141592653589793 is null")
 
+    def test_flat_fringe_reports_no_shift(self, runner):
+        result = runner.invoke(
+            main,
+            ["nested-mzi", "--r", "0.6", "--alpha", "0", "--eps-tau", "0.3",
+             "fringes", "--mode", "2", "--out", "-"],
+        )
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "mode 2 is flat")
+        assert "extracted shift" not in result.output
+
     def test_eta_tau_option_is_gone(self, runner):
         result = runner.invoke(main, PRESET + ["--eta-tau", "0.1", "run"])
         assert result.exit_code == 2

@@ -7,13 +7,17 @@ bit: same branches, same order, same float bits (signed zeros included).
 The inputs aim at the index's edges: offsets of 0.5, 0.99, 1.0 and 1.01
 times ``MERGE_TOL``, cell boundaries, negative and signed-zero reals, many
 groups in one cell, several modes, and probes from subnormal to 1.7e308.
+From ``_MERGE_SORT_MIN`` branches on, ``merge_branches`` sorts with numpy
+first and indexes only the branches that can merge; ``TestSortedMerge``
+checks that path on states of every size around that bound.
 """
 
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import qndmzi.elements
@@ -329,3 +333,186 @@ _branch = st.builds(
 @given(st.lists(_branch, min_size=1, max_size=40))
 def test_merge_matches_reference_property(branches):
     assert_same_merge(HybridState(3, 2, tuple(branches)))
+
+
+THRESHOLD = qndmzi.states._MERGE_SORT_MIN
+SIZES = (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 64, 500)
+
+
+def sorted_merge_calls():
+    """Patch that counts the calls of the sorted (numpy) merge path."""
+    return mock.patch.object(
+        qndmzi.states, "_sorted_merge", wraps=qndmzi.states._sorted_merge
+    )
+
+
+def assert_same_merge_and_path(state: HybridState) -> None:
+    """The merge equals the reference; states of ``THRESHOLD`` on sort first."""
+    with sorted_merge_calls() as calls:
+        assert_same_merge(state)
+    assert calls.call_count == (len(state.branches) >= THRESHOLD)
+
+
+def far_probes(rng: random.Random, n: int, k: int) -> list[tuple[complex, ...]]:
+    """``n`` probe tuples whose Re(probes[0]) lie at least 0.01 apart, shuffled."""
+    res = rng.sample(range(-5 * n, 5 * n), n)
+    return [
+        (complex(0.01 * x, rng.uniform(-1, 1)),)
+        + tuple(random_complex(rng) for _ in range(k - 1))
+        for x in res
+    ]
+
+
+def state_of(m_modes: int, k: int, probes, rng: random.Random, amps=None) -> HybridState:
+    amps = amps or [random_complex(rng) + 0.1 for _ in probes]
+    return HybridState(
+        m_modes,
+        k,
+        tuple(Branch(rng.randrange(m_modes), a, p) for a, p in zip(amps, probes)),
+    )
+
+
+class TestSortedMerge:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_no_candidates(self, n, k):
+        rng = random.Random(f"none {n} {k}")
+        probes = far_probes(rng, n, k)
+        state = state_of(2, k, probes, rng)
+        with sorted_merge_calls() as calls:
+            merged = merge_branches(state)
+        assert len(merged.branches) == n
+        assert calls.call_count == (n >= THRESHOLD)
+        assert_same_merge(state)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_isolated_merging_pairs(self, n, k):
+        # Every fifth branch gets a partner within tolerance somewhere later
+        # in the input; some pairs cancel and are dropped.
+        rng = random.Random(f"pairs {n} {k}")
+        probes = far_probes(rng, n, k)
+        m = 2
+        branches = [Branch(rng.randrange(m), random_complex(rng) + 0.1, p) for p in probes]
+        for i in range(0, n, 5):
+            b = branches[i]
+            twin = tuple(p + rng.choice((0.5, -0.99, 1.0)) * MERGE_TOL for p in b.probes)
+            amp = -b.amp if i % 3 == 0 else random_complex(rng)
+            branches.insert(rng.randrange(i + 1, len(branches) + 1), Branch(b.mode, amp, twin))
+        assert_same_merge_and_path(HybridState(m, k, tuple(branches[:n])))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_dense_run_across_cells(self, n, k):
+        # Re(probes[0]) steps by 0.3 * MERGE_TOL over many cells, so all
+        # branches form one run of candidates; the rest sit far away.
+        rng = random.Random(f"dense {n} {k}")
+        run = n // 2
+        probes = [
+            (complex(CELL + 0.3 * MERGE_TOL * j, 0.0),) + (0.25 + 0j,) * (k - 1)
+            for j in range(run)
+        ]
+        probes += far_probes(rng, n - run, k)
+        rng.shuffle(probes)
+        assert_same_merge_and_path(state_of(1, k, probes, rng))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tolerance_offsets_across_a_cell_edge(self, n, k):
+        rng = random.Random(f"edge {n} {k}")
+        probes = []
+        for edge in (-3, 0, 1, 2):
+            x0 = edge * CELL
+            for f in (0.99, 1.0, 1.01):
+                for s in (1.0, -1.0):
+                    probes.append((complex(x0 + s * f * MERGE_TOL, 0.0),) + (1j,) * (k - 1))
+                probes.append((complex(x0, 0.0),) + (1j + f * MERGE_TOL,) * (k - 1))
+        probes = (probes + far_probes(rng, n, k))[:n]
+        rng.shuffle(probes)
+        assert_same_merge_and_path(state_of(2, k, probes, rng))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_infinite_cells_beside_finite_ones(self, n):
+        rng = random.Random(f"inf {n}")
+        xs = (-1.7e308, 1.7e308, 7.5e296, -7.5e296, 7e296, 1e308, 1.0, 0.0, -0.0, 5e-324)
+        probes = [(complex(rng.choice(xs), rng.choice((0.0, 1.0))),) for _ in range(n // 2)]
+        probes += far_probes(rng, n - len(probes), 1)
+        rng.shuffle(probes)
+        assert_same_merge_and_path(state_of(2, 1, probes, rng))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_overflowing_amplitude_modulus(self, n):
+        # abs() of two kept amplitudes overflows, so the reference cannot
+        # take them: it sees stand-in amplitudes, swapped back afterwards.
+        # Branch 5 sorts next to branch 3 (and 7, its duplicate) within
+        # tolerance along Re(probes[0]) but does not merge; branch 11 has
+        # no neighbour near it.
+        rng = random.Random(f"huge {n}")
+        probes = far_probes(rng, n, 2)
+        near5 = (probes[5][0] + complex(0.5, 3.0) * MERGE_TOL, probes[5][1])
+        probes[3] = probes[7] = near5
+        branches = [
+            Branch(i % 2, random_complex(rng) + 0.1, p) for i, p in enumerate(probes)
+        ]
+        huge = {5: 1e308 + 1e308j, 11: -1e308 + 1e308j}
+        stand_in = {5: 7.0, 11: 9.0}
+        for i, amp in stand_in.items():
+            branches[i] = Branch(1, amp, probes[i])
+        back = {_bits(stand_in[i]): _bits(huge[i]) for i in huge}
+        want = state_bits(reference_merge_branches(HybridState(2, 2, tuple(branches))))
+        want[2][:] = [(m, back.get(amp, amp), p) for m, amp, p in want[2]]
+        for i, amp in huge.items():
+            branches[i] = Branch(1, amp, probes[i])
+        with sorted_merge_calls() as calls:
+            got = state_bits(merge_branches(HybridState(2, 2, tuple(branches))))
+        assert calls.call_count == (n >= THRESHOLD)
+        assert got == want
+        assert sum(amp in back.values() for _, amp, _ in got[2]) == 2
+
+    def test_overflowing_merge_raises_like_the_index(self):
+        rng = random.Random(5)
+        probes = far_probes(rng, 2 * THRESHOLD, 1)
+        probes[9] = (probes[4][0] + 0.5 * MERGE_TOL,)
+        branches = [Branch(0, 1.0, p) for p in probes]
+        branches[4] = Branch(0, 1e308, probes[4])
+        branches[9] = Branch(0, 1e308, probes[9])
+        with pytest.raises(ValueError, match="non-finite branch amplitude"):
+            merge_branches(HybridState(1, 1, tuple(branches)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_clusters(self, seed):
+        rng = random.Random(7300 + seed)
+        for _ in range(10):
+            k = rng.choice((1, 2, 3))
+            n = rng.randint(THRESHOLD, 200)
+            assert_same_merge_and_path(adversarial_state(rng, rng.randint(1, 3), k, n))
+
+    def test_no_probes_keep_the_index(self):
+        branches = tuple(Branch(i % 2, 1.0 + i, ()) for i in range(2 * THRESHOLD))
+        with sorted_merge_calls() as calls:
+            assert_same_merge(HybridState(2, 0, branches))
+        assert calls.call_count == 0
+
+
+_spread_probe = st.builds(
+    lambda x, dre, im: complex(0.37 * x + dre * MERGE_TOL, im),
+    st.integers(-60, 60),
+    _offsets,
+    st.sampled_from((0.0, -0.0, 1.0, -1e-300)),
+)
+_large_branch = st.builds(
+    Branch,
+    st.integers(0, 2),
+    st.sampled_from((1.0, -1.0, 0.5j, 0.3 - 0.1j, 0.25 * MERGE_TOL)),
+    st.tuples(_spread_probe, st.one_of(_probe, _spread_probe)),
+)
+
+
+# No shrinking: a failure among 32 to 128 branches is reported as drawn,
+# since shrinking lists that long takes minutes and gigabytes.
+@settings(
+    derandomize=True, max_examples=100, deadline=None, phases=(Phase.explicit, Phase.generate)
+)
+@given(st.lists(_large_branch, min_size=THRESHOLD, max_size=4 * THRESHOLD))
+def test_large_merge_matches_reference_property(branches):
+    assert_same_merge_and_path(HybridState(3, 2, tuple(branches)))

@@ -41,6 +41,7 @@ from qndmzi import (
 )
 from qndmzi.analysis import fringe_csv, leakage_csv
 from helpers import random_complex, random_element
+import sweep_reference
 from sweep_reference import (
     reference_fringe_scan,
     reference_leakage_sweep,
@@ -108,6 +109,24 @@ class TestBitIdentity:
                 assert got == want
                 if not isinstance(got, tuple):
                     assert fringe_csv(got) == fringe_csv(want)
+
+    def test_flat_fringe_intensities(self):
+        # A flat fringe raises on both paths, so ``test_fringe_scan``
+        # compares only the errors there; the scanned intensities of both
+        # scans must still be bit-identical.
+        flat = 0
+        for r, alpha, eps in GRID:
+            for circuit in _circuits(r, alpha, eps):
+                for mode in range(circuit.m_modes):
+                    got = _outcome(fringe_scan, circuit, mode, PHIS)
+                    if not (isinstance(got, tuple) and "is flat" in got[1]):
+                        continue
+                    flat += 1
+                    for scanned in (circuit, circuit.kerr_free()):
+                        assert list(
+                            qndmzi.analysis._scan_intensities(scanned, mode, PHIS)
+                        ) == list(sweep_reference._intensities(scanned, mode, PHIS))
+        assert flat
 
     @pytest.mark.parametrize("r,alpha,eps", GRID)
     def test_leakage_sweep(self, r, alpha, eps):
@@ -212,9 +231,10 @@ class TestWorkCount:
         calls = _count_elements(monkeypatch)
         n = 10
         leakage_sweep(circuit, [1e-3 * (i + 1) for i in range(n)])
-        # Unperturbed run, then the two elements up to the inner splitter
-        # once, then per point the arm phase and the remaining elements.
-        assert len(calls) <= full + 2 + n * (1 + full - 2)
+        # The two elements up to the inner splitter once, the rest of the
+        # unperturbed run from there, then per point the arm phase and the
+        # remaining elements.
+        assert len(calls) == full + n * (full - 1)
 
     def test_postselect_twin_resumes_before_the_kerr_coupling(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
