@@ -5,6 +5,15 @@ engine.  Detector intensities are mean photon numbers computed from the
 analytic coherent-state matrix elements <b|n|g> = conj(b) g <b|g>, which
 stay correct when a conditional state is a superposition of coherent
 branches rather than a single product.
+
+Cost: the sweeps evolve the circuit prefix their points share once.  Past
+it, a leakage sweep applies the suffix once per delta.  A fringe scan does
+so too unless the state ahead of the scanned phase holds at most one
+branch per mode and only probe phase shifts and probe splitters follow up
+to the detection stage, as in the paper apparatus detected at L3p; then
+the suffix, the detector projection and the probe moments run once, as
+numpy arrays over all phases, with results bit-identical to the per-phase
+path.
 """
 
 from __future__ import annotations
@@ -23,11 +32,16 @@ from .circuit import (
     StageTrace,
     _evolve,
     _insertion_runs,
+    _run_prefix,
     run_both,
 )
-from .elements import PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot
+from .elements import (
+    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_columns,
+    _phase_factor,
+)
 from .states import (
-    HybridState, _check_finite, _check_mode, _check_shape, _pair_sum, inner_product
+    HybridState, _all_finite, _batch_self_sums, _check_finite, _check_mode, _check_shape,
+    _cmul, _pair_sum, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -166,13 +180,15 @@ class FringeScan:
 def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
     """Least-squares fit of A cos(phi - u) + B; returns u.
 
-    Raises when the fit is flat (A == 0), whose u is undefined; ``mode`` is
-    the post-selected mode, named in the error.
+    Raises when the fringe is flat (every value equal, or a fit with
+    A == 0), whose u is undefined; ``mode`` is the post-selected mode,
+    named in the error.
     """
     phis = np.asarray(phis, dtype=float)
+    values = np.asarray(values, dtype=float)
     design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
-    coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
-    if coef[0] == 0.0 and coef[1] == 0.0:
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    if values.min() == values.max() or (coef[0] == 0.0 and coef[1] == 0.0):
         raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
     return math.atan2(coef[1], coef[0])
 
@@ -180,6 +196,13 @@ def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float], mode: int)
 def _scan_intensities(
     circuit: Circuit, mode: int, phis: Sequence[float]
 ) -> tuple[list[float], list[float]]:
+    """Conditional mean photon numbers at both probe outputs, per scanned phase.
+
+    The phase goes on probe mode 1 ahead of the last probe beam splitter,
+    and everything ahead of it is evolved once.  The rest runs once over
+    all phases where :func:`_phase_axis_intensities` applies, and otherwise
+    once per phase, resuming from that prefix.
+    """
     insert_at = None
     for i in reversed(range(len(circuit.elements))):
         el = circuit.elements[i]
@@ -188,10 +211,15 @@ def _scan_intensities(
             break
     if insert_at is None:
         raise ValueError("circuit has no probe beam splitter to scan against")
+    prefix = _run_prefix(circuit, insert_at)
+    batched = _phase_axis_intensities(circuit, insert_at, prefix[0], mode, phis)
+    if batched is not None:
+        return batched
     dp1: list[float] = []
     dp2: list[float] = []
     scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
-    for stages in _insertion_runs(circuit, insert_at, scans, stop=circuit.detect_stage):
+    runs = _insertion_runs(circuit, insert_at, prefix, scans, circuit.detect_stage)
+    for stages in runs:
         result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
         if result.conditional is None:
             raise ValueError(f"post-selection on mode {mode} is impossible; no fringe")
@@ -201,16 +229,81 @@ def _scan_intensities(
     return dp1, dp2
 
 
+def _phase_axis_intensities(
+    circuit: Circuit, insert_at: int, head: HybridState, mode: int, phis: Sequence[float]
+) -> tuple[list[float], list[float]] | None:
+    """:func:`_scan_intensities` past the prefix in one pass over a phase axis, or None.
+
+    Applies when ``head``, the state ahead of the scanned phase, holds at
+    most one branch per mode and every element from there to the detection
+    snapshot is a probe phase shift or probe splitter.  Those change no
+    mode and no amplitude, so every merge keeps the state as it is (``head``
+    is the source state or a merge's output, so no branch of it is empty)
+    and the projection on ``mode`` is one branch.  Its probes then run as
+    columns over the phases through the scanned phase, the probe elements,
+    :func:`_condition`'s projection, norm and scaling, and
+    :func:`_probe_means`, each value with the per-phase path's operations,
+    so every intensity equals that path's, bit for bit.  Returns None where
+    it does not apply, and wherever the per-phase path would raise (a
+    non-finite value, an empty projection, a probability or norm <= 0), so
+    that the per-phase path runs and raises its own error.
+    """
+    branches = head.branches
+    modes = [br.mode for br in branches]
+    if len(set(modes)) != len(modes) or mode not in modes:
+        return None
+    elements = []
+    for el in circuit.elements[insert_at:]:
+        if isinstance(el, Snapshot):
+            if el.label == circuit.detect_stage:
+                break
+        elif isinstance(el, (PhaseShift, BeamSplitter)) and el.target == PROBE:
+            elements.append(el)
+        else:
+            return None
+    else:
+        if circuit.detect_stage != FINAL_STAGE:
+            return None  # detected ahead of the scanned phase
+    with np.errstate(all="ignore"):
+        columns = np.array([br.probes for br in branches], dtype=complex).T[:, :, None]
+        re, im = list(columns.real), list(columns.imag)
+        factors = np.array([_phase_factor(phi) for phi in phis])
+        # The scanned phase shift, with its factor given per phase.
+        steps = [(PhaseShift(PROBE, 1, 0.0), (factors.real, factors.imag))]
+        for el, factor in steps + [(el, None) for el in elements]:
+            if not _apply_to_columns(el, re, im, factor):
+                return None
+        b = modes.index(mode)
+        probes = [(r[b], i[b]) for r, i in zip(re, im)]
+        amp = branches[b].amp
+        (probability, imag), _ = _batch_self_sums((amp.real, amp.imag), probes)
+        if not (_all_finite(probability, imag) and (probability > 0.0).all()):
+            return None
+        scaled = _cmul(1.0 / np.sqrt(probability), 0.0, amp.real, amp.imag)
+        if not _all_finite(*scaled):
+            return None
+        (norm, imag), moments = _batch_self_sums(scaled, probes, moments=True)
+        if not (_all_finite(norm, imag, *chain(*moments)) and (norm > 0.0).all()):
+            return None
+        return (moments[0][0] / norm).tolist(), (moments[1][0] / norm).tolist()
+
+
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
     """Scan a phase on probe mode 1 ahead of the probe recombiner.
 
     For each phase the photon is post-selected on ``mode`` at the detection
     stage, and the conditional mean photon numbers at both probe outputs
-    are recorded.  Everything ahead of the scanned phase is evolved once
-    for the scan and once for its Kerr-free reference; per phase only the
-    phase and the elements after it up to the detection stage are applied.
-    The results equal those of inserting the phase and running each
-    scanned circuit forward from the source.
+    are recorded.  Every phase must be finite; it is checked, with the
+    mode, before anything is evolved.  Everything ahead of the scanned
+    phase is evolved once for the scan and once for its Kerr-free
+    reference.  When the state there holds at most one branch per mode and
+    only probe phase shifts and probe splitters follow up to the detection
+    stage (as in :func:`~qndmzi.circuit.build_nested_mzi` detected at
+    L3p), the rest runs once over an array axis of all phases; otherwise
+    per phase the phase and the elements after it up to the detection
+    stage are applied.  Either way the results equal, bit for bit, those
+    of inserting the phase and running each scanned circuit forward from
+    the source.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) < 4:
@@ -218,6 +311,8 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     if circuit.k_probes != 2:
         raise ValueError("fringe scans require exactly two probe modes")
     _check_mode("mode", mode, circuit.m_modes)
+    if not all(map(math.isfinite, phis)):
+        raise ValueError("phi must be finite")
     dp1, dp2 = _scan_intensities(circuit, mode, phis)
     ref_dp1, _ = _scan_intensities(circuit.kerr_free(), mode, phis)
     ref_phase = _fit_cosine_phase(phis, ref_dp1, mode)
@@ -383,7 +478,8 @@ def leakage_sweep(
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")
     arm_phases = ((PhaseShift(SYS, arm_mode, delta),) for delta in deltas)
-    runs = _insertion_runs(circuit, insert_at, chain([()], arm_phases))
+    prefix = _run_prefix(circuit, insert_at)
+    runs = _insertion_runs(circuit, insert_at, prefix, chain([()], arm_phases))
     _, base = _condition(next(runs)[FINAL_STAGE], circuit.postselect_mode)
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")

@@ -173,9 +173,17 @@ def run_forward(circuit: Circuit) -> StageTrace:
     return StageTrace(circuit, forward=stages)
 
 
+def _run_prefix(circuit: Circuit, index: int) -> tuple[HybridState, dict[str, HybridState]]:
+    """The forward state ahead of ``circuit.elements[index]``, and the stages it passed."""
+    source = circuit.source_state()
+    prefix: dict[str, HybridState] = {SOURCE_STAGE: source}
+    return _evolve(source, circuit.elements[:index], prefix), prefix
+
+
 def _insertion_runs(
     circuit: Circuit,
     index: int,
+    prefix: tuple[HybridState, dict[str, HybridState]],
     inserted: Iterable[tuple[Element, ...]],
     stop: str = FINAL_STAGE,
 ) -> Iterator[dict[str, HybridState]]:
@@ -185,13 +193,12 @@ def _insertion_runs(
     circuit with those elements at ``index`` holds up to stage ``stop``,
     with the same floating-point operations; an empty tuple gives the
     circuit's own run.  The prefix ``circuit.elements[:index]`` is the same
-    for every run, so it is evolved once; each run resumes from it with the
-    inserted elements and the suffix, and ends at ``stop``.  The caller
-    checks the inserted elements' indices.
+    for every run, so it is evolved once: ``prefix`` is what
+    :func:`_run_prefix` returned for ``index``.  Each run resumes from it
+    with the inserted elements and the suffix, and ends at ``stop``.  The
+    caller checks the inserted elements' indices.
     """
-    source = circuit.source_state()
-    prefix: dict[str, HybridState] = {SOURCE_STAGE: source}
-    head = _evolve(source, circuit.elements[:index], prefix)
+    head, prefix = prefix
     suffix = circuit.elements[index:]
     for els in inserted:
         stages = dict(prefix)

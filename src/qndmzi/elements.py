@@ -18,7 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .states import HybridState, _branch, _check_finite, _check_mode, _state, merge_branches
+from .states import (
+    HybridState, _all_finite, _branch, _check_finite, _check_mode, _cmul, _state,
+    merge_branches,
+)
 
 SYS = "sys"
 PROBE = "probe"
@@ -194,11 +197,16 @@ def apply_kerr(
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
+def _phase_factor(phi: float, dagger: bool = False) -> complex:
+    """exp(i phi), or exp(-i phi) with ``dagger``: the factor of a phase shift."""
+    return cmath.exp((-1j if dagger else 1j) * phi)
+
+
 def apply_phase(
     state: HybridState, shift: PhaseShift, dagger: bool = False
 ) -> HybridState:
     _check_indices(shift, state.m_modes, state.k_probes)
-    factor = cmath.exp((-1j if dagger else 1j) * shift.phi)
+    factor = _phase_factor(shift.phi, dagger)
     i = shift.index
     out = []
     if shift.target == SYS:
@@ -215,6 +223,40 @@ def apply_phase(
             _check_finite(p, "probe amplitude")
             out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, i, p)))
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
+
+
+def _apply_to_columns(el: PhaseShift | BeamSplitter, re: list, im: list, factor=None) -> bool:
+    """Apply a probe phase shift or probe splitter to probe columns, in place.
+
+    ``re[k]`` and ``im[k]`` hold Re and Im of probe k for every point of a
+    batch (branches times scan points), as float arrays that broadcast
+    against each other.  Each new value is the product that
+    :func:`apply_phase` or :func:`apply_beam_splitter` forms from the
+    element's own factor or ``unitary()``, written out on floats by
+    :func:`~qndmzi.states._cmul`, so every point gets the bits of the
+    per-branch applier.  ``factor``, a pair (re, im) of arrays over the
+    batch, replaces a phase shift's factor with one factor per point.
+    Returns whether every value written is finite; the per-branch applier
+    raises where it is not.  Merging is not done here: the caller keeps
+    one branch per mode, where a merge changes nothing.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(el, PhaseShift):
+            if factor is None:
+                f = _phase_factor(el.phi)
+                factor = f.real, f.imag
+            i = el.index
+            re[i], im[i] = _cmul(*factor, re[i], im[i])
+            return _all_finite(re[i], im[i])
+        (u00, u01), (u10, u11) = el.unitary()
+        a, b = el.mode_a, el.mode_b
+        pa, pb = (re[a], im[a]), (re[b], im[b])
+        (r0, i0), (r1, i1) = _cmul(u00.real, u00.imag, *pa), _cmul(u01.real, u01.imag, *pb)
+        (r2, i2), (r3, i3) = _cmul(u10.real, u10.imag, *pa), _cmul(u11.real, u11.imag, *pb)
+        re[a], im[a], re[b], im[b] = r0 + r1, i0 + i1, r2 + r3, i2 + i3
+        return _all_finite(re[a], im[a], re[b], im[b])
 
 
 def apply_element(

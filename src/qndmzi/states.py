@@ -28,7 +28,11 @@ pair sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
-<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.
+<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  The
+norm and probe moments of a one-branch state whose probes run over a batch
+axis (a fringe scan's phases) take one array pass for all points, with the
+loop's bits at each point, since every complex product is written out on
+floats as CPython forms it.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -301,6 +305,64 @@ def _pair_sum(
     for moment in moments or ():
         _check_finite(moment, "inner product")
     return total
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on floats or float arrays, as CPython forms a complex product.
+
+    numpy's complex ``*`` may round differently from CPython's; this form
+    gives CPython's bits on every array element.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _all_finite(*arrays) -> bool:
+    """Whether every element of every float array (or float) is finite."""
+    import numpy as np
+
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _batch_self_sums(amp, probes, moments: bool = False):
+    """:func:`_pair_sum` of a one-branch state with itself, over a batch axis.
+
+    ``amp`` and each of the K ``probes`` are pairs (re, im) of floats or
+    float arrays that broadcast over the batch.  Returns the sum and, with
+    ``moments``, the K probe moments <n_k>, each a pair (re, im) of arrays,
+    from the loop's operations in its order: every product by
+    :func:`_cmul`, every sum from 0j, every overlap by ``cmath.exp``
+    (CPython adds a float to a complex as float + 0j, hence the 0.0 added
+    to an imaginary part).  So each point gets the bits that
+    :func:`_pair_sum` gives its one-branch state.  The overlap exponent
+    -|p|^2/2 - |p|^2/2 + |p|^2 of a branch with itself rounds to 0 or a
+    subnormal, or is NaN once |p|^2 overflows, so ``cmath.exp`` cannot
+    raise here and a NaN reaches the sums.  They come back unchecked, for
+    the caller to check.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlaps = []
+        for pr, pi in probes:
+            s = pr * pr + pi * pi
+            cr, ci = _cmul(pr, -pi, pr, pi)
+            er, ei = -0.5 * s - 0.5 * s + cr, 0.0 + ci
+            z = np.empty(np.broadcast(er, ei).shape, dtype=complex)
+            z.real, z.imag = er, ei
+            o = np.asarray(np.frompyfunc(cmath.exp, 1, 1)(z), dtype=complex)
+            overlaps.append((o.real, o.imag))
+        ar, ai = amp
+        term = _cmul(ar, -ai, ar, ai)
+        sums = []
+        if moments:
+            for pr, pi in probes:
+                weighted = _cmul(*_cmul(*term, pr, -pi), pr, pi)
+                for o in overlaps:
+                    weighted = _cmul(*weighted, *o)
+                sums.append((0.0 + weighted[0], 0.0 + weighted[1]))
+        for o in overlaps:
+            term = _cmul(*term, *o)
+        return (0.0 + term[0], 0.0 + term[1]), sums
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:

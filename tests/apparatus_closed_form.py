@@ -9,7 +9,14 @@ paper's derivation in (r, alpha, eps) alone, with no Fock truncation:
 * the inner dark output (mode 1 at L3) stays empty;
 * a detector click leaves the probes in (i sqrt(2) alpha, 0), whose mean
   photon numbers are (2 |alpha|^2, 0);
-* an exit leaves mean photon numbers 2 |alpha|^2 (cos^2(eps/2), sin^2(eps/2)).
+* an exit leaves mean photon numbers 2 |alpha|^2 (cos^2(eps/2), sin^2(eps/2));
+* the fringe of the probe interferometer, post-selected on the exit, is
+  shifted by eps against the coupling-off fringe;
+* a phase delta on inner arm 1 leaks t^2 sin^2(delta/2) into the inner dark
+  output, t^2 = 1 - r^2;
+* at eps = 0 the weak values of the mode projectors at L2, against the
+  detector at the final stage, are (1, t^2 / (2 r^2), -t^2 / (2 r^2)):
+  (1, 8/9, -8/9) at r = 0.6.
 
 1 - cos(eps) is written as 2 sin^2(eps/2), which keeps its digits at tiny
 eps (1 - cos(1e-13) rounds to 0).  Rounding in the engine's overlaps grows
@@ -46,3 +53,16 @@ def detector_means(alpha: complex) -> tuple[float, float]:
 def exit_means(alpha: complex, eps: float) -> tuple[float, float]:
     n = detector_means(alpha)[0]
     return n * math.cos(0.5 * eps) ** 2, n * math.sin(0.5 * eps) ** 2
+
+
+def fringe_shift(eps: float) -> float:
+    return eps % (2.0 * math.pi)
+
+
+def dark_port_leak(r: float, delta: float) -> float:
+    return (1.0 - r * r) * math.sin(0.5 * delta) ** 2
+
+
+def l2_weak_values(r: float) -> tuple[float, float, float]:
+    ratio = (1.0 - r * r) / (2.0 * r * r)
+    return 1.0, ratio, -ratio

@@ -56,10 +56,11 @@ def reference_postselect(
 
 def _fit_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
     phis = np.asarray(phis, dtype=float)
+    values = np.asarray(values, dtype=float)
     design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
-    coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
-    if coef[0] == 0.0 and coef[1] == 0.0:
-        # A flat fit (zero cosine amplitude) has no phase to report.
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    if values.min() == values.max() or (coef[0] == 0.0 and coef[1] == 0.0):
+        # A flat fringe (equal values or zero cosine amplitude) has no phase.
         raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
     return math.atan2(coef[1], coef[0])
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from click.testing import CliRunner
 
@@ -321,6 +323,20 @@ class TestBadInputFailsCleanly:
         )
         assert result.exit_code == 1
         self.assert_clean_error(result, "mode 2 is flat")
+        assert "extracted shift" not in result.output
+
+    def test_fringe_detected_ahead_of_the_scanned_phase(self, runner, tmp_path):
+        # Detected at L2, ahead of the scanned phase: every intensity is
+        # the same, so the fringe has no phase to extract.
+        path = tmp_path / "circuit.txt"
+        circuit = replace(build_nested_mzi(0.6, 2.0, 0.3), detect_stage="L2")
+        path.write_text(serialize_circuit(circuit))
+        assert "postselect mode=0 at=L2" in path.read_text()
+        result = runner.invoke(
+            main, ["circuit", str(path), "fringes", "--mode", "0", "--out", "-"]
+        )
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "mode 0 is flat")
         assert "extracted shift" not in result.output
 
     def test_eta_tau_option_is_gone(self, runner):

@@ -10,6 +10,7 @@ must fail before anything is evolved.
 import cmath
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from qndmzi import (
     Branch,
     Circuit,
     HybridState,
+    KerrCoupling,
     LeakagePoint,
     PhaseShift,
     Snapshot,
@@ -270,6 +272,106 @@ class TestWorkCount:
         assert len(calls) == 4
 
 
+class TestPhaseAxis:
+    """Which fringe scans run over a phase axis, and that they keep every bit."""
+
+    INSERT_AT = 11  # the probe recombiner of build_nested_mzi
+
+    @classmethod
+    def _prefix(cls, circuit):
+        return sum(not isinstance(el, Snapshot) for el in circuit.elements[: cls.INSERT_AT])
+
+    def test_preset_applies_no_per_phase_elements(self, monkeypatch):
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        calls = _count_elements(monkeypatch)
+        scan = fringe_scan(circuit, 2, PHIS)
+        # Scan and reference evolve their prefix; every phase past it runs
+        # on the phase axis, so no element is applied per phase.
+        assert len(calls) == 2 * self._prefix(circuit)
+        monkeypatch.undo()
+        assert scan == reference_fringe_scan(circuit, 2, PHIS)
+
+    def test_two_branches_in_one_mode_take_the_per_phase_loop(self, monkeypatch):
+        # Coupled to inner arm 1 alone, the inner recombiner leaves two
+        # differently marked branches in each of modes 1 and 2.
+        preset = build_nested_mzi(0.6, 2.0, 0.3)
+        elements = tuple(
+            KerrCoupling(frozenset({1}), 0, 0.3) if isinstance(el, KerrCoupling) else el
+            for el in preset.elements
+        )
+        circuit = replace(preset, elements=elements)
+        calls = _count_elements(monkeypatch)
+        fringe_scan(circuit, 2, PHIS)
+        # The scan applies the phase and the recombiner per phase; its
+        # Kerr-free reference holds one branch per mode and runs on the axis.
+        assert len(calls) == 2 * self._prefix(circuit) + 2 * len(PHIS)
+        monkeypatch.undo()
+        for mode in range(circuit.m_modes):
+            got = _outcome(fringe_scan, circuit, mode, PHIS)
+            assert got == _outcome(reference_fringe_scan, circuit, mode, PHIS)
+
+    def test_overflow_raises_the_per_phase_error(self, monkeypatch):
+        circuit = build_nested_mzi(0.6, 1e160, 0.3)
+        calls = _count_elements(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(fringe_scan, circuit, 2, PHIS)
+        assert got[0] is ValueError and got[1].startswith("non-finite inner product")
+        # The phase axis finds the non-finite norm and hands over to the
+        # per-phase loop, which reuses the prefix and raises at phase 0.
+        assert len(calls) == self._prefix(circuit) + 2
+        monkeypatch.undo()
+        assert got == _outcome(reference_fringe_scan, circuit, 2, PHIS)
+
+    def test_overflowing_norm_hands_over(self):
+        # Engine amplitudes stay within the unit disk; a state built by hand
+        # can carry one whose squared norm overflows, where the per-phase
+        # path raises, so the phase axis must not return values.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        phase_axis = qndmzi.analysis._phase_axis_intensities
+        head = HybridState(3, 2, (Branch(2, 1e200, (2.0, 1j)),))
+        assert phase_axis(circuit, self.INSERT_AT, head, 2, PHIS) is None
+        head = HybridState(3, 2, (Branch(2, 0.5, (2.0, 1j)),))
+        assert phase_axis(circuit, self.INSERT_AT, head, 2, PHIS) is not None
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
+    def test_edge_inputs(self, magnitude):
+        for r in (0.0, 0.37, 1.0):
+            for eps in (0.0, 1e-13, math.pi):
+                circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
+                for mode in range(circuit.m_modes):
+                    got = _outcome(fringe_scan, circuit, mode, PHIS)
+                    assert got == _outcome(reference_fringe_scan, circuit, mode, PHIS)
+                    for scanned in (circuit, circuit.kerr_free()):
+                        assert _outcome(
+                            qndmzi.analysis._scan_intensities, scanned, mode, PHIS
+                        ) == _outcome(sweep_reference._intensities, scanned, mode, PHIS)
+
+    def test_random_probe_optics_after_the_recombiner(self):
+        # Probe phases and splitters between the last probe splitter and
+        # the detection snapshot, random scan phases and a random second
+        # source probe.
+        rng = random.Random(1410)
+        for _ in range(60):
+            r, alpha = rng.random(), cmath.rect(10.0 ** rng.uniform(-3, 5), rng.uniform(0, 7))
+            circuit = build_nested_mzi(r, alpha, rng.uniform(0.0, math.pi))
+            elements = list(circuit.elements)
+            for _ in range(rng.randint(1, 3)):
+                elements.insert(self.INSERT_AT + 1, rng.choice([
+                    PhaseShift(PROBE, rng.randrange(2), rng.uniform(-7.0, 7.0)),
+                    BeamSplitter(PROBE, *rng.sample([0, 1], 2), rng.random()),
+                ]))
+            circuit = replace(
+                circuit,
+                elements=tuple(elements),
+                source_probes=(circuit.source_probes[0], random_complex(rng, 3.0)),
+            )
+            phis = [rng.uniform(-10.0, 10.0) for _ in range(rng.randint(4, 16))]
+            for mode in (0, 2):
+                got = _outcome(fringe_scan, circuit, mode, phis)
+                assert got == _outcome(reference_fringe_scan, circuit, mode, phis)
+
+
 class TestErrorPaths:
     def test_fringe_scan_needs_a_probe_splitter(self):
         circuit = Circuit(3, 2, (BeamSplitter(SYS, 0, 1, 0.5),), 0, (1.0, 0.0))
@@ -293,6 +395,13 @@ class TestErrorPaths:
         calls = _count_elements(monkeypatch)
         with pytest.raises(IndexError, match=f"mode {mode} outside"):
             fringe_scan(build_nested_mzi(0.6, 2.0, 0.3), mode, PHIS)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fringe_scan_non_finite_phi_fails_before_evolving(self, monkeypatch, bad):
+        calls = _count_elements(monkeypatch)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            fringe_scan(build_nested_mzi(0.6, 2.0, 0.3), 2, PHIS + (bad,))
         assert calls == []
 
     def test_leakage_sweep_needs_an_inner_splitter(self):
