@@ -7,13 +7,18 @@ stay correct when a conditional state is a superposition of coherent
 branches rather than a single product.
 
 Cost: the sweeps evolve the circuit prefix their points share once.  Past
-it, a leakage sweep applies the suffix once per delta.  A fringe scan does
-so too unless the state ahead of the scanned phase holds at most one
-branch per mode and only probe phase shifts and probe splitters follow up
-to the detection stage, as in the paper apparatus detected at L3p; then
-the suffix, the detector projection and the probe moments run once, as
-numpy arrays over all phases, with results bit-identical to the per-phase
-path.
+it, a fringe scan runs the suffix, the detector projection and the probe
+moments once, as numpy arrays over all phases, where the state ahead of the
+scanned phase holds at most one branch per mode and only probe phase
+shifts and probe splitters follow up to the detection stage, as in the
+paper apparatus detected at L3p.  A leakage sweep runs its suffix once over
+all deltas where they share one branch structure, as they do on the paper
+apparatus unless a delta empties a port (delta 0 empties the dark port):
+modes, probes, merges and overlaps are computed once, and only the
+amplitudes run as arrays over the deltas.  Both keep the per-point path's
+results bit for bit, and hand other inputs to it.  A stage ahead of the
+inserted phase, a fringe's detection stage or a leakage sweep's dark
+stage, is read once.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from .circuit import (
     run_both,
 )
 from .elements import (
-    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_columns,
-    _phase_factor,
+    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_amp_columns,
+    _apply_to_columns, _phase_factor,
 )
 from .states import (
-    HybridState, _all_finite, _batch_self_sums, _check_finite, _check_mode, _check_shape,
-    _cmul, _pair_sum, inner_product,
+    HybridState, _all_finite, _batch_pair_sum, _check_finite, _check_mode, _check_shape,
+    _cmul, _merge_columns, _pair_sum, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -199,9 +204,10 @@ def _scan_intensities(
     """Conditional mean photon numbers at both probe outputs, per scanned phase.
 
     The phase goes on probe mode 1 ahead of the last probe beam splitter,
-    and everything ahead of it is evolved once.  The rest runs once over
-    all phases where :func:`_phase_axis_intensities` applies, and otherwise
-    once per phase, resuming from that prefix.
+    and everything ahead of it is evolved once.  A detection stage in that
+    prefix is post-selected once for all phases.  Otherwise the rest runs
+    once over all phases where :func:`_phase_axis_intensities` applies,
+    and else once per phase, resuming from that prefix.
     """
     insert_at = None
     for i in reversed(range(len(circuit.elements))):
@@ -212,6 +218,18 @@ def _scan_intensities(
     if insert_at is None:
         raise ValueError("circuit has no probe beam splitter to scan against")
     prefix = _run_prefix(circuit, insert_at)
+    if circuit.detect_stage in prefix[1]:
+        # Detected ahead of the scanned phase: every phase reads this state.
+        # Its post-selection succeeding bounds the probe norm, which every
+        # element keeps, far below overflow, so no per-phase suffix could
+        # raise; where it fails, the per-phase loop raises its own error.
+        try:
+            result = postselect(StageTrace(circuit, prefix[1]), mode, compute_fidelity=False)
+        except ValueError:
+            result = None
+        if result is not None and result.conditional is not None:
+            dp1, dp2 = result.probe_mean_photons
+            return [dp1] * len(phis), [dp2] * len(phis)
     batched = _phase_axis_intensities(circuit, insert_at, prefix[0], mode, phis)
     if batched is not None:
         return batched
@@ -276,13 +294,15 @@ def _phase_axis_intensities(
         b = modes.index(mode)
         probes = [(r[b], i[b]) for r, i in zip(re, im)]
         amp = branches[b].amp
-        (probability, imag), _ = _batch_self_sums((amp.real, amp.imag), probes)
+        kept = [(mode, (amp.real, amp.imag), probes)]
+        (probability, imag), _ = _batch_pair_sum(kept, kept)
         if not (_all_finite(probability, imag) and (probability > 0.0).all()):
             return None
         scaled = _cmul(1.0 / np.sqrt(probability), 0.0, amp.real, amp.imag)
         if not _all_finite(*scaled):
             return None
-        (norm, imag), moments = _batch_self_sums(scaled, probes, moments=True)
+        kept = [(mode, scaled, probes)]
+        (norm, imag), moments = _batch_pair_sum(kept, kept, moments=True)
         if not (_all_finite(norm, imag, *chain(*moments)) and (norm > 0.0).all()):
             return None
         return (moments[0][0] / norm).tolist(), (moments[1][0] / norm).tolist()
@@ -296,7 +316,8 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     are recorded.  Every phase must be finite; it is checked, with the
     mode, before anything is evolved.  Everything ahead of the scanned
     phase is evolved once for the scan and once for its Kerr-free
-    reference.  When the state there holds at most one branch per mode and
+    reference; a detection stage ahead of the phase is read from there
+    once.  When the state there holds at most one branch per mode and
     only probe phase shifts and probe splitters follow up to the detection
     stage (as in :func:`~qndmzi.circuit.build_nested_mzi` detected at
     L3p), the rest runs once over an array axis of all phases; otherwise
@@ -453,11 +474,18 @@ def leakage_sweep(
     ``arm_mode``, ``dark_stage`` and every delta (which must be finite) are
     checked before anything is evolved.
     The elements up to the inner splitter are evolved once; the unperturbed
-    circuit resumes from there with the elements after it, and per delta
-    only the phase and those elements are applied, taking each detector
-    projection's and conditional norm once.
-    The results equal those of inserting the phase and running each
-    perturbed circuit forward from the source.
+    circuit resumes from there with the elements after it.  Where every
+    delta keeps the same branches after every element (no branch kept at
+    some deltas and dropped at others), fewer than ``_MERGE_SORT_MIN``
+    branches and every value finite, as on
+    :func:`~qndmzi.circuit.build_nested_mzi` with deltas that leave both
+    inner exits lit, the phase and the elements after it run once over an
+    array axis of all deltas (:func:`_delta_axis_points`).  Otherwise per
+    delta only the phase and those elements are applied, taking each
+    detector projection's and conditional norm once; a dark stage ahead of
+    the phase is read once.
+    The results equal, bit for bit, those of inserting the phase and
+    running each perturbed circuit forward from the source.
     """
     insert_at = None
     for i, el in enumerate(circuit.elements):
@@ -484,15 +512,124 @@ def leakage_sweep(
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     base_norm = base.norm_sq()
+    points = _delta_axis_points(circuit, insert_at, prefix, deltas, arm_mode, dark_stage,
+                                base, base_norm)
+    if points is not None:
+        return points
+    ahead = dark_stage in prefix[1]
     points = []
-    for delta, stages in zip(deltas, runs):
-        leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
+    for i, (delta, stages) in enumerate(zip(deltas, runs)):
+        if not (ahead and i):
+            # A dark stage ahead of the insertion is the same for every delta.
+            leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
         _, conditioned = _condition(stages[FINAL_STAGE], circuit.postselect_mode)
         if conditioned is None:
             raise ValueError(f"detector-conditioned state at delta {delta!r} is null")
         deficit = 1.0 - _fidelity(base, conditioned, base_norm, conditioned.norm_sq())
         points.append(LeakagePoint(delta, leak, deficit))
     return tuple(points)
+
+
+def _delta_axis_points(
+    circuit: Circuit,
+    insert_at: int,
+    prefix: tuple[HybridState, dict[str, HybridState]],
+    deltas: tuple[float, ...],
+    arm_mode: int,
+    dark_stage: str,
+    base: HybridState,
+    base_norm: float,
+) -> tuple[LeakagePoint, ...] | None:
+    """:func:`leakage_sweep`'s points in one pass over a delta axis, or None.
+
+    The inserted phase changes only the amplitudes of branches in
+    ``arm_mode``, so the modes, probes, merge groups and coherent overlaps
+    past it are the same for every delta: they are computed once, with the
+    per-branch appliers' code and ``cmath.exp``.  Only the amplitudes run
+    over the deltas, as float columns, through the phase, the elements after
+    it (:func:`~qndmzi.elements._apply_to_amp_columns`), their merges
+    (:func:`~qndmzi.states._merge_columns`), the leak's, :func:`_condition`'s
+    and the fidelity's pair sums (:func:`~qndmzi.states._batch_pair_sum`) and
+    the scaling, each value with the per-delta path's operations.  The
+    fidelity and its deficit are then formed per point in Python, as
+    :func:`_fidelity` forms them, so every field equals that path's, bit for
+    bit, and is a Python float.  Returns None where the deltas would not
+    share one branch structure (a branch kept at some and dropped at others,
+    as the dark port at delta 0; ``_MERGE_SORT_MIN`` branches or more; a
+    Gram-sized pair sum) and wherever the per-delta path would raise (a
+    non-finite value or overflowing overlap, an empty projection, a
+    probability or norm <= 0), so that the per-delta path runs and raises
+    its own error.
+    """
+    head, stages = prefix
+    n = len(deltas)
+    ahead = stages.get(dark_stage)  # a dark stage ahead of the phase, or None
+    factors = np.array([_phase_factor(delta) for delta in deltas], dtype=complex)
+    state = list(head.branches), [
+        (np.full(n, br.amp.real), np.full(n, br.amp.imag)) for br in head.branches
+    ]
+    dark = None
+    # The inserted phase, with its factor given per delta, then the suffix.
+    steps = chain(
+        [(PhaseShift(SYS, arm_mode, 0.0), (factors.real, factors.imag))],
+        ((el, None) for el in circuit.elements[insert_at:]),
+    )
+    for el, factor in steps:
+        if isinstance(el, Snapshot):
+            if el.label == dark_stage:
+                dark = state
+            continue
+        moved = _apply_to_amp_columns(el, *state, factor)
+        state = moved and _merge_columns(circuit.m_modes, circuit.k_probes, *moved)
+        if state is None:
+            return None
+
+    def projected(branches, amps, mode):
+        return [(mode, amp, [(p.real, p.imag) for p in br.probes])
+                for br, amp in zip(branches, amps) if br.mode == mode]
+
+    def checked_sum(bra, ket):
+        """A finite pair sum as (re, im), or None."""
+        try:
+            total = _batch_pair_sum(bra, ket)
+        except OverflowError:
+            return None
+        return total[0] if total is not None and _all_finite(*total[0]) else None
+
+    if ahead is not None:
+        try:
+            leaks = [ahead.project_mode(arm_mode).norm_sq()] * n
+        except ValueError:
+            return None
+    base_amps = [(br.amp.real, br.amp.imag) for br in base.branches]
+    with np.errstate(all="ignore"):
+        if ahead is None:
+            kept = projected(*(dark or state), arm_mode)
+            leak = checked_sum(kept, kept)
+            if leak is None:
+                return None
+            leaks = np.broadcast_to(leak[0], (n,)).tolist()
+        kept = projected(*state, circuit.postselect_mode)
+        probability = checked_sum(kept, kept)
+        if not kept or probability is None or not (probability[0] > 0.0).all():
+            return None
+        scale = 1.0 / np.sqrt(probability[0])
+        kept = [(mode, _cmul(scale, 0.0, *amp), probes) for mode, amp, probes in kept]
+        if not _all_finite(*chain.from_iterable(amp for _, amp, _ in kept)):
+            return None
+        norm = checked_sum(kept, kept)
+        if norm is None or not (norm[0] > 0.0).all() or base_norm <= 0.0:
+            return None
+        overlap = checked_sum(projected(base.branches, base_amps, circuit.postselect_mode), kept)
+        if overlap is None:
+            return None
+    # The fidelity and its deficit as _fidelity and the per-delta loop form them.
+    return tuple(
+        LeakagePoint(delta, leak, 1.0 - abs(complex(re, im)) ** 2 / (base_norm * nb))
+        for delta, leak, nb, re, im in zip(
+            deltas, leaks, norm[0].tolist(), overlap[0].tolist(), overlap[1].tolist()
+        )
+    )
 
 
 def fringe_csv(scan: FringeScan) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .states import (
@@ -153,11 +154,11 @@ def apply_beam_splitter(
             u11.conjugate(),
         )
     a, b = bs.mode_a, bs.mode_b
-    out = []
     if bs.target == SYS:
         # Unchecked: every entry is real or imaginary with modulus <= 1, so
         # each part of u * amp is one part of amp scaled by at most 1 (plus
         # a zero product) and cannot overflow.
+        out = []
         for br in state.branches:
             if br.mode == a:
                 out.append(_branch(a, u00 * br.amp, br.probes))
@@ -168,32 +169,55 @@ def apply_beam_splitter(
             else:
                 out.append(br)
     else:
-        for br in state.branches:
-            pa, pb = br.probes[a], br.probes[b]
-            pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
-            probes = _replace_probe(_replace_probe(br.probes, a, pa), b, pb)
-            if not (cmath.isfinite(pa) and cmath.isfinite(pb)):
-                for p in probes:
-                    _check_finite(p, "probe amplitude")
-            out.append(_branch(br.mode, br.amp, probes))
+        out = _mix_probes(state.branches, a, b, u00, u01, u10, u11)
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
+
+
+def _mix_probes(branches, a: int, b: int, u00, u01, u10, u11) -> list:
+    """``branches`` with probes a and b mixed by [[u00, u01], [u10, u11]], unmerged.
+
+    Raises on a non-finite probe amplitude.
+    """
+    out = []
+    for br in branches:
+        pa, pb = br.probes[a], br.probes[b]
+        pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
+        probes = _replace_probe(_replace_probe(br.probes, a, pa), b, pb)
+        if not (cmath.isfinite(pa) and cmath.isfinite(pb)):
+            for p in probes:
+                _check_finite(p, "probe amplitude")
+        out.append(_branch(br.mode, br.amp, probes))
+    return out
+
+
+def _rotate_probe(branches, k: int, factor: complex, modes=None) -> list:
+    """``branches`` with probe k times ``factor`` where the photon is in ``modes``, unmerged.
+
+    ``modes`` None rotates every branch.  Raises on a non-finite probe
+    amplitude.
+    """
+    out = []
+    for br in branches:
+        if modes is None or br.mode in modes:
+            p = factor * br.probes[k]
+            _check_finite(p, "probe amplitude")
+            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, k, p)))
+        else:
+            out.append(br)
+    return out
+
+
+def _kerr_factor(eps_tau: float, dagger: bool = False) -> complex:
+    """exp(-i eps_tau), or exp(i eps_tau) with ``dagger``: a Kerr coupling's probe rotation."""
+    return cmath.exp((1.0 if dagger else -1.0) * 1j * eps_tau)
 
 
 def apply_kerr(
     state: HybridState, coupling: KerrCoupling, dagger: bool = False
 ) -> HybridState:
     _check_indices(coupling, state.m_modes, state.k_probes)
-    sign = 1.0 if dagger else -1.0
-    rot = cmath.exp(sign * 1j * coupling.eps_tau)
-    k = coupling.probe_mode
-    out = []
-    for br in state.branches:
-        if br.mode in coupling.system_modes:
-            p = rot * br.probes[k]
-            _check_finite(p, "probe amplitude")
-            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, k, p)))
-        else:
-            out.append(br)
+    rot = _kerr_factor(coupling.eps_tau, dagger)
+    out = _rotate_probe(state.branches, coupling.probe_mode, rot, coupling.system_modes)
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
@@ -208,8 +232,8 @@ def apply_phase(
     _check_indices(shift, state.m_modes, state.k_probes)
     factor = _phase_factor(shift.phi, dagger)
     i = shift.index
-    out = []
     if shift.target == SYS:
+        out = []
         for br in state.branches:
             if br.mode == i:
                 amp = factor * br.amp
@@ -218,10 +242,7 @@ def apply_phase(
             else:
                 out.append(br)
     else:
-        for br in state.branches:
-            p = factor * br.probes[i]
-            _check_finite(p, "probe amplitude")
-            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, i, p)))
+        out = _rotate_probe(state.branches, i, factor)
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
@@ -257,6 +278,62 @@ def _apply_to_columns(el: PhaseShift | BeamSplitter, re: list, im: list, factor=
         (r2, i2), (r3, i3) = _cmul(u10.real, u10.imag, *pa), _cmul(u11.real, u11.imag, *pb)
         re[a], im[a], re[b], im[b] = r0 + r1, i0 + i1, r2 + r3, i2 + i3
         return _all_finite(re[a], im[a], re[b], im[b])
+
+
+def _apply_to_amp_columns(el: Element, branches: list, amps: list, factor=None):
+    """Apply an element other than a snapshot to amplitude columns, forward and unmerged.
+
+    ``branches`` hold each branch's mode and probes, the same at every point
+    (their ``amp`` is not read), and ``amps[j]`` is branch j's amplitude as
+    a pair (re, im) of float arrays.  A probe element or Kerr coupling moves
+    the probes once, with its per-branch applier's own code, and keeps the
+    columns.  A system splitter or phase shift forms each column as its
+    applier forms each amplitude, by :func:`~qndmzi.states._cmul`, so every
+    point gets the applier's bits.  ``factor``, a pair (re, im) of arrays,
+    replaces a system phase shift's factor with one per point.  Returns the
+    new branches and columns, or None where the applier would raise on a
+    non-finite value.
+    """
+    import numpy as np
+
+    if isinstance(el, KerrCoupling) or el.target == PROBE:
+        try:
+            if isinstance(el, KerrCoupling):
+                rot = _kerr_factor(el.eps_tau)
+                moved = _rotate_probe(branches, el.probe_mode, rot, el.system_modes)
+            elif isinstance(el, PhaseShift):
+                moved = _rotate_probe(branches, el.index, _phase_factor(el.phi))
+            else:
+                moved = _mix_probes(branches, el.mode_a, el.mode_b, *chain(*el.unitary()))
+        except ValueError:
+            return None
+        return moved, amps
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(el, PhaseShift):
+            if factor is None:
+                f = _phase_factor(el.phi)
+                factor = f.real, f.imag
+            amps = [
+                _cmul(*factor, *amp) if br.mode == el.index else amp
+                for br, amp in zip(branches, amps)
+            ]
+            return (branches, amps) if _all_finite(*chain(*amps)) else None
+    (u00, u01), (u10, u11) = el.unitary()
+    a, b = el.mode_a, el.mode_b
+    out, columns = [], []
+    for br, amp in zip(branches, amps):
+        if br.mode == a:
+            row = ((a, u00), (b, u10))
+        elif br.mode == b:
+            row = ((a, u01), (b, u11))
+        else:
+            out.append(br)
+            columns.append(amp)
+            continue
+        for mode, u in row:
+            out.append(_branch(mode, br.amp, br.probes))
+            columns.append(_cmul(u.real, u.imag, *amp))
+    return out, columns
 
 
 def apply_element(

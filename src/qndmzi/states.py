@@ -28,11 +28,12 @@ pair sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
-<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  The
-norm and probe moments of a one-branch state whose probes run over a batch
-axis (a fringe scan's phases) take one array pass for all points, with the
-loop's bits at each point, since every complex product is written out on
-floats as CPython forms it.
+<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  Pair
+sums and merges over a batch axis take one array pass for all points, with
+the loop's bits at each point, since every complex product is written out
+on floats as CPython forms it: one branch whose probes run over the axis (a
+fringe scan's phases), or branches with fixed probes whose amplitudes run
+over it (a leakage sweep's deltas), grouped once for all points.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -247,7 +248,8 @@ def _pair_sum(
     number matrix element <bra|n_k|ket> for every k: the same terms times
     conj(u_k) v_k, from the same pass.  Inner products, norms and mean photon
     numbers all sum here, so an overflowed coherent overlap raises instead
-    of passing on as NaN.  With ``parts`` given, ``parts[m]`` also receives
+    of passing on as NaN; one whose exponent overflows ``cmath.exp`` raises
+    the same ``ValueError``.  With ``parts`` given, ``parts[m]`` also receives
     <bra|P_m|ket>, bit-equal to the sum for ``ket.project_mode(m)`` (a mode
     missing from it sums to 0j).
 
@@ -272,35 +274,38 @@ def _pair_sum(
     total = 0j
     if moments is not None:
         moments[:] = [0j] * ket.k_probes
-    for u in bra.branches:
-        mode = u.mode
-        u_terms = None
-        for v in ket.branches:
-            if v.mode != mode:
-                continue
-            if u_terms is None:
-                u_amp = u.amp.conjugate()
-                u_terms = [
-                    (-0.5 * (p.real * p.real + p.imag * p.imag), p.conjugate())
-                    for p in u.probes
-                ]
-            term = u_amp * v.amp
-            if moments is None:
-                for (hu, cu), pv in zip(u_terms, v.probes):
-                    term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
-            else:
-                overlaps = [exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
-                            for (hu, cu), pv in zip(u_terms, v.probes)]
-                for k, ((_, cu), pv) in enumerate(zip(u_terms, v.probes)):
-                    weighted = term * cu * pv
+    try:
+        for u in bra.branches:
+            mode = u.mode
+            u_terms = None
+            for v in ket.branches:
+                if v.mode != mode:
+                    continue
+                if u_terms is None:
+                    u_amp = u.amp.conjugate()
+                    u_terms = [
+                        (-0.5 * (p.real * p.real + p.imag * p.imag), p.conjugate())
+                        for p in u.probes
+                    ]
+                term = u_amp * v.amp
+                if moments is None:
+                    for (hu, cu), pv in zip(u_terms, v.probes):
+                        term *= exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
+                else:
+                    overlaps = [exp(hu - 0.5 * (pv.real * pv.real + pv.imag * pv.imag) + cu * pv)
+                                for (hu, cu), pv in zip(u_terms, v.probes)]
+                    for k, ((_, cu), pv) in enumerate(zip(u_terms, v.probes)):
+                        weighted = term * cu * pv
+                        for o in overlaps:
+                            weighted *= o
+                        moments[k] += weighted
                     for o in overlaps:
-                        weighted *= o
-                    moments[k] += weighted
-                for o in overlaps:
-                    term *= o
-            total += term
-            if parts is not None:
-                parts[mode] = parts.get(mode, 0j) + term
+                        term *= o
+                total += term
+                if parts is not None:
+                    parts[mode] = parts.get(mode, 0j) + term
+    except OverflowError:
+        raise ValueError("non-finite inner product: a coherent overlap overflows") from None
     _check_finite(total, "inner product")
     for moment in moments or ():
         _check_finite(moment, "inner product")
@@ -323,46 +328,71 @@ def _all_finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def _batch_self_sums(amp, probes, moments: bool = False):
-    """:func:`_pair_sum` of a one-branch state with itself, over a batch axis.
+def _exp_pair(er, ei):
+    """``cmath.exp(er + i ei)`` as a pair (re, im): one call for floats, one per element for arrays."""
+    import numpy as np
 
-    ``amp`` and each of the K ``probes`` are pairs (re, im) of floats or
-    float arrays that broadcast over the batch.  Returns the sum and, with
-    ``moments``, the K probe moments <n_k>, each a pair (re, im) of arrays,
-    from the loop's operations in its order: every product by
-    :func:`_cmul`, every sum from 0j, every overlap by ``cmath.exp``
-    (CPython adds a float to a complex as float + 0j, hence the 0.0 added
-    to an imaginary part).  So each point gets the bits that
-    :func:`_pair_sum` gives its one-branch state.  The overlap exponent
-    -|p|^2/2 - |p|^2/2 + |p|^2 of a branch with itself rounds to 0 or a
-    subnormal, or is NaN once |p|^2 overflows, so ``cmath.exp`` cannot
-    raise here and a NaN reaches the sums.  They come back unchecked, for
-    the caller to check.
+    if isinstance(er, float) and isinstance(ei, float):
+        o = cmath.exp(complex(er, ei))
+        return o.real, o.imag
+    z = np.empty(np.broadcast(er, ei).shape, dtype=complex)
+    z.real, z.imag = er, ei
+    o = np.asarray(np.frompyfunc(cmath.exp, 1, 1)(z), dtype=complex)
+    return o.real, o.imag
+
+
+def _batch_pair_sum(bra, ket, moments: bool = False):
+    """:func:`_pair_sum` over a batch axis, or None where it would sum as a Gram matrix.
+
+    Each branch of ``bra`` and ``ket`` is a triple (mode, amp, probes):
+    ``amp`` and each of the K probes are pairs (re, im) of floats or float
+    arrays that broadcast over the batch.  A fringe scan's phase axis has
+    one branch with probe columns, a leakage sweep's delta axis several
+    branches with fixed probes and amplitude columns.  Returns the sum and,
+    with ``moments``, the K probe moments <n_k>, each a pair (re, im), from
+    the loop's operations in its order: every product by :func:`_cmul`,
+    every sum from 0j, every overlap by ``cmath.exp`` (CPython adds a float
+    to a complex as float + 0j, hence the 0.0 added to an imaginary part).
+    So each point gets the bits that :func:`_pair_sum` gives its state.  A
+    fixed overlap whose exponent overflows raises ``OverflowError``.  The
+    overlap exponent -|p|^2/2 - |p|^2/2 + |p|^2 of a branch with itself
+    rounds to 0 or a subnormal, or is NaN once |p|^2 overflows, so it
+    cannot raise, and a NaN reaches the sums.  They come back unchecked,
+    for the caller to check.  Returns None from ``_GRAM_MIN_PAIRS`` branch
+    pairs on.
     """
     import numpy as np
 
+    if len(bra) * len(ket) >= _GRAM_MIN_PAIRS:
+        return None
+    total = (0.0, 0.0)
+    sums = [(0.0, 0.0)] * (len(ket[0][2]) if moments and ket else 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        overlaps = []
-        for pr, pi in probes:
-            s = pr * pr + pi * pi
-            cr, ci = _cmul(pr, -pi, pr, pi)
-            er, ei = -0.5 * s - 0.5 * s + cr, 0.0 + ci
-            z = np.empty(np.broadcast(er, ei).shape, dtype=complex)
-            z.real, z.imag = er, ei
-            o = np.asarray(np.frompyfunc(cmath.exp, 1, 1)(z), dtype=complex)
-            overlaps.append((o.real, o.imag))
-        ar, ai = amp
-        term = _cmul(ar, -ai, ar, ai)
-        sums = []
-        if moments:
-            for pr, pi in probes:
-                weighted = _cmul(*_cmul(*term, pr, -pi), pr, pi)
+        # |p|^2/2 per branch and probe; the loop's -0.5 * |u|^2 is its negation.
+        halves = [[0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in ket]
+        bra_halves = halves if bra is ket else [
+            [0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in bra
+        ]
+        for (mode, (ur, ui), u_probes), u_halves in zip(bra, bra_halves):
+            u_terms = [(-h, pr, -pi) for h, (pr, pi) in zip(u_halves, u_probes)]
+            for (v_mode, v_amp, v_probes), v_halves in zip(ket, halves):
+                if v_mode != mode:
+                    continue
+                term = _cmul(ur, -ui, *v_amp)
+                overlaps = []
+                for (hu, cr, ci), (pr, pi), hv in zip(u_terms, v_probes, v_halves):
+                    er, ei = _cmul(cr, ci, pr, pi)
+                    overlaps.append(_exp_pair(hu - hv + er, 0.0 + ei))
+                if sums:
+                    for k, ((_, cr, ci), pv) in enumerate(zip(u_terms, v_probes)):
+                        weighted = _cmul(*_cmul(*term, cr, ci), *pv)
+                        for o in overlaps:
+                            weighted = _cmul(*weighted, *o)
+                        sums[k] = (sums[k][0] + weighted[0], sums[k][1] + weighted[1])
                 for o in overlaps:
-                    weighted = _cmul(*weighted, *o)
-                sums.append((0.0 + weighted[0], 0.0 + weighted[1]))
-        for o in overlaps:
-            term = _cmul(*term, *o)
-        return (0.0 + term[0], 0.0 + term[1]), sums
+                    term = _cmul(*term, *o)
+                total = (total[0] + term[0], total[1] + term[1])
+    return total, sums
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
@@ -479,14 +509,14 @@ def merge_branches(state: HybridState) -> HybridState:
     return _state(state.m_modes, state.k_probes, tuple(kept))
 
 
-def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
-    """The greedy groups of :func:`merge_branches`, unfiltered and unsorted.
+def _merge_owners(branches: Sequence[Branch]) -> list[int]:
+    """The greedy grouping of :func:`merge_branches`, read from modes and probes alone.
 
-    Each group is keyed by the position of its first member in ``branches``,
-    and the keys come in input order.
+    Entry i is the position in ``branches`` of the first member of the
+    group that branch i joins (i itself where it starts one).
     """
     floor = math.floor
-    groups: dict[int, Branch] = {}
+    owners: list[int] = []
     index: dict[int, dict[int | str, list[int]]] = {}
     for pos, br in enumerate(branches):
         probes = br.probes
@@ -498,7 +528,7 @@ def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
         cells = index.get(br.mode)
         if cells is None:
             index[br.mode] = {cell: [pos]}
-            groups[pos] = br
+            owners.append(pos)
             continue
         if cell is _HUGE_CELL:
             near = None
@@ -509,7 +539,7 @@ def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
             for i in cells.get(c, ()):
                 if match is not None and i > match:
                     break
-                for a, b in zip(groups[i].probes, probes):
+                for a, b in zip(branches[i].probes, probes):
                     if abs(a - b) > MERGE_TOL:
                         break
                 else:
@@ -517,13 +547,70 @@ def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
                     break
         if match is None:
             cells.setdefault(cell, []).append(pos)
-            groups[pos] = br
+            owners.append(pos)
         else:
-            g = groups[match]
+            owners.append(match)
+    return owners
+
+
+def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
+    """The greedy groups of :func:`merge_branches`, unfiltered and unsorted.
+
+    Each group is keyed by the position of its first member in ``branches``,
+    and the keys come in input order.  A group's amplitude sums its members'
+    in input order.
+    """
+    groups: dict[int, Branch] = {}
+    for br, first in zip(branches, _merge_owners(branches)):
+        g = groups.get(first)
+        if g is None:
+            groups[first] = br
+        else:
             amp = g.amp + br.amp
             _check_finite(amp, "branch amplitude")
-            groups[match] = _branch(g.mode, amp, g.probes)
+            groups[first] = _branch(g.mode, amp, g.probes)
     return groups
+
+
+def _merge_columns(m_modes: int, k_probes: int, branches: Sequence[Branch], amps: list):
+    """:func:`merge_branches` of branches whose amplitudes run over a batch axis, or None.
+
+    ``branches`` give each branch's mode and probes, the same at every point
+    (their ``amp`` is not read), and ``amps[j]`` is branch j's amplitude as a
+    pair (re, im) of float arrays.  The groups come from
+    :func:`_merge_owners`, so they are the same at every point, and each
+    group's columns sum in :func:`_merge_groups`' order.  Returns the kept
+    branches and their columns in canonical order.  Returns None where the
+    points would not share that structure or the per-point merge would
+    raise: ``_MERGE_SORT_MIN`` branches or more (with K > 0), a non-finite
+    sum, or a group kept at some points and dropped at others.  A group
+    whose |amp| lies within a factor 2 of :data:`MERGE_TOL` at some point
+    counts as such, since ``np.hypot`` and ``abs`` may round apart.
+    """
+    import numpy as np
+
+    if len(branches) <= m_modes and len({br.mode for br in branches}) == len(branches):
+        sums = dict(enumerate(amps))
+        key = _mode_of
+    elif len(branches) >= _MERGE_SORT_MIN and k_probes:
+        return None
+    else:
+        sums = {}
+        for (re, im), first in zip(amps, _merge_owners(branches)):
+            s = sums.get(first)
+            sums[first] = (re, im) if s is None else (s[0] + re, s[1] + im)
+        if not _all_finite(*chain.from_iterable(sums.values())):
+            return None
+        key = _canonical_key
+    kept = []
+    for first, (re, im) in sums.items():
+        size = np.hypot(re, im)
+        if (size >= 2.0 * MERGE_TOL).all():
+            kept.append(first)
+        elif not (size < 0.5 * MERGE_TOL).all():
+            return None
+    kept.sort(key=lambda first: key(branches[first]))
+    return [branches[i] for i in kept], [sums[i] for i in kept]
 
 
 def _sorted_merge(branches: Sequence[Branch]) -> tuple[Branch, ...]:

@@ -256,6 +256,14 @@ class TestTsvf:
         with pytest.raises(ValueError, match="run_both"):
             tsvf_report(circuit, trace=run_forward(circuit))
 
+    def test_overflowing_overlap_exponent_raises_value_error(self):
+        # The backward bra's probes differ from the forward ones by rounding,
+        # so an overlap exponent, a cancellation of terms of size |alpha|^2,
+        # comes out large and positive and overflows cmath.exp.
+        circuit = preset(alpha=cmath.rect(1e50, 1.0), eps=0.0)
+        with pytest.raises(ValueError, match="^non-finite inner product"):
+            tsvf_report(circuit)
+
 
 class TestLeakage:
     def test_unperturbed_point_is_clean(self):

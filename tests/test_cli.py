@@ -241,6 +241,12 @@ class TestBadInputFailsCleanly:
         result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", alpha] + command)
         self.assert_clean_error(result, "non-finite inner product")
 
+    def test_overflowing_overlap_exponent(self, runner):
+        alpha = "--alpha=5.403023058681398e+49+8.414709848078966e+49i"
+        result = runner.invoke(main, ["nested-mzi", "--r", "0.6", alpha, "--eps-tau", "0", "tsvf"])
+        assert result.exit_code == 1
+        self.assert_clean_error(result, "non-finite inner product")
+
     @pytest.mark.parametrize(
         "bounds",
         [

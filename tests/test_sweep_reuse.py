@@ -233,10 +233,48 @@ class TestWorkCount:
         calls = _count_elements(monkeypatch)
         n = 10
         leakage_sweep(circuit, [1e-3 * (i + 1) for i in range(n)])
-        # The two elements up to the inner splitter once, the rest of the
-        # unperturbed run from there, then per point the arm phase and the
-        # remaining elements.
+        # The two elements up to the inner splitter once and the rest of the
+        # unperturbed run from there; every delta runs on the delta axis.
+        assert len(calls) == full
+        calls.clear()
+        leakage_sweep(circuit, [1e-3 * i for i in range(n)])
+        # Delta 0 leaves the dark port empty, so the per-delta loop runs:
+        # per point the arm phase and the remaining elements.
         assert len(calls) == full + n * (full - 1)
+
+    def test_fringe_scan_detected_ahead_reads_the_prefix_once(self, monkeypatch):
+        circuit = replace(build_nested_mzi(0.6, 2.0, 0.3), detect_stage="L2")
+        prefix = sum(not isinstance(el, Snapshot) for el in circuit.elements[:11])
+        calls = _count_elements(monkeypatch)
+        got = _outcome(fringe_scan, circuit, 0, PHIS)
+        # Scan and reference each evolve their prefix, which holds L2; no
+        # phase runs the suffix.
+        assert len(calls) == 2 * prefix
+        monkeypatch.undo()
+        assert got == _outcome(reference_fringe_scan, circuit, 0, PHIS)
+        assert got[0] is ValueError and "is flat" in got[1]
+
+    @pytest.mark.parametrize("dark_stage", [SOURCE_STAGE, "L1"])
+    def test_leakage_sweep_reads_a_leak_ahead_once(self, monkeypatch, dark_stage):
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        full = sum(not isinstance(el, Snapshot) for el in circuit.elements)
+        deltas = [1e-3 * i for i in range(10)]  # delta 0 takes the per-delta loop
+        calls = _count_elements(monkeypatch)
+        sums = []
+        pair_sum = qndmzi.states._pair_sum
+
+        def counted(*args, **kwargs):
+            sums.append(args)
+            return pair_sum(*args, **kwargs)
+
+        monkeypatch.setattr(qndmzi.states, "_pair_sum", counted)
+        got = leakage_sweep(circuit, deltas, 1, dark_stage)
+        assert len(calls) == full + len(deltas) * (full - 1)
+        # The base's probability and norm, the leak once, then per delta the
+        # probability, the conditional norm and the overlap with the base.
+        assert len(sums) == 2 + 1 + 3 * len(deltas)
+        monkeypatch.undo()
+        assert got == reference_leakage_sweep(circuit, deltas, 1, dark_stage)
 
     def test_postselect_twin_resumes_before_the_kerr_coupling(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
@@ -370,6 +408,114 @@ class TestPhaseAxis:
             for mode in (0, 2):
                 got = _outcome(fringe_scan, circuit, mode, phis)
                 assert got == _outcome(reference_fringe_scan, circuit, mode, phis)
+
+
+class TestDeltaAxis:
+    """Which leakage sweeps run over a delta axis, and that they keep every bit."""
+
+    ARMS = ((1, "L3"), (2, "L3p"), (0, SOURCE_STAGE))  # as in TestBitIdentity
+    DELTAS = (1e-4, -3e-3, 1.0 / 3.0, -2.0, 3.0)
+
+    @staticmethod
+    def _full(circuit):
+        return sum(not isinstance(el, Snapshot) for el in circuit.elements)
+
+    @staticmethod
+    def _count_axis(monkeypatch):
+        """Record, per leakage sweep from now on, whether the delta axis ran."""
+        ran = []
+        axis = qndmzi.analysis._delta_axis_points
+
+        def counted(*args):
+            points = axis(*args)
+            ran.append(points is not None)
+            return points
+
+        monkeypatch.setattr(qndmzi.analysis, "_delta_axis_points", counted)
+        return ran
+
+    def test_preset_applies_no_per_delta_elements(self, monkeypatch):
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        calls = _count_elements(monkeypatch)
+        points = leakage_sweep(circuit, self.DELTAS)
+        # The base run evolves every element once; every delta past the
+        # inner splitter runs on the delta axis.
+        assert len(calls) == self._full(circuit)
+        monkeypatch.undo()
+        assert points == reference_leakage_sweep(circuit, self.DELTAS)
+
+    @pytest.mark.parametrize("arm_mode, dark_stage", ARMS)
+    def test_delta_zero_on_an_inner_arm_hands_over(self, monkeypatch, arm_mode, dark_stage):
+        # At delta 0 the inner dark port drops its branch; at any other
+        # delta it keeps it, so the deltas share no branch structure when
+        # the phase sits on an inner arm.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        deltas = (0.0,) + self.DELTAS
+        ran = self._count_axis(monkeypatch)
+        got = leakage_sweep(circuit, deltas, arm_mode, dark_stage)
+        assert ran == [arm_mode == 0]
+        monkeypatch.undo()
+        assert got == reference_leakage_sweep(circuit, deltas, arm_mode, dark_stage)
+
+    def test_overflow_raises_the_per_delta_error(self):
+        circuit = build_nested_mzi(0.6, 1e160, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(leakage_sweep, circuit, self.DELTAS)
+        assert got[0] is ValueError and got[1].startswith("non-finite inner product")
+        assert got == _outcome(reference_leakage_sweep, circuit, self.DELTAS)
+
+    def test_kerr_on_one_inner_arm(self, monkeypatch):
+        # Coupled to inner arm 1 alone, the inner recombiner leaves two
+        # differently marked branches in each of modes 1 and 2, and the
+        # detector projection holds two branches: the axis sums every pair.
+        preset = build_nested_mzi(0.6, 2.0, 0.3)
+        elements = tuple(
+            KerrCoupling(frozenset({1}), 0, 0.3) if isinstance(el, KerrCoupling) else el
+            for el in preset.elements
+        )
+        circuit = replace(preset, elements=elements)
+        ran = self._count_axis(monkeypatch)
+        for arm_mode, dark_stage in self.ARMS:
+            got = leakage_sweep(circuit, self.DELTAS, arm_mode, dark_stage)
+            assert got == reference_leakage_sweep(circuit, self.DELTAS, arm_mode, dark_stage)
+        assert ran == [True] * len(self.ARMS)
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
+    def test_edge_inputs(self, magnitude):
+        for r in (0.0, 0.37, 1.0):
+            for eps in (0.0, 1e-13, math.pi):
+                circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
+                for arm_mode, dark_stage in self.ARMS:
+                    args = (circuit, self.DELTAS, arm_mode, dark_stage)
+                    got = _outcome(leakage_sweep, *args)
+                    assert got == _outcome(reference_leakage_sweep, *args)
+
+    def test_random_elements_after_the_inner_splitter(self, monkeypatch):
+        rng = random.Random(7482)
+        ran = self._count_axis(monkeypatch)
+        for _ in range(60):
+            r, alpha = rng.random(), cmath.rect(10.0 ** rng.uniform(-3, 5), rng.uniform(0, 7))
+            circuit = build_nested_mzi(r, alpha, rng.uniform(0.0, math.pi))
+            elements = list(circuit.elements)
+            for _ in range(rng.randint(1, 3)):
+                elements.insert(3, random_element(rng))
+            circuit = replace(circuit, elements=tuple(elements))
+            deltas = [rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 12))]
+            for arm_mode, dark_stage in self.ARMS:
+                args = (circuit, deltas, arm_mode, dark_stage)
+                assert _outcome(leakage_sweep, *args) == _outcome(reference_leakage_sweep, *args)
+        # Most sweeps run on the axis; the rest hand over.
+        assert ran.count(True) > len(ran) // 2
+
+    def test_fields_are_python_floats(self):
+        # A numpy scalar would compare equal but change the repr.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        for deltas in (self.DELTAS, (0.0,) + self.DELTAS):
+            points = leakage_sweep(circuit, deltas)
+            for p in points:
+                assert [type(v) for v in vars(p).values()] == [float] * 3
+            assert repr(points) == repr(reference_leakage_sweep(circuit, deltas))
 
 
 class TestErrorPaths:
