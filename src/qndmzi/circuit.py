@@ -7,7 +7,9 @@ at which detection statistics are read off.  :func:`build_nested_mzi`
 constructs the standard apparatus: an outer interferometer of reflectivity-r
 beam splitters, a balanced inner interferometer nested in one arm, and a
 balanced probe interferometer whose first arm crosses the Kerr medium
-together with both inner arms.
+together with both inner arms.  Its eleven elements that depend on no
+parameter are built and checked once, at import; each call builds only the
+outer splitter and the Kerr coupling.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .elements import (
     _check_indices,
     apply_element,
 )
-from .states import HybridState, _check_finite, _check_mode, _check_shape
+from .states import HybridState, _branch, _check_finite, _check_mode, _check_shape, _state
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
@@ -105,7 +107,7 @@ class Circuit:
         return (SOURCE_STAGE,) + self.snapshot_labels + (FINAL_STAGE,)
 
     def source_state(self) -> HybridState:
-        return HybridState.single_photon(self.m_modes, self.source_mode, self.source_probes)
+        return _photon_at(self, self.source_mode)
 
     def insert(self, index: int, element: Element) -> "Circuit":
         els = self.elements[:index] + (element,) + self.elements[index:]
@@ -118,6 +120,11 @@ class Circuit:
             for el in self.elements
         )
         return replace(self, elements=els)
+
+
+def _photon_at(circuit: Circuit, mode: int) -> HybridState:
+    """The photon in ``mode`` with the source probes; the circuit has checked both."""
+    return _state(circuit.m_modes, circuit.k_probes, (_branch(mode, 1 + 0j, circuit.source_probes),))
 
 
 @dataclass(frozen=True)
@@ -218,9 +225,7 @@ def run_backward(circuit: Circuit, final_bra: HybridState | None = None) -> Stag
     fully back-evolved bra under ``"source"``.
     """
     if final_bra is None:
-        final_bra = HybridState.single_photon(
-            circuit.m_modes, circuit.postselect_mode, circuit.source_probes
-        )
+        final_bra = _photon_at(circuit, circuit.postselect_mode)
         optics = (el for el in circuit.elements if getattr(el, "target", None) == PROBE)
         final_bra = _evolve(final_bra, optics, {})
     _check_shape(final_bra, circuit)
@@ -234,6 +239,17 @@ def run_both(circuit: Circuit) -> StageTrace:
     return StageTrace(
         circuit, run_forward(circuit).forward, run_backward(circuit).backward
     )
+
+
+#: The fixed elements of :func:`build_nested_mzi` between its first outer
+#: splitter and its Kerr coupling, and between the coupling and its second
+#: outer splitter: built once, shared by every circuit it returns.
+_INNER = BeamSplitter(SYS, 1, 2, _BALANCED)
+_PROBE_SPLITTER = BeamSplitter(PROBE, 0, 1, _BALANCED)
+_NESTED_HEAD = (Snapshot("L1"), _INNER, PhaseShift(PROBE, 0, math.pi / 2), _PROBE_SPLITTER,
+                Snapshot("L2"))
+_NESTED_TAIL = (Snapshot("L2p"), _INNER, Snapshot("L3"), PhaseShift(PROBE, 0, math.pi),
+                _PROBE_SPLITTER, Snapshot("L3p"))
 
 
 def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Circuit:
@@ -258,26 +274,12 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     onto the same port it was fed from.
     """
     alpha = complex(alpha)
-    elements: tuple[Element, ...] = (
-        BeamSplitter(SYS, 0, 1, r),
-        Snapshot("L1"),
-        BeamSplitter(SYS, 1, 2, _BALANCED),
-        PhaseShift(PROBE, 0, math.pi / 2),
-        BeamSplitter(PROBE, 0, 1, _BALANCED),
-        Snapshot("L2"),
-        KerrCoupling(frozenset({1, 2}), 0, eps_tau),
-        Snapshot("L2p"),
-        BeamSplitter(SYS, 1, 2, _BALANCED),
-        Snapshot("L3"),
-        PhaseShift(PROBE, 0, math.pi),
-        BeamSplitter(PROBE, 0, 1, _BALANCED),
-        Snapshot("L3p"),
-        BeamSplitter(SYS, 0, 1, r),
-    )
+    outer = BeamSplitter(SYS, 0, 1, r)
+    kerr = KerrCoupling(frozenset({1, 2}), 0, eps_tau)
     return Circuit(
         m_modes=3,
         k_probes=2,
-        elements=elements,
+        elements=(outer,) + _NESTED_HEAD + (kerr,) + _NESTED_TAIL + (outer,),
         source_mode=0,
         source_probes=(math.sqrt(2) * alpha, 0j),
         postselect_mode=0,

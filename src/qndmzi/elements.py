@@ -42,6 +42,8 @@ class BeamSplitter:
     ``target`` selects whether the ports are system modes (the photon
     amplitude splits into two branches) or probe modes (the coherent
     amplitudes mix linearly inside every branch, with the same matrix).
+    The matrix is built once, at construction, outside the dataclass
+    fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore it.
     """
 
     target: str
@@ -57,6 +59,8 @@ class BeamSplitter:
             raise ValueError("beam splitter ports must differ")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        r, t = self.reflectivity, self.transmissivity
+        object.__setattr__(self, "_unitary", ((-1j * r, t + 0j), (t + 0j, -1j * r)))
 
     @property
     def transmissivity(self) -> float:
@@ -64,9 +68,7 @@ class BeamSplitter:
         return math.sqrt(max(0.0, 1.0 - r * r))
 
     def unitary(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        r = self.reflectivity
-        t = self.transmissivity
-        return ((-1j * r, t + 0j), (t + 0j, -1j * r))
+        return self._unitary
 
 
 @dataclass(frozen=True)

@@ -225,15 +225,19 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     """Overlap <a|b> of two coherent states.
 
     exp(-|a|^2/2 - |b|^2/2 + conj(a) b); equals 1 when a == b and has
-    magnitude exp(-|a-b|^2/2) <= 1 in general.
+    magnitude exp(-|a-b|^2/2) <= 1 in general.  An exponent that overflows
+    raises the ``ValueError`` of :func:`_pair_sum`.
     """
     a = complex(a)
     b = complex(b)
-    return cmath.exp(
-        -0.5 * (a.real * a.real + a.imag * a.imag)
-        - 0.5 * (b.real * b.real + b.imag * b.imag)
-        + a.conjugate() * b
-    )
+    try:
+        return cmath.exp(
+            -0.5 * (a.real * a.real + a.imag * a.imag)
+            - 0.5 * (b.real * b.real + b.imag * b.imag)
+            + a.conjugate() * b
+        )
+    except OverflowError:
+        raise ValueError("non-finite inner product: a coherent overlap overflows") from None
 
 
 def _pair_sum(
@@ -495,9 +499,12 @@ def merge_branches(state: HybridState) -> HybridState:
     ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_sorted_merge`
     sorts them with numpy first and runs the index only on the branches
     that sorted next to a same-mode branch within :data:`MERGE_TOL` along
-    Re(probes[0]), with the same result, bit for bit.
+    Re(probes[0]), with the same result, bit for bit.  One branch is
+    already canonical: the state comes back as it is, or empty.
     """
     branches = state.branches
+    if len(branches) == 1:
+        return state if _nonempty(branches[0]) else _state(state.m_modes, state.k_probes, ())
     if len(branches) <= state.m_modes and len({br.mode for br in branches}) == len(branches):
         kept = [br for br in branches if _nonempty(br)]
         kept.sort(key=_mode_of)

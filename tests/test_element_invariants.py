@@ -1,0 +1,189 @@
+"""Element constants, norm preservation, merge idempotence and overlap overflow.
+
+A beam splitter builds its matrix once, at construction; these tests hold
+the stored matrix to the formula bit for bit and check that it leaves the
+dataclass identity (fields, ``repr``, ``==``, ``hash``) as it was.  Two
+seeded hypothesis properties cover small states over |alpha| from 1e-3 to
+1e6: every element keeps the norm, forward and conjugated, and merging
+twice changes nothing, one-branch states included.
+"""
+
+from __future__ import annotations
+
+import cmath
+import copy
+import dataclasses
+import math
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qndmzi import (
+    MERGE_TOL,
+    PROBE,
+    SYS,
+    BeamSplitter,
+    Branch,
+    HybridState,
+    KerrCoupling,
+    PhaseShift,
+    apply_element,
+    coherent_overlap,
+    merge_branches,
+)
+
+REFLECTIVITIES = [0.0, 5e-324, 0.6, math.sqrt(0.5), 1 - 1e-16, 1.0]
+
+
+def formula(r):
+    t = math.sqrt(max(0.0, 1.0 - r * r))
+    return ((-1j * r, t + 0j), (t + 0j, -1j * r))
+
+
+def bits(matrix):
+    return [(z.real.hex(), z.imag.hex()) for row in matrix for z in row]
+
+
+class TestSplitterUnitary:
+    @pytest.mark.parametrize("target", [SYS, PROBE])
+    @pytest.mark.parametrize("r", REFLECTIVITIES)
+    def test_bit_equal_to_formula(self, target, r):
+        bs = BeamSplitter(target, 0, 1, r)
+        assert bits(bs.unitary()) == bits(formula(r))
+        for other in REFLECTIVITIES:
+            moved = dataclasses.replace(bs, reflectivity=other)
+            assert bits(moved.unitary()) == bits(formula(other))
+            assert bits(bs.unitary()) == bits(formula(r))
+
+    def test_copies_keep_the_matrix(self):
+        bs = BeamSplitter(PROBE, 1, 0, 0.37)
+        for twin in (copy.copy(bs), copy.deepcopy(bs), pickle.loads(pickle.dumps(bs))):
+            assert twin == bs
+            assert bits(twin.unitary()) == bits(formula(0.37))
+
+    def test_dataclass_identity_unchanged(self):
+        assert [f.name for f in dataclasses.fields(BeamSplitter)] == [
+            "target", "mode_a", "mode_b", "reflectivity"
+        ]
+        bs = BeamSplitter(SYS, 0, 2, 0.6)
+        assert repr(bs) == "BeamSplitter(target='sys', mode_a=0, mode_b=2, reflectivity=0.6)"
+        assert bs == BeamSplitter(SYS, 0, 2, 0.6)
+        assert bs != BeamSplitter(SYS, 0, 2, 0.8)
+        assert bs != BeamSplitter(PROBE, 0, 2, 0.6)
+        assert hash(bs) == hash(BeamSplitter(SYS, 0, 2, 0.6))
+        assert hash(bs) == hash(("sys", 0, 2, 0.6))
+        assert dataclasses.astuple(bs) == ("sys", 0, 2, 0.6)
+        assert dataclasses.replace(bs) == bs
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bs.reflectivity = 0.2
+
+    @pytest.mark.parametrize("r", [-0.1, 1.1, math.nan])
+    def test_invalid_reflectivity_still_raises(self, r):
+        with pytest.raises(ValueError, match="outside"):
+            BeamSplitter(SYS, 0, 1, r)
+        with pytest.raises(ValueError, match="outside"):
+            dataclasses.replace(BeamSplitter(SYS, 0, 1, 0.5), reflectivity=r)
+
+
+class TestOverlapOverflow:
+    def test_overflowing_exponent_raises_value_error(self):
+        # Bra and ket source probes of run_both(build_nested_mzi(0.6,
+        # cmath.rect(1e50, 1.0), 0.0)): equal up to rounding, so the
+        # exponent is a cancellation of terms of size 1e100.
+        a = 7.641028487401797e49 + 1.1900196790587719e50j
+        b = 7.641028487401797e49 + 1.190019679058772e50j
+        with pytest.raises(ValueError, match=r"^non-finite inner product: a coherent "
+                                             r"overlap overflows$"):
+            coherent_overlap(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b", [(0j, 0j), (1 + 2j, 1 + 2j), (0.3 - 1j, 2.5j), (1e5, 1e5 + 1e-11j), (3.0, -3.0)]
+    )
+    def test_finite_values_unchanged(self, a, b):
+        want = cmath.exp(
+            -0.5 * (a.real * a.real + a.imag * a.imag)
+            - 0.5 * (b.real * b.real + b.imag * b.imag)
+            + complex(a).conjugate() * b
+        )
+        got = coherent_overlap(a, b)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def _probe(draw, scale):
+    return cmath.rect(scale * draw(st.floats(0.0, 1.0)), draw(st.floats(-math.pi, math.pi)))
+
+
+@st.composite
+def small_states(draw, max_branches=3, amp_decades=(-1.0, 0.0), nudge=False):
+    """A state of 1 to ``max_branches`` branches, probes up to |alpha| in [1e-3, 1e6].
+
+    Branches draw their probes from a pool of two, so same-mode branches
+    often share probes and merge; with ``nudge``, a probe may move by a
+    fraction of MERGE_TOL or past it.
+    """
+    m_modes, k_probes = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    pool = [tuple(_probe(draw, scale) for _ in range(k_probes)) for _ in range(2)]
+    branches = []
+    for _ in range(draw(st.integers(1, max_branches))):
+        probes = draw(st.sampled_from(pool))
+        if nudge and draw(st.booleans()):
+            step = draw(st.sampled_from([0.4, 0.9, 1.5])) * MERGE_TOL
+            probes = (probes[0] + step,) + probes[1:]
+        amp = cmath.rect(10.0 ** draw(st.floats(*amp_decades)), draw(st.floats(-math.pi, math.pi)))
+        branches.append(Branch(draw(st.integers(0, m_modes - 1)), amp, probes))
+    return HybridState(m_modes, k_probes, tuple(branches))
+
+
+@st.composite
+def elements(draw, m_modes, k_probes):
+    kinds = ["bs_sys", "phase_sys", "phase_probe", "kerr"] + (["bs_probe"] * (k_probes > 1))
+    kind = draw(st.sampled_from(kinds))
+    angle = draw(st.floats(-10.0, 10.0))
+    if kind in ("bs_sys", "bs_probe"):
+        target, n = (SYS, m_modes) if kind == "bs_sys" else (PROBE, k_probes)
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return BeamSplitter(target, a, b, draw(st.floats(0.0, 1.0)))
+    if kind == "phase_sys":
+        return PhaseShift(SYS, draw(st.integers(0, m_modes - 1)), angle)
+    if kind == "phase_probe":
+        return PhaseShift(PROBE, draw(st.integers(0, k_probes - 1)), angle)
+    modes = draw(st.frozensets(st.integers(0, m_modes - 1), min_size=1))
+    return KerrCoupling(modes, draw(st.integers(0, k_probes - 1)), angle)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_every_element_keeps_the_norm(data):
+    state = merge_branches(data.draw(small_states()))
+    norm = state.norm_sq()
+    if norm < 1e-6:  # same-probe branches that cancel leave no state to normalize
+        return
+    state = state.normalized()
+    alpha = max(abs(p) for br in state.branches for p in br.probes)
+    tol = 1e-12 * max(1.0, alpha * alpha)
+    element = data.draw(elements(state.m_modes, state.k_probes))
+    for dagger in (False, True):
+        assert abs(apply_element(state, element, dagger=dagger).norm_sq() - 1.0) <= tol
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_states(max_branches=4, amp_decades=(-14.0, 0.0), nudge=True))
+def test_merging_is_idempotent(state):
+    merged = merge_branches(state)
+    assert merge_branches(merged) == merged
+    if len(state.branches) == 1:
+        (br,) = state.branches
+        assert merged == (state if abs(br.amp) >= MERGE_TOL else HybridState(
+            state.m_modes, state.k_probes, ()))
+
+
+@pytest.mark.parametrize("amp", [1.0, MERGE_TOL, 0.999 * MERGE_TOL, 0j])
+def test_one_branch_merge(amp):
+    state = HybridState(3, 2, (Branch(2, amp, (1 + 1j, -2.0)),))
+    merged = merge_branches(state)
+    assert merged == (state if abs(amp) >= MERGE_TOL else HybridState(3, 2, ()))
+    assert merge_branches(merged) == merged
+    assert merge_branches(HybridState(3, 2, ())) == HybridState(3, 2, ())
