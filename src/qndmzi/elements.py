@@ -42,8 +42,9 @@ class BeamSplitter:
     ``target`` selects whether the ports are system modes (the photon
     amplitude splits into two branches) or probe modes (the coherent
     amplitudes mix linearly inside every branch, with the same matrix).
-    The matrix is built once, at construction, outside the dataclass
-    fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore it.
+    The matrix and its conjugate transpose are built once, at
+    construction, outside the dataclass fields, so ``==``, ``hash``,
+    ``repr`` and ``replace`` ignore them.
     """
 
     target: str
@@ -60,7 +61,11 @@ class BeamSplitter:
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
         r, t = self.reflectivity, self.transmissivity
-        object.__setattr__(self, "_unitary", ((-1j * r, t + 0j), (t + 0j, -1j * r)))
+        (u00, u01), (u10, u11) = u = ((-1j * r, t + 0j), (t + 0j, -1j * r))
+        object.__setattr__(self, "_unitary", u)
+        object.__setattr__(self, "_adjoint", (
+            (u00.conjugate(), u10.conjugate()), (u01.conjugate(), u11.conjugate())
+        ))
 
     @property
     def transmissivity(self) -> float:
@@ -129,8 +134,10 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
         sys_idx, probe_idx = ((el.index,), ()) if el.target == SYS else ((), (el.index,))
     elif isinstance(el, KerrCoupling):
         sys_idx, probe_idx = sorted(el.system_modes), (el.probe_mode,)
-    else:
+    elif isinstance(el, Snapshot):
         return
+    else:
+        raise TypeError(f"unknown element {el!r}")
     for idx in sys_idx:
         if not 0 <= idx < m_modes:
             raise IndexError(f"system mode {idx} outside [0, {m_modes}) in {el!r}")
@@ -147,14 +154,7 @@ def apply_beam_splitter(
     state: HybridState, bs: BeamSplitter, dagger: bool = False
 ) -> HybridState:
     _check_indices(bs, state.m_modes, state.k_probes)
-    (u00, u01), (u10, u11) = bs.unitary()
-    if dagger:
-        u00, u01, u10, u11 = (
-            u00.conjugate(),
-            u10.conjugate(),
-            u01.conjugate(),
-            u11.conjugate(),
-        )
+    (u00, u01), (u10, u11) = bs._adjoint if dagger else bs._unitary
     a, b = bs.mode_a, bs.mode_b
     if bs.target == SYS:
         # Unchecked: every entry is real or imaginary with modulus <= 1, so
@@ -180,12 +180,13 @@ def _mix_probes(branches, a: int, b: int, u00, u01, u10, u11) -> list:
 
     Raises on a non-finite probe amplitude.
     """
+    isfinite = cmath.isfinite
     out = []
     for br in branches:
         pa, pb = br.probes[a], br.probes[b]
         pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
         probes = _replace_probe(_replace_probe(br.probes, a, pa), b, pb)
-        if not (cmath.isfinite(pa) and cmath.isfinite(pb)):
+        if not (isfinite(pa) and isfinite(pb)):
             for p in probes:
                 _check_finite(p, "probe amplitude")
         out.append(_branch(br.mode, br.amp, probes))
@@ -198,11 +199,13 @@ def _rotate_probe(branches, k: int, factor: complex, modes=None) -> list:
     ``modes`` None rotates every branch.  Raises on a non-finite probe
     amplitude.
     """
+    isfinite = cmath.isfinite
     out = []
     for br in branches:
         if modes is None or br.mode in modes:
             p = factor * br.probes[k]
-            _check_finite(p, "probe amplitude")
+            if not isfinite(p):
+                _check_finite(p, "probe amplitude")
             out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, k, p)))
         else:
             out.append(br)
@@ -235,11 +238,13 @@ def apply_phase(
     factor = _phase_factor(shift.phi, dagger)
     i = shift.index
     if shift.target == SYS:
+        isfinite = cmath.isfinite
         out = []
         for br in state.branches:
             if br.mode == i:
                 amp = factor * br.amp
-                _check_finite(amp, "branch amplitude")
+                if not isfinite(amp):
+                    _check_finite(amp, "branch amplitude")
                 out.append(_branch(br.mode, amp, br.probes))
             else:
                 out.append(br)

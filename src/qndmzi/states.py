@@ -14,17 +14,21 @@ branches distinctly grow it exponentially.
 
 Cost model for n branches: :func:`merge_branches` is expected O(n), since
 each branch looks up candidate groups in a per-mode index of cells along
-Re(probes[0]) instead of scanning every earlier group; branches in distinct
-modes cannot merge and skip it.  Merging is greedy in input order: a branch
-within tolerance of two groups joins the earliest.  The cell width
-``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance that scales
-with the probe magnitude must rescale the cells too.  From
+Re(probes[0]) instead of scanning every earlier group.  A state already
+canonical (distinct modes in increasing order, no amplitude to drop) costs
+one pass and comes back as it is, with nothing built; other branches in
+distinct modes cannot merge and skip the index.  Below ``_MERGE_INDEX_MIN``
+branches a branch scans the earlier groups instead, O(n^2) but cheaper than
+building the index at that size, with the same groups.  Merging is greedy in
+input order: a branch within tolerance of two groups joins the earliest.
+The cell width ``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance
+that scales with the probe magnitude must rescale the cells too.  From
 ``_MERGE_SORT_MIN`` branches on, one numpy sort into canonical order comes
 first, and the Python index runs only on branches whose sorted same-mode
 neighbour lies within :data:`MERGE_TOL` along Re(probes[0]); the rest
 cannot merge and keep their sorted slots.  A state that cannot merge then
-costs one O(n log n) numpy sort and a few Python steps per branch.  The
-pair sum behind :func:`inner_product` is O(n^2) work either way: below
+costs one O(n log n) numpy sort and a few Python steps per branch.  The pair
+sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
@@ -89,6 +93,14 @@ _GRAM_MIN_PAIRS = 4096
 #: 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6); where nearly every branch
 #: merges it only adds its numpy setup, so the bound sits higher.
 _MERGE_SORT_MIN = 32
+
+#: Branch count from which :func:`merge_branches` finds candidate groups
+#: through its cell index; below it, a branch scans every earlier group.
+#: The scan wins below about 8 branches and loses from about 10 (in us per
+#: call where no branch merges: 1.8 vs 2.1 at 5, 4.1 vs 4.0 at 8, 13.0 vs
+#: 6.3 at 12; where half the branches merge: 1.6 vs 2.6 at 5, 6.9 vs 5.8
+#: at 10; one core of a 2-vCPU Xeon, Python 3.11.7).
+_MERGE_INDEX_MIN = 8
 
 #: Gram entries evaluated at once: bounds the temporaries of one mode block
 #: to 256 kB each, however many branches it holds.
@@ -485,26 +497,40 @@ def merge_branches(state: HybridState) -> HybridState:
     lexicographically by probe amplitudes, so equal states compare equal
     branch-for-branch.
 
+    A state that one pass finds canonical already (branches in distinct,
+    increasing modes, every ``|amp| >= MERGE_TOL``) comes back as it is,
+    the same object; an amplitude whose modulus overflows ends that pass.
+    Other states in distinct modes, at most M branches, cannot merge: they
+    are only filtered and sorted by mode, their canonical order.
+
     Merging is greedy in input order: a branch joins the earliest group
     (the first branch of each group fixes its probes) that it matches, or
     starts a new one, so a branch within tolerance of two groups joins the
-    earlier.  Candidate groups come from an index keyed by mode, then by the
-    cell ``floor(Re(probes[0]) / _CELL)``; a match lies in the branch's own
-    cell or in the neighbouring cell nearer to its key, so only those two are
-    searched, which makes merging expected O(n) in the branch count (the
-    pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is derived
-    from :data:`MERGE_TOL`; a relative tolerance must rescale it.  At most
-    M branches in distinct modes cannot merge and skip the index: they are
-    only filtered and sorted by mode, their canonical order.  From
-    ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_sorted_merge`
+    earlier.  A |a - b| that overflows exceeds the tolerance.  Below
+    ``_MERGE_INDEX_MIN`` branches every earlier group is scanned.  From
+    there on, candidate groups come from an index keyed by mode, then by
+    the cell ``floor(Re(probes[0]) / _CELL)``; a match lies in the branch's
+    own cell or in the neighbouring cell nearer to its key, so only those
+    two are searched, which makes merging expected O(n) in the branch count
+    (the pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is
+    derived from :data:`MERGE_TOL`; a relative tolerance must rescale it.
+    From ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_sorted_merge`
     sorts them with numpy first and runs the index only on the branches
     that sorted next to a same-mode branch within :data:`MERGE_TOL` along
-    Re(probes[0]), with the same result, bit for bit.  One branch is
-    already canonical: the state comes back as it is, or empty.
+    Re(probes[0]).  Every path gives the same groups, sums and order, bit
+    for bit.
     """
     branches = state.branches
-    if len(branches) == 1:
-        return state if _nonempty(branches[0]) else _state(state.m_modes, state.k_probes, ())
+    last = -1
+    try:
+        for br in branches:
+            if br.mode <= last or abs(br.amp) < MERGE_TOL:
+                break
+            last = br.mode
+        else:
+            return state
+    except OverflowError:
+        pass
     if len(branches) <= state.m_modes and len({br.mode for br in branches}) == len(branches):
         kept = [br for br in branches if _nonempty(br)]
         kept.sort(key=_mode_of)
@@ -516,14 +542,41 @@ def merge_branches(state: HybridState) -> HybridState:
     return _state(state.m_modes, state.k_probes, tuple(kept))
 
 
+def _same_probes(ps: tuple[complex, ...], qs: tuple[complex, ...]) -> bool:
+    """Whether each pair of probe amplitudes lies within :data:`MERGE_TOL`.
+
+    A difference whose modulus overflows lies far outside it.
+    """
+    try:
+        for a, b in zip(ps, qs):
+            if abs(a - b) > MERGE_TOL:
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
 def _merge_owners(branches: Sequence[Branch]) -> list[int]:
     """The greedy grouping of :func:`merge_branches`, read from modes and probes alone.
 
     Entry i is the position in ``branches`` of the first member of the
     group that branch i joins (i itself where it starts one).
     """
-    floor = math.floor
     owners: list[int] = []
+    if len(branches) < _MERGE_INDEX_MIN:
+        firsts: list[int] = []
+        for pos, br in enumerate(branches):
+            mode, probes = br.mode, br.probes
+            for i in firsts:
+                g = branches[i]
+                if g.mode == mode and _same_probes(g.probes, probes):
+                    owners.append(i)
+                    break
+            else:
+                firsts.append(pos)
+                owners.append(pos)
+        return owners
+    floor = math.floor
     index: dict[int, dict[int | str, list[int]]] = {}
     for pos, br in enumerate(branches):
         probes = br.probes
@@ -546,10 +599,7 @@ def _merge_owners(branches: Sequence[Branch]) -> list[int]:
             for i in cells.get(c, ()):
                 if match is not None and i > match:
                     break
-                for a, b in zip(branches[i].probes, probes):
-                    if abs(a - b) > MERGE_TOL:
-                        break
-                else:
+                if _same_probes(branches[i].probes, probes):
                     match = i
                     break
         if match is None:

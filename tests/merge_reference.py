@@ -3,7 +3,9 @@
 ``states.merge_branches`` now finds candidate groups through a per-mode
 cell index.  This copy keeps the old loop, operation for operation (scan
 every earlier group, first match wins), as the oracle the merge equality
-tests compare against bit for bit.
+tests compare against bit for bit.  Where a modulus overflows the float
+range, it reads the way ``merge_branches`` documents: a probe difference
+lies outside the tolerance, and an amplitude is kept.
 """
 
 from __future__ import annotations
@@ -11,17 +13,29 @@ from __future__ import annotations
 from qndmzi import MERGE_TOL, Branch, HybridState
 
 
+def _within(a: complex, b: complex) -> bool:
+    try:
+        return abs(a - b) <= MERGE_TOL
+    except OverflowError:
+        return False
+
+
+def _kept(amp: complex) -> bool:
+    try:
+        return abs(amp) >= MERGE_TOL
+    except OverflowError:
+        return True
+
+
 def reference_merge_branches(state: HybridState) -> HybridState:
     groups: list[Branch] = []
     for br in state.branches:
         for i, g in enumerate(groups):
-            if g.mode == br.mode and all(
-                abs(a - b) <= MERGE_TOL for a, b in zip(g.probes, br.probes)
-            ):
+            if g.mode == br.mode and all(_within(a, b) for a, b in zip(g.probes, br.probes)):
                 groups[i] = Branch(g.mode, g.amp + br.amp, g.probes)
                 break
         else:
             groups.append(br)
-    kept = [g for g in groups if abs(g.amp) >= MERGE_TOL]
+    kept = [g for g in groups if _kept(g.amp)]
     kept.sort(key=lambda b: (b.mode, tuple((p.real, p.imag) for p in b.probes)))
     return HybridState(state.m_modes, state.k_probes, tuple(kept))

@@ -1,11 +1,11 @@
 """Element constants, norm preservation, merge idempotence and overlap overflow.
 
-A beam splitter builds its matrix once, at construction; these tests hold
-the stored matrix to the formula bit for bit and check that it leaves the
-dataclass identity (fields, ``repr``, ``==``, ``hash``) as it was.  Two
-seeded hypothesis properties cover small states over |alpha| from 1e-3 to
-1e6: every element keeps the norm, forward and conjugated, and merging
-twice changes nothing, one-branch states included.
+A beam splitter builds its matrix and that matrix's conjugate transpose
+once, at construction; these tests hold both to the formula bit for bit
+and check that they leave the dataclass identity (fields, ``repr``, ``==``,
+``hash``) as it was.  Two seeded hypothesis properties cover small states
+over |alpha| from 1e-3 to 1e6: every element keeps the norm, forward and
+conjugated, and merging twice changes nothing, one-branch states included.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ def bits(matrix):
     return [(z.real.hex(), z.imag.hex()) for row in matrix for z in row]
 
 
+def dagger(matrix):
+    (u00, u01), (u10, u11) = matrix
+    return ((u00.conjugate(), u10.conjugate()), (u01.conjugate(), u11.conjugate()))
+
+
 class TestSplitterUnitary:
     @pytest.mark.parametrize("target", [SYS, PROBE])
     @pytest.mark.parametrize("r", REFLECTIVITIES)
@@ -57,17 +62,30 @@ class TestSplitterUnitary:
             assert bits(moved.unitary()) == bits(formula(other))
             assert bits(bs.unitary()) == bits(formula(r))
 
+    @pytest.mark.parametrize("target", [SYS, PROBE])
+    @pytest.mark.parametrize("r", REFLECTIVITIES)
+    def test_adjoint_bit_equal_to_conjugate_transpose(self, target, r):
+        bs = BeamSplitter(target, 0, 1, r)
+        assert bits(bs._adjoint) == bits(dagger(bs.unitary())) == bits(dagger(formula(r)))
+        for other in REFLECTIVITIES:
+            moved = dataclasses.replace(bs, reflectivity=other)
+            assert bits(moved._adjoint) == bits(dagger(formula(other)))
+            assert bits(bs._adjoint) == bits(dagger(formula(r)))
+
     def test_copies_keep_the_matrix(self):
         bs = BeamSplitter(PROBE, 1, 0, 0.37)
         for twin in (copy.copy(bs), copy.deepcopy(bs), pickle.loads(pickle.dumps(bs))):
             assert twin == bs
             assert bits(twin.unitary()) == bits(formula(0.37))
+            assert bits(twin._adjoint) == bits(dagger(formula(0.37)))
 
     def test_dataclass_identity_unchanged(self):
         assert [f.name for f in dataclasses.fields(BeamSplitter)] == [
             "target", "mode_a", "mode_b", "reflectivity"
         ]
         bs = BeamSplitter(SYS, 0, 2, 0.6)
+        assert sorted(vars(bs)) == sorted(["target", "mode_a", "mode_b", "reflectivity",
+                                           "_unitary", "_adjoint"])
         assert repr(bs) == "BeamSplitter(target='sys', mode_a=0, mode_b=2, reflectivity=0.6)"
         assert bs == BeamSplitter(SYS, 0, 2, 0.6)
         assert bs != BeamSplitter(SYS, 0, 2, 0.8)

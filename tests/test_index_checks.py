@@ -174,3 +174,13 @@ def test_integer_like_mode_counts_are_stored_as_int(m_modes, k_probes):
     text = serialize_circuit(circuit)
     assert text.startswith(f"modes {int(m_modes)} probes {int(k_probes)}\n")
     assert parse_circuit(text) == circuit
+
+
+@pytest.mark.parametrize("thing", [5, "bs sys 0 1 r=0.5", None, (SYS, 0, 1, 0.5)])
+def test_circuit_rejects_a_non_element_as_the_applier_does(thing):
+    state = HybridState.single_photon(2, 0, (1.0,))
+    with pytest.raises(TypeError) as applied:
+        apply_element(state, thing)
+    with pytest.raises(TypeError) as built:
+        Circuit(2, 1, (Snapshot("a"), thing), 0, (1.0,))
+    assert str(built.value) == str(applied.value) == f"unknown element {thing!r}"

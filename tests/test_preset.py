@@ -2,7 +2,8 @@
 
 ``build_nested_mzi`` shares its parameter-free elements between calls; these
 tests hold it to the circuit written out element by element, and pin how
-many elements, merges and circuits each public run performs on it.
+many elements, merges and circuits each public run performs on it, and how
+many branches and states it builds.
 """
 
 from __future__ import annotations
@@ -236,3 +237,61 @@ class TestWorkCounts:
         trace = run_both(circuit)
         got = self._counts(monkeypatch, tsvf_report, circuit, trace=trace)
         assert got == (0, 0, 0, 0, 0, 0)
+
+
+#: The engine's trusted constructors, counted in the allocation pins.
+BUILT = ("_branch", "_state")
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count the branches and states the engine builds from now on, as ``_count_work`` counts."""
+    counts: Counter = Counter()
+    modules = [importlib.import_module(f"qndmzi.{name}") for name in
+               ("states", "elements", "circuit", "analysis", "fileformat")]
+    for name in BUILT:
+        original = getattr(qndmzi.states, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestAllocationCounts:
+    """Branches and states built per call on the preset, as (``_branch``, ``_state``) calls.
+
+    Before merges handed canonical states back as they are, these read
+    (25, 19) for ``run_forward``, (54, 42) for ``run_both`` and (13, 13)
+    for the four analyses of an ``apparatus`` solve; a count that rises
+    again means a step copies what it did not change.
+    """
+
+    @pytest.fixture
+    def circuit(self):
+        return build_nested_mzi(0.6, 2.0, 0.3)
+
+    def _counts(self, monkeypatch, fn, *args, **kwargs):
+        counts = _count_builds(monkeypatch)
+        fn(*args, **kwargs)
+        return tuple(counts[name] for name in BUILT)
+
+    def test_run_forward(self, monkeypatch, circuit):
+        assert self._counts(monkeypatch, run_forward, circuit) == (25, 11)
+
+    def test_run_both(self, monkeypatch, circuit):
+        assert self._counts(monkeypatch, run_both, circuit) == (54, 26)
+
+    def test_apparatus_analyses(self, monkeypatch, circuit):
+        trace = run_both(circuit)
+
+        def analyses():
+            postselect(trace, 0)
+            postselect(trace, 2, compute_fidelity=False)
+            postselect(trace, 1, at="L3", compute_fidelity=False)
+            tsvf_report(circuit, trace=trace)
+
+        assert self._counts(monkeypatch, analyses) == (13, 11)
