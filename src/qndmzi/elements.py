@@ -20,8 +20,8 @@ from itertools import chain
 from typing import Union
 
 from .states import (
-    HybridState, _all_finite, _branch, _check_finite, _check_mode, _cmul, _state,
-    merge_branches,
+    HybridState, _all_finite, _branch, _check_finite, _check_mode, _cmul, _mix_columns,
+    _scale_columns, _split_columns, _state, merge_branches,
 )
 
 SYS = "sys"
@@ -154,8 +154,13 @@ def apply_beam_splitter(
     state: HybridState, bs: BeamSplitter, dagger: bool = False
 ) -> HybridState:
     _check_indices(bs, state.m_modes, state.k_probes)
-    (u00, u01), (u10, u11) = bs._adjoint if dagger else bs._unitary
+    u = bs._adjoint if dagger else bs._unitary
     a, b = bs.mode_a, bs.mode_b
+    if state._cols is not None:
+        out = _split_columns(state, a, b, u) if bs.target == SYS else _mix_columns(state, a, b, u)
+        if out is not None:
+            return merge_branches(out)
+    (u00, u01), (u10, u11) = u
     if bs.target == SYS:
         # Unchecked: every entry is real or imaginary with modulus <= 1, so
         # each part of u * amp is one part of amp scaled by at most 1 (plus
@@ -183,9 +188,10 @@ def _mix_probes(branches, a: int, b: int, u00, u01, u10, u11) -> list:
     isfinite = cmath.isfinite
     out = []
     for br in branches:
-        pa, pb = br.probes[a], br.probes[b]
-        pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
-        probes = _replace_probe(_replace_probe(br.probes, a, pa), b, pb)
+        probes = list(br.probes)
+        pa, pb = probes[a], probes[b]
+        probes[a], probes[b] = pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
+        probes = tuple(probes)
         if not (isfinite(pa) and isfinite(pb)):
             for p in probes:
                 _check_finite(p, "probe amplitude")
@@ -222,6 +228,10 @@ def apply_kerr(
 ) -> HybridState:
     _check_indices(coupling, state.m_modes, state.k_probes)
     rot = _kerr_factor(coupling.eps_tau, dagger)
+    if state._cols is not None:
+        out = _scale_columns(state, rot, coupling.system_modes, coupling.probe_mode)
+        if out is not None:
+            return merge_branches(out)
     out = _rotate_probe(state.branches, coupling.probe_mode, rot, coupling.system_modes)
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
@@ -237,6 +247,13 @@ def apply_phase(
     _check_indices(shift, state.m_modes, state.k_probes)
     factor = _phase_factor(shift.phi, dagger)
     i = shift.index
+    if state._cols is not None:
+        if shift.target == SYS:
+            out = _scale_columns(state, factor, (i,))
+        else:
+            out = _scale_columns(state, factor, probe=i)
+        if out is not None:
+            return merge_branches(out)
     if shift.target == SYS:
         isfinite = cmath.isfinite
         out = []

@@ -23,21 +23,39 @@ building the index at that size, with the same groups.  Merging is greedy in
 input order: a branch within tolerance of two groups joins the earliest.
 The cell width ``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance
 that scales with the probe magnitude must rescale the cells too.  From
-``_MERGE_SORT_MIN`` branches on, one numpy sort into canonical order comes
-first, and the Python index runs only on branches whose sorted same-mode
-neighbour lies within :data:`MERGE_TOL` along Re(probes[0]); the rest
-cannot merge and keep their sorted slots.  A state that cannot merge then
-costs one O(n log n) numpy sort and a few Python steps per branch.  The pair
-sum behind :func:`inner_product` is O(n^2) work either way: below
-``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
-:func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
-per mode block, equal to the loop up to rounding.  Either path also gives
-<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  Pair
-sums and merges over a batch axis take one array pass for all points, with
-the loop's bits at each point, since every complex product is written out
-on floats as CPython forms it: one branch whose probes run over the axis (a
-fringe scan's phases), or branches with fixed probes whose amplitudes run
-over it (a leakage sweep's deltas), grouped once for all points.
+``_MERGE_SORT_MIN`` branches on (with K > 0), one ``np.lexsort`` into
+canonical order comes first, and the Python index runs only on branches
+whose sorted same-mode neighbour lies within :data:`MERGE_TOL` along
+Re(probes[0]); the rest cannot merge and keep their sorted slots.  A state
+that cannot merge then costs one O(n log n) sort and a fixed number of
+numpy calls.  The pair sum behind :func:`inner_product` is O(n^2) work
+either way: below ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop,
+bit-equal to summing :func:`coherent_overlap` terms; from there on it is one
+numpy Gram matrix per mode block, equal to the loop up to rounding.  Either
+path also gives <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the
+same call.  Pair sums and merges over a batch axis take one array pass for
+all points, with the loop's bits at each point, since every complex product
+is written out on floats as CPython forms it: one branch whose probes run
+over the axis (a fringe scan's phases), or branches with fixed probes whose
+amplitudes run over it (a leakage sweep's deltas), grouped once for all
+points.
+
+The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
+branches or more and K > 0 (an applier's unmerged output, a merge result,
+a projection or a scaled copy) is a private :class:`_ColumnState`: its
+modes (int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are
+numpy columns, and its ``branches`` are built on first read and kept, so
+``==``, ``hash``, ``repr``, ``copy`` and pickling see the same
+:class:`HybridState` as before.  The element appliers, :func:`merge_branches`
+and the pair sums act on the columns and give the per-branch code's bits:
+every complex product is formed by :func:`_cmul` on real and imaginary
+parts, every overlap by ``cmath.exp``, and every sum is added in the loop's
+order.  Where a value would not be finite, an applier runs the per-branch
+code on the built branches instead, which raises its own error.  Which code
+a state takes is one O(1) check of ``_cols``, None on every other state, so
+states below that size run the per-branch code alone.  Building the
+branches of a large state costs more than a column step on it, so they
+are built only when read, not at every stage.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -50,10 +68,11 @@ Trust boundary: the public constructors :class:`Branch` and
 the engine derives from an already checked state (the element appliers,
 :func:`merge_branches`, :meth:`HybridState.project_mode` and
 :meth:`HybridState.scaled`, which coerces only its factor) are built by
-the private ``_branch`` and ``_state`` instead, which store their values
-as given.  Their callers keep a finite check only where arithmetic can
-overflow, with the same error as the public constructor; every other value
-is a complex, an int mode in range or a probe tuple of length K already.
+the private ``_branch``, ``_state`` and ``_column_state`` instead, which
+store their values as given.  Their callers keep a finite check only where
+arithmetic can overflow, with the same error as the public constructor;
+every other value is a complex, an int mode in range or a probe tuple of
+length K already, or, in columns, arrays of those values.
 """
 
 from __future__ import annotations
@@ -87,7 +106,8 @@ _HUGE_CELL = "huge"
 _GRAM_MIN_PAIRS = 4096
 
 #: Branch count from which :func:`merge_branches` (with K > 0) sorts with
-#: numpy first and runs the cell index only on branches that can merge.  On
+#: numpy first and runs the cell index only on branches that can merge, and
+#: from which engine-built states keep the column form (module docstring).  On
 #: states that cannot merge the sorted pass wins from about 16 branches (33
 #: vs 41 us at 16, 40 vs 80 us at 32, 90 vs 361 us at 128, one core of a
 #: 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6); where nearly every branch
@@ -182,6 +202,10 @@ class HybridState:
     k_probes: int
     branches: tuple[Branch, ...]
 
+    #: The column form (modes, amplitudes, probes) of a :class:`_ColumnState`,
+    #: else None: the one check that picks a state's code path.
+    _cols = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple(self.branches))
         for br in self.branches:
@@ -207,11 +231,18 @@ class HybridState:
     def project_mode(self, mode: int) -> "HybridState":
         """Unnormalized restriction to branches with the photon in ``mode``."""
         _check_mode("mode", mode, self.m_modes)
+        cols = self._cols
+        if cols is not None:
+            return _rows_state(self.m_modes, self.k_probes, cols, (cols[0] == mode).nonzero()[0])
         kept = tuple(br for br in self.branches if br.mode == mode)
         return _state(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
         factor = complex(factor)
+        if self._cols is not None:
+            scaled = _scale_columns(self, factor)
+            if scaled is not None:
+                return scaled
         branches = tuple(_branch(b.mode, factor * b.amp, b.probes) for b in self.branches)
         for b in branches:
             _check_finite(b.amp, "branch amplitude")
@@ -231,6 +262,187 @@ def _state(m_modes: int, k_probes: int, branches: tuple[Branch, ...]) -> HybridS
     _set(state, "k_probes", k_probes)
     _set(state, "branches", branches)
     return state
+
+
+class _ColumnState(HybridState):
+    """A :class:`HybridState` the engine built from columns; ``branches`` is built when read.
+
+    A subclass, so that only these states pay for the lookup hook: ``==``,
+    ``hash``, ``repr``, ``copy`` and pickling treat it as the
+    :class:`HybridState` of its branches.
+    """
+
+    def __getattr__(self, name: str):
+        # Reached only where normal lookup fails: the branches, built on
+        # first read and kept.
+        if name != "branches":
+            raise AttributeError(f"'HybridState' object has no attribute {name!r}")
+        branches = tuple(_column_branches(self._cols))
+        _set(self, "branches", branches)
+        return branches
+
+    def __eq__(self, other):
+        if not isinstance(other, HybridState):
+            return NotImplemented
+        return (self.m_modes, self.k_probes, self.branches) == (
+            other.m_modes, other.k_probes, other.branches
+        )
+
+    __hash__ = HybridState.__hash__
+
+    def __repr__(self) -> str:
+        return (f"HybridState(m_modes={self.m_modes!r}, k_probes={self.k_probes!r}, "
+                f"branches={self.branches!r})")
+
+    def __reduce__(self):
+        return HybridState, (self.m_modes, self.k_probes, self.branches)
+
+
+def _column_state(m_modes: int, k_probes: int, cols: tuple) -> HybridState:
+    """A :class:`_ColumnState` of checked columns."""
+    state = _new(_ColumnState)
+    _set(state, "m_modes", m_modes)
+    _set(state, "k_probes", k_probes)
+    _set(state, "_cols", cols)
+    return state
+
+
+def _mode_probe_columns(branches: Sequence[Branch], k_probes: int) -> tuple:
+    """The modes and probes (n x K) of ``branches`` as arrays."""
+    import numpy as np
+
+    n = len(branches)
+    probes = np.fromiter(chain.from_iterable([br.probes for br in branches]), complex, n * k_probes)
+    return np.fromiter([br.mode for br in branches], np.intp, n), probes.reshape(n, k_probes)
+
+
+def _columns(state: HybridState) -> tuple:
+    """The column form of ``state``: modes, amplitudes and probes (n x K), kept or built."""
+    import numpy as np
+
+    cols = state._cols
+    if cols is not None:
+        return cols
+    branches = state.branches
+    modes, probes = _mode_probe_columns(branches, state.k_probes)
+    return modes, np.fromiter([br.amp for br in branches], complex, len(branches)), probes
+
+
+def _count(state: HybridState) -> int:
+    """The number of branches of ``state``, without building them."""
+    cols = state._cols
+    return len(state.branches) if cols is None else len(cols[0])
+
+
+def _column_branches(cols: tuple, rows=None):
+    """The :class:`Branch` of every row (or of each of ``rows``) of ``cols``, bit for bit."""
+    modes, amps, probes = cols if rows is None else _take(cols, rows)
+    return map(_branch, modes.tolist(), amps.tolist(), zip(*probes.T.tolist()))
+
+
+def _take(cols: tuple, rows) -> tuple:
+    """Rows ``rows`` (an index array or list) of ``cols``, in that order."""
+    modes, amps, probes = cols
+    return modes[rows], amps[rows], probes[rows]
+
+
+def _rows_state(m_modes: int, k_probes: int, cols: tuple, rows) -> HybridState:
+    """Rows ``rows`` (an index array) of ``cols``: columns from ``_MERGE_SORT_MIN`` rows on."""
+    if len(rows) >= _MERGE_SORT_MIN:
+        return _column_state(m_modes, k_probes, _take(cols, rows))
+    return _state(m_modes, k_probes, tuple(_column_branches(cols, rows)))
+
+
+def _times(factor, z):
+    """``factor * z`` per element with CPython's bits (see :func:`_cmul`), as complex."""
+    import numpy as np
+
+    out = np.empty(np.broadcast(factor, z).shape, complex)
+    out.real, out.imag = _cmul(factor.real, factor.imag, z.real, z.imag)
+    return out
+
+
+def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
+    """A system splitter with matrix ``u`` on modes a and b of a column state, unmerged.
+
+    As in :func:`~qndmzi.elements.apply_beam_splitter`, a branch in mode a
+    becomes (a, u00 amp) then (b, u10 amp) in its place, one in mode b
+    becomes (a, u01 amp) then (b, u11 amp), and every other branch stays.
+    The products cannot overflow (see there), so this cannot fail.
+    """
+    import numpy as np
+
+    (u00, u01), (u10, u11) = u
+    modes, amps, probes = state._cols
+    in_a = modes == a
+    splits = in_a | (modes == b)
+    if np.count_nonzero(splits) == len(modes):
+        # Every branch splits: its copies take slots 2i and 2i + 1.
+        out_modes = np.empty(2 * len(modes), np.intp)
+        out_modes[0::2], out_modes[1::2] = a, b
+        out_amps = _times(np.where(in_a, [[u00], [u10]], [[u01], [u11]]), amps).T.ravel()
+        cols = out_modes, out_amps, probes.repeat(2, axis=0)
+        return _column_state(state.m_modes, state.k_probes, cols)
+    rows = np.repeat(np.arange(len(modes)), splits + 1)
+    split = splits.nonzero()[0]
+    # Output slots of each split branch's two copies, one row per copy.
+    slots = split + np.arange(len(split)) + [[0], [1]]
+    factors = np.where(in_a[split], [[u00], [u10]], [[u01], [u11]])
+    out_modes, out_amps = modes[rows], amps[rows]
+    out_modes[slots] = [[a], [b]]
+    out_amps[slots] = _times(factors, amps[split])
+    cols = out_modes, out_amps, probes[rows]
+    return _column_state(state.m_modes, state.k_probes, cols)
+
+
+def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None):
+    """A column state with amplitudes (or probe ``probe``) times ``factor``, unmerged, or None.
+
+    Only rows whose mode is in ``modes`` change (every row where it is
+    None), each by :func:`_cmul` as the per-branch code forms ``factor *
+    value``.  Returns None where a value written is not finite, for the
+    per-branch code to raise its error.
+    """
+    import numpy as np
+
+    rows, amps, probes = state._cols
+    old = amps if probe is None else probes[:, probe]
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = _times(factor, old)
+    if modes is not None:
+        mask = None
+        for mode in modes:
+            mask = rows == mode if mask is None else mask | (rows == mode)
+        new = np.where(mask, new, old)
+    if np.count_nonzero(np.isfinite(new)) < len(new):
+        return None
+    if probe is None:
+        amps = new
+    else:
+        probes = probes.copy()
+        probes[:, probe] = new
+    return _column_state(state.m_modes, state.k_probes, (rows, amps, probes))
+
+
+def _mix_columns(state: HybridState, a: int, b: int, u):
+    """A probe splitter with matrix ``u`` on probes a and b of a column state, unmerged, or None.
+
+    Each new probe is u00 pa + u01 pb (or u10 pa + u11 pb) with products by
+    :func:`_cmul`, as the per-branch code forms it.  Returns None where a
+    value is not finite, for the per-branch code to raise its error.
+    """
+    import numpy as np
+
+    (u00, u01), (u10, u11) = u
+    modes, amps, probes = state._cols
+    pa, pb = probes[:, a], probes[:, b]
+    probes = probes.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes[:, a] = _times(u00, pa) + _times(u01, pb)
+        probes[:, b] = _times(u10, pa) + _times(u11, pb)
+    if np.count_nonzero(np.isfinite(probes[:, [a, b]])) < 2 * len(modes):
+        return None
+    return _column_state(state.m_modes, state.k_probes, (modes, amps, probes))
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -271,21 +483,21 @@ def _pair_sum(
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
     instead, once per moment too, and each of ``parts`` is a checked sum of
-    its own, in mode order.  Below it, the overlap is :func:`coherent_overlap`
+    its own, in mode order.  Below it, a pair with a column state on either
+    side sums in :func:`_column_pair_sum`, with the loop's bits; otherwise
+    the overlap is :func:`coherent_overlap`
     inlined with the same operations in the same order, so every sum is
     bit-equal to calling it, and ``parts`` holds the pass's unchecked partial
     sums; -|u|^2/2 and conj(u) are computed once per bra branch, and only
     when it has a mode-matched partner, and each pair's overlaps once for
     the norm and all K moments.  Cost: O(n^2) in the branch pairs either way.
     """
+    if bra._cols is not None or ket._cols is not None:
+        if _count(bra) * _count(ket) >= _GRAM_MIN_PAIRS:
+            return _gram_sums(bra, ket, moments, parts)
+        return _column_pair_sum(bra, ket, moments, parts)
     if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
-        total = _gram_pair_sum(bra, ket)
-        if moments is not None:
-            moments[:] = [_gram_pair_sum(bra, ket, k) for k in range(ket.k_probes)]
-        if parts is not None:
-            for mode in sorted({br.mode for br in ket.branches}):
-                parts[mode] = _pair_sum(bra, ket.project_mode(mode))
-        return total
+        return _gram_sums(bra, ket, moments, parts)
     exp = cmath.exp
     total = 0j
     if moments is not None:
@@ -320,6 +532,79 @@ def _pair_sum(
                 total += term
                 if parts is not None:
                     parts[mode] = parts.get(mode, 0j) + term
+    except OverflowError:
+        raise ValueError("non-finite inner product: a coherent overlap overflows") from None
+    _check_finite(total, "inner product")
+    for moment in moments or ():
+        _check_finite(moment, "inner product")
+    return total
+
+
+def _gram_sums(bra: HybridState, ket: HybridState, moments, parts) -> complex:
+    """:func:`_pair_sum` from ``_GRAM_MIN_PAIRS`` branch pairs on."""
+    total = _gram_pair_sum(bra, ket)
+    if moments is not None:
+        moments[:] = [_gram_pair_sum(bra, ket, k) for k in range(ket.k_probes)]
+    if parts is not None:
+        for mode in sorted(set(_columns(ket)[0].tolist())):
+            parts[mode] = _pair_sum(bra, ket.project_mode(mode))
+    return total
+
+
+def _column_pair_sum(bra: HybridState, ket: HybridState, moments, parts) -> complex:
+    """:func:`_pair_sum` below ``_GRAM_MIN_PAIRS`` pairs, on column forms, with the loop's bits.
+
+    numpy finds the mode-matched pairs (u, v), in the loop's bra-major
+    order, and forms each pair's overlap exponents by the loop's own float
+    operations (as :func:`_cmul` does; a float plus a complex adds 0.0 to
+    the imaginary part).  The rest runs as the loop runs it, on Python
+    complex values: ``cmath.exp`` per probe in probe order, then the
+    products and the sums from 0j in pair order.  So the sums, the moments,
+    the parts and any error raised are the loop's.
+    """
+    import numpy as np
+
+    u_modes, u_amps, u_probes = _columns(bra)
+    v_modes, v_amps, v_probes = _columns(ket) if ket is not bra else (u_modes, u_amps, u_probes)
+    us, vs = (u_modes[:, None] == v_modes).nonzero()
+    exponents, conj_u, pv = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(ket.k_probes):
+            pu, p = u_probes[us, k], v_probes[vs, k]
+            ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
+            # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
+            e = np.empty(len(us), complex)
+            e.real = -0.5 * (ur * ur + ui * ui) - 0.5 * (vr * vr + vi * vi) + (ur * vr + ui * vi)
+            e.imag = 0.0 + (ur * vi - ui * vr)
+            exponents.append(e.tolist())
+            if moments is not None:
+                conj_u.append(pu.conj().tolist())
+                pv.append(p.tolist())
+    u_amps, v_amps = u_amps[us].conj().tolist(), v_amps[vs].tolist()
+    exp = cmath.exp
+    total = 0j
+    try:
+        if moments is None and parts is None and len(exponents) == 1:
+            for a, b, e in zip(u_amps, v_amps, exponents[0]):
+                total += a * b * exp(e)
+        else:
+            if moments is not None:
+                moments[:] = [0j] * ket.k_probes
+            modes = u_modes[us].tolist()
+            for i, es in enumerate(zip(*exponents)):
+                term = u_amps[i] * v_amps[i]
+                overlaps = [exp(e) for e in es]
+                if moments is not None:
+                    for k in range(ket.k_probes):
+                        weighted = term * conj_u[k][i] * pv[k][i]
+                        for o in overlaps:
+                            weighted *= o
+                        moments[k] += weighted
+                for o in overlaps:
+                    term *= o
+                total += term
+                if parts is not None:
+                    parts[modes[i]] = parts.get(modes[i], 0j) + term
     except OverflowError:
         raise ValueError("non-finite inner product: a coherent overlap overflows") from None
     _check_finite(total, "inner product")
@@ -426,38 +711,52 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> 
     """
     import numpy as np
 
-    def by_mode(state):
-        groups: dict[int, list[Branch]] = {}
-        for br in state.branches:
-            groups.setdefault(br.mode, []).append(br)
-        return groups
-
-    kets = by_mode(ket)
+    bras = _mode_blocks(bra)
+    kets = bras if ket is bra else _mode_blocks(ket)
     total = 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for mode, us in by_mode(bra).items():
-            vs = kets.get(mode)
-            if vs is None:
+        for mode, (cu, a_u) in bras.items():
+            if mode not in kets:
                 continue
-            cu = np.array([u.probes for u in us], dtype=complex).conj()
-            V = np.array([v.probes for v in vs], dtype=complex)
-            a_u = np.array([u.amp for u in us]).conj()
-            a_v = np.array([v.amp for v in vs])
+            V, a_v = kets[mode]
+            cu, a_u = cu.conj(), a_u.conj()
             if k is not None:
                 a_u = a_u * cu[:, k]
                 a_v = a_v * V[:, k]
             hu = -0.5 * (cu.real * cu.real + cu.imag * cu.imag)
             hv = -0.5 * (V.real * V.real + V.imag * V.imag)
-            rows = max(1, _GRAM_BLOCK // len(vs))
-            for i in range(0, len(us), rows):
+            rows = max(1, _GRAM_BLOCK // len(a_v))
+            for i in range(0, len(a_u), rows):
                 block = slice(i, i + rows)
-                E = np.zeros((len(hu[block]), len(vs)), dtype=complex)
+                E = np.zeros((len(hu[block]), len(a_v)), dtype=complex)
                 for j in range(ket.k_probes):
                     E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
                 np.exp(E, out=E)
                 total += complex(np.einsum("i,ij,j->", a_u[block], E, a_v))
     _check_finite(total, "inner product")
     return total
+
+
+def _mode_blocks(state: HybridState) -> dict:
+    """mode -> (probes, n x K, and amplitudes as complex arrays), modes in order of first use."""
+    import numpy as np
+
+    cols = state._cols
+    if cols is None:
+        groups: dict[int, list[Branch]] = {}
+        for br in state.branches:
+            groups.setdefault(br.mode, []).append(br)
+        return {
+            mode: (np.array([b.probes for b in bs], dtype=complex), np.array([b.amp for b in bs]))
+            for mode, bs in groups.items()
+        }
+    modes, amps, probes = cols
+    found, first = np.unique(modes, return_index=True)
+    blocks = {}
+    for mode in found[np.argsort(first)].tolist():
+        rows = (modes == mode).nonzero()[0]
+        blocks[mode] = probes[rows], amps[rows]
+    return blocks
 
 
 def inner_product(bra: HybridState, ket: HybridState) -> complex:
@@ -478,10 +777,10 @@ def _canonical_key(br: Branch) -> tuple[int, tuple[tuple[float, float], ...]]:
 _mode_of = operator.attrgetter("mode")
 
 
-def _nonempty(br: Branch) -> bool:
-    """Whether ``br`` survives the merge: |amp| >= MERGE_TOL."""
+def _nonempty(amp: complex) -> bool:
+    """Whether a branch of amplitude ``amp`` survives the merge: |amp| >= MERGE_TOL."""
     try:
-        return abs(br.amp) >= MERGE_TOL
+        return abs(amp) >= MERGE_TOL
     except OverflowError:
         # Finite parts whose modulus exceeds the float range: far from
         # empty.  Kept, so the next norm reports the overflow.
@@ -514,12 +813,17 @@ def merge_branches(state: HybridState) -> HybridState:
     two are searched, which makes merging expected O(n) in the branch count
     (the pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is
     derived from :data:`MERGE_TOL`; a relative tolerance must rescale it.
-    From ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_sorted_merge`
-    sorts them with numpy first and runs the index only on the branches
-    that sorted next to a same-mode branch within :data:`MERGE_TOL` along
-    Re(probes[0]).  Every path gives the same groups, sums and order, bit
-    for bit.
+    From ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_column_merge`
+    runs on the column form (built from the branches where the state has
+    none): one ``np.lexsort`` into canonical order and a check of sorted
+    neighbours along Re(probes[0]), with the index run only on branches
+    that sorted next to a same-mode branch within :data:`MERGE_TOL`.  Its
+    result keeps the column form from ``_MERGE_SORT_MIN`` branches on.
+    Every path gives the same groups, sums and order, bit for bit.
     """
+    cols = state._cols
+    if cols is not None and len(cols[0]) > state.m_modes:
+        return _column_merge(state)
     branches = state.branches
     last = -1
     try:
@@ -532,12 +836,12 @@ def merge_branches(state: HybridState) -> HybridState:
     except OverflowError:
         pass
     if len(branches) <= state.m_modes and len({br.mode for br in branches}) == len(branches):
-        kept = [br for br in branches if _nonempty(br)]
+        kept = [br for br in branches if _nonempty(br.amp)]
         kept.sort(key=_mode_of)
         return _state(state.m_modes, state.k_probes, tuple(kept))
     if len(branches) >= _MERGE_SORT_MIN and state.k_probes:
-        return _state(state.m_modes, state.k_probes, _sorted_merge(branches))
-    kept = [g for g in _merge_groups(branches).values() if _nonempty(g)]
+        return _column_merge(state)
+    kept = [g for g in _merge_groups(branches).values() if _nonempty(g.amp)]
     kept.sort(key=_canonical_key)
     return _state(state.m_modes, state.k_probes, tuple(kept))
 
@@ -670,45 +974,77 @@ def _merge_columns(m_modes: int, k_probes: int, branches: Sequence[Branch], amps
     return [branches[i] for i in kept], [sums[i] for i in kept]
 
 
-def _sorted_merge(branches: Sequence[Branch]) -> tuple[Branch, ...]:
-    """The branches of :func:`merge_branches` for a large state with K > 0.
+def _column_merge(state: HybridState) -> HybridState:
+    """:func:`merge_branches` of a state of ``_MERGE_SORT_MIN`` branches or more with K > 0.
 
-    One ``np.lexsort`` puts the branches in canonical order (mode, then
-    Re p0, Im p0, Re p1, ...; ties keep input order, as ``list.sort`` does).
+    Runs on the column form, built from the branches if the state has none.
+    One ``np.lexsort`` puts the rows in canonical order (mode, then Re p0,
+    Im p0, Re p1, ...; ties keep input order, as ``list.sort`` does).
     Within a mode, Re(probes[0]) never decreases along that order, so the
     gap to a sorted neighbour, taken with the merge test's own subtraction,
-    is the smallest gap to any branch on that side; a branch both of whose
+    is the smallest gap to any row on that side; a row both of whose
     same-mode gaps exceed :data:`MERGE_TOL` cannot merge, since
     ``abs(a - b) >= abs(Re(a - b))``.  :func:`_merge_groups` runs on the
-    other branches alone, in input order, and each group takes its first
-    member's sorted slot; every other branch is a group of its own.  So
-    groups, amplitude sums, finite checks, drops and order are those of the
-    index on the whole state.  A gap that overflows is inf, not a warning.
+    branches of the other rows alone, in input order, and each group takes
+    its first member's sorted slot; every other row is a group of its own.
+    So groups, amplitude sums, finite checks, drops and order are those of
+    the index on the whole state.  A gap that overflows is inf, not a
+    warning.  The result keeps columns from ``_MERGE_SORT_MIN`` branches on;
+    below, its branches are built, reusing any :class:`Branch` at hand.
     """
     import numpy as np
 
-    n = len(branches)
-    modes = np.fromiter([br.mode for br in branches], np.intp, n)
-    probes = np.fromiter(
-        chain.from_iterable([br.probes for br in branches]), complex, n * len(branches[0].probes)
-    ).reshape(n, -1)
+    m_modes, k_probes = state.m_modes, state.k_probes
+    cols = state._cols
+    if cols is None:
+        # Amplitudes are read from the branches only if the result keeps columns.
+        branches = state.branches
+        modes, probes = _mode_probe_columns(branches, k_probes)
+        amps = None
+    else:
+        branches = None
+        modes, amps, probes = cols
     keys = [modes]
-    for column in probes.T:
-        keys += [column.real, column.imag]
+    for p in probes.T:
+        keys += [p.real, p.imag]
     order = np.lexsort(keys[::-1])
-    ranked = modes[order]
-    re0 = probes[order, 0].real
+    ranked, re0 = modes[order], probes[order, 0].real
     with np.errstate(over="ignore"):
         close = (ranked[1:] == ranked[:-1]) & (re0[1:] - re0[:-1] <= MERGE_TOL)
-    slots: list[Branch | None] = list(branches)
-    if close.any():
-        candidate = np.zeros(n, dtype=bool)
+    # The rows that may merge, in input order, and their groups by position.
+    members: list[int] = []
+    groups: dict[int, Branch] = {}
+    if np.count_nonzero(close):
+        candidate = np.zeros(len(modes), dtype=bool)
         candidate[1:] = close
         candidate[:-1] |= close
         members = np.sort(order[candidate]).tolist()
-        groups = _merge_groups([branches[i] for i in members])
+        if branches is None:
+            groups = _merge_groups(list(_column_branches(cols, members)))
+        else:
+            groups = _merge_groups([branches[i] for i in members])
+    if len(order) - len(members) + len(groups) < _MERGE_SORT_MIN:
+        slots: list[Branch | None] = list(branches or _column_branches(cols))
         for pos, i in enumerate(members):
             slots[i] = groups.get(pos)
-    return tuple(
-        [br for br in map(slots.__getitem__, order.tolist()) if br is not None and _nonempty(br)]
-    )
+        return _state(m_modes, k_probes, tuple(
+            [br for br in map(slots.__getitem__, order.tolist()) if br is not None and _nonempty(br.amp)]
+        ))
+    if amps is None:
+        amps = np.fromiter([br.amp for br in branches], complex, len(branches))
+    if members:
+        amps = amps.copy()
+        for pos, i in enumerate(members):
+            if pos in groups:
+                amps[i] = groups[pos].amp
+        order = order[~np.isin(order, [i for pos, i in enumerate(members) if pos not in groups])]
+    cols = _take((modes, amps, probes), order)
+    with np.errstate(over="ignore"):
+        size = np.abs(cols[1])
+    # np.abs and abs may round apart, so a size near MERGE_TOL takes abs.
+    keep = size >= 2.0 * MERGE_TOL
+    if np.count_nonzero(keep) < len(keep):
+        for j in (~keep & (size >= 0.5 * MERGE_TOL)).nonzero()[0].tolist():
+            keep[j] = _nonempty(complex(cols[1][j]))
+        return _rows_state(m_modes, k_probes, cols, keep.nonzero()[0])
+    return _column_state(m_modes, k_probes, cols)

@@ -1,0 +1,244 @@
+"""States of ``_MERGE_SORT_MIN`` branches or more run on a column form, with the branch path's bits.
+
+A state the engine builds with at least ``_MERGE_SORT_MIN`` branches and
+K > 0 keeps its modes, amplitudes and probes as numpy columns; the element
+appliers, ``merge_branches`` and the pair sums act on those, and its
+``branches`` are built on first read.  Raising ``_MERGE_SORT_MIN`` past
+every state's size turns the column form off, so every state runs the
+per-branch code; both runs must agree bit for bit, compared by ``repr``,
+raised errors included.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+import pickle
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+import qndmzi.states
+from qndmzi import (
+    FINAL_STAGE,
+    MERGE_TOL,
+    PROBE,
+    SYS,
+    BeamSplitter,
+    Circuit,
+    HybridState,
+    KerrCoupling,
+    PhaseShift,
+    Snapshot,
+    inner_product,
+    mean_probe_photons,
+    run_both,
+    run_forward,
+)
+from qndmzi.states import _MERGE_SORT_MIN, _pair_sum
+from deep_chains import deep_chain
+from test_preset import _count_builds
+
+
+def branch_path():
+    """Patch under which no state takes the column form."""
+    return mock.patch.object(qndmzi.states, "_MERGE_SORT_MIN", 1 << 62)
+
+
+def outcome(circuit: Circuit) -> list[str]:
+    """``repr`` of every stage state and of the sums over them, or of the error raised."""
+    out: list[str] = []
+    try:
+        trace = run_both(circuit)
+        for stages in (trace.forward, trace.backward):
+            out += [f"{label} {stages[label]!r}" for label in stages]
+        final = trace.forward[FINAL_STAGE]
+        out.append(repr(final.norm_sq()))
+        for label in circuit.stages:
+            bwd, fwd = trace.backward[label], trace.forward[label]
+            out.append(repr(inner_product(bwd, fwd)))
+            moments: list[complex] = []
+            parts: dict[int, complex] = {}
+            out.append(repr((_pair_sum(bwd, fwd, moments, parts), moments, parts)))
+        out.append(repr(mean_probe_photons(final)))
+    except (ValueError, OverflowError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def assert_same_paths(circuit: Circuit) -> None:
+    got = outcome(circuit)
+    with branch_path():
+        want = outcome(circuit)
+    assert got == want
+
+
+def chain(layers, alpha: complex, k_probes: int) -> Circuit:
+    """A splitter on modes 0 and 1, a Kerr mark on mode 0 and extras per layer, then a snapshot."""
+    elements = []
+    for i, (r, eps, extra) in enumerate(layers):
+        elements += [BeamSplitter(SYS, 0, 1, r), KerrCoupling(frozenset({0}), i % k_probes, eps)]
+        if extra == "phase":
+            elements.append(PhaseShift(SYS, 1, 0.3 + eps))
+        elif extra == "probe" and k_probes == 2:
+            elements += [BeamSplitter(PROBE, 0, 1, 0.6), PhaseShift(PROBE, 1, eps)]
+        elements.append(Snapshot(f"d{i + 1}"))
+    probes = (complex(alpha), 0.6j * alpha)[:k_probes]
+    return Circuit(2, k_probes, tuple(elements), 0, probes)
+
+
+_BALANCED = math.sqrt(0.5)
+_alpha = st.builds(
+    lambda e, phase: 10.0**e * complex(math.cos(phase), math.sin(phase)),
+    st.floats(-3.0, 6.0),
+    st.floats(0.0, 2 * math.pi),
+)
+# A reflectivity of a few 1e-12 gives branches of amplitude 0.1 to 0.2
+# reflected copies within a factor 2 of MERGE_TOL.
+_reflectivity = st.one_of(
+    st.just(_BALANCED), st.floats(0.2, 0.8), st.floats(2.5e-12, 2e-11)
+)
+_layer = st.tuples(_reflectivity, st.floats(0.05, 1.0), st.sampled_from((None, "phase", "probe")))
+
+
+# No shrinking: a failure is reported as drawn, since each example runs
+# chains of up to 256 branches twice.
+@settings(
+    derandomize=True, max_examples=60, deadline=None, phases=(Phase.explicit, Phase.generate)
+)
+@given(st.lists(_layer, min_size=5, max_size=8), _alpha, st.sampled_from((1, 2)))
+def test_column_path_matches_the_branch_path_property(layers, alpha, k_probes):
+    assert_same_paths(chain(layers, alpha, k_probes))
+
+
+@settings(
+    derandomize=True, max_examples=20, deadline=None, phases=(Phase.explicit, Phase.generate)
+)
+@given(st.integers(5, 8), st.sampled_from((0.5, 0.25, math.pi / 4)), _alpha)
+def test_equal_marks_merge_alike_property(depth, eps, alpha):
+    # Equal eps: paths with the same number of marks merge, in columns too.
+    assert_same_paths(deep_chain([eps] * depth, alpha))
+
+
+@pytest.mark.parametrize("alpha", [1e154, 1e160, 1.2e308, 1e308 + 1e308j])
+@pytest.mark.parametrize("k_probes", [1, 2])
+def test_overflow_raises_alike(alpha, k_probes):
+    rng = random.Random(f"overflow {alpha} {k_probes}")
+    circuit = deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], alpha, k_probes)
+    got = outcome(circuit)
+    assert got[-1].startswith(("ValueError: non-finite", "OverflowError"))
+    with branch_path():
+        assert got == outcome(circuit)
+
+
+@pytest.mark.parametrize("f", [0.4, 0.6, 0.9, 1.0, 1.1, 1.9, 2.2])
+def test_amplitudes_near_the_drop_tolerance(f):
+    # Five balanced layers leave 32 branches of amplitude 2^-2.5; the next
+    # splitter reflects copies of amplitude f * MERGE_TOL into the column
+    # merge, which drops those below the tolerance and keeps the others.
+    rng = random.Random(41)
+    layers = [(_BALANCED, rng.uniform(0.05, 1.0), None) for _ in range(5)]
+    circuit = chain(layers + [(f * MERGE_TOL * 2**2.5, 0.77, None)], 2.0, 1)
+    final = run_forward(circuit).forward[FINAL_STAGE]
+    small = [abs(br.amp) / MERGE_TOL for br in final.branches if abs(br.amp) < 0.1]
+    assert len(final.branches) == 32 + len(small)
+    assert all(abs(size - f) < 1e-9 for size in small)
+    if f != 1.0:  # At f = 1 rounding keeps some and drops others.
+        assert len(small) == (32 if f > 1.0 else 0)
+    assert_same_paths(circuit)
+
+
+@pytest.fixture
+def column_state() -> HybridState:
+    rng = random.Random(17)
+    state = run_forward(deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 1.5 - 0.5j))
+    state = state.forward[FINAL_STAGE]
+    assert state._cols is not None and "branches" not in vars(state)
+    return state
+
+
+def twin(state: HybridState) -> HybridState:
+    """``state`` rebuilt by the public constructor from its branches."""
+    return HybridState(state.m_modes, state.k_probes, tuple(state.branches))
+
+
+class TestColumnState:
+    def test_equality_and_hash(self, column_state):
+        same = twin(column_state)
+        assert same._cols is None and len(same.branches) == 2**7
+        assert column_state == same and same == column_state
+        assert not column_state != same and hash(column_state) == hash(same)
+        assert repr(column_state) == repr(same)
+
+    def test_pickle_and_copy_round_trips(self, column_state):
+        for back in (
+            pickle.loads(pickle.dumps(column_state)),
+            copy.copy(column_state),
+            copy.deepcopy(column_state),
+        ):
+            assert back == column_state
+            assert repr(back) == repr(twin(column_state))
+
+    def test_branches_are_built_once(self, column_state):
+        assert column_state.branches is column_state.branches
+
+    def test_unknown_attribute(self, column_state):
+        with pytest.raises(AttributeError, match="nothing"):
+            column_state.nothing  # noqa: B018
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_project_mode(self, column_state, mode):
+        got = column_state.project_mode(mode)
+        assert repr(got) == repr(twin(column_state).project_mode(mode))
+        assert (got._cols is not None) == (len(got.branches) >= _MERGE_SORT_MIN)
+
+    def test_project_mode_of_a_missing_mode(self):
+        rng = random.Random(3)
+        circuit = deep_chain([rng.uniform(0.05, 1.0) for _ in range(6)], 2.0)
+        state = run_forward(circuit).forward[FINAL_STAGE]
+        wide = HybridState(3, 1, state.branches)
+        assert state.project_mode(0)._cols is not None
+        assert wide.project_mode(2).branches == ()
+
+    @pytest.mark.parametrize("factor", [0.5, -1j, 3 - 4j, 1e-300])
+    def test_scaled(self, column_state, factor):
+        got = column_state.scaled(factor)
+        assert got._cols is not None
+        assert repr(got) == repr(twin(column_state).scaled(factor))
+
+    def test_scaled_overflow_raises_alike(self, column_state):
+        big = column_state.scaled(1e308)
+        with pytest.raises(ValueError) as got:
+            big.scaled(1e10)
+        with pytest.raises(ValueError) as want:
+            twin(big).scaled(1e10)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite branch amplitude")
+
+
+def test_run_both_builds_branches_only_below_the_column_size(monkeypatch):
+    """``_branch`` calls of a depth-7 chain: only steps on states below 32 branches build any.
+
+    Forward, the source builds 1 branch; a splitter from n < 16 branches
+    builds 2n and the Kerr mark after it n (its mode-0 half); the splitter
+    from 16 builds 32 on the per-branch code, whose merge moves them to
+    columns.  Backward, the final bra builds 1, each Kerr mark rotates its
+    one mode-0 half, and the splitters build as forward.  Nothing after
+    that builds a branch until one is read.
+    """
+    rng = random.Random(29)
+    circuit = deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 2.0)
+    counts = _count_builds(monkeypatch)
+    trace = run_both(circuit)
+    forward = 1 + sum(2 * n + n for n in (1, 2, 4, 8)) + 32
+    backward = 1 + (1 + 1 + 2 + 4 + 8) + (2 + 4 + 8 + 16 + 32)
+    assert counts["_branch"] == forward + backward == 157
+    # d5, d6, d7 and final forward (final is d7), d2, d1 and source backward.
+    columns = [s for s in (*trace.forward.values(), *trace.backward.values()) if s._cols is not None]
+    assert len(columns) == 7 and not any("branches" in vars(s) for s in columns)
+    final = trace.forward[FINAL_STAGE]
+    assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7
+    assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7

@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from qndmzi.cli import main
+from deep_chains import chain_line, golden_chains
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,3 +52,11 @@ def test_cli_output_is_unchanged(name, tmp_path, monkeypatch):
     assert result.stdout == (GOLDEN / f"{name}.stdout").read_text()
     if csv_name is not None:
         assert (tmp_path / csv_name).read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_deep_chains_are_unchanged():
+    # Branch counts, norms and stage transition amplitudes of seeded deep
+    # chains, from 32 to 256 branches, recorded before large states moved
+    # to the column form; see deep_chains.py for how to record them again.
+    want = (GOLDEN / "deep_chain.txt").read_text().splitlines()
+    assert [chain_line(c) for c in golden_chains()] == want

@@ -342,7 +342,7 @@ SIZES = (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 64, 500)
 def sorted_merge_calls():
     """Patch that counts the calls of the sorted (numpy) merge path."""
     return mock.patch.object(
-        qndmzi.states, "_sorted_merge", wraps=qndmzi.states._sorted_merge
+        qndmzi.states, "_column_merge", wraps=qndmzi.states._column_merge
     )
 
 
