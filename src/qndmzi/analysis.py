@@ -6,19 +6,13 @@ analytic coherent-state matrix elements <b|n|g> = conj(b) g <b|g>, which
 stay correct when a conditional state is a superposition of coherent
 branches rather than a single product.
 
-Cost: the sweeps evolve the circuit prefix their points share once.  Past
-it, a fringe scan runs the suffix, the detector projection and the probe
-moments once, as numpy arrays over all phases, where the state ahead of the
-scanned phase holds at most one branch per mode and only probe phase
-shifts and probe splitters follow up to the detection stage, as in the
-paper apparatus detected at L3p.  A leakage sweep runs its suffix once over
-all deltas where they share one branch structure, as they do on the paper
-apparatus unless a delta empties a port (delta 0 empties the dark port):
-modes, probes, merges and overlaps are computed once, and only the
-amplitudes run as arrays over the deltas.  Both keep the per-point path's
-results bit for bit, and hand other inputs to it.  A stage ahead of the
-inserted phase, a fringe's detection stage or a leakage sweep's dark
-stage, is read once.
+Cost: the sweeps evolve the circuit prefix their points share once, and
+read a stage ahead of the inserted phase once.  Past it, one axis engine
+runs the suffix once for all points: each branch is a row whose amplitude
+and probes are floats where they are the same at every point and arrays
+over the points where they vary (:func:`_axis_stages`).  Where rows could
+not share one structure, or a point would raise, the sweep runs per point
+instead.  Both keep the per-point path's results bit for bit.
 """
 
 from __future__ import annotations
@@ -41,12 +35,11 @@ from .circuit import (
     run_both,
 )
 from .elements import (
-    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_amp_columns,
-    _apply_to_columns, _phase_factor,
+    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_rows, _phase_factor,
 )
 from .states import (
-    HybridState, _all_finite, _batch_pair_sum, _check_finite, _check_mode, _check_shape,
-    _cmul, _merge_columns, _pair_sum, inner_product,
+    Branch, HybridState, _all_finite, _batch_overlaps, _batch_pair_sum, _check_finite,
+    _check_mode, _check_shape, _cmul, _merge_rows, _pair_sum, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -250,62 +243,105 @@ def _scan_intensities(
 def _phase_axis_intensities(
     circuit: Circuit, insert_at: int, head: HybridState, mode: int, phis: Sequence[float]
 ) -> tuple[list[float], list[float]] | None:
-    """:func:`_scan_intensities` past the prefix in one pass over a phase axis, or None.
+    """:func:`_scan_intensities` past ``head``, the state ahead of the scanned phase, or None.
 
-    Applies when ``head``, the state ahead of the scanned phase, holds at
-    most one branch per mode and every element from there to the detection
-    snapshot is a probe phase shift or probe splitter.  Those change no
-    mode and no amplitude, so every merge keeps the state as it is (``head``
-    is the source state or a merge's output, so no branch of it is empty)
-    and the projection on ``mode`` is one branch.  Its probes then run as
-    columns over the phases through the scanned phase, the probe elements,
-    :func:`_condition`'s projection, norm and scaling, and
-    :func:`_probe_means`, each value with the per-phase path's operations,
-    so every intensity equals that path's, bit for bit.  Returns None where
-    it does not apply, and wherever the per-phase path would raise (a
-    non-finite value, an empty projection, a probability or norm <= 0), so
-    that the per-phase path runs and raises its own error.
+    Runs :func:`_axis_stages` to the detection stage and
+    :func:`_axis_condition` with the probe moments, then divides as
+    :func:`_probe_means` does.
     """
-    branches = head.branches
-    modes = [br.mode for br in branches]
-    if len(set(modes)) != len(modes) or mode not in modes:
-        return None
-    elements = []
-    for el in circuit.elements[insert_at:]:
-        if isinstance(el, Snapshot):
-            if el.label == circuit.detect_stage:
-                break
-        elif isinstance(el, (PhaseShift, BeamSplitter)) and el.target == PROBE:
-            elements.append(el)
-        else:
-            return None
-    else:
-        if circuit.detect_stage != FINAL_STAGE:
-            return None  # detected ahead of the scanned phase
     with np.errstate(all="ignore"):
-        columns = np.array([br.probes for br in branches], dtype=complex).T[:, :, None]
-        re, im = list(columns.real), list(columns.imag)
-        factors = np.array([_phase_factor(phi) for phi in phis])
-        # The scanned phase shift, with its factor given per phase.
-        steps = [(PhaseShift(PROBE, 1, 0.0), (factors.real, factors.imag))]
-        for el, factor in steps + [(el, None) for el in elements]:
-            if not _apply_to_columns(el, re, im, factor):
+        stages = _axis_stages(circuit, insert_at, head, PROBE, 1, phis, circuit.detect_stage)
+        rows = stages and stages.get(circuit.detect_stage)
+        conditioned = rows and _axis_condition(rows, mode, moments=True)
+        if not conditioned:
+            return None
+        _, ((norm, _), moments) = conditioned
+        return tuple(_points(m[0] / norm, len(phis)) for m in moments)
+
+
+def _branch_rows(branches: Iterable[Branch]) -> list:
+    """``branches`` as axis rows (mode, amp, probes) of fixed (re, im) pairs."""
+    return [
+        (br.mode, (br.amp.real, br.amp.imag), tuple([(p.real, p.imag) for p in br.probes]))
+        for br in branches
+    ]
+
+
+def _points(value, n: int) -> list[float]:
+    """A float or float array over ``n`` points as a list of Python floats."""
+    return np.broadcast_to(value, (n,)).tolist()
+
+
+def _axis_stages(
+    circuit: Circuit, insert_at: int, head: HybridState, target: str, index: int,
+    phis: Sequence[float], stop: str,
+) -> dict[str, list] | None:
+    """The rows at each stage past ``insert_at`` over an axis of inserted phases, or None.
+
+    A phase shift on ``target`` mode ``index``, with one factor per point
+    of ``phis``, goes ahead of ``circuit.elements[insert_at]`` and runs with
+    the elements after it on the rows of ``head`` (a merge's output or the
+    source), through :func:`~qndmzi.elements._apply_to_rows` and
+    :func:`~qndmzi.states._merge_rows`; a merge after a probe-only step on
+    rows in distinct modes is the identity and is skipped.  Returns the rows
+    at each snapshot up to ``stop``, or to the end and :data:`FINAL_STAGE`.
+    """
+    factors = np.array([_phase_factor(phi) for phi in phis], dtype=complex)
+    rows = _branch_rows(head.branches)
+    stages = {}
+    steps = chain(
+        [(PhaseShift(target, index, 0.0), (factors.real, factors.imag))],
+        ((el, None) for el in circuit.elements[insert_at:]),
+    )
+    for el, factor in steps:
+        if isinstance(el, Snapshot):
+            stages[el.label] = rows
+            if el.label == stop:
+                return stages
+            continue
+        moved = _apply_to_rows(el, rows, factor)
+        probe_only = isinstance(el, KerrCoupling) or el.target == PROBE
+        if moved and probe_only and len({row[0] for row in rows}) == len(rows):
+            rows = moved
+        else:
+            rows = moved and _merge_rows(moved)
+            if rows is None:
                 return None
-        b = modes.index(mode)
-        probes = [(r[b], i[b]) for r, i in zip(re, im)]
-        amp = branches[b].amp
-        kept = [(mode, (amp.real, amp.imag), probes)]
-        (probability, imag), _ = _batch_pair_sum(kept, kept)
-        if not (_all_finite(probability, imag) and (probability > 0.0).all()):
-            return None
-        scaled = _cmul(1.0 / np.sqrt(probability), 0.0, amp.real, amp.imag)
-        if not _all_finite(*scaled):
-            return None
-        kept = [(mode, scaled, probes)]
-        (norm, imag), moments = _batch_pair_sum(kept, kept, moments=True)
-        if not (_all_finite(norm, imag, *chain(*moments)) and (norm > 0.0).all()):
-            return None
-        return (moments[0][0] / norm).tolist(), (moments[1][0] / norm).tolist()
+    stages[FINAL_STAGE] = rows
+    return stages
+
+
+def _axis_sum(bra: list, ket: list, pairs: list | None = None, moments: bool = False):
+    """:func:`~qndmzi.states._batch_pair_sum` over ``pairs`` (default: all) if finite, else None."""
+    pairs = _batch_overlaps(bra, ket) if pairs is None else pairs
+    if pairs is None:
+        return None
+    total = _batch_pair_sum(bra, ket, pairs, moments)
+    return total if _all_finite(*total[0], *chain.from_iterable(total[1])) else None
+
+
+def _axis_condition(rows: list, mode: int, moments: bool = False):
+    """:func:`_condition` and the conditioned norm over an axis, or None.
+
+    Returns the projection's rows scaled to unit norm and their
+    :func:`_axis_sum` (with the probe moments if asked); both sums share
+    one set of overlaps.  None where, at some point, the projection is
+    empty, its probability or norm is not finite and > 0, or a scaled
+    amplitude is not finite.
+    """
+    kept = [row for row in rows if row[0] == mode]
+    pairs = _batch_overlaps(kept, kept)
+    probability = kept and pairs and _axis_sum(kept, kept, pairs)
+    if not probability or not (np.asarray(probability[0][0]) > 0.0).all():
+        return None
+    scale = 1.0 / np.sqrt(probability[0][0])
+    kept = [(m, _cmul(scale, 0.0, *amp), probes) for m, amp, probes in kept]
+    if not _all_finite(*chain.from_iterable(row[1] for row in kept)):
+        return None
+    norm = _axis_sum(kept, kept, pairs, moments)
+    if not norm or not (np.asarray(norm[0][0]) > 0.0).all():
+        return None
+    return kept, norm
 
 
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
@@ -317,14 +353,11 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     mode, before anything is evolved.  Everything ahead of the scanned
     phase is evolved once for the scan and once for its Kerr-free
     reference; a detection stage ahead of the phase is read from there
-    once.  When the state there holds at most one branch per mode and
-    only probe phase shifts and probe splitters follow up to the detection
-    stage (as in :func:`~qndmzi.circuit.build_nested_mzi` detected at
-    L3p), the rest runs once over an array axis of all phases; otherwise
-    per phase the phase and the elements after it up to the detection
-    stage are applied.  Either way the results equal, bit for bit, those
-    of inserting the phase and running each scanned circuit forward from
-    the source.
+    once.  The rest runs once over an axis of all phases where every merge
+    keeps one structure for all of them (as on
+    :func:`~qndmzi.circuit.build_nested_mzi` detected at L3p), and else per
+    phase.  Either way the results equal, bit for bit, those of inserting
+    the phase and running each scanned circuit forward from the source.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) < 4:
@@ -474,17 +507,12 @@ def leakage_sweep(
     ``arm_mode``, ``dark_stage`` and every delta (which must be finite) are
     checked before anything is evolved.
     The elements up to the inner splitter are evolved once; the unperturbed
-    circuit resumes from there with the elements after it.  Where every
-    delta keeps the same branches after every element (no branch kept at
-    some deltas and dropped at others), fewer than ``_MERGE_SORT_MIN``
-    branches and every value finite, as on
-    :func:`~qndmzi.circuit.build_nested_mzi` with deltas that leave both
-    inner exits lit, the phase and the elements after it run once over an
-    array axis of all deltas (:func:`_delta_axis_points`).  Otherwise per
-    delta only the phase and those elements are applied, taking each
-    detector projection's and conditional norm once; a dark stage ahead of
-    the phase is read once.
-    The results equal, bit for bit, those of inserting the phase and
+    circuit resumes from there with the elements after it.  The phase and
+    the elements after it run once over an axis of all deltas where every
+    merge keeps the same branches at every delta (on
+    :func:`~qndmzi.circuit.build_nested_mzi`, deltas that leave both inner
+    exits lit), and else per delta; a dark stage ahead of the phase is read
+    once.  The results equal, bit for bit, those of inserting the phase and
     running each perturbed circuit forward from the source.
     """
     insert_at = None
@@ -531,104 +559,37 @@ def leakage_sweep(
 
 
 def _delta_axis_points(
-    circuit: Circuit,
-    insert_at: int,
-    prefix: tuple[HybridState, dict[str, HybridState]],
-    deltas: tuple[float, ...],
-    arm_mode: int,
-    dark_stage: str,
-    base: HybridState,
-    base_norm: float,
+    circuit: Circuit, insert_at: int, prefix: tuple, deltas: tuple[float, ...], arm_mode: int,
+    dark_stage: str, base: HybridState, base_norm: float,
 ) -> tuple[LeakagePoint, ...] | None:
-    """:func:`leakage_sweep`'s points in one pass over a delta axis, or None.
+    """:func:`leakage_sweep`'s points past the shared ``prefix``, or None.
 
-    The inserted phase changes only the amplitudes of branches in
-    ``arm_mode``, so the modes, probes, merge groups and coherent overlaps
-    past it are the same for every delta: they are computed once, with the
-    per-branch appliers' code and ``cmath.exp``.  Only the amplitudes run
-    over the deltas, as float columns, through the phase, the elements after
-    it (:func:`~qndmzi.elements._apply_to_amp_columns`), their merges
-    (:func:`~qndmzi.states._merge_columns`), the leak's, :func:`_condition`'s
-    and the fidelity's pair sums (:func:`~qndmzi.states._batch_pair_sum`) and
-    the scaling, each value with the per-delta path's operations.  The
-    fidelity and its deficit are then formed per point in Python, as
-    :func:`_fidelity` forms them, so every field equals that path's, bit for
-    bit, and is a Python float.  Returns None where the deltas would not
-    share one branch structure (a branch kept at some and dropped at others,
-    as the dark port at delta 0; ``_MERGE_SORT_MIN`` branches or more; a
-    Gram-sized pair sum) and wherever the per-delta path would raise (a
-    non-finite value or overflowing overlap, an empty projection, a
-    probability or norm <= 0), so that the per-delta path runs and raises
-    its own error.
+    Runs :func:`_axis_stages` to the end, the leak's pair sum (once for a
+    dark stage ahead of the phase), :func:`_axis_condition` and the overlap
+    with ``base``; the fidelity deficit is formed per point in Python, as
+    :func:`_fidelity` forms it.
     """
-    head, stages = prefix
-    n = len(deltas)
-    ahead = stages.get(dark_stage)  # a dark stage ahead of the phase, or None
-    factors = np.array([_phase_factor(delta) for delta in deltas], dtype=complex)
-    state = list(head.branches), [
-        (np.full(n, br.amp.real), np.full(n, br.amp.imag)) for br in head.branches
-    ]
-    dark = None
-    # The inserted phase, with its factor given per delta, then the suffix.
-    steps = chain(
-        [(PhaseShift(SYS, arm_mode, 0.0), (factors.real, factors.imag))],
-        ((el, None) for el in circuit.elements[insert_at:]),
-    )
-    for el, factor in steps:
-        if isinstance(el, Snapshot):
-            if el.label == dark_stage:
-                dark = state
-            continue
-        moved = _apply_to_amp_columns(el, *state, factor)
-        state = moved and _merge_columns(circuit.m_modes, circuit.k_probes, *moved)
-        if state is None:
-            return None
-
-    def projected(branches, amps, mode):
-        return [(mode, amp, [(p.real, p.imag) for p in br.probes])
-                for br, amp in zip(branches, amps) if br.mode == mode]
-
-    def checked_sum(bra, ket):
-        """A finite pair sum as (re, im), or None."""
-        try:
-            total = _batch_pair_sum(bra, ket)
-        except OverflowError:
-            return None
-        return total[0] if total is not None and _all_finite(*total[0]) else None
-
-    if ahead is not None:
-        try:
-            leaks = [ahead.project_mode(arm_mode).norm_sq()] * n
-        except ValueError:
-            return None
-    base_amps = [(br.amp.real, br.amp.imag) for br in base.branches]
+    head, ahead = prefix
     with np.errstate(all="ignore"):
-        if ahead is None:
-            kept = projected(*(dark or state), arm_mode)
-            leak = checked_sum(kept, kept)
-            if leak is None:
-                return None
-            leaks = np.broadcast_to(leak[0], (n,)).tolist()
-        kept = projected(*state, circuit.postselect_mode)
-        probability = checked_sum(kept, kept)
-        if not kept or probability is None or not (probability[0] > 0.0).all():
+        stages = _axis_stages(circuit, insert_at, head, SYS, arm_mode, deltas, FINAL_STAGE)
+        if stages is None:
             return None
-        scale = 1.0 / np.sqrt(probability[0])
-        kept = [(mode, _cmul(scale, 0.0, *amp), probes) for mode, amp, probes in kept]
-        if not _all_finite(*chain.from_iterable(amp for _, amp, _ in kept)):
+        dark = ahead.get(dark_stage)  # a dark stage ahead of the phase, or None
+        rows = stages[dark_stage] if dark is None else _branch_rows(dark.branches)
+        kept = [row for row in rows if row[0] == arm_mode]
+        leak = _axis_sum(kept, kept)
+        conditioned = leak and _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
+        if not conditioned or base_norm <= 0.0:
             return None
-        norm = checked_sum(kept, kept)
-        if norm is None or not (norm[0] > 0.0).all() or base_norm <= 0.0:
-            return None
-        overlap = checked_sum(projected(base.branches, base_amps, circuit.postselect_mode), kept)
+        leak = leak[0][0]
+        kept, ((norm, _), _) = conditioned
+        overlap = _axis_sum(_branch_rows(base.branches), kept)
         if overlap is None:
             return None
-    # The fidelity and its deficit as _fidelity and the per-delta loop form them.
+        columns = [_points(v, len(deltas)) for v in (leak, norm, *overlap[0])]
     return tuple(
-        LeakagePoint(delta, leak, 1.0 - abs(complex(re, im)) ** 2 / (base_norm * nb))
-        for delta, leak, nb, re, im in zip(
-            deltas, leaks, norm[0].tolist(), overlap[0].tolist(), overlap[1].tolist()
-        )
+        LeakagePoint(delta, p, 1.0 - abs(complex(re, im)) ** 2 / (base_norm * nb))
+        for delta, p, nb, re, im in zip(deltas, *columns)
     )
 
 

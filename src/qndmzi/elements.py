@@ -270,94 +270,65 @@ def apply_phase(
     return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
 
 
-def _apply_to_columns(el: PhaseShift | BeamSplitter, re: list, im: list, factor=None) -> bool:
-    """Apply a probe phase shift or probe splitter to probe columns, in place.
+def _apply_to_rows(el: Element, rows: list, factor=None):
+    """Apply an element other than a snapshot to rows over a batch axis, forward and unmerged.
 
-    ``re[k]`` and ``im[k]`` hold Re and Im of probe k for every point of a
-    batch (branches times scan points), as float arrays that broadcast
-    against each other.  Each new value is the product that
-    :func:`apply_phase` or :func:`apply_beam_splitter` forms from the
-    element's own factor or ``unitary()``, written out on floats by
-    :func:`~qndmzi.states._cmul`, so every point gets the bits of the
-    per-branch applier.  ``factor``, a pair (re, im) of arrays over the
-    batch, replaces a phase shift's factor with one factor per point.
-    Returns whether every value written is finite; the per-branch applier
-    raises where it is not.  Merging is not done here: the caller keeps
-    one branch per mode, where a merge changes nothing.
+    Rows are as in :func:`~qndmzi.states._batch_overlaps`.  Each value the
+    element changes is formed as its per-branch applier forms it, from the
+    element's own factor or ``unitary()`` with every product by
+    :func:`~qndmzi.states._cmul`, so every point gets that applier's bits.
+    ``factor``, a pair (re, im) of arrays, replaces a phase shift's factor
+    with one per point.  Returns the new rows, or None where the applier
+    would raise on a non-finite value.  Array overflow must not warn (the
+    caller's ``np.errstate``).
     """
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(el, PhaseShift):
-            if factor is None:
-                f = _phase_factor(el.phi)
-                factor = f.real, f.imag
-            i = el.index
-            re[i], im[i] = _cmul(*factor, re[i], im[i])
-            return _all_finite(re[i], im[i])
-        (u00, u01), (u10, u11) = el.unitary()
+    out = []
+    written: list = []
+    if isinstance(el, BeamSplitter):
+        u00, u01, u10, u11 = [(u.real, u.imag) for u in chain(*el.unitary())]
         a, b = el.mode_a, el.mode_b
-        pa, pb = (re[a], im[a]), (re[b], im[b])
-        (r0, i0), (r1, i1) = _cmul(u00.real, u00.imag, *pa), _cmul(u01.real, u01.imag, *pb)
-        (r2, i2), (r3, i3) = _cmul(u10.real, u10.imag, *pa), _cmul(u11.real, u11.imag, *pb)
-        re[a], im[a], re[b], im[b] = r0 + r1, i0 + i1, r2 + r3, i2 + i3
-        return _all_finite(re[a], im[a], re[b], im[b])
-
-
-def _apply_to_amp_columns(el: Element, branches: list, amps: list, factor=None):
-    """Apply an element other than a snapshot to amplitude columns, forward and unmerged.
-
-    ``branches`` hold each branch's mode and probes, the same at every point
-    (their ``amp`` is not read), and ``amps[j]`` is branch j's amplitude as
-    a pair (re, im) of float arrays.  A probe element or Kerr coupling moves
-    the probes once, with its per-branch applier's own code, and keeps the
-    columns.  A system splitter or phase shift forms each column as its
-    applier forms each amplitude, by :func:`~qndmzi.states._cmul`, so every
-    point gets the applier's bits.  ``factor``, a pair (re, im) of arrays,
-    replaces a system phase shift's factor with one per point.  Returns the
-    new branches and columns, or None where the applier would raise on a
-    non-finite value.
-    """
-    import numpy as np
-
-    if isinstance(el, KerrCoupling) or el.target == PROBE:
-        try:
-            if isinstance(el, KerrCoupling):
-                rot = _kerr_factor(el.eps_tau)
-                moved = _rotate_probe(branches, el.probe_mode, rot, el.system_modes)
-            elif isinstance(el, PhaseShift):
-                moved = _rotate_probe(branches, el.index, _phase_factor(el.phi))
+        if el.target == SYS:
+            # Unchecked, as in apply_beam_splitter: no product can overflow.
+            for row in rows:
+                mode, amp, probes = row
+                if mode == a:
+                    out += [(a, _cmul(*u00, *amp), probes), (b, _cmul(*u10, *amp), probes)]
+                elif mode == b:
+                    out += [(a, _cmul(*u01, *amp), probes), (b, _cmul(*u11, *amp), probes)]
+                else:
+                    out.append(row)
+            return out
+        for mode, amp, probes in rows:
+            pa, pb = probes[a], probes[b]
+            (r0, i0), (r1, i1) = _cmul(*u00, *pa), _cmul(*u01, *pb)
+            (r2, i2), (r3, i3) = _cmul(*u10, *pa), _cmul(*u11, *pb)
+            new = list(probes)
+            new[a], new[b] = (r0 + r1, i0 + i1), (r2 + r3, i2 + i3)
+            written += [*new[a], *new[b]]
+            out.append((mode, amp, tuple(new)))
+        return out if _all_finite(*written) else None
+    # A phase shift or Kerr coupling scales the amplitude (k None) or probe k
+    # of every row whose mode is in ``modes`` (every row where it is None).
+    if isinstance(el, KerrCoupling):
+        f, modes, k = _kerr_factor(el.eps_tau), el.system_modes, el.probe_mode
+    elif el.target == SYS:
+        f, modes, k = _phase_factor(el.phi), (el.index,), None
+    else:
+        f, modes, k = _phase_factor(el.phi), None, el.index
+    factor = factor or (f.real, f.imag)
+    for row in rows:
+        mode, amp, probes = row
+        if modes is None or mode in modes:
+            if k is None:
+                amp = _cmul(*factor, *amp)
+                written += amp
             else:
-                moved = _mix_probes(branches, el.mode_a, el.mode_b, *chain(*el.unitary()))
-        except ValueError:
-            return None
-        return moved, amps
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(el, PhaseShift):
-            if factor is None:
-                f = _phase_factor(el.phi)
-                factor = f.real, f.imag
-            amps = [
-                _cmul(*factor, *amp) if br.mode == el.index else amp
-                for br, amp in zip(branches, amps)
-            ]
-            return (branches, amps) if _all_finite(*chain(*amps)) else None
-    (u00, u01), (u10, u11) = el.unitary()
-    a, b = el.mode_a, el.mode_b
-    out, columns = [], []
-    for br, amp in zip(branches, amps):
-        if br.mode == a:
-            row = ((a, u00), (b, u10))
-        elif br.mode == b:
-            row = ((a, u01), (b, u11))
-        else:
-            out.append(br)
-            columns.append(amp)
-            continue
-        for mode, u in row:
-            out.append(_branch(mode, br.amp, br.probes))
-            columns.append(_cmul(u.real, u.imag, *amp))
-    return out, columns
+                p = _cmul(*factor, *probes[k])
+                written += p
+                probes = probes[:k] + (p,) + probes[k + 1:]
+            row = mode, amp, probes
+        out.append(row)
+    return out if _all_finite(*written) else None
 
 
 def apply_element(

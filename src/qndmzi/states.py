@@ -33,12 +33,9 @@ either way: below ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop,
 bit-equal to summing :func:`coherent_overlap` terms; from there on it is one
 numpy Gram matrix per mode block, equal to the loop up to rounding.  Either
 path also gives <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the
-same call.  Pair sums and merges over a batch axis take one array pass for
-all points, with the loop's bits at each point, since every complex product
-is written out on floats as CPython forms it: one branch whose probes run
-over the axis (a fringe scan's phases), or branches with fixed probes whose
-amplitudes run over it (a leakage sweep's deltas), grouped once for all
-points.
+same call.  Pair sums and merges of rows over a batch axis (a sweep's
+points) take one pass for all points, with the loop's bits at each, since
+every complex product is written out on floats as CPython forms it.
 
 The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
 branches or more and K > 0 (an applier's unmerged output, a merge result,
@@ -622,11 +619,19 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _all_finite(*arrays) -> bool:
-    """Whether every element of every float array (or float) is finite."""
+def _all_finite(*values) -> bool:
+    """Whether every float, and every element of every float array (all of one shape), is finite."""
     import numpy as np
 
-    return all(np.isfinite(a).all() for a in arrays)
+    isfinite = math.isfinite
+    arrays = []
+    for v in values:
+        if isinstance(v, float):
+            if not isfinite(v):
+                return False
+        else:
+            arrays.append(v)
+    return not arrays or bool(np.isfinite(arrays).all())
 
 
 def _exp_pair(er, ei):
@@ -638,61 +643,68 @@ def _exp_pair(er, ei):
         return o.real, o.imag
     z = np.empty(np.broadcast(er, ei).shape, dtype=complex)
     z.real, z.imag = er, ei
-    o = np.asarray(np.frompyfunc(cmath.exp, 1, 1)(z), dtype=complex)
+    o = np.array(list(map(cmath.exp, z.tolist())), dtype=complex)
     return o.real, o.imag
 
 
-def _batch_pair_sum(bra, ket, moments: bool = False):
-    """:func:`_pair_sum` over a batch axis, or None where it would sum as a Gram matrix.
+def _batch_overlaps(bra: list, ket: list) -> list | None:
+    """The coherent overlaps of every mode-matched pair of rows over a batch axis, or None.
 
-    Each branch of ``bra`` and ``ket`` is a triple (mode, amp, probes):
-    ``amp`` and each of the K probes are pairs (re, im) of floats or float
-    arrays that broadcast over the batch.  A fringe scan's phase axis has
-    one branch with probe columns, a leakage sweep's delta axis several
-    branches with fixed probes and amplitude columns.  Returns the sum and,
-    with ``moments``, the K probe moments <n_k>, each a pair (re, im), from
-    the loop's operations in its order: every product by :func:`_cmul`,
-    every sum from 0j, every overlap by ``cmath.exp`` (CPython adds a float
-    to a complex as float + 0j, hence the 0.0 added to an imaginary part).
-    So each point gets the bits that :func:`_pair_sum` gives its state.  A
-    fixed overlap whose exponent overflows raises ``OverflowError``.  The
-    overlap exponent -|p|^2/2 - |p|^2/2 + |p|^2 of a branch with itself
-    rounds to 0 or a subnormal, or is NaN once |p|^2 overflows, so it
-    cannot raise, and a NaN reaches the sums.  They come back unchecked,
-    for the caller to check.  Returns None from ``_GRAM_MIN_PAIRS`` branch
-    pairs on.
+    A row is (mode, amp, probes): the amplitude and each of the K probes a
+    pair (re, im) of floats, or of float arrays where the value varies over
+    the points.  Returns (i, j, conj, overlaps) per pair of bra row i and
+    ket row j, in the loop's bra-major order, with conj(u_k) and <u_k|v_k>
+    per probe formed by :func:`_pair_sum`'s operations (a float plus a
+    complex adds 0.0 to the imaginary part).  Returns None from
+    ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.  Array
+    overflow must not warn (the caller's ``np.errstate``).
     """
-    import numpy as np
-
     if len(bra) * len(ket) >= _GRAM_MIN_PAIRS:
         return None
+    # |p|^2/2 per row and probe; the loop's -0.5 * |u|^2 is its negation.
+    halves = [[0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in ket]
+    bra_halves = halves if bra is ket else [
+        [0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in bra
+    ]
+    pairs = []
+    try:
+        for i, ((mode, _, u_probes), u_halves) in enumerate(zip(bra, bra_halves)):
+            conj = [(pr, -pi) for pr, pi in u_probes]
+            minus = [-h for h in u_halves]
+            for j, ((v_mode, _, v_probes), v_halves) in enumerate(zip(ket, halves)):
+                if v_mode == mode:
+                    overlaps = []
+                    for hu, (cr, ci), (pr, pi), hv in zip(minus, conj, v_probes, v_halves):
+                        er, ei = _cmul(cr, ci, pr, pi)
+                        overlaps.append(_exp_pair(hu - hv + er, 0.0 + ei))
+                    pairs.append((i, j, conj, overlaps))
+    except (OverflowError, ValueError):
+        return None
+    return pairs
+
+
+def _batch_pair_sum(bra: list, ket: list, pairs: list, moments: bool = False):
+    """:func:`_pair_sum` over a batch axis, from the :func:`_batch_overlaps` ``pairs``.
+
+    ``pairs`` may come from rows with the same modes and probes but other
+    amplitudes.  Returns the sum and, with ``moments``, the K probe moments,
+    each a pair (re, im) unchecked, from the loop's operations in its order:
+    each point gets the bits :func:`_pair_sum` gives its state.
+    """
     total = (0.0, 0.0)
     sums = [(0.0, 0.0)] * (len(ket[0][2]) if moments and ket else 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # |p|^2/2 per branch and probe; the loop's -0.5 * |u|^2 is its negation.
-        halves = [[0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in ket]
-        bra_halves = halves if bra is ket else [
-            [0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in bra
-        ]
-        for (mode, (ur, ui), u_probes), u_halves in zip(bra, bra_halves):
-            u_terms = [(-h, pr, -pi) for h, (pr, pi) in zip(u_halves, u_probes)]
-            for (v_mode, v_amp, v_probes), v_halves in zip(ket, halves):
-                if v_mode != mode:
-                    continue
-                term = _cmul(ur, -ui, *v_amp)
-                overlaps = []
-                for (hu, cr, ci), (pr, pi), hv in zip(u_terms, v_probes, v_halves):
-                    er, ei = _cmul(cr, ci, pr, pi)
-                    overlaps.append(_exp_pair(hu - hv + er, 0.0 + ei))
-                if sums:
-                    for k, ((_, cr, ci), pv) in enumerate(zip(u_terms, v_probes)):
-                        weighted = _cmul(*_cmul(*term, cr, ci), *pv)
-                        for o in overlaps:
-                            weighted = _cmul(*weighted, *o)
-                        sums[k] = (sums[k][0] + weighted[0], sums[k][1] + weighted[1])
+    for i, j, conj, overlaps in pairs:
+        ur, ui = bra[i][1]
+        term = _cmul(ur, -ui, *ket[j][1])
+        if sums:
+            for k, ((cr, ci), pv) in enumerate(zip(conj, ket[j][2])):
+                weighted = _cmul(*_cmul(*term, cr, ci), *pv)
                 for o in overlaps:
-                    term = _cmul(*term, *o)
-                total = (total[0] + term[0], total[1] + term[1])
+                    weighted = _cmul(*weighted, *o)
+                sums[k] = (sums[k][0] + weighted[0], sums[k][1] + weighted[1])
+        for o in overlaps:
+            term = _cmul(*term, *o)
+        total = (total[0] + term[0], total[1] + term[1])
     return total, sums
 
 
@@ -933,45 +945,51 @@ def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
     return groups
 
 
-def _merge_columns(m_modes: int, k_probes: int, branches: Sequence[Branch], amps: list):
-    """:func:`merge_branches` of branches whose amplitudes run over a batch axis, or None.
+def _merge_rows(rows: list):
+    """:func:`merge_branches` of rows over a batch axis (see :func:`_batch_overlaps`), or None.
 
-    ``branches`` give each branch's mode and probes, the same at every point
-    (their ``amp`` is not read), and ``amps[j]`` is branch j's amplitude as a
-    pair (re, im) of float arrays.  The groups come from
-    :func:`_merge_owners`, so they are the same at every point, and each
-    group's columns sum in :func:`_merge_groups`' order.  Returns the kept
-    branches and their columns in canonical order.  Returns None where the
-    points would not share that structure or the per-point merge would
-    raise: ``_MERGE_SORT_MIN`` branches or more (with K > 0), a non-finite
-    sum, or a group kept at some points and dropped at others.  A group
-    whose |amp| lies within a factor 2 of :data:`MERGE_TOL` at some point
-    counts as such, since ``np.hypot`` and ``abs`` may round apart.
+    Rows in distinct modes cannot merge.  Otherwise every probe must be
+    fixed, and :func:`_merge_owners` groups the rows once for all points;
+    a group sums its amplitudes as :func:`_merge_groups` does.  Rows are
+    dropped and sorted as the per-point merge does.  None where the points
+    would not share the result or the per-point merge would raise: a varying
+    probe in a shared mode, ``_MERGE_SORT_MIN`` rows or more, a non-finite
+    sum, or a row kept at some points only (a varying |amp| within a factor
+    2 of :data:`MERGE_TOL` counts, as ``np.hypot`` and ``abs`` may round apart).
     """
     import numpy as np
 
-    if len(branches) <= m_modes and len({br.mode for br in branches}) == len(branches):
-        sums = dict(enumerate(amps))
-        key = _mode_of
-    elif len(branches) >= _MERGE_SORT_MIN and k_probes:
-        return None
-    else:
-        sums = {}
-        for (re, im), first in zip(amps, _merge_owners(branches)):
-            s = sums.get(first)
-            sums[first] = (re, im) if s is None else (s[0] + re, s[1] + im)
-        if not _all_finite(*chain.from_iterable(sums.values())):
+    if len({row[0] for row in rows}) < len(rows):
+        if len(rows) >= _MERGE_SORT_MIN or not all(
+            isinstance(p[0], float) for row in rows for p in row[2]
+        ):
             return None
-        key = _canonical_key
+        branches = [_branch(mode, None, tuple([complex(*p) for p in probes]))
+                    for mode, _, probes in rows]
+        groups: dict[int, tuple] = {}
+        for row, first in zip(rows, _merge_owners(branches)):
+            g = groups.get(first)
+            groups[first] = row if g is None else (
+                g[0], (g[1][0] + row[1][0], g[1][1] + row[1][1]), g[2]
+            )
+        rows = list(groups.values())
+        if not _all_finite(*chain.from_iterable(row[1] for row in rows)):
+            return None
     kept = []
-    for first, (re, im) in sums.items():
+    for row in rows:
+        re, im = row[1]
+        if isinstance(re, float):
+            if _nonempty(complex(re, im)):
+                kept.append(row)
+            continue
         size = np.hypot(re, im)
         if (size >= 2.0 * MERGE_TOL).all():
-            kept.append(first)
+            kept.append(row)
         elif not (size < 0.5 * MERGE_TOL).all():
             return None
-    kept.sort(key=lambda first: key(branches[first]))
-    return [branches[i] for i in kept], [sums[i] for i in kept]
+    # By mode, then by the fixed probes as in _canonical_key; distinct modes compare no probes.
+    kept.sort(key=operator.itemgetter(0, 2))
+    return kept
 
 
 def _column_merge(state: HybridState) -> HybridState:

@@ -1,0 +1,58 @@
+"""Size and leftovers of the package source.
+
+The public API is pinned, so a change to it shows in review, and every
+module-level private function or class must be used somewhere else in the
+package, so a refactor cannot leave a superseded helper behind.
+"""
+
+import ast
+from pathlib import Path
+
+import qndmzi
+
+SRC = Path(qndmzi.__file__).parent
+
+PUBLIC_API = [
+    "BeamSplitter", "Branch", "Circuit", "CircuitFormatError", "DimensionMismatchError",
+    "Element", "FINAL_STAGE", "FringeScan", "HybridState", "KerrCoupling", "LeakagePoint",
+    "MERGE_TOL", "OVERLAP_THRESHOLD", "PROBE", "PhaseShift", "PostSelectionResult",
+    "SOURCE_STAGE", "SYS", "Snapshot", "StageTrace", "TsvfReport", "apply_beam_splitter",
+    "apply_element", "apply_kerr", "apply_phase", "build_nested_mzi", "coherent_overlap",
+    "format_complex", "fringe_scan", "inner_product", "leakage_sweep", "mean_probe_photons",
+    "merge_branches", "parse_circuit", "parse_complex", "postselect", "run_backward",
+    "run_both", "run_forward", "serialize_circuit", "state_fidelity", "tsvf_report",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(qndmzi.__all__) == PUBLIC_API
+    assert len(PUBLIC_API) == 42
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads, as a bare name or as an attribute."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_every_private_helper_is_used():
+    defined = []  # (module, name, the defining node)
+    uses = []  # (defining node or None, names used there)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path.name, node.name, node))
+            uses.append((node, _used_names(node)))
+    unused = [
+        f"{module}:{name}"
+        for module, name, own in defined
+        if not any(name in names for node, names in uses if node is not own)
+    ]
+    assert unused == []

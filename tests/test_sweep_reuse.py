@@ -101,6 +101,20 @@ def _count_elements(monkeypatch):
     return calls
 
 
+def _count_axis(monkeypatch, name):
+    """Record, per call of the axis entry ``name`` from now on, whether it ran."""
+    ran = []
+    axis = getattr(qndmzi.analysis, name)
+
+    def counted(*args):
+        points = axis(*args)
+        ran.append(points is not None)
+        return points
+
+    monkeypatch.setattr(qndmzi.analysis, name, counted)
+    return ran
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("r,alpha,eps", GRID)
     def test_fringe_scan(self, r, alpha, eps):
@@ -385,20 +399,19 @@ class TestPhaseAxis:
                             qndmzi.analysis._scan_intensities, scanned, mode, PHIS
                         ) == _outcome(sweep_reference._intensities, scanned, mode, PHIS)
 
-    def test_random_probe_optics_after_the_recombiner(self):
-        # Probe phases and splitters between the last probe splitter and
-        # the detection snapshot, random scan phases and a random second
-        # source probe.
+    def test_random_probe_optics_after_the_recombiner(self, monkeypatch):
+        # Random elements of every kind (probe optics, system splitters and
+        # phases, Kerr couplings) between the last probe splitter and the
+        # detection snapshot, random scan phases and a random second source
+        # probe.
         rng = random.Random(1410)
-        for _ in range(60):
+        ran = _count_axis(monkeypatch, "_phase_axis_intensities")
+        for _ in range(300):
             r, alpha = rng.random(), cmath.rect(10.0 ** rng.uniform(-3, 5), rng.uniform(0, 7))
             circuit = build_nested_mzi(r, alpha, rng.uniform(0.0, math.pi))
             elements = list(circuit.elements)
             for _ in range(rng.randint(1, 3)):
-                elements.insert(self.INSERT_AT + 1, rng.choice([
-                    PhaseShift(PROBE, rng.randrange(2), rng.uniform(-7.0, 7.0)),
-                    BeamSplitter(PROBE, *rng.sample([0, 1], 2), rng.random()),
-                ]))
+                elements.insert(self.INSERT_AT + 1, random_element(rng))
             circuit = replace(
                 circuit,
                 elements=tuple(elements),
@@ -408,6 +421,8 @@ class TestPhaseAxis:
             for mode in (0, 2):
                 got = _outcome(fringe_scan, circuit, mode, phis)
                 assert got == _outcome(reference_fringe_scan, circuit, mode, phis)
+        # System elements past the scanned phase keep most scans on the axis.
+        assert ran.count(True) > 0.6 * len(ran)
 
 
 class TestDeltaAxis:
@@ -419,20 +434,6 @@ class TestDeltaAxis:
     @staticmethod
     def _full(circuit):
         return sum(not isinstance(el, Snapshot) for el in circuit.elements)
-
-    @staticmethod
-    def _count_axis(monkeypatch):
-        """Record, per leakage sweep from now on, whether the delta axis ran."""
-        ran = []
-        axis = qndmzi.analysis._delta_axis_points
-
-        def counted(*args):
-            points = axis(*args)
-            ran.append(points is not None)
-            return points
-
-        monkeypatch.setattr(qndmzi.analysis, "_delta_axis_points", counted)
-        return ran
 
     def test_preset_applies_no_per_delta_elements(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
@@ -451,7 +452,7 @@ class TestDeltaAxis:
         # the phase sits on an inner arm.
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
         deltas = (0.0,) + self.DELTAS
-        ran = self._count_axis(monkeypatch)
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
         got = leakage_sweep(circuit, deltas, arm_mode, dark_stage)
         assert ran == [arm_mode == 0]
         monkeypatch.undo()
@@ -475,7 +476,7 @@ class TestDeltaAxis:
             for el in preset.elements
         )
         circuit = replace(preset, elements=elements)
-        ran = self._count_axis(monkeypatch)
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
         for arm_mode, dark_stage in self.ARMS:
             got = leakage_sweep(circuit, self.DELTAS, arm_mode, dark_stage)
             assert got == reference_leakage_sweep(circuit, self.DELTAS, arm_mode, dark_stage)
@@ -492,21 +493,29 @@ class TestDeltaAxis:
                     assert got == _outcome(reference_leakage_sweep, *args)
 
     def test_random_elements_after_the_inner_splitter(self, monkeypatch):
+        # Random elements at random positions, ahead of and past the inner
+        # splitter, a random dark stage per arm, and delta 0 in some sweeps.
         rng = random.Random(7482)
-        ran = self._count_axis(monkeypatch)
-        for _ in range(60):
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
+        for _ in range(100):
             r, alpha = rng.random(), cmath.rect(10.0 ** rng.uniform(-3, 5), rng.uniform(0, 7))
             circuit = build_nested_mzi(r, alpha, rng.uniform(0.0, math.pi))
             elements = list(circuit.elements)
             for _ in range(rng.randint(1, 3)):
-                elements.insert(3, random_element(rng))
+                elements.insert(rng.randint(0, len(elements)), random_element(rng))
             circuit = replace(circuit, elements=tuple(elements))
             deltas = [rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 12))]
-            for arm_mode, dark_stage in self.ARMS:
-                args = (circuit, deltas, arm_mode, dark_stage)
+            if rng.random() < 0.3:
+                deltas.insert(rng.randint(0, len(deltas)), 0.0)
+            for arm_mode in range(3):
+                args = (circuit, deltas, arm_mode, rng.choice(circuit.stages))
                 assert _outcome(leakage_sweep, *args) == _outcome(reference_leakage_sweep, *args)
+            for mode in (0, 2):
+                got = _outcome(fringe_scan, circuit, mode, PHIS)
+                assert got == _outcome(reference_fringe_scan, circuit, mode, PHIS)
         # Most sweeps run on the axis; the rest hand over.
         assert ran.count(True) > len(ran) // 2
+
 
     def test_fields_are_python_floats(self):
         # A numpy scalar would compare equal but change the repr.
