@@ -12,30 +12,29 @@ histories (as in the interferometers built here).  A system beam splitter
 can at worst double the branch count, so deep circuits that keep marking
 branches distinctly grow it exponentially.
 
-Cost model for n branches: :func:`merge_branches` is expected O(n), since
-each branch looks up candidate groups in a per-mode index of cells along
-Re(probes[0]) instead of scanning every earlier group.  A state already
-canonical (distinct modes in increasing order, no amplitude to drop) costs
-one pass and comes back as it is, with nothing built; other branches in
-distinct modes cannot merge and skip the index.  Below ``_MERGE_INDEX_MIN``
-branches a branch scans the earlier groups instead, O(n^2) but cheaper than
-building the index at that size, with the same groups.  Merging is greedy in
-input order: a branch within tolerance of two groups joins the earliest.
-The cell width ``_CELL`` is derived from :data:`MERGE_TOL`, so a tolerance
-that scales with the probe magnitude must rescale the cells too.  From
-``_MERGE_SORT_MIN`` branches on (with K > 0), one ``np.lexsort`` into
-canonical order comes first, and the Python index runs only on branches
-whose sorted same-mode neighbour lies within :data:`MERGE_TOL` along
-Re(probes[0]); the rest cannot merge and keep their sorted slots.  A state
-that cannot merge then costs one O(n log n) sort and a fixed number of
-numpy calls.  The pair sum behind :func:`inner_product` is O(n^2) work
-either way: below ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop,
-bit-equal to summing :func:`coherent_overlap` terms; from there on it is one
-numpy Gram matrix per mode block, equal to the loop up to rounding.  Either
-path also gives <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the
-same call.  Pair sums and merges of rows over a batch axis (a sweep's
-points) take one pass for all points, with the loop's bits at each, since
-every complex product is written out on floats as CPython forms it.
+Cost model for n branches: :func:`merge_branches` is greedy in input order.
+A branch joins the earliest group it matches among the earlier groups of
+its bucket, so a branch within tolerance of two groups joins the earlier.
+A state already canonical (distinct modes in increasing order, no amplitude
+to drop) costs one pass and comes back as it is, with nothing built; other
+branches in distinct modes cannot merge and skip the scan.  Below
+``_MERGE_SCAN_MAX`` branches, and for every state with K = 0, the bucket is
+the branch's mode.  From there on (with K > 0), one ``np.lexsort`` into
+canonical order comes first, and the bucket is the branch's run of sorted
+same-mode neighbours, each within :data:`MERGE_TOL` of the next along
+Re(probes[0]); a branch alone in its run cannot merge and keeps its sorted
+slot.  Either way a merge costs at worst O(run length x groups in the run)
+summed over its buckets, a mode counting as one run; a state that cannot
+merge costs one O(n log n) sort and a fixed number of numpy calls.
+
+The pair sum behind :func:`inner_product` is O(n^2) work either way: below
+``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
+:func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
+per mode block, equal to the loop up to rounding.  Either path also gives
+<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  Pair
+sums and merges of rows over a batch axis (a sweep's points) take one pass
+for all points, with the loop's bits at each, since every complex product
+is written out on floats as CPython forms it.
 
 The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
 branches or more and K > 0 (an applier's unmerged output, a merge result,
@@ -86,15 +85,6 @@ from typing import Sequence
 #: noise, far below any physical amplitude in the circuits simulated here.
 MERGE_TOL = 1e-12
 
-#: Width of a merge-index cell along Re(probes[0]).  Derived from
-#: MERGE_TOL: at 4 * MERGE_TOL a tolerance interval (width 2 * MERGE_TOL)
-#: reaches at most the one neighbouring cell on its key's nearer side.
-_CELL = 4 * MERGE_TOL
-
-#: Cell of every |Re(probes[0])| above ~7e296, where Re/_CELL overflows.
-#: Exact: there, two floats within MERGE_TOL of each other are equal.
-_HUGE_CELL = "huge"
-
 #: Branch pairs (bra branches times ket branches) from which :func:`_pair_sum`
 #: sums as a numpy Gram matrix.  The Gram is faster from about 64 pairs, but
 #: below this bound every state of the apparatus, the sweeps and the golden
@@ -102,22 +92,18 @@ _HUGE_CELL = "huge"
 #: Gram is about 10x faster than the loop.
 _GRAM_MIN_PAIRS = 4096
 
-#: Branch count from which :func:`merge_branches` (with K > 0) sorts with
-#: numpy first and runs the cell index only on branches that can merge, and
-#: from which engine-built states keep the column form (module docstring).  On
-#: states that cannot merge the sorted pass wins from about 16 branches (33
-#: vs 41 us at 16, 40 vs 80 us at 32, 90 vs 361 us at 128, one core of a
-#: 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6); where nearly every branch
-#: merges it only adds its numpy setup, so the bound sits higher.
+#: Branch count from which engine-built states with K > 0 keep the column
+#: form (module docstring).  Where nearly every branch merges the columns
+#: only add their numpy setup, so the bound sits above ``_MERGE_SCAN_MAX``.
 _MERGE_SORT_MIN = 32
 
-#: Branch count from which :func:`merge_branches` finds candidate groups
-#: through its cell index; below it, a branch scans every earlier group.
-#: The scan wins below about 8 branches and loses from about 10 (in us per
-#: call where no branch merges: 1.8 vs 2.1 at 5, 4.1 vs 4.0 at 8, 13.0 vs
-#: 6.3 at 12; where half the branches merge: 1.6 vs 2.6 at 5, 6.9 vs 5.8
-#: at 10; one core of a 2-vCPU Xeon, Python 3.11.7).
-_MERGE_INDEX_MIN = 8
+#: Branch count from which :func:`merge_branches` (with K > 0) sorts with
+#: numpy first and scans only the runs of sorted neighbours; below it, a
+#: branch scans the earlier groups of its mode.  On Kerr-chain states that
+#: cannot merge the scan takes about 17 us at 8 branches against 20 us for
+#: the sorted pass, and 47 us at 16 against 22 us (one core of a 2-vCPU
+#: Xeon, Python 3.11.7, numpy 2.4.6).
+_MERGE_SCAN_MAX = 16
 
 #: Gram entries evaluated at once: bounds the temporaries of one mode block
 #: to 256 kB each, however many branches it holds.
@@ -479,15 +465,15 @@ def _pair_sum(
     missing from it sums to 0j).
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
-    instead, once per moment too, and each of ``parts`` is a checked sum of
-    its own, in mode order.  Below it, a pair with a column state on either
-    side sums in :func:`_column_pair_sum`, with the loop's bits; otherwise
-    the overlap is :func:`coherent_overlap`
-    inlined with the same operations in the same order, so every sum is
-    bit-equal to calling it, and ``parts`` holds the pass's unchecked partial
-    sums; -|u|^2/2 and conj(u) are computed once per bra branch, and only
-    when it has a mode-matched partner, and each pair's overlaps once for
-    the norm and all K moments.  Cost: O(n^2) in the branch pairs either way.
+    instead, the moments from the same exponents, and each of ``parts`` is
+    a checked sum of its own, in mode order.  Below it, a pair with a column
+    state on either side sums in :func:`_column_pair_sum`, with the loop's
+    bits; otherwise the overlap is :func:`coherent_overlap` inlined with the
+    same operations in the same order, so every sum is bit-equal to calling
+    it, and ``parts`` holds the pass's unchecked partial sums; -|u|^2/2 and
+    conj(u) are computed once per bra branch, and only when it has a
+    mode-matched partner, and each pair's overlaps once for the norm and all
+    K moments.  Cost: O(n^2) in the branch pairs either way.
     """
     if bra._cols is not None or ket._cols is not None:
         if _count(bra) * _count(ket) >= _GRAM_MIN_PAIRS:
@@ -539,9 +525,7 @@ def _pair_sum(
 
 def _gram_sums(bra: HybridState, ket: HybridState, moments, parts) -> complex:
     """:func:`_pair_sum` from ``_GRAM_MIN_PAIRS`` branch pairs on."""
-    total = _gram_pair_sum(bra, ket)
-    if moments is not None:
-        moments[:] = [_gram_pair_sum(bra, ket, k) for k in range(ket.k_probes)]
+    total = _gram_pair_sum(bra, ket, moments)
     if parts is not None:
         for mode in sorted(set(_columns(ket)[0].tolist())):
             parts[mode] = _pair_sum(bra, ket.project_mode(mode))
@@ -708,7 +692,7 @@ def _batch_pair_sum(bra: list, ket: list, pairs: list, moments: bool = False):
     return total, sums
 
 
-def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> complex:
+def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = None) -> complex:
     """:func:`_pair_sum` as one Gram matrix per mode that both sides hold.
 
     For the n bra and m ket branches of one mode, the probes form U (n x K)
@@ -716,25 +700,27 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> 
     hu[:, j, None] + hv[None, :, j] + outer(conj(U[:, j]), V[:, j]), with
     hu = -|U|^2/2 and hv = -|V|^2/2 elementwise: each probe's exponent is
     the loop's, bit for bit, but the block takes one ``exp`` per pair.  The
-    block's sum is conj(a_u) . exp(E) . a_v, at most ``_GRAM_BLOCK`` entries
-    at a time.  Only ufuncs and ``einsum`` run here, never BLAS, whose
-    threads would contend for a process pinned to one core.  Overflow gives
-    inf or NaN without a warning and raises in the finite check at the end.
+    block's sum is w_u . exp(E) . w_v, at most ``_GRAM_BLOCK`` entries at a
+    time, for each pair of weight rows: (conj(a_u), a_v) for the total and,
+    with ``moments`` given, (conj(a_u) conj(u_k), a_v v_k) for
+    ``moments[k]``, all from the one ``exp(E)``.  Only ufuncs and ``einsum``
+    run here, never BLAS, whose threads would contend for a process pinned
+    to one core.  Overflow gives inf or NaN without a warning and raises in
+    the finite checks at the end, the total's first.
     """
     import numpy as np
 
     bras = _mode_blocks(bra)
     kets = bras if ket is bra else _mode_blocks(ket)
-    total = 0j
+    sums = [0j] * (1 + (ket.k_probes if moments is not None else 0))
     with np.errstate(over="ignore", invalid="ignore"):
         for mode, (cu, a_u) in bras.items():
             if mode not in kets:
                 continue
             V, a_v = kets[mode]
             cu, a_u = cu.conj(), a_u.conj()
-            if k is not None:
-                a_u = a_u * cu[:, k]
-                a_v = a_v * V[:, k]
+            weights = [(a_u, a_v)]
+            weights += [(a_u * cu[:, k], a_v * V[:, k]) for k in range(len(sums) - 1)]
             hu = -0.5 * (cu.real * cu.real + cu.imag * cu.imag)
             hv = -0.5 * (V.real * V.real + V.imag * V.imag)
             rows = max(1, _GRAM_BLOCK // len(a_v))
@@ -744,9 +730,13 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, k: int | None = None) -> 
                 for j in range(ket.k_probes):
                     E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
                 np.exp(E, out=E)
-                total += complex(np.einsum("i,ij,j->", a_u[block], E, a_v))
-    _check_finite(total, "inner product")
-    return total
+                for w, (w_u, w_v) in enumerate(weights):
+                    sums[w] += complex(np.einsum("i,ij,j->", w_u[block], E, w_v))
+    for z in sums:
+        _check_finite(z, "inner product")
+    if moments is not None:
+        moments[:] = sums[1:]
+    return sums[0]
 
 
 def _mode_blocks(state: HybridState) -> dict:
@@ -817,20 +807,12 @@ def merge_branches(state: HybridState) -> HybridState:
     Merging is greedy in input order: a branch joins the earliest group
     (the first branch of each group fixes its probes) that it matches, or
     starts a new one, so a branch within tolerance of two groups joins the
-    earlier.  A |a - b| that overflows exceeds the tolerance.  Below
-    ``_MERGE_INDEX_MIN`` branches every earlier group is scanned.  From
-    there on, candidate groups come from an index keyed by mode, then by
-    the cell ``floor(Re(probes[0]) / _CELL)``; a match lies in the branch's
-    own cell or in the neighbouring cell nearer to its key, so only those
-    two are searched, which makes merging expected O(n) in the branch count
-    (the pair sum of :func:`inner_product` stays O(n^2)).  ``_CELL`` is
-    derived from :data:`MERGE_TOL`; a relative tolerance must rescale it.
-    From ``_MERGE_SORT_MIN`` branches on (with K > 0), :func:`_column_merge`
-    runs on the column form (built from the branches where the state has
-    none): one ``np.lexsort`` into canonical order and a check of sorted
-    neighbours along Re(probes[0]), with the index run only on branches
-    that sorted next to a same-mode branch within :data:`MERGE_TOL`.  Its
-    result keeps the column form from ``_MERGE_SORT_MIN`` branches on.
+    earlier.  A |a - b| that overflows exceeds the tolerance.  A branch
+    scans only the earlier groups of its mode, or, from ``_MERGE_SCAN_MAX``
+    branches on with K > 0, of its run of sorted neighbours in
+    :func:`_column_merge`, whose result keeps the column form from
+    ``_MERGE_SORT_MIN`` branches on.  At worst a merge costs O(run length x
+    groups in the run) per run, a mode below the bound counting as one run.
     Every path gives the same groups, sums and order, bit for bit.
     """
     cols = state._cols
@@ -851,7 +833,7 @@ def merge_branches(state: HybridState) -> HybridState:
         kept = [br for br in branches if _nonempty(br.amp)]
         kept.sort(key=_mode_of)
         return _state(state.m_modes, state.k_probes, tuple(kept))
-    if len(branches) >= _MERGE_SORT_MIN and state.k_probes:
+    if len(branches) >= _MERGE_SCAN_MAX and state.k_probes:
         return _column_merge(state)
     kept = [g for g in _merge_groups(branches).values() if _nonempty(g.amp)]
     kept.sort(key=_canonical_key)
@@ -872,69 +854,39 @@ def _same_probes(ps: tuple[complex, ...], qs: tuple[complex, ...]) -> bool:
     return True
 
 
-def _merge_owners(branches: Sequence[Branch]) -> list[int]:
+def _merge_owners(branches: Sequence[Branch], buckets: Sequence | None = None) -> list[int]:
     """The greedy grouping of :func:`merge_branches`, read from modes and probes alone.
 
     Entry i is the position in ``branches`` of the first member of the
-    group that branch i joins (i itself where it starts one).
+    group that branch i joins (i itself where it starts one).  A branch
+    compares only with the earlier groups of its bucket: ``buckets[i]``, or
+    its mode where ``buckets`` is None.  Branches in distinct buckets must
+    be unable to merge.
     """
     owners: list[int] = []
-    if len(branches) < _MERGE_INDEX_MIN:
-        firsts: list[int] = []
-        for pos, br in enumerate(branches):
-            mode, probes = br.mode, br.probes
-            for i in firsts:
-                g = branches[i]
-                if g.mode == mode and _same_probes(g.probes, probes):
-                    owners.append(i)
-                    break
-            else:
-                firsts.append(pos)
-                owners.append(pos)
-        return owners
-    floor = math.floor
-    index: dict[int, dict[int | str, list[int]]] = {}
+    firsts: dict = {}
     for pos, br in enumerate(branches):
         probes = br.probes
-        key = probes[0].real / _CELL if probes else 0.0
-        try:
-            cell = floor(key)
-        except OverflowError:
-            cell = _HUGE_CELL
-        cells = index.get(br.mode)
-        if cells is None:
-            index[br.mode] = {cell: [pos]}
-            owners.append(pos)
-            continue
-        if cell is _HUGE_CELL:
-            near = None
+        earlier = firsts.setdefault(br.mode if buckets is None else buckets[pos], [])
+        for i in earlier:
+            if _same_probes(branches[i].probes, probes):
+                owners.append(i)
+                break
         else:
-            near = cell - 1 if key - cell < 0.5 else cell + 1
-        match = None
-        for c in (cell, near):
-            for i in cells.get(c, ()):
-                if match is not None and i > match:
-                    break
-                if _same_probes(branches[i].probes, probes):
-                    match = i
-                    break
-        if match is None:
-            cells.setdefault(cell, []).append(pos)
+            earlier.append(pos)
             owners.append(pos)
-        else:
-            owners.append(match)
     return owners
 
 
-def _merge_groups(branches: Sequence[Branch]) -> dict[int, Branch]:
+def _merge_groups(branches: Sequence[Branch], buckets: Sequence | None = None) -> dict[int, Branch]:
     """The greedy groups of :func:`merge_branches`, unfiltered and unsorted.
 
     Each group is keyed by the position of its first member in ``branches``,
     and the keys come in input order.  A group's amplitude sums its members'
-    in input order.
+    in input order.  ``buckets`` is as in :func:`_merge_owners`.
     """
     groups: dict[int, Branch] = {}
-    for br, first in zip(branches, _merge_owners(branches)):
+    for br, first in zip(branches, _merge_owners(branches, buckets)):
         g = groups.get(first)
         if g is None:
             groups[first] = br
@@ -993,22 +945,23 @@ def _merge_rows(rows: list):
 
 
 def _column_merge(state: HybridState) -> HybridState:
-    """:func:`merge_branches` of a state of ``_MERGE_SORT_MIN`` branches or more with K > 0.
+    """:func:`merge_branches` of a state of ``_MERGE_SCAN_MAX`` branches or more with K > 0.
 
     Runs on the column form, built from the branches if the state has none.
     One ``np.lexsort`` puts the rows in canonical order (mode, then Re p0,
     Im p0, Re p1, ...; ties keep input order, as ``list.sort`` does).
     Within a mode, Re(probes[0]) never decreases along that order, so the
     gap to a sorted neighbour, taken with the merge test's own subtraction,
-    is the smallest gap to any row on that side; a row both of whose
-    same-mode gaps exceed :data:`MERGE_TOL` cannot merge, since
-    ``abs(a - b) >= abs(Re(a - b))``.  :func:`_merge_groups` runs on the
-    branches of the other rows alone, in input order, and each group takes
-    its first member's sorted slot; every other row is a group of its own.
-    So groups, amplitude sums, finite checks, drops and order are those of
-    the index on the whole state.  A gap that overflows is inf, not a
-    warning.  The result keeps columns from ``_MERGE_SORT_MIN`` branches on;
-    below, its branches are built, reusing any :class:`Branch` at hand.
+    is the smallest gap to any row on that side.  Gaps above
+    :data:`MERGE_TOL` split the sorted rows into runs, and rows in distinct
+    runs cannot merge, since ``abs(a - b) >= abs(Re(a - b))``.
+    :func:`_merge_groups` runs on the rows of runs of two or more alone, in
+    input order, with the run as the bucket, and each group takes its first
+    member's sorted slot; every other row is a group of its own.  So
+    groups, amplitude sums, finite checks, drops and order are those of the
+    scan on the whole state.  A gap that overflows is inf, not a warning.
+    The result keeps columns from ``_MERGE_SORT_MIN`` branches on; below,
+    its branches are built, reusing any :class:`Branch` at hand.
     """
     import numpy as np
 
@@ -1036,11 +989,12 @@ def _column_merge(state: HybridState) -> HybridState:
         candidate = np.zeros(len(modes), dtype=bool)
         candidate[1:] = close
         candidate[:-1] |= close
-        members = np.sort(order[candidate]).tolist()
-        if branches is None:
-            groups = _merge_groups(list(_column_branches(cols, members)))
-        else:
-            groups = _merge_groups([branches[i] for i in members])
+        runs = np.zeros(len(modes), dtype=np.intp)
+        runs[order[1:]] = np.cumsum(~close)
+        rows = np.sort(order[candidate])
+        members = rows.tolist()
+        found = [branches[i] for i in members] if branches else list(_column_branches(cols, rows))
+        groups = _merge_groups(found, runs[rows].tolist())
     if len(order) - len(members) + len(groups) < _MERGE_SORT_MIN:
         slots: list[Branch | None] = list(branches or _column_branches(cols))
         for pos, i in enumerate(members):

@@ -1,11 +1,13 @@
-"""The greedy O(n^2) merge loop the engine had before its cell index.
+"""The plain greedy O(n^2) merge loop, as an oracle.
 
-``states.merge_branches`` now finds candidate groups through a per-mode
-cell index.  This copy keeps the old loop, operation for operation (scan
-every earlier group, first match wins), as the oracle the merge equality
-tests compare against bit for bit.  Where a modulus overflows the float
-range, it reads the way ``merge_branches`` documents: a probe difference
-lies outside the tolerance, and an amplitude is kept.
+``states.merge_branches`` compares a branch only with the earlier groups of
+its mode, or, from ``_MERGE_SCAN_MAX`` branches on, of its run of sorted
+neighbours within ``MERGE_TOL`` along Re(probes[0]).  This copy keeps the
+plain loop, operation for operation (scan every earlier group, first match
+wins), as the oracle the merge equality tests compare against bit for bit.
+Where a modulus overflows the float range, it reads the way
+``merge_branches`` documents: a probe difference lies outside the
+tolerance, and an amplitude is kept.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 ``states._pair_sum`` hands a sum of at least ``_GRAM_MIN_PAIRS`` branch
 pairs to ``states._gram_pair_sum``, which sums the same terms in another
-order and takes one ``exp`` per pair instead of one per probe.  Its results
-must agree with ``overlap_reference`` within 1e-12 max(1, |alpha|^2) times
-the size of the quantity, on deep Kerr chains, on bra != ket pairs and on
-spliced random states.  Below the threshold the loop, and so every bit,
-stays; an overflow must raise as it does in the loop, without a warning.
+order and takes one ``exp`` per pair instead of one per probe, once for the
+total and every probe moment.  Its results must agree with
+``overlap_reference`` within 1e-12 max(1, |alpha|^2) times the size of the
+quantity, on deep Kerr chains, on bra != ket pairs and on spliced random
+states.  Below the threshold the loop, and so every bit, stays; an
+overflow must raise as it does in the loop, without a warning.
 """
 
 import cmath
@@ -69,9 +70,9 @@ def gram_calls(monkeypatch):
     """Record the (bra, ket) sizes of every pair sum the Gram takes."""
     calls = []
 
-    def counted(bra, ket, k=None):
+    def counted(bra, ket, moments=None):
         calls.append((len(bra.branches), len(ket.branches)))
-        return _gram_pair_sum(bra, ket, k)
+        return _gram_pair_sum(bra, ket, moments)
 
     monkeypatch.setattr(qndmzi.states, "_gram_pair_sum", counted)
     return calls
@@ -103,8 +104,8 @@ class TestKerrChains:
             assert_means_close(state, alpha)
         large = sum(len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS
                     for bra, ket in pairs)
-        # Each mean takes the norm and one sum per probe.
-        assert large >= 2 and len(gram_calls) == large + 2 * (1 + 2)
+        # Each mean takes the norm and every probe's moment in one sum.
+        assert large >= 2 and len(gram_calls) == large + 2
 
 
 def spliced_state(rng: random.Random, radius: float, n_sets: int) -> HybridState:
@@ -131,7 +132,7 @@ class TestSplicedStates:
             want = reference_inner_product(state, state).real
             assert_close(state.norm_sq(), want, radius)
             assert_means_close(state, radius)
-        assert len(gram_calls) == 2 + 3 * (1 + 1 + 2)
+        assert len(gram_calls) == 2 + 3 * (1 + 1)
 
 
 class TestThreshold:
@@ -191,10 +192,12 @@ def test_gram_matches_the_loop_property(bra_branches, ket_branches):
     assert len(bra.branches) * len(ket.branches) < _GRAM_MIN_PAIRS
     probe = max(abs(p) for br in bra.branches + ket.branches for p in br.probes)
     amps = sum(abs(u.amp) for u in bra.branches) * sum(abs(v.amp) for v in ket.branches)
-    moments = []
-    loop = {None: _pair_sum(bra, ket, moments)}
-    loop.update(enumerate(moments))
+    sums = {}
+    for name, pair_sum in (("loop", _pair_sum), ("gram", _gram_pair_sum)):
+        moments = []
+        sums[name] = {None: pair_sum(bra, ket, moments)}
+        sums[name].update(enumerate(moments))
     for k in (None, 0, 1):
         scale = amps * max(1.0, probe**2) ** (1 if k is None else 2)
-        got, want = _gram_pair_sum(bra, ket, k), loop[k]
+        got, want = sums["gram"][k], sums["loop"][k]
         assert abs(got - want) <= 1e-12 * scale, (k, got, want)

@@ -1,15 +1,17 @@
-"""The cell-indexed merge gives exactly the greedy merge's result.
+"""The grouped merge gives exactly the greedy merge's result.
 
-``merge_branches`` looks up candidate groups by mode and by the cell of
-Re(probes[0]) instead of scanning every earlier group.  On every input here
-its result must equal ``merge_reference.reference_merge_branches`` bit for
-bit: same branches, same order, same float bits (signed zeros included).
-The inputs aim at the index's edges: offsets of 0.5, 0.99, 1.0 and 1.01
-times ``MERGE_TOL``, cell boundaries, negative and signed-zero reals, many
-groups in one cell, several modes, and probes from subnormal to 1.7e308.
-From ``_MERGE_SORT_MIN`` branches on, ``merge_branches`` sorts with numpy
-first and indexes only the branches that can merge; ``TestSortedMerge``
-checks that path on states of every size around that bound.
+``merge_branches`` compares a branch only with the earlier groups of its
+bucket: its mode below ``_MERGE_SCAN_MAX`` branches, its run of sorted
+neighbours within ``MERGE_TOL`` along Re(probes[0]) from there on.  On
+every input here its result must equal
+``merge_reference.reference_merge_branches`` bit for bit: same branches,
+same order, same float bits (signed zeros included).  The inputs aim at the
+edges of the tolerance: offsets of 0.5, 0.99, 1.0 and 1.01 times
+``MERGE_TOL``, multiples of ``CELL`` (4 * ``MERGE_TOL``), negative and
+signed-zero reals, many groups at one Re(probes[0]), several modes, and
+probes from subnormal to 1.7e308.  ``TestSortedMerge`` checks the sorted
+pass on states of every size around ``_MERGE_SCAN_MAX`` and
+``_MERGE_SORT_MIN``, where its result keeps the column form.
 """
 
 import math
@@ -126,8 +128,8 @@ class TestAdversarialStates:
         assert_same_merge(HybridState(2, 1, branches))
 
     def test_many_groups_in_one_cell(self):
-        # Same Re(probes[0]), so one cell, but Im apart by more than the
-        # tolerance: every candidate is scanned and most fail.
+        # Same Re(probes[0]), so one sorted run per mode, but Im apart by more
+        # than the tolerance: every earlier group is scanned and most fail.
         rng = random.Random(7)
         x = 0.5 * CELL
         branches = [
@@ -141,7 +143,7 @@ class TestAdversarialStates:
 
     def test_earliest_group_wins(self):
         # The third branch lies within tolerance of both earlier groups, one
-        # on each side of a cell edge; the greedy rule puts it in the first.
+        # on each side of it; the greedy rule puts it in the first.
         a, b, c = CELL - 0.6 * MERGE_TOL, CELL + 0.6 * MERGE_TOL, CELL + 0.1 * MERGE_TOL
         for first, second in ((a, b), (b, a)):
             branches = ((1, first), (2, second), (4, c))
@@ -152,10 +154,10 @@ class TestAdversarialStates:
 
 
 class TestDistinctModeShortcut:
-    """States of at most M branches in distinct modes skip the index.
+    """States of at most M branches in distinct modes skip the group scan.
 
     They cannot merge, so they are only filtered and sorted by mode.  The
-    index path sorts by ``_canonical_key``; counting its calls tells which
+    scan path sorts by ``_canonical_key``; counting its calls tells which
     path a state took.
     """
 
@@ -226,7 +228,7 @@ class TestDistinctModeShortcut:
 
 
 class TestMagnitudeRange:
-    # 7e296 and 7.5e296 straddle the point where Re / cell width overflows.
+    # 7e296 and 7.5e296 straddle the point where Re / CELL overflows.
     MAGNITUDES = (
         5e-324, 2.2e-308, 1e-300, 1e-12, 1.0, 4500.0, 1e15, 1e100, 7e296, 7.5e296, 1e308, 1.7e308
     )
@@ -335,8 +337,9 @@ def test_merge_matches_reference_property(branches):
     assert_same_merge(HybridState(3, 2, tuple(branches)))
 
 
-THRESHOLD = qndmzi.states._MERGE_SORT_MIN
-SIZES = (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 64, 500)
+THRESHOLD = qndmzi.states._MERGE_SCAN_MAX
+COLUMNS = qndmzi.states._MERGE_SORT_MIN
+SIZES = (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, COLUMNS - 1, COLUMNS, COLUMNS + 1, 64, 500)
 
 
 def sorted_merge_calls():
@@ -404,8 +407,8 @@ class TestSortedMerge:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", SIZES)
     def test_one_dense_run_across_cells(self, n, k):
-        # Re(probes[0]) steps by 0.3 * MERGE_TOL over many cells, so all
-        # branches form one run of candidates; the rest sit far away.
+        # Re(probes[0]) steps by 0.3 * MERGE_TOL over many multiples of CELL,
+        # so all branches form one run of candidates; the rest sit far away.
         rng = random.Random(f"dense {n} {k}")
         run = n // 2
         probes = [
@@ -471,7 +474,7 @@ class TestSortedMerge:
 
     def test_overflowing_merge_raises_like_the_index(self):
         rng = random.Random(5)
-        probes = far_probes(rng, 2 * THRESHOLD, 1)
+        probes = far_probes(rng, 2 * COLUMNS, 1)
         probes[9] = (probes[4][0] + 0.5 * MERGE_TOL,)
         branches = [Branch(0, 1.0, p) for p in probes]
         branches[4] = Branch(0, 1e308, probes[4])
@@ -484,11 +487,26 @@ class TestSortedMerge:
         rng = random.Random(7300 + seed)
         for _ in range(10):
             k = rng.choice((1, 2, 3))
-            n = rng.randint(THRESHOLD, 200)
+            n = rng.randint(COLUMNS, 200)
             assert_same_merge_and_path(adversarial_state(rng, rng.randint(1, 3), k, n))
 
+    @pytest.mark.parametrize("far", [THRESHOLD, 2 * COLUMNS])
+    def test_two_runs_interleaved(self, far):
+        # Two runs in one mode, each a chain of probes 0.6 * MERGE_TOL apart
+        # along Re(probes[0]) that the greedy rule splits into 3 groups,
+        # alternate in input order; ``far`` branches lie far from both.
+        rng = random.Random(f"runs {far}")
+        runs = [
+            [(complex(x0 + 0.6 * MERGE_TOL * j, 0.0),) for j in range(6)] for x0 in (0.255, -0.505)
+        ]
+        probes = [p for pair in zip(runs[0], runs[1][::-1]) for p in pair]
+        probes += far_probes(rng, far, 1)
+        state = HybridState(1, 1, tuple(Branch(0, 1.0 + i, p) for i, p in enumerate(probes)))
+        assert_same_merge_and_path(state)
+        assert len(merge_branches(state).branches) == far + 2 * 3
+
     def test_no_probes_keep_the_index(self):
-        branches = tuple(Branch(i % 2, 1.0 + i, ()) for i in range(2 * THRESHOLD))
+        branches = tuple(Branch(i % 2, 1.0 + i, ()) for i in range(2 * COLUMNS))
         with sorted_merge_calls() as calls:
             assert_same_merge(HybridState(2, 0, branches))
         assert calls.call_count == 0
@@ -513,6 +531,6 @@ _large_branch = st.builds(
 @settings(
     derandomize=True, max_examples=100, deadline=None, phases=(Phase.explicit, Phase.generate)
 )
-@given(st.lists(_large_branch, min_size=THRESHOLD, max_size=4 * THRESHOLD))
+@given(st.lists(_large_branch, min_size=COLUMNS, max_size=4 * COLUMNS))
 def test_large_merge_matches_reference_property(branches):
     assert_same_merge_and_path(HybridState(3, 2, tuple(branches)))

@@ -2,11 +2,11 @@
 
 ``merge_branches`` hands back its input state itself when one pass finds it
 canonical (distinct modes in increasing order, every |amp| >= MERGE_TOL),
-and below ``_MERGE_INDEX_MIN`` branches scans the earlier groups instead of
-building the cell index.  A seeded property over states of 0 to 8 branches
-(both sides of that bound) holds every path to
-``merge_reference.reference_merge_branches`` bit for bit, raised errors
-included.  The draws aim at the edges: distinct modes out of order,
+and below ``_MERGE_SCAN_MAX`` branches scans the earlier groups of each
+branch's mode.  A seeded property over states of 0 to 8 branches holds
+every path to ``merge_reference.reference_merge_branches`` bit for bit,
+raised errors included, and a probe ladder of 0 to 18 branches crosses
+the bound into the sorted pass.  The draws aim at the edges: distinct modes out of order,
 amplitudes one ulp around MERGE_TOL, signed zeros, amplitudes whose
 modulus overflows, probe pairs one ulp around the tolerance, and probe
 pairs whose difference overflows.
@@ -98,10 +98,11 @@ def test_small_merge_matches_reference(state):
         assert (merge_branches(state) is state) == canonical(state)
 
 
-@pytest.mark.parametrize("n", range(qndmzi.states._MERGE_INDEX_MIN + 3))
+@pytest.mark.parametrize("n", range(qndmzi.states._MERGE_SCAN_MAX + 3))
 def test_scan_and_index_group_alike(n):
     # n same-mode branches on a ladder of probes about MERGE_TOL apart, in
-    # steps of one ulp below, at and above it, on both sides of the bound.
+    # steps of one ulp below, at and above it: one sorted run from the bound
+    # on, scanned by mode below it.
     steps = (MERGE_TOL, ABOVE, BELOW)
     probes, x = [], 0.0
     for i in range(n):
@@ -113,7 +114,7 @@ def test_scan_and_index_group_alike(n):
 
 
 def test_probes_whose_difference_overflows_do_not_merge():
-    # Both lie in the index's "huge" cell; |a - b| overflows the float range.
+    # |a - b| overflows the float range.
     branches = tuple(
         Branch(0, 1.0, (p,)) for p in (1e308 + 1e308j, -7e307 - 7e307j, 1e308 + 1e308j)
     )

@@ -1,8 +1,9 @@
 """Size and leftovers of the package source.
 
 The public API is pinned, so a change to it shows in review, and every
-module-level private function or class must be used somewhere else in the
-package, so a refactor cannot leave a superseded helper behind.
+module-level private function, class or constant must be used somewhere
+else in the package, so a refactor cannot leave a superseded helper or
+bound behind.
 """
 
 import ast
@@ -47,8 +48,15 @@ def test_every_private_helper_is_used():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.append((path.name, node.name, node))
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((path.name, name, node))
             uses.append((node, _used_names(node)))
     unused = [
         f"{module}:{name}"
