@@ -8,7 +8,9 @@ passing ``dagger=True`` applies the conjugate-transpose element, which is
 how bra states evolve backward.  Constructors reject non-integer mode
 indices; every index is checked against the state's dimensions by one
 private checker, which :class:`~qndmzi.circuit.Circuit` and the file
-parser call as well.
+parser call as well.  An applier forms its factor or matrix and hands two
+steps to one dispatcher, ``_step``: the column step of a column state (see
+:mod:`qndmzi.states`), else the per-branch step, then the merge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Union
 
 from .states import (
     HybridState, _all_finite, _branch, _check_finite, _check_mode, _cmul, _mix_columns,
-    _scale_columns, _split_columns, _state, merge_branches,
+    _scale_branches, _scale_columns, _split_columns, _state, merge_branches,
 )
 
 SYS = "sys"
@@ -146,8 +148,20 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
             raise IndexError(f"probe mode {idx} outside [0, {k_probes}) in {el!r}")
 
 
-def _replace_probe(probes: tuple[complex, ...], idx: int, value: complex) -> tuple[complex, ...]:
-    return probes[:idx] + (value,) + probes[idx + 1 :]
+def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
+    """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
+
+    A column state takes the column step; where that returns None (a
+    value would not be finite) or the state has no columns,
+    ``on_branches(state.branches, x, y, z)`` gives the unmerged branches
+    and raises any error.
+    """
+    if state._cols is not None:
+        out = on_columns(state, x, y, z)
+        if out is not None:
+            return merge_branches(out)
+    out = tuple(on_branches(state.branches, x, y, z))
+    return merge_branches(_state(state.m_modes, state.k_probes, out))
 
 
 def apply_beam_splitter(
@@ -155,36 +169,40 @@ def apply_beam_splitter(
 ) -> HybridState:
     _check_indices(bs, state.m_modes, state.k_probes)
     u = bs._adjoint if dagger else bs._unitary
-    a, b = bs.mode_a, bs.mode_b
-    if state._cols is not None:
-        out = _split_columns(state, a, b, u) if bs.target == SYS else _mix_columns(state, a, b, u)
-        if out is not None:
-            return merge_branches(out)
-    (u00, u01), (u10, u11) = u
     if bs.target == SYS:
-        # Unchecked: every entry is real or imaginary with modulus <= 1, so
-        # each part of u * amp is one part of amp scaled by at most 1 (plus
-        # a zero product) and cannot overflow.
-        out = []
-        for br in state.branches:
-            if br.mode == a:
-                out.append(_branch(a, u00 * br.amp, br.probes))
-                out.append(_branch(b, u10 * br.amp, br.probes))
-            elif br.mode == b:
-                out.append(_branch(a, u01 * br.amp, br.probes))
-                out.append(_branch(b, u11 * br.amp, br.probes))
-            else:
-                out.append(br)
-    else:
-        out = _mix_probes(state.branches, a, b, u00, u01, u10, u11)
-    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
+        return _step(state, _split_columns, _split_branches, bs.mode_a, bs.mode_b, u)
+    return _step(state, _mix_columns, _mix_probes, bs.mode_a, bs.mode_b, u)
 
 
-def _mix_probes(branches, a: int, b: int, u00, u01, u10, u11) -> list:
-    """``branches`` with probes a and b mixed by [[u00, u01], [u10, u11]], unmerged.
+def _split_branches(branches, a: int, b: int, u) -> list:
+    """``branches`` with the photon split by ``u`` between system modes a and b, unmerged.
+
+    A branch in mode a becomes (a, u00 amp) then (b, u10 amp) in its place,
+    one in mode b becomes (a, u01 amp) then (b, u11 amp), and every other
+    branch stays.  Unchecked: every entry is real or imaginary with modulus
+    <= 1, so each part of u * amp is one part of amp scaled by at most 1
+    (plus a zero product) and cannot overflow.
+    """
+    (u00, u01), (u10, u11) = u
+    out = []
+    for br in branches:
+        if br.mode == a:
+            out.append(_branch(a, u00 * br.amp, br.probes))
+            out.append(_branch(b, u10 * br.amp, br.probes))
+        elif br.mode == b:
+            out.append(_branch(a, u01 * br.amp, br.probes))
+            out.append(_branch(b, u11 * br.amp, br.probes))
+        else:
+            out.append(br)
+    return out
+
+
+def _mix_probes(branches, a: int, b: int, u) -> list:
+    """``branches`` with probes a and b mixed by ``u``, [[u00, u01], [u10, u11]], unmerged.
 
     Raises on a non-finite probe amplitude.
     """
+    (u00, u01), (u10, u11) = u
     isfinite = cmath.isfinite
     out = []
     for br in branches:
@@ -199,25 +217,6 @@ def _mix_probes(branches, a: int, b: int, u00, u01, u10, u11) -> list:
     return out
 
 
-def _rotate_probe(branches, k: int, factor: complex, modes=None) -> list:
-    """``branches`` with probe k times ``factor`` where the photon is in ``modes``, unmerged.
-
-    ``modes`` None rotates every branch.  Raises on a non-finite probe
-    amplitude.
-    """
-    isfinite = cmath.isfinite
-    out = []
-    for br in branches:
-        if modes is None or br.mode in modes:
-            p = factor * br.probes[k]
-            if not isfinite(p):
-                _check_finite(p, "probe amplitude")
-            out.append(_branch(br.mode, br.amp, _replace_probe(br.probes, k, p)))
-        else:
-            out.append(br)
-    return out
-
-
 def _kerr_factor(eps_tau: float, dagger: bool = False) -> complex:
     """exp(-i eps_tau), or exp(i eps_tau) with ``dagger``: a Kerr coupling's probe rotation."""
     return cmath.exp((1.0 if dagger else -1.0) * 1j * eps_tau)
@@ -228,12 +227,8 @@ def apply_kerr(
 ) -> HybridState:
     _check_indices(coupling, state.m_modes, state.k_probes)
     rot = _kerr_factor(coupling.eps_tau, dagger)
-    if state._cols is not None:
-        out = _scale_columns(state, rot, coupling.system_modes, coupling.probe_mode)
-        if out is not None:
-            return merge_branches(out)
-    out = _rotate_probe(state.branches, coupling.probe_mode, rot, coupling.system_modes)
-    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
+    return _step(state, _scale_columns, _scale_branches, rot, coupling.system_modes,
+                 coupling.probe_mode)
 
 
 def _phase_factor(phi: float, dagger: bool = False) -> complex:
@@ -246,28 +241,9 @@ def apply_phase(
 ) -> HybridState:
     _check_indices(shift, state.m_modes, state.k_probes)
     factor = _phase_factor(shift.phi, dagger)
-    i = shift.index
-    if state._cols is not None:
-        if shift.target == SYS:
-            out = _scale_columns(state, factor, (i,))
-        else:
-            out = _scale_columns(state, factor, probe=i)
-        if out is not None:
-            return merge_branches(out)
     if shift.target == SYS:
-        isfinite = cmath.isfinite
-        out = []
-        for br in state.branches:
-            if br.mode == i:
-                amp = factor * br.amp
-                if not isfinite(amp):
-                    _check_finite(amp, "branch amplitude")
-                out.append(_branch(br.mode, amp, br.probes))
-            else:
-                out.append(br)
-    else:
-        out = _rotate_probe(state.branches, i, factor)
-    return merge_branches(_state(state.m_modes, state.k_probes, tuple(out)))
+        return _step(state, _scale_columns, _scale_branches, factor, (shift.index,), None)
+    return _step(state, _scale_columns, _scale_branches, factor, None, shift.index)
 
 
 def _apply_to_rows(el: Element, rows: list, factor=None):
@@ -288,7 +264,7 @@ def _apply_to_rows(el: Element, rows: list, factor=None):
         u00, u01, u10, u11 = [(u.real, u.imag) for u in chain(*el.unitary())]
         a, b = el.mode_a, el.mode_b
         if el.target == SYS:
-            # Unchecked, as in apply_beam_splitter: no product can overflow.
+            # Unchecked, as in _split_branches: no product can overflow.
             for row in rows:
                 mode, amp, probes = row
                 if mode == a:

@@ -227,14 +227,14 @@ def serialize_circuit(circuit: Circuit) -> str:
     for el in circuit.elements:
         if isinstance(el, BeamSplitter):
             lines.append(
-                f"bs {el.target} {el.mode_a} {el.mode_b} r={repr(el.reflectivity)}"
+                f"bs {el.target} {el.mode_a} {el.mode_b} r={repr(float(el.reflectivity))}"
             )
         elif isinstance(el, PhaseShift):
-            lines.append(f"phase {el.target} {el.index} phi={repr(el.phi)}")
+            lines.append(f"phase {el.target} {el.index} phi={repr(float(el.phi))}")
         elif isinstance(el, KerrCoupling):
             sys_modes = ",".join(str(m) for m in sorted(el.system_modes))
             lines.append(
-                f"kerr sys={sys_modes} probe={el.probe_mode} eps_tau={repr(el.eps_tau)}"
+                f"kerr sys={sys_modes} probe={el.probe_mode} eps_tau={repr(float(el.eps_tau))}"
             )
         elif isinstance(el, Snapshot):
             lines.append(f"snapshot {el.label}")

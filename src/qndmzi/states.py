@@ -42,16 +42,18 @@ a projection or a scaled copy) is a private :class:`_ColumnState`: its
 modes (int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are
 numpy columns, and its ``branches`` are built on first read and kept, so
 ``==``, ``hash``, ``repr``, ``copy`` and pickling see the same
-:class:`HybridState` as before.  The element appliers, :func:`merge_branches`
-and the pair sums act on the columns and give the per-branch code's bits:
-every complex product is formed by :func:`_cmul` on real and imaginary
-parts, every overlap by ``cmath.exp``, and every sum is added in the loop's
-order.  Where a value would not be finite, an applier runs the per-branch
-code on the built branches instead, which raises its own error.  Which code
-a state takes is one O(1) check of ``_cols``, None on every other state, so
-states below that size run the per-branch code alone.  Building the
-branches of a large state costs more than a column step on it, so they
-are built only when read, not at every stage.
+:class:`HybridState` as before.  The element steps, :func:`merge_branches`,
+the Gram pair sum and the pair sum's total below it act on the columns and
+give the per-branch code's bits: every complex product is formed by
+:func:`_cmul` on real and imaginary parts, every overlap by ``cmath.exp``,
+and every sum is added in the loop's order.  Moments and parts below
+``_GRAM_MIN_PAIRS`` pairs run the loop on the built branches.  Where a
+value would not be finite, a step runs the per-branch code on the built
+branches instead, which raises its own error.  Which code a state takes is
+one O(1) check of ``_cols``, None on every other state, so states below
+that size run the per-branch code alone.  Building the branches of a large
+state costs more than a column step on it, so they are built only when
+read, not at every stage.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -226,10 +228,7 @@ class HybridState:
             scaled = _scale_columns(self, factor)
             if scaled is not None:
                 return scaled
-        branches = tuple(_branch(b.mode, factor * b.amp, b.probes) for b in self.branches)
-        for b in branches:
-            _check_finite(b.amp, "branch amplitude")
-        return _state(self.m_modes, self.k_probes, branches)
+        return _state(self.m_modes, self.k_probes, tuple(_scale_branches(self.branches, factor)))
 
     def normalized(self) -> "HybridState":
         n = self.norm_sq()
@@ -348,7 +347,7 @@ def _times(factor, z):
 def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     """A system splitter with matrix ``u`` on modes a and b of a column state, unmerged.
 
-    As in :func:`~qndmzi.elements.apply_beam_splitter`, a branch in mode a
+    As in :func:`~qndmzi.elements._split_branches`, a branch in mode a
     becomes (a, u00 amp) then (b, u10 amp) in its place, one in mode b
     becomes (a, u01 amp) then (b, u11 amp), and every other branch stays.
     The products cannot overflow (see there), so this cannot fail.
@@ -407,6 +406,32 @@ def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None):
     return _column_state(state.m_modes, state.k_probes, (rows, amps, probes))
 
 
+def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
+    """``branches`` with amplitudes (or probe ``probe``) times ``factor``, unmerged.
+
+    Only branches whose mode is in ``modes`` change (every branch where it
+    is None).  Raises on a non-finite value written, with the public
+    constructors' error.
+    """
+    isfinite = cmath.isfinite
+    out = []
+    for br in branches:
+        if modes is None or br.mode in modes:
+            if probe is None:
+                amp = factor * br.amp
+                if not isfinite(amp):
+                    _check_finite(amp, "branch amplitude")
+                br = _branch(br.mode, amp, br.probes)
+            else:
+                probes = br.probes
+                p = factor * probes[probe]
+                if not isfinite(p):
+                    _check_finite(p, "probe amplitude")
+                br = _branch(br.mode, br.amp, probes[:probe] + (p,) + probes[probe + 1:])
+        out.append(br)
+    return out
+
+
 def _mix_columns(state: HybridState, a: int, b: int, u):
     """A probe splitter with matrix ``u`` on probes a and b of a column state, unmerged, or None.
 
@@ -432,19 +457,23 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     """Overlap <a|b> of two coherent states.
 
     exp(-|a|^2/2 - |b|^2/2 + conj(a) b); equals 1 when a == b and has
-    magnitude exp(-|a-b|^2/2) <= 1 in general.  An exponent that overflows
-    raises the ``ValueError`` of :func:`_pair_sum`.
+    magnitude exp(-|a-b|^2/2) <= 1 in general.  An exponent that overflows,
+    in ``cmath.exp`` or already in |a|^2 or |b|^2, raises the ``ValueError``
+    of :func:`_pair_sum`.
     """
     a = complex(a)
     b = complex(b)
     try:
-        return cmath.exp(
+        overlap = cmath.exp(
             -0.5 * (a.real * a.real + a.imag * a.imag)
             - 0.5 * (b.real * b.real + b.imag * b.imag)
             + a.conjugate() * b
         )
+        if cmath.isfinite(overlap):
+            return overlap
     except OverflowError:
-        raise ValueError("non-finite inner product: a coherent overlap overflows") from None
+        pass
+    raise ValueError("non-finite inner product: a coherent overlap overflows")
 
 
 def _pair_sum(
@@ -466,20 +495,23 @@ def _pair_sum(
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
     instead, the moments from the same exponents, and each of ``parts`` is
-    a checked sum of its own, in mode order.  Below it, a pair with a column
-    state on either side sums in :func:`_column_pair_sum`, with the loop's
-    bits; otherwise the overlap is :func:`coherent_overlap` inlined with the
-    same operations in the same order, so every sum is bit-equal to calling
-    it, and ``parts`` holds the pass's unchecked partial sums; -|u|^2/2 and
-    conj(u) are computed once per bra branch, and only when it has a
-    mode-matched partner, and each pair's overlaps once for the norm and all
-    K moments.  Cost: O(n^2) in the branch pairs either way.
+    a checked sum of its own, in mode order.  Below it, the total alone of
+    a pair with a column state on either side sums in
+    :func:`_column_pair_sum`, with the loop's bits; everything else runs
+    the loop over the branches (a column state's are built).  There the
+    overlap is :func:`coherent_overlap` inlined with the same operations
+    in the same order, so every sum is bit-equal to calling it, and
+    ``parts`` holds the pass's unchecked partial sums; -|u|^2/2 and conj(u)
+    are computed once per bra branch, and only when it has a mode-matched
+    partner, and each pair's overlaps once for the norm and all K moments.
+    Cost: O(n^2) in the branch pairs either way.
     """
     if bra._cols is not None or ket._cols is not None:
         if _count(bra) * _count(ket) >= _GRAM_MIN_PAIRS:
             return _gram_sums(bra, ket, moments, parts)
-        return _column_pair_sum(bra, ket, moments, parts)
-    if len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
+        if moments is None and parts is None:
+            return _column_pair_sum(bra, ket)
+    elif len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
         return _gram_sums(bra, ket, moments, parts)
     exp = cmath.exp
     total = 0j
@@ -532,65 +564,41 @@ def _gram_sums(bra: HybridState, ket: HybridState, moments, parts) -> complex:
     return total
 
 
-def _column_pair_sum(bra: HybridState, ket: HybridState, moments, parts) -> complex:
-    """:func:`_pair_sum` below ``_GRAM_MIN_PAIRS`` pairs, on column forms, with the loop's bits.
+def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
+    """:func:`_pair_sum`'s total below ``_GRAM_MIN_PAIRS`` pairs, on columns, with the loop's bits.
 
     numpy finds the mode-matched pairs (u, v), in the loop's bra-major
     order, and forms each pair's overlap exponents by the loop's own float
     operations (as :func:`_cmul` does; a float plus a complex adds 0.0 to
-    the imaginary part).  The rest runs as the loop runs it, on Python
-    complex values: ``cmath.exp`` per probe in probe order, then the
-    products and the sums from 0j in pair order.  So the sums, the moments,
-    the parts and any error raised are the loop's.
+    the imaginary part).  The rest runs on Python complex values, probe by
+    probe: each pair's term conj(a_u) a_v is multiplied by ``cmath.exp`` of
+    its probe-k exponent for k = 0, 1, ..., as the loop multiplies it, and
+    the terms are summed from 0j in pair order.  So the total is the loop's,
+    and an overflow raises the loop's error.
     """
     import numpy as np
 
     u_modes, u_amps, u_probes = _columns(bra)
     v_modes, v_amps, v_probes = _columns(ket) if ket is not bra else (u_modes, u_amps, u_probes)
     us, vs = (u_modes[:, None] == v_modes).nonzero()
-    exponents, conj_u, pv = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
+    terms = list(map(operator.mul, u_amps[us].conj().tolist(), v_amps[vs].tolist()))
+    e = np.empty(len(us), complex)
+    try:
         for k in range(ket.k_probes):
             pu, p = u_probes[us, k], v_probes[vs, k]
             ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
             # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
-            e = np.empty(len(us), complex)
-            e.real = -0.5 * (ur * ur + ui * ui) - 0.5 * (vr * vr + vi * vi) + (ur * vr + ui * vi)
-            e.imag = 0.0 + (ur * vi - ui * vr)
-            exponents.append(e.tolist())
-            if moments is not None:
-                conj_u.append(pu.conj().tolist())
-                pv.append(p.tolist())
-    u_amps, v_amps = u_amps[us].conj().tolist(), v_amps[vs].tolist()
-    exp = cmath.exp
-    total = 0j
-    try:
-        if moments is None and parts is None and len(exponents) == 1:
-            for a, b, e in zip(u_amps, v_amps, exponents[0]):
-                total += a * b * exp(e)
-        else:
-            if moments is not None:
-                moments[:] = [0j] * ket.k_probes
-            modes = u_modes[us].tolist()
-            for i, es in enumerate(zip(*exponents)):
-                term = u_amps[i] * v_amps[i]
-                overlaps = [exp(e) for e in es]
-                if moments is not None:
-                    for k in range(ket.k_probes):
-                        weighted = term * conj_u[k][i] * pv[k][i]
-                        for o in overlaps:
-                            weighted *= o
-                        moments[k] += weighted
-                for o in overlaps:
-                    term *= o
-                total += term
-                if parts is not None:
-                    parts[modes[i]] = parts.get(modes[i], 0j) + term
+            with np.errstate(over="ignore", invalid="ignore"):
+                half = 0.5 * (vr * vr + vi * vi)
+                e.real = -0.5 * (ur * ur + ui * ui) - half + (ur * vr + ui * vi)
+                e.imag = 0.0 + (ur * vi - ui * vr)
+            terms = list(map(operator.mul, terms, map(cmath.exp, e.tolist())))
     except OverflowError:
         raise ValueError("non-finite inner product: a coherent overlap overflows") from None
+    total = 0j
+    for term in terms:
+        total += term
     _check_finite(total, "inner product")
-    for moment in moments or ():
-        _check_finite(moment, "inner product")
     return total
 
 
@@ -743,16 +751,7 @@ def _mode_blocks(state: HybridState) -> dict:
     """mode -> (probes, n x K, and amplitudes as complex arrays), modes in order of first use."""
     import numpy as np
 
-    cols = state._cols
-    if cols is None:
-        groups: dict[int, list[Branch]] = {}
-        for br in state.branches:
-            groups.setdefault(br.mode, []).append(br)
-        return {
-            mode: (np.array([b.probes for b in bs], dtype=complex), np.array([b.amp for b in bs]))
-            for mode, bs in groups.items()
-        }
-    modes, amps, probes = cols
+    modes, amps, probes = _columns(state)
     found, first = np.unique(modes, return_index=True)
     blocks = {}
     for mode in found[np.argsort(first)].tolist():

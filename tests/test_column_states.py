@@ -123,6 +123,24 @@ def test_equal_marks_merge_alike_property(depth, eps, alpha):
     assert_same_paths(deep_chain([eps] * depth, alpha))
 
 
+def test_marks_on_two_modes():
+    # Each layer splits modes (0, 1) and (1, 2), then marks modes 1 and 2
+    # with its own eps: the Kerr steps take the multi-mode mask on columns
+    # and the ``mode in modes`` test on branches, each at 32+ branches.
+    elements = []
+    for i, eps in enumerate((0.11, 0.23, 0.37, 0.41, 0.53, 0.67)):
+        elements += [BeamSplitter(SYS, 0, 1, 0.6), BeamSplitter(SYS, 1, 2, 0.6),
+                     KerrCoupling(frozenset({1, 2}), 0, eps), Snapshot(f"d{i + 1}")]
+    circuit = Circuit(3, 1, tuple(elements), 0, (2.0,))
+    trace = run_both(circuit)
+    for stages, labels in ((trace.forward, ["d5", "d6", FINAL_STAGE]),
+                           (trace.backward, ["d1", "source"])):
+        assert [label for label in stages if stages[label]._cols is not None] == labels
+    assert len(trace.forward["d5"].branches) == 48
+    assert len(trace.forward[FINAL_STAGE].branches) == 90
+    assert_same_paths(circuit)
+
+
 @pytest.mark.parametrize("alpha", [1e154, 1e160, 1.2e308, 1e308 + 1e308j])
 @pytest.mark.parametrize("k_probes", [1, 2])
 def test_overflow_raises_alike(alpha, k_probes):

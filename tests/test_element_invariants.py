@@ -106,12 +106,18 @@ class TestSplitterUnitary:
 
 
 class TestOverlapOverflow:
-    def test_overflowing_exponent_raises_value_error(self):
+    @pytest.mark.parametrize("a,b", [
         # Bra and ket source probes of run_both(build_nested_mzi(0.6,
         # cmath.rect(1e50, 1.0), 0.0)): equal up to rounding, so the
         # exponent is a cancellation of terms of size 1e100.
-        a = 7.641028487401797e49 + 1.1900196790587719e50j
-        b = 7.641028487401797e49 + 1.190019679058772e50j
+        (7.641028487401797e49 + 1.1900196790587719e50j,
+         7.641028487401797e49 + 1.190019679058772e50j),
+        # |a|^2 and |b|^2 overflow to inf, so the exponent is NaN.
+        (1.4e154, 1.4e154),
+        (1e200, 1e200),
+        (1e300 + 1e300j, 1e300 + 1e300j),
+    ])
+    def test_overflowing_exponent_raises_value_error(self, a, b):
         with pytest.raises(ValueError, match=r"^non-finite inner product: a coherent "
                                              r"overlap overflows$"):
             coherent_overlap(a, b)

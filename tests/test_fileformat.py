@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -207,8 +208,14 @@ class TestRoundTrip:
         assert example == serialize_circuit(build_nested_mzi(0.6, 2, 0.3))
 
     def test_preset_serialization_round_trips(self):
-        for r, eps in [(0.6, 0.3), (0.25, 2.0), (1.0, 0.0)]:
-            circuit = build_nested_mzi(r, 2.0, eps)
+        cases = [
+            (0.6, 0.3), (0.25, 2.0), (1.0, 0.0),
+            # numpy scalars and bools are written as the floats they equal.
+            (np.float64(0.6), np.float64(0.3)), (np.float32(0.6), np.float32(0.3)), (True, 0.0),
+        ]
+        circuits = [build_nested_mzi(r, 2.0, eps) for r, eps in cases]
+        circuits.append(Circuit(2, 1, (PhaseShift(SYS, 1, np.float64(0.7)),), 0, (1j,)))
+        for circuit in circuits:
             text = serialize_circuit(circuit)
             again = parse_circuit(text)
             assert again == circuit

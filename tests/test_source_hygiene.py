@@ -1,9 +1,10 @@
 """Size and leftovers of the package source.
 
-The public API is pinned, so a change to it shows in review, and every
-module-level private function, class or constant must be used somewhere
-else in the package, so a refactor cannot leave a superseded helper or
-bound behind.
+The public API and a ceiling on the line count of ``src/qndmzi/*.py`` are
+pinned, so a change to either shows in review: a change that adds code
+raises the ceiling in its own diff.  Every module-level private function,
+class or constant must be used somewhere else in the package, so a
+refactor cannot leave a superseded helper or bound behind.
 """
 
 import ast
@@ -28,6 +29,15 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     assert sorted(qndmzi.__all__) == PUBLIC_API
     assert len(PUBLIC_API) == 42
+
+
+#: Lines of ``src/qndmzi/*.py`` at most, as ``wc -l`` counts them.
+SOURCE_LINES = 2874
+
+
+def test_source_size_is_pinned():
+    lines = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert lines <= SOURCE_LINES
 
 
 def _used_names(node: ast.AST) -> set[str]:
