@@ -6,8 +6,9 @@ analytic coherent-state matrix elements <b|n|g> = conj(b) g <b|g>, which
 stay correct when a conditional state is a superposition of coherent
 branches rather than a single product.
 
-Cost: the sweeps evolve the circuit prefix their points share once, and
-read a stage ahead of the inserted phase once.  Past it, one axis engine
+Cost: the sweeps evolve the circuit prefix their points share once (a
+fringe scan's Kerr-free reference resumes from it), and read a stage ahead
+of the inserted phase once.  Past it, one axis engine
 runs the suffix once for all points: each branch is a row whose amplitude
 and probes are floats where they are the same at every point and arrays
 over the points where they vary (:func:`_axis_stages`).  Where rows could
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .circuit import (
     run_both,
 )
 from .elements import (
-    PROBE, SYS, BeamSplitter, KerrCoupling, PhaseShift, Snapshot, _apply_to_rows, _phase_factor,
+    PROBE, SYS, BeamSplitter, Element, KerrCoupling, PhaseShift, Snapshot, _apply_to_rows,
+    _phase_factor,
 )
 from .states import (
     Branch, HybridState, _all_finite, _batch_overlaps, _batch_pair_sum, _check_finite,
@@ -106,10 +108,8 @@ def postselect(
 
     The fidelity reference is the same projection taken from a twin run
     with every Kerr coupling switched off: the probe state the apparatus
-    emits when nothing interacted.  The twin runs the same elements as the
-    traced circuit up to its first Kerr coupling, so it is not re-run from
-    the source: it resumes from the last state the trace recorded before
-    that coupling and is evolved only from there to the stage read.
+    emits when nothing interacted.  The twin resumes from the trace ahead
+    of the first coupling (:func:`_kerr_free_run`).
     """
     stage = trace.detect_stage if at is None else at
     if stage not in trace.forward:
@@ -120,7 +120,7 @@ def postselect(
     norm, means = _probe_means(conditional)
     fidelity = None
     if compute_fidelity:
-        ref_projected = _kerr_free_state(trace, stage).project_mode(mode)
+        ref_projected = _kerr_free_run(trace.circuit, trace.forward, stop=stage)[0].project_mode(mode)
         ref_norm = ref_projected.norm_sq()
         if ref_norm > 0.0:
             fidelity = _fidelity(ref_projected, conditional, ref_norm, norm)
@@ -136,25 +136,28 @@ def _condition(state: HybridState, mode: int) -> tuple[float, HybridState | None
     return probability, projected.scaled(1.0 / math.sqrt(probability))
 
 
-def _kerr_free_state(trace: StageTrace, stage: str) -> HybridState:
-    """The forward state at ``stage`` of the traced circuit's Kerr-free twin.
+def _kerr_free_run(circuit: Circuit, recorded: Mapping[str, HybridState], end: int | None = None,
+                   stop: str | None = None) -> tuple[HybridState, dict[str, HybridState]]:
+    """The Kerr-free twin's run of ``circuit.elements[:end]``, as ``_run_prefix`` returns it.
 
-    Resumes from the last snapshot before the first coupling and applies
-    the circuit's remaining elements with every coupling skipped.
+    The twin applies the circuit's elements up to the first Kerr coupling,
+    so it resumes from the last snapshot ahead of it that ``recorded`` (the
+    circuit's forward stages) holds, else from the source, and skips every
+    coupling after it.  The run ends early at snapshot ``stop``.
     """
-    circuit = trace.circuit
+    elements = circuit.elements[:end]
     state, start = circuit.source_state(), 0
-    if stage == SOURCE_STAGE:
-        return state
-    for i, el in enumerate(circuit.elements):
-        if isinstance(el, KerrCoupling):
+    stages = {SOURCE_STAGE: state}
+    for i, el in enumerate(elements):
+        if stop in stages or isinstance(el, KerrCoupling):
             break
-        if isinstance(el, Snapshot) and el.label in trace.forward:
-            state, start = trace.forward[el.label], i + 1
-            if el.label == stage:
-                return state
-    rest = (el for el in circuit.elements[start:] if not isinstance(el, KerrCoupling))
-    return _evolve(state, rest, {}, stop=stage, end=FINAL_STAGE)
+        if isinstance(el, Snapshot) and el.label in recorded:
+            state, start = recorded[el.label], i + 1
+            stages[el.label] = state
+    if stop not in stages:
+        rest = (el for el in elements[start:] if not isinstance(el, KerrCoupling))
+        state = _evolve(state, rest, stages, stop=stop)
+    return state, stages
 
 
 @dataclass(frozen=True)
@@ -193,25 +196,37 @@ def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float], mode: int)
 
 def _scan_intensities(
     circuit: Circuit, mode: int, phis: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """Conditional mean photon numbers at both probe outputs, per scanned phase.
+) -> tuple[list[float], list[float], list[float]]:
+    """Per phase, both probe outputs' conditional intensities, then the Kerr-free reference's first.
 
-    The phase goes on probe mode 1 ahead of the last probe beam splitter,
-    and everything ahead of it is evolved once.  A detection stage in that
-    prefix is post-selected once for all phases.  Otherwise the rest runs
-    once over all phases where :func:`_phase_axis_intensities` applies,
-    and else once per phase, resuming from that prefix.
+    The phase goes on probe mode 1 ahead of the last probe beam splitter.
+    Everything ahead of it is evolved once, the reference resumes from that
+    run (:func:`_kerr_free_run`), and both take one set of phase factors.
     """
-    insert_at = None
-    for i in reversed(range(len(circuit.elements))):
-        el = circuit.elements[i]
-        if isinstance(el, BeamSplitter) and el.target == PROBE:
-            insert_at = i
-            break
+    insert_at = max((i for i, el in enumerate(circuit.elements)
+                     if isinstance(el, BeamSplitter) and el.target == PROBE), default=None)
     if insert_at is None:
         raise ValueError("circuit has no probe beam splitter to scan against")
+    factors = _phase_factors(phis)
     prefix = _run_prefix(circuit, insert_at)
-    if circuit.detect_stage in prefix[1]:
+    suffix = circuit.elements[insert_at:]
+    dp1, dp2 = _resumed_scan(circuit, prefix, suffix, mode, phis, factors)
+    twin = _kerr_free_run(circuit, prefix[1], insert_at)
+    bare = tuple(el for el in suffix if not isinstance(el, KerrCoupling))
+    return dp1, dp2, _resumed_scan(circuit, twin, bare, mode, phis, factors)[0]
+
+
+def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mode: int,
+                  phis: Sequence[float], factors: tuple) -> tuple[list[float], list[float]]:
+    """Both probe outputs' intensities per phase inserted between ``prefix`` and ``suffix``.
+
+    ``factors`` are the phases' :func:`_phase_factors`.  A detection stage
+    in ``prefix`` is post-selected once for all phases.  Otherwise the rest
+    runs once over all phases where :func:`_phase_axis_intensities`
+    applies, and else once per phase, resuming from ``prefix``.
+    """
+    stop = circuit.detect_stage
+    if stop in prefix[1]:
         # Detected ahead of the scanned phase: every phase reads this state.
         # Its post-selection succeeding bounds the probe norm, which every
         # element keeps, far below overflow, so no per-phase suffix could
@@ -223,14 +238,12 @@ def _scan_intensities(
         if result is not None and result.conditional is not None:
             dp1, dp2 = result.probe_mean_photons
             return [dp1] * len(phis), [dp2] * len(phis)
-    batched = _phase_axis_intensities(circuit, insert_at, prefix[0], mode, phis)
+    batched = _phase_axis_intensities(suffix, prefix[0], mode, factors, stop)
     if batched is not None:
         return batched
-    dp1: list[float] = []
-    dp2: list[float] = []
+    dp1, dp2 = [], []
     scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
-    runs = _insertion_runs(circuit, insert_at, prefix, scans, circuit.detect_stage)
-    for stages in runs:
+    for stages in _insertion_runs(suffix, prefix, scans, stop):
         result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
         if result.conditional is None:
             raise ValueError(f"post-selection on mode {mode} is impossible; no fringe")
@@ -241,22 +254,22 @@ def _scan_intensities(
 
 
 def _phase_axis_intensities(
-    circuit: Circuit, insert_at: int, head: HybridState, mode: int, phis: Sequence[float]
+    suffix: Sequence[Element], head: HybridState, mode: int, factors: tuple, stop: str
 ) -> tuple[list[float], list[float]] | None:
-    """:func:`_scan_intensities` past ``head``, the state ahead of the scanned phase, or None.
+    """:func:`_resumed_scan` past ``head`` over a phase axis, or None.
 
-    Runs :func:`_axis_stages` to the detection stage and
+    Runs :func:`_axis_stages` to the detection stage ``stop`` and
     :func:`_axis_condition` with the probe moments, then divides as
     :func:`_probe_means` does.
     """
     with np.errstate(all="ignore"):
-        stages = _axis_stages(circuit, insert_at, head, PROBE, 1, phis, circuit.detect_stage)
-        rows = stages and stages.get(circuit.detect_stage)
+        stages = _axis_stages(suffix, head, PROBE, 1, factors, stop)
+        rows = stages and stages.get(stop)
         conditioned = rows and _axis_condition(rows, mode, moments=True)
         if not conditioned:
             return None
         _, ((norm, _), moments) = conditioned
-        return tuple(_points(m[0] / norm, len(phis)) for m in moments)
+        return tuple(_points(m[0] / norm, len(factors[0])) for m in moments)
 
 
 def _branch_rows(branches: Iterable[Branch]) -> list:
@@ -272,27 +285,28 @@ def _points(value, n: int) -> list[float]:
     return np.broadcast_to(value, (n,)).tolist()
 
 
-def _axis_stages(
-    circuit: Circuit, insert_at: int, head: HybridState, target: str, index: int,
-    phis: Sequence[float], stop: str,
-) -> dict[str, list] | None:
-    """The rows at each stage past ``insert_at`` over an axis of inserted phases, or None.
+def _phase_factors(phis: Sequence[float]) -> tuple:
+    """Each phase's :func:`~qndmzi.elements._phase_factor`, as (re, im) float arrays."""
+    factors = np.array([_phase_factor(phi) for phi in phis], dtype=complex)
+    return factors.real, factors.imag
 
-    A phase shift on ``target`` mode ``index``, with one factor per point
-    of ``phis``, goes ahead of ``circuit.elements[insert_at]`` and runs with
-    the elements after it on the rows of ``head`` (a merge's output or the
-    source), through :func:`~qndmzi.elements._apply_to_rows` and
+
+def _axis_stages(
+    suffix: Sequence[Element], head: HybridState, target: str, index: int, factors: tuple, stop: str
+) -> dict[str, list] | None:
+    """The rows at each stage of ``suffix`` over an axis of inserted phases, or None.
+
+    A phase shift on ``target`` mode ``index``, with the per-point factors
+    ``factors`` (:func:`_phase_factors`), goes ahead of ``suffix`` and runs
+    with it on the rows of ``head`` (a merge's output or the source),
+    through :func:`~qndmzi.elements._apply_to_rows` and
     :func:`~qndmzi.states._merge_rows`; a merge after a probe-only step on
     rows in distinct modes is the identity and is skipped.  Returns the rows
     at each snapshot up to ``stop``, or to the end and :data:`FINAL_STAGE`.
     """
-    factors = np.array([_phase_factor(phi) for phi in phis], dtype=complex)
     rows = _branch_rows(head.branches)
     stages = {}
-    steps = chain(
-        [(PhaseShift(target, index, 0.0), (factors.real, factors.imag))],
-        ((el, None) for el in circuit.elements[insert_at:]),
-    )
+    steps = chain([(PhaseShift(target, index, 0.0), factors)], ((el, None) for el in suffix))
     for el, factor in steps:
         if isinstance(el, Snapshot):
             stages[el.label] = rows
@@ -351,13 +365,14 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     stage, and the conditional mean photon numbers at both probe outputs
     are recorded.  Every phase must be finite; it is checked, with the
     mode, before anything is evolved.  Everything ahead of the scanned
-    phase is evolved once for the scan and once for its Kerr-free
-    reference; a detection stage ahead of the phase is read from there
-    once.  The rest runs once over an axis of all phases where every merge
-    keeps one structure for all of them (as on
-    :func:`~qndmzi.circuit.build_nested_mzi` detected at L3p), and else per
-    phase.  Either way the results equal, bit for bit, those of inserting
-    the phase and running each scanned circuit forward from the source.
+    phase is evolved once; the Kerr-free reference resumes from that run at
+    its last snapshot ahead of the first coupling and skips every coupling.
+    A detection stage ahead of the phase is read from there once.  The rest
+    runs once over an axis of all phases where every merge keeps one
+    structure for all of them (as on :func:`~qndmzi.circuit.build_nested_mzi`
+    detected at L3p), and else per phase.  Either way the results equal, bit
+    for bit, those of inserting the phase and running each scanned circuit
+    forward from the source.
     """
     phis = tuple(float(p) for p in phis)
     if len(phis) < 4:
@@ -367,8 +382,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     _check_mode("mode", mode, circuit.m_modes)
     if not all(map(math.isfinite, phis)):
         raise ValueError("phi must be finite")
-    dp1, dp2 = _scan_intensities(circuit, mode, phis)
-    ref_dp1, _ = _scan_intensities(circuit.kerr_free(), mode, phis)
+    dp1, dp2, ref_dp1 = _scan_intensities(circuit, mode, phis)
     ref_phase = _fit_cosine_phase(phis, ref_dp1, mode)
     shift = (ref_phase - _fit_cosine_phase(phis, dp1, mode)) % (2.0 * math.pi)
     top, bottom = max(dp1), min(dp1)
@@ -515,15 +529,8 @@ def leakage_sweep(
     once.  The results equal, bit for bit, those of inserting the phase and
     running each perturbed circuit forward from the source.
     """
-    insert_at = None
-    for i, el in enumerate(circuit.elements):
-        if (
-            isinstance(el, BeamSplitter)
-            and el.target == SYS
-            and {el.mode_a, el.mode_b} == {1, 2}
-        ):
-            insert_at = i + 1
-            break
+    insert_at = next((i + 1 for i, el in enumerate(circuit.elements) if isinstance(el, BeamSplitter)
+                      and el.target == SYS and {el.mode_a, el.mode_b} == {1, 2}), None)
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
     _check_mode("system mode", arm_mode, circuit.m_modes)
@@ -535,7 +542,7 @@ def leakage_sweep(
             raise ValueError(f"leakage delta {delta!r} is not finite")
     arm_phases = ((PhaseShift(SYS, arm_mode, delta),) for delta in deltas)
     prefix = _run_prefix(circuit, insert_at)
-    runs = _insertion_runs(circuit, insert_at, prefix, chain([()], arm_phases))
+    runs = _insertion_runs(circuit.elements[insert_at:], prefix, chain([()], arm_phases))
     _, base = _condition(next(runs)[FINAL_STAGE], circuit.postselect_mode)
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
@@ -571,7 +578,8 @@ def _delta_axis_points(
     """
     head, ahead = prefix
     with np.errstate(all="ignore"):
-        stages = _axis_stages(circuit, insert_at, head, SYS, arm_mode, deltas, FINAL_STAGE)
+        stages = _axis_stages(circuit.elements[insert_at:], head, SYS, arm_mode,
+                              _phase_factors(deltas), FINAL_STAGE)
         if stages is None:
             return None
         dark = ahead.get(dark_stage)  # a dark stage ahead of the phase, or None

@@ -7,9 +7,9 @@ at which detection statistics are read off.  :func:`build_nested_mzi`
 constructs the standard apparatus: an outer interferometer of reflectivity-r
 beam splitters, a balanced inner interferometer nested in one arm, and a
 balanced probe interferometer whose first arm crosses the Kerr medium
-together with both inner arms.  Its eleven elements that depend on no
-parameter are built and checked once, at import; each call builds only the
-outer splitter and the Kerr coupling.
+together with both inner arms.  It is checked once, at import, as one
+template circuit; each call checks only r, eps_tau and alpha, and swaps
+them into a copy of the template.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .elements import (
     _check_indices,
     apply_element,
 )
-from .states import HybridState, _branch, _check_finite, _check_mode, _check_shape, _state
+from .states import HybridState, _branch, _check_finite, _check_mode, _check_shape, _new, _set, _state
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
@@ -188,25 +188,20 @@ def _run_prefix(circuit: Circuit, index: int) -> tuple[HybridState, dict[str, Hy
 
 
 def _insertion_runs(
-    circuit: Circuit,
-    index: int,
-    prefix: tuple[HybridState, dict[str, HybridState]],
-    inserted: Iterable[tuple[Element, ...]],
-    stop: str = FINAL_STAGE,
+    suffix: tuple[Element, ...], prefix: tuple[HybridState, dict[str, HybridState]],
+    inserted: Iterable[tuple[Element, ...]], stop: str = FINAL_STAGE,
 ) -> Iterator[dict[str, HybridState]]:
-    """Forward stages of ``circuit`` with each of ``inserted`` placed at ``index``.
+    """Forward stages of a circuit with each of ``inserted`` placed between its prefix and ``suffix``.
 
-    Yields, per tuple of elements inserted, what ``run_forward`` of the
-    circuit with those elements at ``index`` holds up to stage ``stop``,
-    with the same floating-point operations; an empty tuple gives the
-    circuit's own run.  The prefix ``circuit.elements[:index]`` is the same
-    for every run, so it is evolved once: ``prefix`` is what
-    :func:`_run_prefix` returned for ``index``.  Each run resumes from it
-    with the inserted elements and the suffix, and ends at ``stop``.  The
+    ``prefix`` is what :func:`_run_prefix` returned for the index where
+    ``suffix`` begins, evolved once for every run.  Yields, per tuple of
+    elements inserted, what ``run_forward`` of the circuit with those
+    elements at that index holds up to stage ``stop``, with the same
+    floating-point operations: each run resumes from ``prefix`` with them
+    and ``suffix``.  An empty tuple gives the circuit's own run.  The
     caller checks the inserted elements' indices.
     """
     head, prefix = prefix
-    suffix = circuit.elements[index:]
     for els in inserted:
         stages = dict(prefix)
         _evolve(head, els + suffix, stages, stop=stop, end=FINAL_STAGE)
@@ -241,15 +236,16 @@ def run_both(circuit: Circuit) -> StageTrace:
     )
 
 
-#: The fixed elements of :func:`build_nested_mzi` between its first outer
-#: splitter and its Kerr coupling, and between the coupling and its second
-#: outer splitter: built once, shared by every circuit it returns.
 _INNER = BeamSplitter(SYS, 1, 2, _BALANCED)
 _PROBE_SPLITTER = BeamSplitter(PROBE, 0, 1, _BALANCED)
-_NESTED_HEAD = (Snapshot("L1"), _INNER, PhaseShift(PROBE, 0, math.pi / 2), _PROBE_SPLITTER,
-                Snapshot("L2"))
-_NESTED_TAIL = (Snapshot("L2p"), _INNER, Snapshot("L3"), PhaseShift(PROBE, 0, math.pi),
-                _PROBE_SPLITTER, Snapshot("L3p"))
+#: :func:`build_nested_mzi` at r = alpha = eps_tau = 0, checked once by the public constructor.
+_NESTED = Circuit(3, 2, (
+    BeamSplitter(SYS, 0, 1, 0.0), Snapshot("L1"), _INNER, PhaseShift(PROBE, 0, math.pi / 2),
+    _PROBE_SPLITTER, Snapshot("L2"), KerrCoupling(frozenset({1, 2}), 0, 0.0), Snapshot("L2p"),
+    _INNER, Snapshot("L3"), PhaseShift(PROBE, 0, math.pi), _PROBE_SPLITTER, Snapshot("L3p"),
+    BeamSplitter(SYS, 0, 1, 0.0),
+), 0, (0j, 0j), detect_stage="L3p")
+_NESTED_HEAD, _NESTED_TAIL = _NESTED.elements[1:6], _NESTED.elements[7:13]
 
 
 def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Circuit:
@@ -272,16 +268,22 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     coupling off the output port 0 receives i*sqrt(2)*alpha while port 1
     stays dark.  No phase-free pair of identical balanced splitters closes
     onto the same port it was fed from.
+
+    Raises what ``Circuit(...)`` of the same elements raises, in its order:
+    ``complex(alpha)``, then r, then eps_tau, then sqrt(2)*alpha.
     """
     alpha = complex(alpha)
     outer = BeamSplitter(SYS, 0, 1, r)
     kerr = KerrCoupling(frozenset({1, 2}), 0, eps_tau)
-    return Circuit(
-        m_modes=3,
-        k_probes=2,
-        elements=(outer,) + _NESTED_HEAD + (kerr,) + _NESTED_TAIL + (outer,),
-        source_mode=0,
-        source_probes=(math.sqrt(2) * alpha, 0j),
-        postselect_mode=0,
-        detect_stage="L3p",
-    )
+    probe = math.sqrt(2) * alpha
+    _check_finite(probe, "source probe amplitude")
+    # _NESTED with the three new values, unchecked, in the dataclass __init__'s field order.
+    circuit = _new(Circuit)
+    _set(circuit, "m_modes", _NESTED.m_modes)
+    _set(circuit, "k_probes", _NESTED.k_probes)
+    _set(circuit, "elements", (outer,) + _NESTED_HEAD + (kerr,) + _NESTED_TAIL + (outer,))
+    _set(circuit, "source_mode", _NESTED.source_mode)
+    _set(circuit, "source_probes", (probe, 0j))
+    _set(circuit, "postselect_mode", _NESTED.postselect_mode)
+    _set(circuit, "detect_stage", _NESTED.detect_stage)
+    return circuit

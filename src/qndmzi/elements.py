@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Complex, Real
 from typing import Union
 
 from .states import (
@@ -60,9 +61,17 @@ class BeamSplitter:
         object.__setattr__(self, "mode_b", _check_mode(what, self.mode_b))
         if self.mode_a == self.mode_b:
             raise ValueError("beam splitter ports must differ")
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
-        r, t = self.reflectivity, self.transmissivity
+        r = self.reflectivity
+        not_real = type(r) is not float and isinstance(r, Complex) and not isinstance(r, Real)
+        try:  # numpy's complex scalars compare with floats; None or a string raises
+            inside = None if not_real else 0.0 <= r <= 1.0
+        except TypeError:
+            inside = None
+        if inside is None:
+            raise ValueError(f"reflectivity {r!r} is not a real number")
+        if not inside:
+            raise ValueError(f"reflectivity {r} outside [0, 1]")
+        t = self.transmissivity
         (u00, u01), (u10, u11) = u = ((-1j * r, t + 0j), (t + 0j, -1j * r))
         object.__setattr__(self, "_unitary", u)
         object.__setattr__(self, "_adjoint", (

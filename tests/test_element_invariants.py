@@ -16,6 +16,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,12 +98,23 @@ class TestSplitterUnitary:
         with pytest.raises(dataclasses.FrozenInstanceError):
             bs.reflectivity = 0.2
 
-    @pytest.mark.parametrize("r", [-0.1, 1.1, math.nan])
+    # A reflectivity that is not a real number raises ValueError, not the
+    # range test's bare TypeError ('<=' not supported between ...).
+    @pytest.mark.parametrize("r", [-0.1, 1.1, math.nan, "0.5", 0.5 + 0j, None,
+                                   np.complex128(0.5), np.complex64(0.5 + 0.25j)])
     def test_invalid_reflectivity_still_raises(self, r):
-        with pytest.raises(ValueError, match="outside"):
+        match = "outside" if isinstance(r, float) else r"^reflectivity .* is not a real number$"
+        with pytest.raises(ValueError, match=match):
             BeamSplitter(SYS, 0, 1, r)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             dataclasses.replace(BeamSplitter(SYS, 0, 1, 0.5), reflectivity=r)
+
+    @pytest.mark.parametrize("r", [0, 1, False, True, np.float64(0.6), np.float32(0.5),
+                                   np.int64(1)])
+    def test_real_reflectivity_types_are_accepted(self, r):
+        bs = BeamSplitter(SYS, 0, 1, r)
+        assert bs.reflectivity is r
+        assert bs.unitary() == BeamSplitter(SYS, 0, 1, float(r)).unitary()
 
 
 class TestOverlapOverflow:

@@ -1,9 +1,11 @@
 """The nested-MZI preset: the same circuit, the same errors and the same work as its literal form.
 
-``build_nested_mzi`` shares its parameter-free elements between calls; these
-tests hold it to the circuit written out element by element, and pin how
-many elements, merges and circuits each public run performs on it, and how
-many branches and states it builds.
+``build_nested_mzi`` shares its parameter-free elements between calls and
+assembles its circuit without the public constructor, whose checks a
+template circuit passed once, at import; these tests hold it to the circuit
+written out element by element, and pin how many elements, merges and
+circuits each public run performs on it, and how many branches and states
+it builds.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import cmath
 import importlib
 import math
+import pickle
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -90,6 +94,10 @@ class TestPresetEqualsLiteral:
         assert hash(got) == hash(want)
         assert repr(got) == repr(want)
         assert serialize_circuit(got).encode() == serialize_circuit(want).encode()
+        # The public constructor accepts the preset and leaves it as it is.
+        assert Circuit(**{f.name: getattr(got, f.name) for f in fields(got)}) == got
+        assert repr(Circuit(**{f.name: getattr(got, f.name) for f in fields(got)})) == repr(got)
+        assert pickle.loads(pickle.dumps(got)) == want
         assert [el.unitary() for el in got.elements if isinstance(el, BeamSplitter)] == [
             el.unitary() for el in want.elements if isinstance(el, BeamSplitter)
         ]
@@ -111,6 +119,10 @@ class TestPresetEqualsLiteral:
             (0.6, "not a number", 0.3),
             (1.1, math.nan, math.inf),
             (0.6, math.nan, math.inf),
+            (0.6, 1.3e308, 0.3),  # sqrt(2) * alpha overflows
+            (0.6, None, 0.3),
+            ("0.6", 2.0, 0.3),
+            (0.6 + 0j, math.nan, math.inf),
         ],
     )
     def test_same_errors(self, args):
@@ -208,8 +220,9 @@ class TestWorkCounts:
         return tuple(counts[name] for name in WORK)
 
     def test_build(self, monkeypatch):
+        # The preset assembles its circuit without Circuit.__init__.
         got = self._counts(monkeypatch, build_nested_mzi, 0.6, 2.0, 0.3)
-        assert got == (0, 0, 0, 0, 0, 1)
+        assert got == (0, 0, 0, 0, 0, 0)
 
     def test_run_forward(self, monkeypatch, circuit):
         got = self._counts(monkeypatch, run_forward, circuit)

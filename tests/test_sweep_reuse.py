@@ -101,6 +101,12 @@ def _count_elements(monkeypatch):
     return calls
 
 
+def _reference_intensities(circuit, mode, phis):
+    """``sweep_reference``'s intensities of both outputs, then of its Kerr-free twin's first."""
+    dp1, dp2 = sweep_reference._intensities(circuit, mode, phis)
+    return dp1, dp2, sweep_reference._intensities(circuit.kerr_free(), mode, phis)[0]
+
+
 def _count_axis(monkeypatch, name):
     """Record, per call of the axis entry ``name`` from now on, whether it ran."""
     ran = []
@@ -138,10 +144,9 @@ class TestBitIdentity:
                     if not (isinstance(got, tuple) and "is flat" in got[1]):
                         continue
                     flat += 1
-                    for scanned in (circuit, circuit.kerr_free()):
-                        assert list(
-                            qndmzi.analysis._scan_intensities(scanned, mode, PHIS)
-                        ) == list(sweep_reference._intensities(scanned, mode, PHIS))
+                    assert qndmzi.analysis._scan_intensities(
+                        circuit, mode, PHIS
+                    ) == _reference_intensities(circuit, mode, PHIS)
         assert flat
 
     @pytest.mark.parametrize("r,alpha,eps", GRID)
@@ -227,6 +232,10 @@ class TestSharedLoop:
             assert list(run_backward(circuit).backward.items()) == list(bwd.items())
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
 class TestWorkCount:
     def test_fringe_scan_evolves_the_prefix_once_per_scan(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
@@ -234,12 +243,15 @@ class TestWorkCount:
         assert circuit.elements[insert_at] == BeamSplitter(PROBE, 0, 1, math.sqrt(0.5))
         prefix = sum(not isinstance(el, Snapshot) for el in circuit.elements[:insert_at])
         calls = _count_elements(monkeypatch)
+        monkeypatch.setattr(Circuit, "kerr_free", _never_called)
         n = 32
         fringe_scan(circuit, 2, [2.0 * math.pi * i / n for i in range(n)])
-        # Scan and Kerr-free reference each evolve the prefix once; per point
-        # each applies the scanned phase and the probe recombiner, then stops
-        # at the detection stage.  The per-point full run applied 15 each.
-        assert len(calls) <= 2 * prefix + 2 * 2 * n
+        # The scan evolves the prefix once; the Kerr-free reference resumes
+        # from its L2, skips the coupling and applies the inner recombiner
+        # and the pi probe phase.  Both scans run every phase on the axis.
+        # The per-point full runs applied 15 elements each.
+        assert len(calls) == prefix + 2
+        assert [type(el) for el in calls[prefix:]] == [BeamSplitter, PhaseShift]
 
     def test_leakage_sweep_evolves_the_prefix_once(self, monkeypatch):
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
@@ -260,10 +272,11 @@ class TestWorkCount:
         circuit = replace(build_nested_mzi(0.6, 2.0, 0.3), detect_stage="L2")
         prefix = sum(not isinstance(el, Snapshot) for el in circuit.elements[:11])
         calls = _count_elements(monkeypatch)
+        monkeypatch.setattr(Circuit, "kerr_free", _never_called)
         got = _outcome(fringe_scan, circuit, 0, PHIS)
-        # Scan and reference each evolve their prefix, which holds L2; no
-        # phase runs the suffix.
-        assert len(calls) == 2 * prefix
+        # The scan evolves its prefix, which holds L2, and the reference
+        # resumes from there; no phase runs the suffix.
+        assert len(calls) == prefix + 2
         monkeypatch.undo()
         assert got == _outcome(reference_fringe_scan, circuit, 0, PHIS)
         assert got[0] is ValueError and "is flat" in got[1]
@@ -337,9 +350,10 @@ class TestPhaseAxis:
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
         calls = _count_elements(monkeypatch)
         scan = fringe_scan(circuit, 2, PHIS)
-        # Scan and reference evolve their prefix; every phase past it runs
-        # on the phase axis, so no element is applied per phase.
-        assert len(calls) == 2 * self._prefix(circuit)
+        # The scan evolves its prefix and the reference resumes from its L2;
+        # every phase past it runs on the phase axis, so no element is
+        # applied per phase.
+        assert len(calls) == self._prefix(circuit) + 2
         monkeypatch.undo()
         assert scan == reference_fringe_scan(circuit, 2, PHIS)
 
@@ -355,8 +369,9 @@ class TestPhaseAxis:
         calls = _count_elements(monkeypatch)
         fringe_scan(circuit, 2, PHIS)
         # The scan applies the phase and the recombiner per phase; its
-        # Kerr-free reference holds one branch per mode and runs on the axis.
-        assert len(calls) == 2 * self._prefix(circuit) + 2 * len(PHIS)
+        # Kerr-free reference resumes from L2, holds one branch per mode and
+        # runs on the axis.
+        assert len(calls) == self._prefix(circuit) + 2 + 2 * len(PHIS)
         monkeypatch.undo()
         for mode in range(circuit.m_modes):
             got = _outcome(fringe_scan, circuit, mode, PHIS)
@@ -381,10 +396,12 @@ class TestPhaseAxis:
         # path raises, so the phase axis must not return values.
         circuit = build_nested_mzi(0.6, 2.0, 0.3)
         phase_axis = qndmzi.analysis._phase_axis_intensities
+        args = (qndmzi.analysis._phase_factors(PHIS), circuit.detect_stage)
+        suffix = circuit.elements[self.INSERT_AT:]
         head = HybridState(3, 2, (Branch(2, 1e200, (2.0, 1j)),))
-        assert phase_axis(circuit, self.INSERT_AT, head, 2, PHIS) is None
+        assert phase_axis(suffix, head, 2, *args) is None
         head = HybridState(3, 2, (Branch(2, 0.5, (2.0, 1j)),))
-        assert phase_axis(circuit, self.INSERT_AT, head, 2, PHIS) is not None
+        assert phase_axis(suffix, head, 2, *args) is not None
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
     def test_edge_inputs(self, magnitude):
@@ -394,10 +411,9 @@ class TestPhaseAxis:
                 for mode in range(circuit.m_modes):
                     got = _outcome(fringe_scan, circuit, mode, PHIS)
                     assert got == _outcome(reference_fringe_scan, circuit, mode, PHIS)
-                    for scanned in (circuit, circuit.kerr_free()):
-                        assert _outcome(
-                            qndmzi.analysis._scan_intensities, scanned, mode, PHIS
-                        ) == _outcome(sweep_reference._intensities, scanned, mode, PHIS)
+                    assert _outcome(
+                        qndmzi.analysis._scan_intensities, circuit, mode, PHIS
+                    ) == _outcome(_reference_intensities, circuit, mode, PHIS)
 
     def test_random_probe_optics_after_the_recombiner(self, monkeypatch):
         # Random elements of every kind (probe optics, system splitters and
