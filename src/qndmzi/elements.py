@@ -8,9 +8,13 @@ passing ``dagger=True`` applies the conjugate-transpose element, which is
 how bra states evolve backward.  Constructors reject non-integer mode
 indices; every index is checked against the state's dimensions by one
 private checker, which :class:`~qndmzi.circuit.Circuit` and the file
-parser call as well.  An applier forms its factor or matrix and hands two
-steps to one dispatcher, ``_step``: the column step of a column state (see
-:mod:`qndmzi.states`), else the per-branch step, then the merge.
+parser call as well.  Each element forms its constants once, at
+construction: its factor or matrix, forward and conjugated, and the spans of
+system and probe modes it names.  They sit outside the dataclass fields, so
+``==``, ``hash``, ``repr`` and ``replace`` ignore them.  An applier reads
+them and hands two steps to one dispatcher, ``_step``: the column step of a
+column state (see :mod:`qndmzi.states`), else the per-branch step, then the
+merge.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ def _check_target(target: str) -> str:
     return "system mode" if target == SYS else "probe mode"
 
 
+def _set_indices(el, span: tuple[int, ...]) -> None:
+    """Store ``el._indices``, (system modes, probe modes), with ``span`` on ``el.target``."""
+    object.__setattr__(el, "_indices", (span, ()) if el.target == SYS else ((), span))
+
+
 @dataclass(frozen=True)
 class BeamSplitter:
     """Two-port mixer with unitary [[-i r, t], [t, -i r]], t = sqrt(1 - r^2).
@@ -45,9 +54,8 @@ class BeamSplitter:
     ``target`` selects whether the ports are system modes (the photon
     amplitude splits into two branches) or probe modes (the coherent
     amplitudes mix linearly inside every branch, with the same matrix).
-    The matrix and its conjugate transpose are built once, at
-    construction, outside the dataclass fields, so ``==``, ``hash``,
-    ``repr`` and ``replace`` ignore them.
+    The matrix and its conjugate transpose are formed from
+    ``float(reflectivity)``, so a numpy reflectivity gives Python floats.
     """
 
     target: str
@@ -71,16 +79,17 @@ class BeamSplitter:
             raise ValueError(f"reflectivity {r!r} is not a real number")
         if not inside:
             raise ValueError(f"reflectivity {r} outside [0, 1]")
-        t = self.transmissivity
+        r, t = float(r), self.transmissivity
         (u00, u01), (u10, u11) = u = ((-1j * r, t + 0j), (t + 0j, -1j * r))
         object.__setattr__(self, "_unitary", u)
         object.__setattr__(self, "_adjoint", (
             (u00.conjugate(), u10.conjugate()), (u01.conjugate(), u11.conjugate())
         ))
+        _set_indices(self, (self.mode_a, self.mode_b))
 
     @property
     def transmissivity(self) -> float:
-        r = self.reflectivity
+        r = float(self.reflectivity)
         return math.sqrt(max(0.0, 1.0 - r * r))
 
     def unitary(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -109,6 +118,9 @@ class KerrCoupling:
         object.__setattr__(self, "probe_mode", _check_mode("probe mode", self.probe_mode))
         if not math.isfinite(self.eps_tau):
             raise ValueError("eps_tau must be finite")
+        eps = self.eps_tau
+        object.__setattr__(self, "_factors", (cmath.exp(-1.0 * 1j * eps), cmath.exp(1.0 * 1j * eps)))
+        object.__setattr__(self, "_indices", (tuple(sorted(modes)), (self.probe_mode,)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,9 @@ class PhaseShift:
         object.__setattr__(self, "index", _check_mode(what, self.index))
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
+        phi = self.phi
+        object.__setattr__(self, "_factors", (_phase_factor(phi), _phase_factor(phi, True)))
+        _set_indices(self, (self.index,))
 
 
 @dataclass(frozen=True)
@@ -132,23 +147,18 @@ class Snapshot:
 
     label: str
 
+    _indices = ((), ())
+
 
 Element = Union[BeamSplitter, KerrCoupling, PhaseShift, Snapshot]
 
 
 def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
     """Raise IndexError unless every mode ``el`` names lies in [0, M) or [0, K)."""
-    if isinstance(el, BeamSplitter):
-        pair = (el.mode_a, el.mode_b)
-        sys_idx, probe_idx = (pair, ()) if el.target == SYS else ((), pair)
-    elif isinstance(el, PhaseShift):
-        sys_idx, probe_idx = ((el.index,), ()) if el.target == SYS else ((), (el.index,))
-    elif isinstance(el, KerrCoupling):
-        sys_idx, probe_idx = sorted(el.system_modes), (el.probe_mode,)
-    elif isinstance(el, Snapshot):
-        return
-    else:
-        raise TypeError(f"unknown element {el!r}")
+    try:
+        sys_idx, probe_idx = el._indices
+    except AttributeError:
+        raise TypeError(f"unknown element {el!r}") from None
     for idx in sys_idx:
         if not 0 <= idx < m_modes:
             raise IndexError(f"system mode {idx} outside [0, {m_modes}) in {el!r}")
@@ -209,35 +219,34 @@ def _split_branches(branches, a: int, b: int, u) -> list:
 def _mix_probes(branches, a: int, b: int, u) -> list:
     """``branches`` with probes a and b mixed by ``u``, [[u00, u01], [u10, u11]], unmerged.
 
-    Raises on a non-finite probe amplitude.
+    Raises on a non-finite probe amplitude.  A branch whose probe tuple is
+    the previous branch's (the same object) shares that branch's new tuple.
     """
     (u00, u01), (u10, u11) = u
     isfinite = cmath.isfinite
     out = []
+    old = None
     for br in branches:
-        probes = list(br.probes)
-        pa, pb = probes[a], probes[b]
-        probes[a], probes[b] = pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
-        probes = tuple(probes)
-        if not (isfinite(pa) and isfinite(pb)):
-            for p in probes:
-                _check_finite(p, "probe amplitude")
+        if br.probes is not old:
+            old = br.probes
+            probes = list(old)
+            pa, pb = probes[a], probes[b]
+            probes[a], probes[b] = pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
+            probes = tuple(probes)
+            if not (isfinite(pa) and isfinite(pb)):
+                for p in probes:
+                    _check_finite(p, "probe amplitude")
         out.append(_branch(br.mode, br.amp, probes))
     return out
-
-
-def _kerr_factor(eps_tau: float, dagger: bool = False) -> complex:
-    """exp(-i eps_tau), or exp(i eps_tau) with ``dagger``: a Kerr coupling's probe rotation."""
-    return cmath.exp((1.0 if dagger else -1.0) * 1j * eps_tau)
 
 
 def apply_kerr(
     state: HybridState, coupling: KerrCoupling, dagger: bool = False
 ) -> HybridState:
     _check_indices(coupling, state.m_modes, state.k_probes)
-    rot = _kerr_factor(coupling.eps_tau, dagger)
-    return _step(state, _scale_columns, _scale_branches, rot, coupling.system_modes,
-                 coupling.probe_mode)
+    forward, back = coupling._factors
+    return _step(state, _scale_columns, _scale_branches, back if dagger else forward,
+                 coupling.system_modes, coupling.probe_mode)
 
 
 def _phase_factor(phi: float, dagger: bool = False) -> complex:
@@ -249,9 +258,10 @@ def apply_phase(
     state: HybridState, shift: PhaseShift, dagger: bool = False
 ) -> HybridState:
     _check_indices(shift, state.m_modes, state.k_probes)
-    factor = _phase_factor(shift.phi, dagger)
+    forward, back = shift._factors
+    factor = back if dagger else forward
     if shift.target == SYS:
-        return _step(state, _scale_columns, _scale_branches, factor, (shift.index,), None)
+        return _step(state, _scale_columns, _scale_branches, factor, shift._indices[0], None)
     return _step(state, _scale_columns, _scale_branches, factor, None, shift.index)
 
 
@@ -295,11 +305,12 @@ def _apply_to_rows(el: Element, rows: list, factor=None):
     # A phase shift or Kerr coupling scales the amplitude (k None) or probe k
     # of every row whose mode is in ``modes`` (every row where it is None).
     if isinstance(el, KerrCoupling):
-        f, modes, k = _kerr_factor(el.eps_tau), el.system_modes, el.probe_mode
+        modes, k = el.system_modes, el.probe_mode
     elif el.target == SYS:
-        f, modes, k = _phase_factor(el.phi), (el.index,), None
+        modes, k = el._indices[0], None
     else:
-        f, modes, k = _phase_factor(el.phi), None, el.index
+        modes, k = None, el.index
+    f = el._factors[0]
     factor = factor or (f.real, f.imag)
     for row in rows:
         mode, amp, probes = row

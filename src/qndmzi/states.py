@@ -25,7 +25,11 @@ same-mode neighbours, each within :data:`MERGE_TOL` of the next along
 Re(probes[0]); a branch alone in its run cannot merge and keeps its sorted
 slot.  Either way a merge costs at worst O(run length x groups in the run)
 summed over its buckets, a mode counting as one run; a state that cannot
-merge costs one O(n log n) sort and a fixed number of numpy calls.
+merge costs one O(n log n) sort and a fixed number of numpy calls.  Below
+the bound, groups left in distinct modes sort by mode alone, comparing no
+probes.  The per-branch element steps map branches that share a probe
+tuple (a system splitter's two outputs) to one new tuple, which the merge
+matches by identity.
 
 The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
@@ -411,10 +415,12 @@ def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
 
     Only branches whose mode is in ``modes`` change (every branch where it
     is None).  Raises on a non-finite value written, with the public
-    constructors' error.
+    constructors' error.  A changed branch whose probe tuple is the
+    previous changed branch's (the same object) shares its new tuple.
     """
     isfinite = cmath.isfinite
     out = []
+    old = new = None
     for br in branches:
         if modes is None or br.mode in modes:
             if probe is None:
@@ -423,11 +429,13 @@ def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
                     _check_finite(amp, "branch amplitude")
                 br = _branch(br.mode, amp, br.probes)
             else:
-                probes = br.probes
-                p = factor * probes[probe]
-                if not isfinite(p):
-                    _check_finite(p, "probe amplitude")
-                br = _branch(br.mode, br.amp, probes[:probe] + (p,) + probes[probe + 1:])
+                if br.probes is not old:
+                    old = probes = br.probes
+                    p = factor * probes[probe]
+                    if not isfinite(p):
+                        _check_finite(p, "probe amplitude")
+                    new = probes[:probe] + (p,) + probes[probe + 1:]
+                br = _branch(br.mode, br.amp, new)
         out.append(br)
     return out
 
@@ -835,15 +843,20 @@ def merge_branches(state: HybridState) -> HybridState:
     if len(branches) >= _MERGE_SCAN_MAX and state.k_probes:
         return _column_merge(state)
     kept = [g for g in _merge_groups(branches).values() if _nonempty(g.amp)]
-    kept.sort(key=_canonical_key)
+    # In distinct modes the mode alone gives the canonical order.
+    kept.sort(key=_mode_of if len({g.mode for g in kept}) == len(kept) else _canonical_key)
     return _state(state.m_modes, state.k_probes, tuple(kept))
 
 
 def _same_probes(ps: tuple[complex, ...], qs: tuple[complex, ...]) -> bool:
     """Whether each pair of probe amplitudes lies within :data:`MERGE_TOL`.
 
-    A difference whose modulus overflows lies far outside it.
+    A difference whose modulus overflows lies far outside it.  The same
+    tuple (the element steps share one) matches at once, as the loop would
+    find: a value less itself is 0 or NaN, never above the tolerance.
     """
+    if ps is qs:
+        return True
     try:
         for a, b in zip(ps, qs):
             if abs(a - b) > MERGE_TOL:

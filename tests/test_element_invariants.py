@@ -1,11 +1,15 @@
 """Element constants, norm preservation, merge idempotence and overlap overflow.
 
-A beam splitter builds its matrix and that matrix's conjugate transpose
-once, at construction; these tests hold both to the formula bit for bit
-and check that they leave the dataclass identity (fields, ``repr``, ``==``,
-``hash``) as it was.  Two seeded hypothesis properties cover small states
-over |alpha| from 1e-3 to 1e6: every element keeps the norm, forward and
-conjugated, and merging twice changes nothing, one-branch states included.
+Every element forms its constants once, at construction: a beam splitter
+its matrix and that matrix's conjugate transpose, a phase shift or Kerr
+coupling its factor forward and conjugated, and each element the spans of
+modes it names.  These tests hold them to the expressions the appliers
+formed per call, bit for bit, and check that they leave the dataclass
+identity (fields, ``repr``, ``==``, ``hash``) as it was; a numpy
+reflectivity gives the Python floats of ``float(r)``.  Two seeded
+hypothesis properties cover small states over |alpha| from 1e-3 to 1e6:
+every element keeps the norm, forward and conjugated, and merging twice
+changes nothing, one-branch states included.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +37,13 @@ from qndmzi import (
     HybridState,
     KerrCoupling,
     PhaseShift,
+    Snapshot,
     apply_element,
+    build_nested_mzi,
     coherent_overlap,
     merge_branches,
+    postselect,
+    run_both,
 )
 
 REFLECTIVITIES = [0.0, 5e-324, 0.6, math.sqrt(0.5), 1 - 1e-16, 1.0]
@@ -86,7 +97,7 @@ class TestSplitterUnitary:
         ]
         bs = BeamSplitter(SYS, 0, 2, 0.6)
         assert sorted(vars(bs)) == sorted(["target", "mode_a", "mode_b", "reflectivity",
-                                           "_unitary", "_adjoint"])
+                                           "_unitary", "_adjoint", "_indices"])
         assert repr(bs) == "BeamSplitter(target='sys', mode_a=0, mode_b=2, reflectivity=0.6)"
         assert bs == BeamSplitter(SYS, 0, 2, 0.6)
         assert bs != BeamSplitter(SYS, 0, 2, 0.8)
@@ -110,11 +121,140 @@ class TestSplitterUnitary:
             dataclasses.replace(BeamSplitter(SYS, 0, 1, 0.5), reflectivity=r)
 
     @pytest.mark.parametrize("r", [0, 1, False, True, np.float64(0.6), np.float32(0.5),
-                                   np.int64(1)])
+                                   np.int64(1), Fraction(3, 5), Decimal("0.6")])
     def test_real_reflectivity_types_are_accepted(self, r):
         bs = BeamSplitter(SYS, 0, 1, r)
         assert bs.reflectivity is r
         assert bs.unitary() == BeamSplitter(SYS, 0, 1, float(r)).unitary()
+
+
+def old_factor(el, dagger=False):
+    """The factor the appliers formed per call before it was stored at construction."""
+    if isinstance(el, PhaseShift):
+        return cmath.exp((-1j if dagger else 1j) * el.phi)
+    return cmath.exp((1.0 if dagger else -1.0) * 1j * el.eps_tau)
+
+
+def old_spans(el):
+    """The (system, probe) index spans the index checker formed per call."""
+    if isinstance(el, BeamSplitter):
+        pair = (el.mode_a, el.mode_b)
+        return (pair, ()) if el.target == SYS else ((), pair)
+    if isinstance(el, PhaseShift):
+        return ((el.index,), ()) if el.target == SYS else ((), (el.index,))
+    if isinstance(el, KerrCoupling):
+        return tuple(sorted(el.system_modes)), (el.probe_mode,)
+    return (), ()
+
+
+def assert_constants_match_fields(el):
+    assert el._indices == old_spans(el)
+    if isinstance(el, BeamSplitter):
+        assert bits(el.unitary()) == bits(formula(el.reflectivity))
+        assert bits(el._adjoint) == bits(dagger(formula(el.reflectivity)))
+    elif not isinstance(el, Snapshot):
+        assert repr(el._factors) == repr((old_factor(el), old_factor(el, True)))
+
+
+_rng = random.Random(2201)
+ANGLES = [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300, 2, 5e-324, -2.5e-16] + [
+    _rng.choice((1.0, -1.0)) * 10.0 ** _rng.uniform(-8.0, 8.0) for _ in range(24)
+]
+
+
+def every_kind(angle=0.3):
+    return [
+        BeamSplitter(SYS, 2, 0, 0.6), BeamSplitter(PROBE, 0, 1, 0.25),
+        PhaseShift(SYS, 1, angle), PhaseShift(PROBE, 0, angle),
+        KerrCoupling(frozenset({3, 1, 2}), 1, angle), Snapshot("L2"),
+    ]
+
+
+class TestStoredConstants:
+    """Each element's factors and index spans are formed once, at construction.
+
+    They must equal, under ``repr`` (signed zeros included), what the
+    appliers and the index checker formed on every call before, and stay
+    out of the dataclass identity as the splitter's matrix does.
+    """
+
+    @pytest.mark.parametrize("angle", ANGLES, ids=repr)
+    def test_factors_equal_the_per_call_expressions(self, angle):
+        for el in every_kind(angle):
+            assert_constants_match_fields(el)
+
+    def test_signed_zero_factors(self):
+        # At -0.0 the conjugated factor is not the forward factor's conjugate.
+        assert repr(PhaseShift(SYS, 0, 0.0)._factors) == "((1+0j), (1-0j))"
+        assert repr(PhaseShift(SYS, 0, -0.0)._factors) == "((1+0j), (1+0j))"
+        assert repr(KerrCoupling(frozenset({0}), 0, 0.0)._factors) == "((1-0j), (1+0j))"
+        assert repr(KerrCoupling(frozenset({0}), 0, -0.0)._factors) == "((1+0j), (1+0j))"
+
+    def test_copies_and_replacements_stay_consistent(self):
+        for el in every_kind():
+            for twin in (copy.copy(el), copy.deepcopy(el), pickle.loads(pickle.dumps(el)),
+                         dataclasses.replace(el)):
+                assert twin == el
+                assert_constants_match_fields(twin)
+        moved = [
+            dataclasses.replace(BeamSplitter(SYS, 2, 0, 0.6), mode_a=1, target=PROBE),
+            dataclasses.replace(PhaseShift(SYS, 1, 0.3), phi=-math.pi, index=2),
+            dataclasses.replace(PhaseShift(PROBE, 0, 0.3), target=SYS),
+            dataclasses.replace(KerrCoupling(frozenset({1}), 0, 0.3),
+                                system_modes=frozenset({4, 0}), eps_tau=1e300),
+        ]
+        for el in moved:
+            assert_constants_match_fields(el)
+
+    def test_dataclass_identity_ignores_the_constants(self):
+        names = {
+            BeamSplitter: ["target", "mode_a", "mode_b", "reflectivity"],
+            PhaseShift: ["target", "index", "phi"],
+            KerrCoupling: ["system_modes", "probe_mode", "eps_tau"],
+            Snapshot: ["label"],
+        }
+        for el in every_kind():
+            fields = [f.name for f in dataclasses.fields(el)]
+            assert fields == names[type(el)]
+            assert dataclasses.astuple(el) == tuple(getattr(el, f) for f in fields)
+            assert hash(el) == hash(dataclasses.astuple(el))
+            shown = ", ".join(f"{f}={getattr(el, f)!r}" for f in fields)
+            assert repr(el) == f"{type(el).__name__}({shown})"
+            # Constants overwritten behind the element's back change neither == nor hash.
+            twin = copy.copy(el)
+            for name in ("_indices", "_factors", "_unitary", "_adjoint"):
+                if name in vars(twin):
+                    object.__setattr__(twin, name, None)
+            assert twin == el and hash(twin) == hash(el) and repr(twin) == repr(el)
+        assert vars(Snapshot("a")) == {"label": "a"}
+
+
+class TestNumpyReflectivity:
+    """A numpy reflectivity leaves no numpy value in the matrix or the run."""
+
+    @pytest.mark.parametrize("r", [np.float32(0.6), np.float64(0.6), np.array(0.6),
+                                   np.float16(0.3), np.float32(1.0), np.int64(0)], ids=repr)
+    def test_python_values_bit_equal_to_float(self, r):
+        bs, plain = BeamSplitter(PROBE, 0, 1, r), BeamSplitter(PROBE, 0, 1, float(r))
+        assert bs.reflectivity is r
+        values = [z for m in (bs.unitary(), bs._adjoint) for row in m for z in row]
+        assert {type(z) for z in values} == {complex}
+        assert type(bs.transmissivity) is float
+        assert bs.transmissivity.hex() == plain.transmissivity.hex()
+        assert bits(bs.unitary()) == bits(plain.unitary())
+        assert bits(bs._adjoint) == bits(plain._adjoint)
+
+    @pytest.mark.parametrize("r", [np.float32(0.6), np.array(0.6), np.float64(0.35)], ids=repr)
+    def test_runs_bit_equal_to_float(self, r):
+        got = run_both(build_nested_mzi(r, 1.3 - 0.4j, 0.7))
+        want = run_both(build_nested_mzi(float(r), 1.3 - 0.4j, 0.7))
+        # repr shows every bit of a Python complex and names any numpy type.
+        assert repr(got.forward) == repr(want.forward)
+        assert repr(got.backward) == repr(want.backward)
+        for mode in (0, 1, 2):
+            a, b = postselect(got, mode), postselect(want, mode)
+            assert type(a.probability) is float
+            assert repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
 
 
 class TestOverlapOverflow:

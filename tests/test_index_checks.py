@@ -2,8 +2,12 @@
 
 A bad label, a non-integer index or mode count, or a coupling without a
 system mode is rejected with the same text whether it is built in Python or
-read from a file.
+read from a file.  Out-of-range modes raise what the per-call checker that
+formed each element's index spans on every call raised, in its order:
+system modes (a coupling's in increasing order), then probe modes.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +23,10 @@ from qndmzi import (
     KerrCoupling,
     PhaseShift,
     Snapshot,
+    apply_beam_splitter,
     apply_element,
+    apply_kerr,
+    apply_phase,
     parse_circuit,
     serialize_circuit,
 )
@@ -176,11 +183,104 @@ def test_integer_like_mode_counts_are_stored_as_int(m_modes, k_probes):
     assert parse_circuit(text) == circuit
 
 
-@pytest.mark.parametrize("thing", [5, "bs sys 0 1 r=0.5", None, (SYS, 0, 1, 0.5)])
+@pytest.mark.parametrize("thing", [5, "bs sys 0 1 r=0.5", None, (SYS, 0, 1, 0.5), BeamSplitter,
+                                   object()])
 def test_circuit_rejects_a_non_element_as_the_applier_does(thing):
     state = HybridState.single_photon(2, 0, (1.0,))
-    with pytest.raises(TypeError) as applied:
-        apply_element(state, thing)
+    with pytest.raises(TypeError) as want:
+        reference_check(thing, 2, 1)
+    for apply in (apply_element, apply_beam_splitter, apply_phase, apply_kerr):
+        with pytest.raises(TypeError) as applied:
+            apply(state, thing)
+        assert str(applied.value) == str(want.value)
     with pytest.raises(TypeError) as built:
         Circuit(2, 1, (Snapshot("a"), thing), 0, (1.0,))
-    assert str(built.value) == str(applied.value) == f"unknown element {thing!r}"
+    assert str(built.value) == str(want.value) == f"unknown element {thing!r}"
+
+
+def reference_check(el, m_modes, k_probes):
+    """The index checker as it formed each element's spans on every call."""
+    if isinstance(el, BeamSplitter):
+        pair = (el.mode_a, el.mode_b)
+        sys_idx, probe_idx = (pair, ()) if el.target == SYS else ((), pair)
+    elif isinstance(el, PhaseShift):
+        sys_idx, probe_idx = ((el.index,), ()) if el.target == SYS else ((), (el.index,))
+    elif isinstance(el, KerrCoupling):
+        sys_idx, probe_idx = sorted(el.system_modes), (el.probe_mode,)
+    elif isinstance(el, Snapshot):
+        return
+    else:
+        raise TypeError(f"unknown element {el!r}")
+    for idx in sys_idx:
+        if not 0 <= idx < m_modes:
+            raise IndexError(f"system mode {idx} outside [0, {m_modes}) in {el!r}")
+    for idx in probe_idx:
+        if not 0 <= idx < k_probes:
+            raise IndexError(f"probe mode {idx} outside [0, {k_probes}) in {el!r}")
+
+
+def element_line(el) -> str:
+    if isinstance(el, BeamSplitter):
+        return f"bs {el.target} {el.mode_a} {el.mode_b} r={el.reflectivity}"
+    if isinstance(el, PhaseShift):
+        return f"phase {el.target} {el.index} phi={el.phi}"
+    modes = ",".join(map(str, el.system_modes))
+    return f"kerr sys={modes} probe={el.probe_mode} eps_tau={el.eps_tau}"
+
+
+def parity_elements():
+    """Elements over modes -3..5 of a 3-mode, 2-probe circuit, many out of range."""
+    rng = random.Random(2202)
+    out = [
+        KerrCoupling(frozenset({7, 4, -2, 1, 3}), 5, 0.1),
+        KerrCoupling(frozenset({2, 9, 5}), -1, 0.1),
+        KerrCoupling(frozenset({0, 1, 2}), 2, 0.1),
+        BeamSplitter(SYS, 4, -1, 0.5),
+        BeamSplitter(PROBE, 3, 2, 0.5),
+        PhaseShift(PROBE, 2, 0.1),
+    ]
+    modes = range(-3, 6)
+    for _ in range(150):
+        target = rng.choice((SYS, PROBE))
+        a, b = rng.sample(modes, 2)
+        out += [
+            BeamSplitter(target, a, b, 0.5),
+            PhaseShift(target, a, -0.2),
+            KerrCoupling(frozenset(rng.sample(modes, rng.randint(1, 4))), b, 0.3),
+        ]
+    return out
+
+
+def test_out_of_range_modes_raise_as_the_per_call_checker():
+    state = HybridState.single_photon(M_MODES, 0, (1.0, 0.5j))
+    appliers = {BeamSplitter: apply_beam_splitter, PhaseShift: apply_phase,
+                KerrCoupling: apply_kerr}
+    bad = 0
+    for el in parity_elements():
+        try:
+            reference_check(el, M_MODES, K_PROBES)
+        except IndexError as exc:
+            want = str(exc)
+        else:
+            want = None
+        bad += want is not None
+        for apply in (apply_element, appliers[type(el)]):
+            for dagger in (False, True):
+                if want is None:
+                    apply(state, el, dagger)
+                    continue
+                with pytest.raises(IndexError) as applied:
+                    apply(state, el, dagger)
+                assert str(applied.value) == want
+        if want is None:
+            Circuit(M_MODES, K_PROBES, (el,), 0, (1.0, 0j))
+            assert parse_circuit(HEADER + element_line(el) + "\n").elements == (el,)
+            continue
+        with pytest.raises(IndexError) as built:
+            Circuit(M_MODES, K_PROBES, (el,), 0, (1.0, 0j))
+        assert str(built.value) == want
+        with pytest.raises(CircuitFormatError) as parsed:
+            parse_circuit(HEADER + element_line(el) + "\n")
+        assert str(parsed.value) == f"line 3: {want}"
+    assert bad > 300
+

@@ -11,7 +11,10 @@ edges of the tolerance: offsets of 0.5, 0.99, 1.0 and 1.01 times
 signed-zero reals, many groups at one Re(probes[0]), several modes, and
 probes from subnormal to 1.7e308.  ``TestSortedMerge`` checks the sorted
 pass on states of every size around ``_MERGE_SCAN_MAX`` and
-``_MERGE_SORT_MIN``, where its result keeps the column form.
+``_MERGE_SORT_MIN``, where its result keeps the column form.  Engine-built
+small states whose branches share probe tuples by identity (as the element
+steps leave them) merge and step as the same states with a tuple of their
+own per branch.
 """
 
 import math
@@ -26,13 +29,16 @@ import qndmzi.elements
 import qndmzi.states
 from qndmzi import (
     MERGE_TOL,
+    PROBE,
     SYS,
     BeamSplitter,
     Branch,
     Circuit,
     HybridState,
     KerrCoupling,
+    PhaseShift,
     Snapshot,
+    apply_element,
     build_nested_mzi,
     inner_product,
     merge_branches,
@@ -157,27 +163,28 @@ class TestDistinctModeShortcut:
     """States of at most M branches in distinct modes skip the group scan.
 
     They cannot merge, so they are only filtered and sorted by mode.  The
-    scan path sorts by ``_canonical_key``; counting its calls tells which
-    path a state took.
+    scan path groups them with ``_merge_owners``; counting its calls tells
+    which path a state took.  (The scan path's sort key cannot tell: groups
+    left in distinct modes sort by mode there too.)
     """
 
     AMPS = (0.99 * MERGE_TOL, MERGE_TOL, 1.01 * MERGE_TOL, 1.0, -0.5j, -0.99 * MERGE_TOL)
 
     @staticmethod
-    def canonical_keys(monkeypatch):
+    def group_scans(monkeypatch):
         calls = []
-        key = qndmzi.states._canonical_key
+        owners = qndmzi.states._merge_owners
 
-        def counted(br):
-            calls.append(br)
-            return key(br)
+        def counted(branches, buckets=None):
+            calls.append(branches)
+            return owners(branches, buckets)
 
-        monkeypatch.setattr(qndmzi.states, "_canonical_key", counted)
+        monkeypatch.setattr(qndmzi.states, "_merge_owners", counted)
         return calls
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_reference(self, monkeypatch, seed):
-        keys = self.canonical_keys(monkeypatch)
+        scans = self.group_scans(monkeypatch)
         rng = random.Random(6100 + seed)
         for _ in range(60):
             m_modes = rng.randint(1, 5)
@@ -190,21 +197,21 @@ class TestDistinctModeShortcut:
                 for m in modes
             )
             assert_same_merge(HybridState(m_modes, k, branches))
-        assert keys == []
+        assert scans == []
 
     @pytest.mark.parametrize("m_modes", [1, 2, 3, 4])
     def test_as_many_branches_as_modes(self, monkeypatch, m_modes):
-        keys = self.canonical_keys(monkeypatch)
+        scans = self.group_scans(monkeypatch)
         for amp in self.AMPS:
             for order in (range(m_modes)[::-1], (*range(1, m_modes), 0)):
                 branches = tuple(Branch(m, amp * (m + 1), (complex(m, -m),)) for m in order)
                 assert_same_merge(HybridState(m_modes, 1, branches))
-        assert keys == []
+        assert scans == []
 
     def test_overflowing_modulus_is_kept(self, monkeypatch):
         # abs() of the amplitude overflows, so the reference cannot take it;
         # the rest of the state must still match it bit for bit.
-        keys = self.canonical_keys(monkeypatch)
+        scans = self.group_scans(monkeypatch)
         huge = Branch(1, 1e308 + 1e308j, (0.5j,))
         rest = (Branch(2, 1.01 * MERGE_TOL, (1j,)), Branch(0, 0.99 * MERGE_TOL, (0j,)))
         merged = merge_branches(HybridState(3, 1, (rest[0], huge, rest[1])))
@@ -212,10 +219,10 @@ class TestDistinctModeShortcut:
         assert state_bits(merged) == state_bits(
             HybridState(3, 1, (huge, *want.branches))
         )
-        assert keys == []
+        assert scans == []
 
     def test_two_branches_in_one_mode_use_the_index(self, monkeypatch):
-        keys = self.canonical_keys(monkeypatch)
+        scans = self.group_scans(monkeypatch)
         branches = (
             Branch(2, 1.0, (0.5j,)),
             Branch(0, 0.25, (1.0,)),
@@ -223,7 +230,7 @@ class TestDistinctModeShortcut:
         )
         state = HybridState(3, 1, branches)
         assert [br.amp for br in merge_branches(state).branches] == [0.25, 1.5]
-        assert keys
+        assert scans
         assert_same_merge(state)
 
 
@@ -335,6 +342,86 @@ _branch = st.builds(
 @given(st.lists(_branch, min_size=1, max_size=40))
 def test_merge_matches_reference_property(branches):
     assert_same_merge(HybridState(3, 2, tuple(branches)))
+
+
+@st.composite
+def _shared_probe_states(draw):
+    """Small engine-built states whose branches hold one tuple of a pool, or its copy or neighbour.
+
+    Built unchecked, as the element steps build them: the public
+    constructor would give every branch a tuple of its own.
+    """
+    k = draw(st.integers(1, 2))
+    pool = [tuple(draw(_probe) for _ in range(k)) for _ in range(draw(st.integers(1, 3)))]
+    branches = []
+    for _ in range(draw(st.integers(1, qndmzi.states._MERGE_SCAN_MAX - 1))):
+        probes = draw(st.sampled_from(pool))
+        how = draw(st.sampled_from(("shared", "copied", "nudged")))
+        if how == "copied":
+            probes = tuple(list(probes))
+        elif how == "nudged":
+            probes = tuple(
+                complex(p.real + draw(_offsets) * MERGE_TOL, p.imag + draw(_offsets) * MERGE_TOL)
+                for p in probes
+            )
+        amp = draw(st.sampled_from((1.0, -1.0, 0.5j, 0.3 - 0.1j, 0.25 * MERGE_TOL, -0.0)))
+        branches.append(qndmzi.states._branch(draw(st.integers(0, 2)), amp, probes))
+    return qndmzi.states._state(3, k, tuple(branches))
+
+
+def _unshared(state: HybridState, branches=None) -> HybridState:
+    """``state`` (or ``branches`` over its M and K) with a probe tuple of its own per branch."""
+    return HybridState(state.m_modes, state.k_probes, tuple(branches or state.branches))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_shared_probe_states())
+def test_shared_probe_tuples_merge_as_the_reference(state):
+    assert state_bits(merge_branches(state)) == state_bits(reference_merge_branches(state))
+    assert state_bits(merge_branches(state)) == state_bits(merge_branches(_unshared(state)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_shared_probe_states(), st.booleans())
+def test_shared_probe_tuples_step_as_copies(state, dagger):
+    elements = [
+        BeamSplitter(SYS, 0, 1, 0.6),
+        PhaseShift(SYS, 1, 0.7),
+        PhaseShift(PROBE, 0, -2.1),
+        KerrCoupling(frozenset({1, 2}), 0, 0.4),
+        KerrCoupling(frozenset({0}), state.k_probes - 1, math.pi),
+    ]
+    if state.k_probes == 2:
+        elements.append(BeamSplitter(PROBE, 1, 0, math.sqrt(0.5)))
+    for el in elements:
+        got = apply_element(state, el, dagger)
+        assert state_bits(got) == state_bits(apply_element(_unshared(state), el, dagger))
+    # Each unmerged probe step equals the step on every branch alone.
+    k = state.k_probes - 1
+    steps = [
+        (qndmzi.states._scale_branches, (1j, None, k)),
+        (qndmzi.states._scale_branches, (-0.6 + 0.8j, (1,), 0)),
+        (qndmzi.states._scale_branches, (0.5, frozenset({0, 2}), k)),
+    ]
+    if k:
+        steps.append((qndmzi.elements._mix_probes, (0, 1, BeamSplitter(PROBE, 0, 1, 0.6)._adjoint)))
+    for step, args in steps:
+        alone = [br for b in state.branches for br in step([b], *args)]
+        whole = step(state.branches, *args)
+        assert state_bits(_unshared(state, whole)) == state_bits(_unshared(state, alone))
+
+
+def test_steps_give_branches_of_one_probe_tuple_one_new_tuple():
+    probes = (0.5 + 1j, -0.25j)
+    branches = [qndmzi.states._branch(m, 1.0, probes) for m in (0, 1, 2)]
+    u = BeamSplitter(PROBE, 0, 1, 0.6).unitary()
+    a, b, c = qndmzi.elements._mix_probes(branches, 0, 1, u)
+    assert a.probes is b.probes is c.probes != probes
+    a, b, c = qndmzi.states._scale_branches(branches, 1j, None, 1)
+    assert a.probes is b.probes is c.probes != probes
+    # A branch the step leaves alone keeps the old tuple in between.
+    a, b, c = qndmzi.states._scale_branches(branches, 1j, (0, 2), 0)
+    assert a.probes is c.probes != probes and b.probes is probes
 
 
 THRESHOLD = qndmzi.states._MERGE_SCAN_MAX
