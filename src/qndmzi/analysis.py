@@ -8,19 +8,22 @@ branches rather than a single product.
 
 Cost: the sweeps evolve the circuit prefix their points share once (a
 fringe scan's Kerr-free reference resumes from it), and read a stage ahead
-of the inserted phase once.  Past it, one axis engine
-runs the suffix once for all points: each branch is a row whose amplitude
-and probes are floats where they are the same at every point and arrays
-over the points where they vary (:func:`_axis_stages`).  Where rows could
-not share one structure, or a point would raise, the sweep runs per point
-instead.  Both keep the per-point path's results bit for bit.
+of the inserted phase once.  Past it, one axis engine runs the suffix once
+for all points: each branch is a row whose amplitude and probes are Python
+complex values where they are the same at every point and lists of one per
+point where they vary (:func:`_axis_stages`), formed by the per-branch
+expressions.  Where rows could not share one structure, or a point would
+raise, the sweep runs per point instead, with the same bits.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,8 +43,8 @@ from .elements import (
     _phase_factor,
 )
 from .states import (
-    Branch, HybridState, _all_finite, _batch_overlaps, _batch_pair_sum, _check_finite,
-    _check_mode, _check_shape, _cmul, _merge_rows, _pair_sum, inner_product,
+    Branch, HybridState, _at_every_point, _batch_overlaps, _batch_pair_sum, _check_finite,
+    _check_mode, _check_shape, _merge_rows, _pair_sum, _per_point, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -217,7 +220,7 @@ def _scan_intensities(
 
 
 def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mode: int,
-                  phis: Sequence[float], factors: tuple) -> tuple[list[float], list[float]]:
+                  phis: Sequence[float], factors: list) -> tuple[list[float], list[float]]:
     """Both probe outputs' intensities per phase inserted between ``prefix`` and ``suffix``.
 
     ``factors`` are the phases' :func:`_phase_factors`.  A detection stage
@@ -254,7 +257,7 @@ def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mo
 
 
 def _phase_axis_intensities(
-    suffix: Sequence[Element], head: HybridState, mode: int, factors: tuple, stop: str
+    suffix: Sequence[Element], head: HybridState, mode: int, factors: list, stop: str
 ) -> tuple[list[float], list[float]] | None:
     """:func:`_resumed_scan` past ``head`` over a phase axis, or None.
 
@@ -262,37 +265,35 @@ def _phase_axis_intensities(
     :func:`_axis_condition` with the probe moments, then divides as
     :func:`_probe_means` does.
     """
-    with np.errstate(all="ignore"):
-        stages = _axis_stages(suffix, head, PROBE, 1, factors, stop)
-        rows = stages and stages.get(stop)
-        conditioned = rows and _axis_condition(rows, mode, moments=True)
-        if not conditioned:
-            return None
-        _, ((norm, _), moments) = conditioned
-        return tuple(_points(m[0] / norm, len(factors[0])) for m in moments)
+    stages = _axis_stages(suffix, head, PROBE, 1, factors, stop)
+    rows = stages and stages.get(stop)
+    conditioned = rows and _axis_condition(rows, mode, moments=True)
+    if not conditioned:
+        return None
+    _, (norm, moments) = conditioned
+    n = len(factors)
+    # Each probe's m.real / norm, as _probe_means divides.
+    return tuple([m.real / nb for m, nb in zip(_points(moment, n), _points(norm, n))]
+                 for moment in moments)
 
 
 def _branch_rows(branches: Iterable[Branch]) -> list:
-    """``branches`` as axis rows (mode, amp, probes) of fixed (re, im) pairs."""
-    return [
-        (br.mode, (br.amp.real, br.amp.imag), tuple([(p.real, p.imag) for p in br.probes]))
-        for br in branches
-    ]
+    """``branches`` as axis rows (mode, amp, probes) of fixed values."""
+    return [(br.mode, br.amp, br.probes) for br in branches]
 
 
-def _points(value, n: int) -> list[float]:
-    """A float or float array over ``n`` points as a list of Python floats."""
-    return np.broadcast_to(value, (n,)).tolist()
+def _points(value, n: int) -> list:
+    """A fixed value or a list over ``n`` points as a list (see :func:`~qndmzi.states._per_point`)."""
+    return value if type(value) is list else [value] * n
 
 
-def _phase_factors(phis: Sequence[float]) -> tuple:
-    """Each phase's :func:`~qndmzi.elements._phase_factor`, as (re, im) float arrays."""
-    factors = np.array([_phase_factor(phi) for phi in phis], dtype=complex)
-    return factors.real, factors.imag
+def _phase_factors(phis: Sequence[float]) -> list[complex]:
+    """Each phase's :func:`~qndmzi.elements._phase_factor`, one complex per point."""
+    return [_phase_factor(phi) for phi in phis]
 
 
 def _axis_stages(
-    suffix: Sequence[Element], head: HybridState, target: str, index: int, factors: tuple, stop: str
+    suffix: Sequence[Element], head: HybridState, target: str, index: int, factors: list, stop: str
 ) -> dict[str, list] | None:
     """The rows at each stage of ``suffix`` over an axis of inserted phases, or None.
 
@@ -325,37 +326,39 @@ def _axis_stages(
     return stages
 
 
-def _axis_sum(bra: list, ket: list, pairs: list | None = None, moments: bool = False):
-    """:func:`~qndmzi.states._batch_pair_sum` over ``pairs`` (default: all) if finite, else None."""
-    pairs = _batch_overlaps(bra, ket) if pairs is None else pairs
-    if pairs is None:
-        return None
-    total = _batch_pair_sum(bra, ket, pairs, moments)
-    return total if _all_finite(*total[0], *chain.from_iterable(total[1])) else None
-
-
 def _axis_condition(rows: list, mode: int, moments: bool = False):
     """:func:`_condition` and the conditioned norm over an axis, or None.
 
     Returns the projection's rows scaled to unit norm and their
-    :func:`_axis_sum` (with the probe moments if asked); both sums share
+    :func:`_axis_norm` (with the probe moments if asked); both sums share
     one set of overlaps.  None where, at some point, the projection is
     empty, its probability or norm is not finite and > 0, or a scaled
     amplitude is not finite.
     """
     kept = [row for row in rows if row[0] == mode]
     pairs = _batch_overlaps(kept, kept)
-    probability = kept and pairs and _axis_sum(kept, kept, pairs)
-    if not probability or not (np.asarray(probability[0][0]) > 0.0).all():
+    probability = kept and pairs and _axis_norm(kept, pairs)
+    if not probability:
         return None
-    scale = 1.0 / np.sqrt(probability[0][0])
-    kept = [(m, _cmul(scale, 0.0, *amp), probes) for m, amp, probes in kept]
-    if not _all_finite(*chain.from_iterable(row[1] for row in kept)):
+    p = probability[0]
+    # The factor 1.0 / math.sqrt(p), as HybridState.scaled takes it.
+    scale = (list(map(complex, map(operator.truediv, repeat(1.0), map(math.sqrt, p))))
+             if type(p) is list else complex(1.0 / math.sqrt(p)))
+    kept = [(m, _per_point(operator.mul, scale, amp), probes) for m, amp, probes in kept]
+    if not all(_at_every_point(cmath.isfinite, amp) for _, amp, _ in kept):
         return None
-    norm = _axis_sum(kept, kept, pairs, moments)
-    if not norm or not (np.asarray(norm[0][0]) > 0.0).all():
+    norm = _axis_norm(kept, pairs, moments)
+    return norm and (kept, norm)
+
+
+def _axis_norm(rows: list, pairs: list, moments: bool = False):
+    """The squared norm of ``rows`` per point (and the probe moments), or None unless all > 0."""
+    norm = _batch_pair_sum(rows, rows, pairs, moments)
+    if norm is None:
         return None
-    return kept, norm
+    total, sums = norm
+    reals = [z.real for z in total] if type(total) is list else total.real
+    return (reals, sums) if _at_every_point(partial(operator.lt, 0.0), reals) else None
 
 
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
@@ -577,28 +580,24 @@ def _delta_axis_points(
     :func:`_fidelity` forms it.
     """
     head, ahead = prefix
-    with np.errstate(all="ignore"):
-        stages = _axis_stages(circuit.elements[insert_at:], head, SYS, arm_mode,
-                              _phase_factors(deltas), FINAL_STAGE)
-        if stages is None:
-            return None
-        dark = ahead.get(dark_stage)  # a dark stage ahead of the phase, or None
-        rows = stages[dark_stage] if dark is None else _branch_rows(dark.branches)
-        kept = [row for row in rows if row[0] == arm_mode]
-        leak = _axis_sum(kept, kept)
-        conditioned = leak and _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
-        if not conditioned or base_norm <= 0.0:
-            return None
-        leak = leak[0][0]
-        kept, ((norm, _), _) = conditioned
-        overlap = _axis_sum(_branch_rows(base.branches), kept)
-        if overlap is None:
-            return None
-        columns = [_points(v, len(deltas)) for v in (leak, norm, *overlap[0])]
-    return tuple(
-        LeakagePoint(delta, p, 1.0 - abs(complex(re, im)) ** 2 / (base_norm * nb))
-        for delta, p, nb, re, im in zip(deltas, *columns)
-    )
+    stages = _axis_stages(circuit.elements[insert_at:], head, SYS, arm_mode,
+                          _phase_factors(deltas), FINAL_STAGE)
+    if stages is None:
+        return None
+    dark = ahead.get(dark_stage)  # a dark stage ahead of the phase, or None
+    rows = stages[dark_stage] if dark is None else _branch_rows(dark.branches)
+    kept = [row for row in rows if row[0] == arm_mode]
+    leak = _batch_pair_sum(kept, kept)
+    conditioned = leak and _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
+    if not conditioned or base_norm <= 0.0:
+        return None
+    kept, (norm, _) = conditioned
+    overlap = _batch_pair_sum(_branch_rows(base.branches), kept)
+    if overlap is None:
+        return None
+    columns = [_points(v, len(deltas)) for v in (leak[0], norm, overlap[0])]
+    return tuple(LeakagePoint(delta, p.real, 1.0 - abs(ov) ** 2 / (base_norm * nb))
+                 for delta, p, nb, ov in zip(deltas, *columns))
 
 
 def fringe_csv(scan: FringeScan) -> str:

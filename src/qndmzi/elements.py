@@ -22,13 +22,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Complex, Real
+from operator import mul
 from typing import Union
 
 from .states import (
-    HybridState, _all_finite, _branch, _check_finite, _check_mode, _cmul, _mix_columns,
-    _scale_branches, _scale_columns, _split_columns, _state, merge_branches,
+    HybridState, _at_every_point, _branch, _check_finite, _check_mode, _mix_columns, _per_point,
+    _scale_branches, _scale_columns, _split_columns, _state, _sum_of_product, merge_branches,
 )
 
 SYS = "sys"
@@ -269,62 +269,59 @@ def _apply_to_rows(el: Element, rows: list, factor=None):
     """Apply an element other than a snapshot to rows over a batch axis, forward and unmerged.
 
     Rows are as in :func:`~qndmzi.states._batch_overlaps`.  Each value the
-    element changes is formed as its per-branch applier forms it, from the
-    element's own factor or ``unitary()`` with every product by
-    :func:`~qndmzi.states._cmul`, so every point gets that applier's bits.
-    ``factor``, a pair (re, im) of arrays, replaces a phase shift's factor
-    with one per point.  Returns the new rows, or None where the applier
-    would raise on a non-finite value.  Array overflow must not warn (the
-    caller's ``np.errstate``).
+    element changes is formed at each point by its per-branch applier's own
+    expression (``u00 * amp``, ``u00 * pa + u01 * pb``, ``factor * p``), so
+    every point gets that applier's bits.  ``factor``, one complex per
+    point, replaces a phase shift's.  A row holding the previous changed
+    row's probe tuple shares its new tuple, as in the per-branch probe
+    steps.  None where the applier would raise on a non-finite value.
     """
-    out = []
-    written: list = []
+    isfinite, out = cmath.isfinite, []
     if isinstance(el, BeamSplitter):
-        u00, u01, u10, u11 = [(u.real, u.imag) for u in chain(*el.unitary())]
+        (u00, u01), (u10, u11) = el.unitary()
         a, b = el.mode_a, el.mode_b
         if el.target == SYS:
             # Unchecked, as in _split_branches: no product can overflow.
             for row in rows:
                 mode, amp, probes = row
-                if mode == a:
-                    out += [(a, _cmul(*u00, *amp), probes), (b, _cmul(*u10, *amp), probes)]
-                elif mode == b:
-                    out += [(a, _cmul(*u01, *amp), probes), (b, _cmul(*u11, *amp), probes)]
+                if mode == a or mode == b:
+                    ua, ub = (u00, u10) if mode == a else (u01, u11)
+                    out += [(a, _per_point(mul, ua, amp), probes), (b, _per_point(mul, ub, amp), probes)]
                 else:
                     out.append(row)
             return out
-        for mode, amp, probes in rows:
+        modes = None
+
+        def moved(probes):
             pa, pb = probes[a], probes[b]
-            (r0, i0), (r1, i1) = _cmul(*u00, *pa), _cmul(*u01, *pb)
-            (r2, i2), (r3, i3) = _cmul(*u10, *pa), _cmul(*u11, *pb)
             new = list(probes)
-            new[a], new[b] = (r0 + r1, i0 + i1), (r2 + r3, i2 + i3)
-            written += [*new[a], *new[b]]
-            out.append((mode, amp, tuple(new)))
-        return out if _all_finite(*written) else None
-    # A phase shift or Kerr coupling scales the amplitude (k None) or probe k
-    # of every row whose mode is in ``modes`` (every row where it is None).
-    if isinstance(el, KerrCoupling):
-        modes, k = el.system_modes, el.probe_mode
-    elif el.target == SYS:
-        modes, k = el._indices[0], None
+            # u00 * pa + u01 * pb and u10 * pa + u11 * pb.
+            new[a] = _sum_of_product(_per_point(mul, u00, pa), u01, pb)
+            new[b] = _sum_of_product(_per_point(mul, u10, pa), u11, pb)
+            finite = _at_every_point(isfinite, new[a]) and _at_every_point(isfinite, new[b])
+            return tuple(new) if finite else None
     else:
-        modes, k = None, el.index
-    f = el._factors[0]
-    factor = factor or (f.real, f.imag)
+        factor = el._factors[0] if factor is None else factor
+        if isinstance(el, PhaseShift) and el.target == SYS:
+            out = [(m, _per_point(mul, factor, a) if m == el.index else a, ps) for m, a, ps in rows]
+            return out if all(_at_every_point(isfinite, amp) for _, amp, _ in out) else None
+        # Probe k of the rows in ``modes`` (all where it is None) scales.
+        modes, k = (el.system_modes, el.probe_mode) if isinstance(el, KerrCoupling) else (None, el.index)
+
+        def moved(probes):
+            p = _per_point(mul, factor, probes[k])
+            return probes[:k] + (p,) + probes[k + 1:] if _at_every_point(isfinite, p) else None
+    old = new = None
     for row in rows:
         mode, amp, probes = row
         if modes is None or mode in modes:
-            if k is None:
-                amp = _cmul(*factor, *amp)
-                written += amp
-            else:
-                p = _cmul(*factor, *probes[k])
-                written += p
-                probes = probes[:k] + (p,) + probes[k + 1:]
-            row = mode, amp, probes
+            if probes is not old:
+                old, new = probes, moved(probes)
+                if new is None:
+                    return None
+            row = mode, amp, new
         out.append(row)
-    return out if _all_finite(*written) else None
+    return out
 
 
 def apply_element(

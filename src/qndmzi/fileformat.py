@@ -24,6 +24,8 @@ right after the coupling.
 
 from __future__ import annotations
 
+import math
+
 from .circuit import FINAL_STAGE, Circuit, _check_counts, _check_label
 from .elements import (
     SYS,
@@ -220,9 +222,9 @@ def parse_circuit(text: str) -> Circuit:
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the line format; round-trips through ``parse_circuit``."""
     lines = [f"modes {circuit.m_modes} probes {circuit.k_probes}"]
-    probes = " ".join(
-        f"probe{k}={format_complex(p)}" for k, p in enumerate(circuit.source_probes)
-    )
+    # Signed by math.copysign, so that an imaginary part of -0.0 round-trips.
+    probes = " ".join(f"probe{k}={p.real!r}{'+-'[math.copysign(1.0, p.imag) < 0]}{abs(p.imag)!r}i"
+                      for k, p in enumerate(circuit.source_probes))
     lines.append(f"source mode={circuit.source_mode} {probes}".rstrip())
     for el in circuit.elements:
         if isinstance(el, BeamSplitter):

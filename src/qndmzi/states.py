@@ -36,9 +36,9 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
 <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  Pair
-sums and merges of rows over a batch axis (a sweep's points) take one pass
-for all points, with the loop's bits at each, since every complex product
-is written out on floats as CPython forms it.
+sums and merges of rows over a batch axis (a sweep's points) run once for
+all points: a value is a Python number, or a list of one per point where
+it varies (:func:`_per_point`), formed by the loop's own expression, bit for bit.
 
 The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
 branches or more and K > 0 (an applier's unmerged output, a merge result,
@@ -83,7 +83,8 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
 from typing import Sequence
 
 #: Absolute tolerance for merging duplicate branches and dropping empty
@@ -611,101 +612,111 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
 
 
 def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) on floats or float arrays, as CPython forms a complex product.
+    """(ar + i ai)(br + i bi) on float arrays, as CPython forms a complex product.
 
     numpy's complex ``*`` may round differently from CPython's; this form
-    gives CPython's bits on every array element.
+    gives CPython's bits on every element of a column.
     """
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _all_finite(*values) -> bool:
-    """Whether every float, and every element of every float array (all of one shape), is finite."""
-    import numpy as np
-
-    isfinite = math.isfinite
-    arrays = []
-    for v in values:
-        if isinstance(v, float):
-            if not isfinite(v):
-                return False
-        else:
-            arrays.append(v)
-    return not arrays or bool(np.isfinite(arrays).all())
+def _each(value):
+    """The values of ``value`` at successive points: a list as it is, a fixed value repeated."""
+    return value if type(value) is list else repeat(value)
 
 
-def _exp_pair(er, ei):
-    """``cmath.exp(er + i ei)`` as a pair (re, im): one call for floats, one per element for arrays."""
-    import numpy as np
+def _per_point(f, x, y=None):
+    """``f(x)``, or ``f(x, y)`` where ``y`` is given, at each point of a batch axis.
 
-    if isinstance(er, float) and isinstance(ei, float):
-        o = cmath.exp(complex(er, ei))
-        return o.real, o.imag
-    z = np.empty(np.broadcast(er, ei).shape, dtype=complex)
-    z.real, z.imag = er, ei
-    o = np.array(list(map(cmath.exp, z.tolist())), dtype=complex)
-    return o.real, o.imag
+    A value on the axis (a sweep's points) is a Python number where it is
+    the same at every point (fixed), else a list of one per point.
+    """
+    if y is None:
+        return list(map(f, x)) if type(x) is list else f(x)
+    if type(x) is list:
+        return list(map(f, x, _each(y)))
+    return list(map(f, repeat(x), y)) if type(y) is list else f(x, y)
+
+
+def _at_every_point(f, value) -> bool:
+    """Whether ``f(value)`` holds at every point (see :func:`_per_point`)."""
+    return all(map(f, value)) if type(value) is list else bool(f(value))
+
+
+def _sum_of_product(acc, *factors):
+    """``acc + factors[0] * factors[1] * ...`` at each point, multiplied left to right, in one pass."""
+    if list not in map(type, (acc, *factors)):
+        return acc + reduce(operator.mul, factors)
+    product = _each(factors[0])
+    for f in factors[1:]:
+        product = map(operator.mul, product, _each(f))
+    return list(map(operator.add, _each(acc), product))
+
+
+def _halves(p):
+    """|p|^2/2 at each point, as :func:`_pair_sum` forms it (its -0.5 * |u|^2 is the negation)."""
+    if type(p) is list:
+        return [0.5 * (z.real * z.real + z.imag * z.imag) for z in p]
+    return 0.5 * (p.real * p.real + p.imag * p.imag)
 
 
 def _batch_overlaps(bra: list, ket: list) -> list | None:
     """The coherent overlaps of every mode-matched pair of rows over a batch axis, or None.
 
-    A row is (mode, amp, probes): the amplitude and each of the K probes a
-    pair (re, im) of floats, or of float arrays where the value varies over
-    the points.  Returns (i, j, conj, overlaps) per pair of bra row i and
-    ket row j, in the loop's bra-major order, with conj(u_k) and <u_k|v_k>
-    per probe formed by :func:`_pair_sum`'s operations (a float plus a
-    complex adds 0.0 to the imaginary part).  Returns None from
-    ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.  Array
-    overflow must not warn (the caller's ``np.errstate``).
+    A row is (mode, amp, probes) of values on the axis (:func:`_per_point`).
+    Returns (i, j, conj, overlaps) per pair of bra row i and ket row j, in
+    the loop's bra-major order, with conj(u_k) and <u_k|v_k> per probe by
+    :func:`_pair_sum`'s expressions; |p|^2/2 and conj(u) are formed once per
+    row.  None from ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.
     """
     if len(bra) * len(ket) >= _GRAM_MIN_PAIRS:
         return None
-    # |p|^2/2 per row and probe; the loop's -0.5 * |u|^2 is its negation.
-    halves = [[0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in ket]
-    bra_halves = halves if bra is ket else [
-        [0.5 * (pr * pr + pi * pi) for pr, pi in probes] for _, _, probes in bra
-    ]
+    exp = cmath.exp
+    halves = [[_halves(p) for p in probes] for _, _, probes in ket]
+    bra_halves = halves if bra is ket else [[_halves(p) for p in probes] for _, _, probes in bra]
     pairs = []
     try:
         for i, ((mode, _, u_probes), u_halves) in enumerate(zip(bra, bra_halves)):
-            conj = [(pr, -pi) for pr, pi in u_probes]
-            minus = [-h for h in u_halves]
+            conj = None
             for j, ((v_mode, _, v_probes), v_halves) in enumerate(zip(ket, halves)):
-                if v_mode == mode:
-                    overlaps = []
-                    for hu, (cr, ci), (pr, pi), hv in zip(minus, conj, v_probes, v_halves):
-                        er, ei = _cmul(cr, ci, pr, pi)
-                        overlaps.append(_exp_pair(hu - hv + er, 0.0 + ei))
-                    pairs.append((i, j, conj, overlaps))
+                if v_mode != mode:
+                    continue
+                conj = conj or [_per_point(complex.conjugate, p) for p in u_probes]
+                overlaps = []
+                for hu, hv, cu, pv in zip(u_halves, v_halves, conj, v_probes):
+                    if type(hu) is list or type(hv) is list:
+                        hu, hv, cu, pv = map(_each, (hu, hv, cu, pv))
+                        overlaps.append([exp(-x - y + c * v) for x, y, c, v in zip(hu, hv, cu, pv)])
+                    else:
+                        overlaps.append(exp(-hu - hv + cu * pv))
+                pairs.append((i, j, conj, overlaps))
     except (OverflowError, ValueError):
         return None
     return pairs
 
 
-def _batch_pair_sum(bra: list, ket: list, pairs: list, moments: bool = False):
-    """:func:`_pair_sum` over a batch axis, from the :func:`_batch_overlaps` ``pairs``.
+def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bool = False):
+    """:func:`_pair_sum` of rows over a batch axis, or None where it fails or is not finite.
 
-    ``pairs`` may come from rows with the same modes and probes but other
-    amplitudes.  Returns the sum and, with ``moments``, the K probe moments,
-    each a pair (re, im) unchecked, from the loop's operations in its order:
-    each point gets the bits :func:`_pair_sum` gives its state.
+    ``pairs`` (formed where None) are the :func:`_batch_overlaps` of these
+    rows or of rows with the same modes and probes.  Returns the sum and,
+    with ``moments``, the K probe moments, by the loop's operations in its
+    order, so each point gets the bits :func:`_pair_sum` gives its state;
+    conj(a_u) is formed once per bra row.
     """
-    total = (0.0, 0.0)
-    sums = [(0.0, 0.0)] * (len(ket[0][2]) if moments and ket else 0)
+    pairs = _batch_overlaps(bra, ket) if pairs is None else pairs
+    if pairs is None:
+        return None
+    total = 0j
+    sums = [0j] * (len(ket[0][2]) if moments and ket else 0)
+    u_amps = [_per_point(complex.conjugate, amp) for _, amp, _ in bra]
     for i, j, conj, overlaps in pairs:
-        ur, ui = bra[i][1]
-        term = _cmul(ur, -ui, *ket[j][1])
-        if sums:
-            for k, ((cr, ci), pv) in enumerate(zip(conj, ket[j][2])):
-                weighted = _cmul(*_cmul(*term, cr, ci), *pv)
-                for o in overlaps:
-                    weighted = _cmul(*weighted, *o)
-                sums[k] = (sums[k][0] + weighted[0], sums[k][1] + weighted[1])
-        for o in overlaps:
-            term = _cmul(*term, *o)
-        total = (total[0] + term[0], total[1] + term[1])
-    return total, sums
+        term = _per_point(operator.mul, u_amps[i], ket[j][1])
+        for k, (cu, pv) in enumerate(zip(conj, ket[j][2]) if sums else ()):
+            sums[k] = _sum_of_product(sums[k], term, cu, pv, *overlaps)
+        total = _sum_of_product(total, term, *overlaps)
+    finite = all(_at_every_point(cmath.isfinite, value) for value in (total, *sums))
+    return (total, sums) if finite else None
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = None) -> complex:
@@ -913,46 +924,36 @@ def _merge_rows(rows: list):
     """:func:`merge_branches` of rows over a batch axis (see :func:`_batch_overlaps`), or None.
 
     Rows in distinct modes cannot merge.  Otherwise every probe must be
-    fixed, and :func:`_merge_owners` groups the rows once for all points;
-    a group sums its amplitudes as :func:`_merge_groups` does.  Rows are
-    dropped and sorted as the per-point merge does.  None where the points
-    would not share the result or the per-point merge would raise: a varying
-    probe in a shared mode, ``_MERGE_SORT_MIN`` rows or more, a non-finite
-    sum, or a row kept at some points only (a varying |amp| within a factor
-    2 of :data:`MERGE_TOL` counts, as ``np.hypot`` and ``abs`` may round apart).
+    fixed, and :func:`_merge_owners` groups the rows once for all points; a
+    group sums its amplitudes as :func:`_merge_groups` does.  Rows are
+    dropped (by :func:`_nonempty` at each point) and sorted as the per-point
+    merge does.  None where the points would not share the result or the
+    per-point merge would raise: a varying probe in a shared mode,
+    ``_MERGE_SORT_MIN`` rows or more, a non-finite sum, or a row kept at
+    some points only.
     """
-    import numpy as np
-
-    if len({row[0] for row in rows}) < len(rows):
-        if len(rows) >= _MERGE_SORT_MIN or not all(
-            isinstance(p[0], float) for row in rows for p in row[2]
-        ):
+    shared = len({row[0] for row in rows}) < len(rows)
+    if shared:
+        if len(rows) >= _MERGE_SORT_MIN or any(type(p) is list for row in rows for p in row[2]):
             return None
-        branches = [_branch(mode, None, tuple([complex(*p) for p in probes]))
-                    for mode, _, probes in rows]
         groups: dict[int, tuple] = {}
-        for row, first in zip(rows, _merge_owners(branches)):
+        for row, first in zip(rows, _merge_owners([_branch(m, None, ps) for m, _, ps in rows])):
             g = groups.get(first)
-            groups[first] = row if g is None else (
-                g[0], (g[1][0] + row[1][0], g[1][1] + row[1][1]), g[2]
-            )
+            if g is not None:
+                row = g[0], _per_point(operator.add, g[1], row[1]), g[2]
+                if not _at_every_point(cmath.isfinite, row[1]):
+                    return None
+            groups[first] = row
         rows = list(groups.values())
-        if not _all_finite(*chain.from_iterable(row[1] for row in rows)):
-            return None
     kept = []
     for row in rows:
-        re, im = row[1]
-        if isinstance(re, float):
-            if _nonempty(complex(re, im)):
-                kept.append(row)
-            continue
-        size = np.hypot(re, im)
-        if (size >= 2.0 * MERGE_TOL).all():
-            kept.append(row)
-        elif not (size < 0.5 * MERGE_TOL).all():
+        keep = set(map(_nonempty, row[1])) if type(row[1]) is list else {_nonempty(row[1])}
+        if len(keep) > 1:
             return None
-    # By mode, then by the fixed probes as in _canonical_key; distinct modes compare no probes.
-    kept.sort(key=operator.itemgetter(0, 2))
+        if all(keep):
+            kept.append(row)
+    # By mode, then (in a shared mode, where probes are fixed) as _canonical_key sorts.
+    kept.sort(key=lambda row: (row[0], [(p.real, p.imag) for p in row[2]] if shared else None))
     return kept
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,10 +216,13 @@ class TestRoundTrip:
         ]
         circuits = [build_nested_mzi(r, 2.0, eps) for r, eps in cases]
         circuits.append(Circuit(2, 1, (PhaseShift(SYS, 1, np.float64(0.7)),), 0, (1j,)))
+        # Signed zeros in the source probes, which == does not tell apart.
+        circuits.append(replace(circuits[0], source_probes=(complex(2.0, -0.0), complex(-0.0, -0.0))))
         for circuit in circuits:
             text = serialize_circuit(circuit)
             again = parse_circuit(text)
             assert again == circuit
+            assert repr(again.source_probes) == repr(circuit.source_probes)
             assert serialize_circuit(again) == text
 
     def test_reference_file_round_trips(self):

@@ -20,6 +20,7 @@ import qndmzi.circuit
 import qndmzi.states
 from qndmzi import (
     FINAL_STAGE,
+    MERGE_TOL,
     PROBE,
     SOURCE_STAGE,
     SYS,
@@ -52,6 +53,41 @@ from sweep_reference import (
 
 PHIS = tuple(2.0 * math.pi * i / 12 for i in range(12))
 DELTAS = (0.0, 1e-4, -3e-3, 1.0 / 3.0, math.pi)
+
+#: Source probes with a signed zero in every part, some next to nonzero parts.
+SIGNED_PROBES = (
+    (complex(-0.0, -0.0), complex(0.0, -0.0)),
+    (complex(2.0, -0.0), complex(-0.0, 0.0)),
+    (complex(-0.0, 1.5), complex(-1.0, -0.0)),
+)
+SIGNED_PHIS = (0.0, -0.0, math.pi, -math.pi, 1.0, -0.0, 2.5)
+SIGNED_DELTAS = (-0.0, 1e-4, math.pi, -math.pi, -0.0)
+
+
+def _signed(rng, scale=1.0):
+    """0.0, -0.0, +-pi or a uniform draw in [-scale, scale]: signed zeros a third of the time."""
+    uniform = rng.uniform(-scale, scale)
+    return rng.choice((0.0, -0.0, math.pi, -math.pi, uniform, uniform))
+
+
+def _at(value, i):
+    """Point ``i`` of a value on an axis: a list's entry, a fixed value itself."""
+    return value[i] if type(value) is list else value
+
+
+def _point_state(rows, i):
+    """The state of point ``i`` of axis rows over three modes and two probes."""
+    branches = [Branch(m, _at(a, i), tuple(_at(p, i) for p in ps)) for m, a, ps in rows]
+    return HybridState(3, 2, branches)
+
+
+def _signed_circuit(rng):
+    """The preset with signed-zero-rich r, eps_tau and source probe parts."""
+    r = rng.choice((0.0, 1.0, rng.random()))
+    eps = rng.choice((0.0, -0.0, rng.uniform(0.0, math.pi)))
+    probes = tuple(complex(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))),
+                           rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0)))) for _ in range(2))
+    return replace(build_nested_mzi(r, 2.0, eps), source_probes=probes)
 
 
 def _grid():
@@ -405,15 +441,81 @@ class TestPhaseAxis:
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
     def test_edge_inputs(self, magnitude):
+        # repr tells signed zeros apart, which == does not.
         for r in (0.0, 0.37, 1.0):
-            for eps in (0.0, 1e-13, math.pi):
+            for eps in (0.0, -0.0, 1e-13, math.pi):
                 circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
                 for mode in range(circuit.m_modes):
                     got = _outcome(fringe_scan, circuit, mode, PHIS)
-                    assert got == _outcome(reference_fringe_scan, circuit, mode, PHIS)
-                    assert _outcome(
+                    assert repr(got) == repr(_outcome(reference_fringe_scan, circuit, mode, PHIS))
+                    assert repr(_outcome(
                         qndmzi.analysis._scan_intensities, circuit, mode, PHIS
-                    ) == _outcome(_reference_intensities, circuit, mode, PHIS)
+                    )) == repr(_outcome(_reference_intensities, circuit, mode, PHIS))
+
+    def test_signed_zero_inputs(self, monkeypatch):
+        # Signed zeros in the source probes, eps_tau and the phases (with
+        # +-pi) reach the 0j + term sums, the complex(scale) * amp scaling
+        # and a zero intensity's sign; repr compares every bit.
+        ran = _count_axis(monkeypatch, "_phase_axis_intensities")
+        for r in (0.0, 0.6, 1.0):
+            for eps in (0.0, -0.0, math.pi):
+                for probes in SIGNED_PROBES:
+                    circuit = replace(build_nested_mzi(r, 2.0, eps), source_probes=probes)
+                    for mode in (0, 2):
+                        for phis in (PHIS, SIGNED_PHIS):
+                            args = (circuit, mode, phis)
+                            got = _outcome(fringe_scan, *args)
+                            assert repr(got) == repr(_outcome(reference_fringe_scan, *args))
+                            assert repr(_outcome(qndmzi.analysis._scan_intensities, *args)) == repr(
+                                _outcome(_reference_intensities, *args))
+        assert ran.count(True) > len(ran) // 2
+
+    def test_axis_sums_keep_every_bit_at_every_point(self):
+        # The axis's pair sums, moments, conditioned amplitudes and norms
+        # equal the per-branch code's at every point under repr, imaginary
+        # parts included, where a sign lost by 0j + term or complex(scale)
+        # * amp would show.
+        analysis, states = qndmzi.analysis, qndmzi.states
+        rng = random.Random(2319)
+        factors = analysis._phase_factors(SIGNED_PHIS)
+        conditioned_points = 0
+        for probes in SIGNED_PROBES + tuple(_signed_circuit(rng).source_probes for _ in range(6)):
+            for eps in (0.0, -0.0, 0.3):
+                circuit = replace(build_nested_mzi(0.6, 2.0, eps), source_probes=probes)
+                head = qndmzi.circuit._run_prefix(circuit, self.INSERT_AT)[0]
+                suffix = circuit.elements[self.INSERT_AT:]
+                rows = analysis._axis_stages(suffix, head, PROBE, 1, factors, "L3p")["L3p"]
+                for mode in (0, 2):
+                    kept = [row for row in rows if row[0] == mode]
+                    total, moments = states._batch_pair_sum(kept, kept, moments=True)
+                    conditioned = analysis._axis_condition(rows, mode, moments=True)
+                    for i in range(len(factors)):
+                        state = _point_state(rows, i).project_mode(mode)
+                        point_moments = []
+                        point_total = states._pair_sum(state, state, point_moments)
+                        assert repr([_at(v, i) for v in (total, *moments)]) == repr(
+                            [point_total, *point_moments])
+                        if conditioned is None:
+                            continue
+                        conditioned_points += 1
+                        conditional = analysis._condition(state, mode)[1]
+                        scaled, (norm, _) = conditioned
+                        assert repr([_at(amp, i) for _, amp, _ in scaled]) == repr(
+                            [br.amp for br in conditional.branches])
+                        assert repr(_at(norm, i)) == repr(analysis._probe_means(conditional)[0])
+        assert conditioned_points > 100
+
+    def test_random_signed_zero_inputs(self, monkeypatch):
+        rng = random.Random(2317)
+        ran = _count_axis(monkeypatch, "_phase_axis_intensities")
+        for _ in range(60):
+            circuit = _signed_circuit(rng)
+            phis = [_signed(rng, 10.0) for _ in range(rng.randint(4, 12))]
+            for mode in (0, 2):
+                args = (circuit, mode, phis)
+                assert repr(_outcome(qndmzi.analysis._scan_intensities, *args)) == repr(
+                    _outcome(_reference_intensities, *args))
+        assert ran.count(True) > len(ran) // 2
 
     def test_random_probe_optics_after_the_recombiner(self, monkeypatch):
         # Random elements of every kind (probe optics, system splitters and
@@ -500,13 +602,71 @@ class TestDeltaAxis:
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
     def test_edge_inputs(self, magnitude):
+        # repr tells signed zeros apart, which == does not.
         for r in (0.0, 0.37, 1.0):
-            for eps in (0.0, 1e-13, math.pi):
+            for eps in (0.0, -0.0, 1e-13, math.pi):
                 circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
                 for arm_mode, dark_stage in self.ARMS:
                     args = (circuit, self.DELTAS, arm_mode, dark_stage)
                     got = _outcome(leakage_sweep, *args)
-                    assert got == _outcome(reference_leakage_sweep, *args)
+                    assert repr(got) == repr(_outcome(reference_leakage_sweep, *args))
+
+    def test_signed_zero_inputs(self, monkeypatch):
+        # Signed zeros in the source probes, eps_tau and the deltas (with
+        # +-pi); delta -0.0 on an inner arm hands over, on the outer arm not.
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
+        for r in (0.0, 0.6, 1.0):
+            for eps in (0.0, -0.0, math.pi):
+                for probes in SIGNED_PROBES:
+                    circuit = replace(build_nested_mzi(r, 2.0, eps), source_probes=probes)
+                    for deltas in (self.DELTAS, SIGNED_DELTAS):
+                        for arm_mode, dark_stage in self.ARMS:
+                            args = (circuit, deltas, arm_mode, dark_stage)
+                            got = _outcome(leakage_sweep, *args)
+                            assert repr(got) == repr(_outcome(reference_leakage_sweep, *args))
+        assert ran.count(True) > len(ran) // 2
+
+    def test_random_signed_zero_inputs(self, monkeypatch):
+        rng = random.Random(2318)
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
+        for _ in range(60):
+            circuit = _signed_circuit(rng)
+            deltas = [_signed(rng, 4.0) for _ in range(rng.randint(1, 8))]
+            for arm_mode in range(3):
+                args = (circuit, deltas, arm_mode, rng.choice(circuit.stages))
+                assert repr(_outcome(leakage_sweep, *args)) == repr(
+                    _outcome(reference_leakage_sweep, *args))
+        assert ran.count(True) > len(ran) // 3
+
+    def test_pair_sums_keep_signed_zeros_at_every_point(self):
+        # Without probes a pair's term is conj(a_u) a_v alone, so the sign of
+        # a zero imaginary part shows whether the sum starts from 0j + term.
+        states = qndmzi.states
+        amps = [complex(0.5, -0.0), complex(-0.0, -0.0), complex(-0.25, 0.0), complex(0.0, -1.0)]
+        for bra_amp in (1 + 0j, complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)):
+            for ket in ([(0, amps, ())], [(1, amps, ()), (0, amps, ()), (0, complex(0.0, -0.5), ())]):
+                total, _ = states._batch_pair_sum([(0, bra_amp, ()), (1, bra_amp, ())], ket)
+                bra = HybridState(2, 0, (Branch(0, bra_amp, ()), Branch(1, bra_amp, ())))
+                for i in range(len(amps)):
+                    at_i = HybridState(2, 0, tuple(Branch(m, _at(a, i), ()) for m, a, _ in ket))
+                    assert repr(_at(total, i)) == repr(states._pair_sum(bra, at_i))
+
+    def test_dark_port_near_the_merge_tolerance_stays_on_the_axis(self, monkeypatch):
+        # At delta 4.6e-12 the inner dark port holds |amp| = 1.84e-12 at L3,
+        # and the outer recombiner splits it into 1.47e-12 and 1.1e-12: all
+        # within a factor 2 of MERGE_TOL, none below it.  Each point keeps
+        # every branch, which the per-point test of _nonempty sees.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        deltas = (4.6e-12, 1e-3, 0.1)
+        trace = run_forward(circuit.insert(3, PhaseShift(SYS, 1, deltas[0])))
+        small = [abs(br.amp) for label in ("L3", FINAL_STAGE)
+                 for br in trace.forward[label].branches if abs(br.amp) < 2.0 * MERGE_TOL]
+        assert len(small) == 3 and min(small) >= MERGE_TOL
+        ran = _count_axis(monkeypatch, "_delta_axis_points")
+        got = leakage_sweep(circuit, deltas)
+        assert ran == [True]
+        monkeypatch.undo()
+        assert got == reference_leakage_sweep(circuit, deltas)
 
     def test_random_elements_after_the_inner_splitter(self, monkeypatch):
         # Random elements at random positions, ahead of and past the inner
