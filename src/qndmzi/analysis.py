@@ -13,7 +13,7 @@ for all points: each branch is a row whose amplitude and probes are Python
 complex values where they are the same at every point and lists of one per
 point where they vary (:func:`_axis_stages`), formed by the per-branch
 expressions.  Where rows could not share one structure, or a point would
-raise, the sweep runs per point instead, with the same bits.
+raise, the axis hands over (:mod:`qndmzi.states`) to the per-point run.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from .circuit import (
 )
 from .elements import (
     PROBE, SYS, BeamSplitter, Element, KerrCoupling, PhaseShift, Snapshot, _apply_to_rows,
-    _phase_factor,
+    _phase_factor, _real,
 )
 from .states import (
-    Branch, HybridState, _at_every_point, _batch_overlaps, _batch_pair_sum, _check_finite,
-    _check_mode, _check_shape, _merge_rows, _pair_sum, _per_point, inner_product,
+    Branch, HybridState, _HandOver, _batch_overlaps, _batch_pair_sum, _check_finite, _check_mode,
+    _check_shape, _merge_rows, _pair_sum, _per_point, _require, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -223,27 +223,16 @@ def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mo
                   phis: Sequence[float], factors: list) -> tuple[list[float], list[float]]:
     """Both probe outputs' intensities per phase inserted between ``prefix`` and ``suffix``.
 
-    ``factors`` are the phases' :func:`_phase_factors`.  A detection stage
-    in ``prefix`` is post-selected once for all phases.  Otherwise the rest
-    runs once over all phases where :func:`_phase_axis_intensities`
-    applies, and else once per phase, resuming from ``prefix``.
+    ``factors`` are the phases' :func:`_phase_factors`.  The rest runs
+    once over all phases where :func:`_phase_axis_intensities` applies (a
+    detection stage in ``prefix`` is read once), and else once per phase,
+    resuming from ``prefix``.
     """
     stop = circuit.detect_stage
-    if stop in prefix[1]:
-        # Detected ahead of the scanned phase: every phase reads this state.
-        # Its post-selection succeeding bounds the probe norm, which every
-        # element keeps, far below overflow, so no per-phase suffix could
-        # raise; where it fails, the per-phase loop raises its own error.
-        try:
-            result = postselect(StageTrace(circuit, prefix[1]), mode, compute_fidelity=False)
-        except ValueError:
-            result = None
-        if result is not None and result.conditional is not None:
-            dp1, dp2 = result.probe_mean_photons
-            return [dp1] * len(phis), [dp2] * len(phis)
-    batched = _phase_axis_intensities(suffix, prefix[0], mode, factors, stop)
-    if batched is not None:
-        return batched
+    try:
+        return _phase_axis_intensities(suffix, prefix, mode, factors, stop)
+    except _HandOver:
+        pass
     dp1, dp2 = [], []
     scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
     for stages in _insertion_runs(suffix, prefix, scans, stop):
@@ -257,20 +246,16 @@ def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mo
 
 
 def _phase_axis_intensities(
-    suffix: Sequence[Element], head: HybridState, mode: int, factors: list, stop: str
-) -> tuple[list[float], list[float]] | None:
-    """:func:`_resumed_scan` past ``head`` over a phase axis, or None.
+    suffix: Sequence[Element], prefix: tuple, mode: int, factors: list, stop: str
+) -> tuple[list[float], list[float]]:
+    """:func:`_resumed_scan` past ``prefix`` over a phase axis.
 
     Runs :func:`_axis_stages` to the detection stage ``stop`` and
     :func:`_axis_condition` with the probe moments, then divides as
     :func:`_probe_means` does.
     """
-    stages = _axis_stages(suffix, head, PROBE, 1, factors, stop)
-    rows = stages and stages.get(stop)
-    conditioned = rows and _axis_condition(rows, mode, moments=True)
-    if not conditioned:
-        return None
-    _, (norm, moments) = conditioned
+    rows = _axis_stages(suffix, prefix, PROBE, 1, factors, stop)[stop]
+    _, (norm, moments) = _axis_condition(rows, mode, moments=True)
     n = len(factors)
     # Each probe's m.real / norm, as _probe_means divides.
     return tuple([m.real / nb for m, nb in zip(_points(moment, n), _points(norm, n))]
@@ -293,20 +278,25 @@ def _phase_factors(phis: Sequence[float]) -> list[complex]:
 
 
 def _axis_stages(
-    suffix: Sequence[Element], head: HybridState, target: str, index: int, factors: list, stop: str
-) -> dict[str, list] | None:
-    """The rows at each stage of ``suffix`` over an axis of inserted phases, or None.
+    suffix: Sequence[Element], prefix: tuple, target: str, index: int, factors: list, stop: str
+) -> dict[str, list]:
+    """The rows at each stage over an axis of phases inserted between ``prefix`` and ``suffix``.
 
-    A phase shift on ``target`` mode ``index``, with the per-point factors
-    ``factors`` (:func:`_phase_factors`), goes ahead of ``suffix`` and runs
-    with it on the rows of ``head`` (a merge's output or the source),
+    ``prefix`` is what :func:`~qndmzi.circuit._run_prefix` returned; its
+    stages are read once, as rows of fixed values, and the run ends there
+    if ``stop`` is one of them.  Otherwise a phase shift on ``target`` mode
+    ``index``, with the per-point ``factors`` (:func:`_phase_factors`), goes
+    ahead of ``suffix`` and runs with it on the rows of the prefix's state,
     through :func:`~qndmzi.elements._apply_to_rows` and
     :func:`~qndmzi.states._merge_rows`; a merge after a probe-only step on
     rows in distinct modes is the identity and is skipped.  Returns the rows
-    at each snapshot up to ``stop``, or to the end and :data:`FINAL_STAGE`.
+    at each stage up to ``stop``, or to the end and :data:`FINAL_STAGE`.
     """
+    head, recorded = prefix
+    stages = {label: _branch_rows(state.branches) for label, state in recorded.items()}
+    if stop in stages:
+        return stages
     rows = _branch_rows(head.branches)
-    stages = {}
     steps = chain([(PhaseShift(target, index, 0.0), factors)], ((el, None) for el in suffix))
     for el, factor in steps:
         if isinstance(el, Snapshot):
@@ -316,49 +306,36 @@ def _axis_stages(
             continue
         moved = _apply_to_rows(el, rows, factor)
         probe_only = isinstance(el, KerrCoupling) or el.target == PROBE
-        if moved and probe_only and len({row[0] for row in rows}) == len(rows):
-            rows = moved
-        else:
-            rows = moved and _merge_rows(moved)
-            if rows is None:
-                return None
+        rows = moved if probe_only and len({row[0] for row in rows}) == len(rows) else _merge_rows(moved)
     stages[FINAL_STAGE] = rows
     return stages
 
 
 def _axis_condition(rows: list, mode: int, moments: bool = False):
-    """:func:`_condition` and the conditioned norm over an axis, or None.
+    """:func:`_condition` and the conditioned norm over an axis.
 
     Returns the projection's rows scaled to unit norm and their
     :func:`_axis_norm` (with the probe moments if asked); both sums share
-    one set of overlaps.  None where, at some point, the projection is
-    empty, its probability or norm is not finite and > 0, or a scaled
+    one set of overlaps.  Hands over where, at some point, the projection
+    is empty, its probability or norm is not finite and > 0, or a scaled
     amplitude is not finite.
     """
     kept = [row for row in rows if row[0] == mode]
     pairs = _batch_overlaps(kept, kept)
-    probability = kept and pairs and _axis_norm(kept, pairs)
-    if not probability:
-        return None
-    p = probability[0]
+    p, _ = _axis_norm(kept, pairs)
     # The factor 1.0 / math.sqrt(p), as HybridState.scaled takes it.
     scale = (list(map(complex, map(operator.truediv, repeat(1.0), map(math.sqrt, p))))
              if type(p) is list else complex(1.0 / math.sqrt(p)))
-    kept = [(m, _per_point(operator.mul, scale, amp), probes) for m, amp, probes in kept]
-    if not all(_at_every_point(cmath.isfinite, amp) for _, amp, _ in kept):
-        return None
-    norm = _axis_norm(kept, pairs, moments)
-    return norm and (kept, norm)
+    kept = [(m, _require(cmath.isfinite, _per_point(operator.mul, scale, amp)), probes)
+            for m, amp, probes in kept]
+    return kept, _axis_norm(kept, pairs, moments)
 
 
 def _axis_norm(rows: list, pairs: list, moments: bool = False):
-    """The squared norm of ``rows`` per point (and the probe moments), or None unless all > 0."""
-    norm = _batch_pair_sum(rows, rows, pairs, moments)
-    if norm is None:
-        return None
-    total, sums = norm
+    """The squared norm of ``rows`` per point (and the probe moments); hands over unless all > 0."""
+    total, sums = _batch_pair_sum(rows, rows, pairs, moments)
     reals = [z.real for z in total] if type(total) is list else total.real
-    return (reals, sums) if _at_every_point(partial(operator.lt, 0.0), reals) else None
+    return _require(partial(operator.lt, 0.0), reals), sums
 
 
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
@@ -377,7 +354,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     for bit, those of inserting the phase and running each scanned circuit
     forward from the source.
     """
-    phis = tuple(float(p) for p in phis)
+    phis = tuple([_real("phi", p) for p in phis])
     if len(phis) < 4:
         raise ValueError("need at least 4 scan points to fit the fringe")
     if circuit.k_probes != 2:
@@ -539,7 +516,7 @@ def leakage_sweep(
     _check_mode("system mode", arm_mode, circuit.m_modes)
     if dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
-    deltas = tuple(float(d) for d in deltas)
+    deltas = tuple([_real("leakage delta", d) for d in deltas])
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")
@@ -550,10 +527,11 @@ def leakage_sweep(
     if base is None:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     base_norm = base.norm_sq()
-    points = _delta_axis_points(circuit, insert_at, prefix, deltas, arm_mode, dark_stage,
-                                base, base_norm)
-    if points is not None:
-        return points
+    try:
+        return _delta_axis_points(circuit, insert_at, prefix, deltas, arm_mode, dark_stage,
+                                  base, base_norm)
+    except _HandOver:
+        pass
     ahead = dark_stage in prefix[1]
     points = []
     for i, (delta, stages) in enumerate(zip(deltas, runs)):
@@ -571,31 +549,23 @@ def leakage_sweep(
 def _delta_axis_points(
     circuit: Circuit, insert_at: int, prefix: tuple, deltas: tuple[float, ...], arm_mode: int,
     dark_stage: str, base: HybridState, base_norm: float,
-) -> tuple[LeakagePoint, ...] | None:
-    """:func:`leakage_sweep`'s points past the shared ``prefix``, or None.
+) -> tuple[LeakagePoint, ...]:
+    """:func:`leakage_sweep`'s points past the shared ``prefix``.
 
-    Runs :func:`_axis_stages` to the end, the leak's pair sum (once for a
-    dark stage ahead of the phase), :func:`_axis_condition` and the overlap
-    with ``base``; the fidelity deficit is formed per point in Python, as
-    :func:`_fidelity` forms it.
+    Runs :func:`_axis_stages` to the end, the leak's pair sum (of fixed
+    rows for a dark stage ahead of the phase), :func:`_axis_condition` and
+    the overlap with ``base``; the fidelity deficit is formed per point in
+    Python, as :func:`_fidelity` forms it.
     """
-    head, ahead = prefix
-    stages = _axis_stages(circuit.elements[insert_at:], head, SYS, arm_mode,
+    if base_norm <= 0.0:
+        raise _HandOver
+    stages = _axis_stages(circuit.elements[insert_at:], prefix, SYS, arm_mode,
                           _phase_factors(deltas), FINAL_STAGE)
-    if stages is None:
-        return None
-    dark = ahead.get(dark_stage)  # a dark stage ahead of the phase, or None
-    rows = stages[dark_stage] if dark is None else _branch_rows(dark.branches)
-    kept = [row for row in rows if row[0] == arm_mode]
-    leak = _batch_pair_sum(kept, kept)
-    conditioned = leak and _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
-    if not conditioned or base_norm <= 0.0:
-        return None
-    kept, (norm, _) = conditioned
-    overlap = _batch_pair_sum(_branch_rows(base.branches), kept)
-    if overlap is None:
-        return None
-    columns = [_points(v, len(deltas)) for v in (leak[0], norm, overlap[0])]
+    kept = [row for row in stages[dark_stage] if row[0] == arm_mode]
+    leak, _ = _batch_pair_sum(kept, kept)
+    kept, (norm, _) = _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
+    overlap, _ = _batch_pair_sum(_branch_rows(base.branches), kept)
+    columns = [_points(v, len(deltas)) for v in (leak, norm, overlap)]
     return tuple(LeakagePoint(delta, p.real, 1.0 - abs(ov) ** 2 / (base_norm * nb))
                  for delta, p, nb, ov in zip(deltas, *columns))
 

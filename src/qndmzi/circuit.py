@@ -198,13 +198,15 @@ def _insertion_runs(
     elements inserted, what ``run_forward`` of the circuit with those
     elements at that index holds up to stage ``stop``, with the same
     floating-point operations: each run resumes from ``prefix`` with them
-    and ``suffix``.  An empty tuple gives the circuit's own run.  The
-    caller checks the inserted elements' indices.
+    and ``suffix``; where ``prefix`` holds ``stop``, nothing more runs.
+    An empty tuple gives the circuit's own run.  The caller checks the
+    inserted elements' indices.
     """
     head, prefix = prefix
     for els in inserted:
         stages = dict(prefix)
-        _evolve(head, els + suffix, stages, stop=stop, end=FINAL_STAGE)
+        if stop not in stages:
+            _evolve(head, els + suffix, stages, stop=stop, end=FINAL_STAGE)
         yield stages
 
 

@@ -13,8 +13,8 @@ construction: its factor or matrix, forward and conjugated, and the spans of
 system and probe modes it names.  They sit outside the dataclass fields, so
 ``==``, ``hash``, ``repr`` and ``replace`` ignore them.  An applier reads
 them and hands two steps to one dispatcher, ``_step``: the column step of a
-column state (see :mod:`qndmzi.states`), else the per-branch step, then the
-merge.
+column state, else, or where it hands over (see :mod:`qndmzi.states`), the
+per-branch step, then the merge.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Union
 
 from .states import (
-    HybridState, _at_every_point, _branch, _check_finite, _check_mode, _mix_columns, _per_point,
+    HybridState, _HandOver, _branch, _check_finite, _check_mode, _mix_columns, _per_point, _require,
     _scale_branches, _scale_columns, _split_columns, _state, _sum_of_product, merge_branches,
 )
 
@@ -40,6 +40,23 @@ def _check_target(target: str) -> str:
     if target not in (SYS, PROBE):
         raise ValueError(f"target must be {SYS!r} or {PROBE!r}, got {target!r}")
     return "system mode" if target == SYS else "probe mode"
+
+
+def _real(what: str, value) -> float:
+    """``value`` as a float (an int beyond the float range as +-inf); ``ValueError`` unless it is real.
+
+    A complex value is not real, numpy's included (``float`` would take its
+    real part with a warning), and neither is None or a string.
+    """
+    if type(value) is float:
+        return value
+    real = not isinstance(value, Complex) or isinstance(value, Real)
+    if real and (hasattr(value, "__float__") or hasattr(value, "__index__")):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{what} {value!r} is not a real number")
 
 
 def _set_indices(el, span: tuple[int, ...]) -> None:
@@ -69,17 +86,10 @@ class BeamSplitter:
         object.__setattr__(self, "mode_b", _check_mode(what, self.mode_b))
         if self.mode_a == self.mode_b:
             raise ValueError("beam splitter ports must differ")
-        r = self.reflectivity
-        not_real = type(r) is not float and isinstance(r, Complex) and not isinstance(r, Real)
-        try:  # numpy's complex scalars compare with floats; None or a string raises
-            inside = None if not_real else 0.0 <= r <= 1.0
-        except TypeError:
-            inside = None
-        if inside is None:
-            raise ValueError(f"reflectivity {r!r} is not a real number")
-        if not inside:
-            raise ValueError(f"reflectivity {r} outside [0, 1]")
-        r, t = float(r), self.transmissivity
+        r = _real("reflectivity", self.reflectivity)
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        t = self.transmissivity
         (u00, u01), (u10, u11) = u = ((-1j * r, t + 0j), (t + 0j, -1j * r))
         object.__setattr__(self, "_unitary", u)
         object.__setattr__(self, "_adjoint", (
@@ -116,7 +126,7 @@ class KerrCoupling:
             raise ValueError("Kerr coupling names no system mode")
         object.__setattr__(self, "system_modes", modes)
         object.__setattr__(self, "probe_mode", _check_mode("probe mode", self.probe_mode))
-        if not math.isfinite(self.eps_tau):
+        if not math.isfinite(_real("eps_tau", self.eps_tau)):
             raise ValueError("eps_tau must be finite")
         eps = self.eps_tau
         object.__setattr__(self, "_factors", (cmath.exp(-1.0 * 1j * eps), cmath.exp(1.0 * 1j * eps)))
@@ -134,7 +144,7 @@ class PhaseShift:
     def __post_init__(self) -> None:
         what = _check_target(self.target)
         object.__setattr__(self, "index", _check_mode(what, self.index))
-        if not math.isfinite(self.phi):
+        if not math.isfinite(_real("phi", self.phi)):
             raise ValueError("phi must be finite")
         phi = self.phi
         object.__setattr__(self, "_factors", (_phase_factor(phi), _phase_factor(phi, True)))
@@ -170,14 +180,17 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
 def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
     """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
 
-    A column state takes the column step; where that returns None (a
-    value would not be finite) or the state has no columns,
+    A column state takes the column step; where that hands over (see
+    :mod:`qndmzi.states`) or the state has no columns,
     ``on_branches(state.branches, x, y, z)`` gives the unmerged branches
     and raises any error.
     """
     if state._cols is not None:
-        out = on_columns(state, x, y, z)
-        if out is not None:
+        try:
+            out = on_columns(state, x, y, z)
+        except _HandOver:
+            pass
+        else:
             return merge_branches(out)
     out = tuple(on_branches(state.branches, x, y, z))
     return merge_branches(_state(state.m_modes, state.k_probes, out))
@@ -265,7 +278,7 @@ def apply_phase(
     return _step(state, _scale_columns, _scale_branches, factor, None, shift.index)
 
 
-def _apply_to_rows(el: Element, rows: list, factor=None):
+def _apply_to_rows(el: Element, rows: list, factor=None) -> list:
     """Apply an element other than a snapshot to rows over a batch axis, forward and unmerged.
 
     Rows are as in :func:`~qndmzi.states._batch_overlaps`.  Each value the
@@ -274,7 +287,8 @@ def _apply_to_rows(el: Element, rows: list, factor=None):
     every point gets that applier's bits.  ``factor``, one complex per
     point, replaces a phase shift's.  A row holding the previous changed
     row's probe tuple shares its new tuple, as in the per-branch probe
-    steps.  None where the applier would raise on a non-finite value.
+    steps.  Hands over (see :mod:`qndmzi.states`) where the applier would
+    raise on a non-finite value.
     """
     isfinite, out = cmath.isfinite, []
     if isinstance(el, BeamSplitter):
@@ -296,29 +310,26 @@ def _apply_to_rows(el: Element, rows: list, factor=None):
             pa, pb = probes[a], probes[b]
             new = list(probes)
             # u00 * pa + u01 * pb and u10 * pa + u11 * pb.
-            new[a] = _sum_of_product(_per_point(mul, u00, pa), u01, pb)
-            new[b] = _sum_of_product(_per_point(mul, u10, pa), u11, pb)
-            finite = _at_every_point(isfinite, new[a]) and _at_every_point(isfinite, new[b])
-            return tuple(new) if finite else None
+            new[a] = _require(isfinite, _sum_of_product(_per_point(mul, u00, pa), u01, pb))
+            new[b] = _require(isfinite, _sum_of_product(_per_point(mul, u10, pa), u11, pb))
+            return tuple(new)
     else:
         factor = el._factors[0] if factor is None else factor
         if isinstance(el, PhaseShift) and el.target == SYS:
-            out = [(m, _per_point(mul, factor, a) if m == el.index else a, ps) for m, a, ps in rows]
-            return out if all(_at_every_point(isfinite, amp) for _, amp, _ in out) else None
+            return [(m, _require(isfinite, _per_point(mul, factor, a)) if m == el.index else a, ps)
+                    for m, a, ps in rows]
         # Probe k of the rows in ``modes`` (all where it is None) scales.
         modes, k = (el.system_modes, el.probe_mode) if isinstance(el, KerrCoupling) else (None, el.index)
 
         def moved(probes):
-            p = _per_point(mul, factor, probes[k])
-            return probes[:k] + (p,) + probes[k + 1:] if _at_every_point(isfinite, p) else None
+            p = _require(isfinite, _per_point(mul, factor, probes[k]))
+            return probes[:k] + (p,) + probes[k + 1:]
     old = new = None
     for row in rows:
         mode, amp, probes = row
         if modes is None or mode in modes:
             if probes is not old:
                 old, new = probes, moved(probes)
-                if new is None:
-                    return None
             row = mode, amp, new
         out.append(row)
     return out

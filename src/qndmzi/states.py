@@ -40,6 +40,12 @@ sums and merges of rows over a batch axis (a sweep's points) run once for
 all points: a value is a Python number, or a list of one per point where
 it varies (:func:`_per_point`), formed by the loop's own expression, bit for bit.
 
+The hand-over.  A fast path (a column step, or a step, merge or pair sum
+over a batch axis) that cannot give the slower code's bits, or would meet
+a value that code raises on, raises :class:`_HandOver`.  One ``except``
+per entry, around the fast path alone, runs the slower code instead, which
+gives those bits or raises its own error; no public function raises it.
+
 The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
 branches or more and K > 0 (an applier's unmerged output, a merge result,
 a projection or a scaled copy) is a private :class:`_ColumnState`: its
@@ -52,8 +58,8 @@ give the per-branch code's bits: every complex product is formed by
 :func:`_cmul` on real and imaginary parts, every overlap by ``cmath.exp``,
 and every sum is added in the loop's order.  Moments and parts below
 ``_GRAM_MIN_PAIRS`` pairs run the loop on the built branches.  Where a
-value would not be finite, a step runs the per-branch code on the built
-branches instead, which raises its own error.  Which code a state takes is
+value would not be finite, a step hands over to the per-branch code on
+the built branches, which raises its own error.  Which code a state takes is
 one O(1) check of ``_cols``, None on every other state, so states below
 that size run the per-branch code alone.  Building the branches of a large
 state costs more than a column step on it, so they are built only when
@@ -119,6 +125,10 @@ _GRAM_BLOCK = 1 << 14
 
 class DimensionMismatchError(ValueError):
     """Two states disagree on the number of system modes or probe modes."""
+
+
+class _HandOver(Exception):
+    """A fast path declines: the slower code gives its bits (module docstring)."""
 
 
 def _check_shape(a, b) -> None:
@@ -230,9 +240,10 @@ class HybridState:
     def scaled(self, factor: complex) -> "HybridState":
         factor = complex(factor)
         if self._cols is not None:
-            scaled = _scale_columns(self, factor)
-            if scaled is not None:
-                return scaled
+            try:
+                return _scale_columns(self, factor)
+            except _HandOver:
+                pass
         return _state(self.m_modes, self.k_probes, tuple(_scale_branches(self.branches, factor)))
 
     def normalized(self) -> "HybridState":
@@ -382,13 +393,12 @@ def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     return _column_state(state.m_modes, state.k_probes, cols)
 
 
-def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None):
-    """A column state with amplitudes (or probe ``probe``) times ``factor``, unmerged, or None.
+def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None) -> HybridState:
+    """A column state with amplitudes (or probe ``probe``) times ``factor``, unmerged.
 
     Only rows whose mode is in ``modes`` change (every row where it is
     None), each by :func:`_cmul` as the per-branch code forms ``factor *
-    value``.  Returns None where a value written is not finite, for the
-    per-branch code to raise its error.
+    value``.  Hands over where a value written is not finite.
     """
     import numpy as np
 
@@ -402,7 +412,7 @@ def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None):
             mask = rows == mode if mask is None else mask | (rows == mode)
         new = np.where(mask, new, old)
     if np.count_nonzero(np.isfinite(new)) < len(new):
-        return None
+        raise _HandOver
     if probe is None:
         amps = new
     else:
@@ -441,12 +451,12 @@ def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
     return out
 
 
-def _mix_columns(state: HybridState, a: int, b: int, u):
-    """A probe splitter with matrix ``u`` on probes a and b of a column state, unmerged, or None.
+def _mix_columns(state: HybridState, a: int, b: int, u) -> HybridState:
+    """A probe splitter with matrix ``u`` on probes a and b of a column state, unmerged.
 
     Each new probe is u00 pa + u01 pb (or u10 pa + u11 pb) with products by
-    :func:`_cmul`, as the per-branch code forms it.  Returns None where a
-    value is not finite, for the per-branch code to raise its error.
+    :func:`_cmul`, as the per-branch code forms it.  Hands over where a
+    value is not finite.
     """
     import numpy as np
 
@@ -458,7 +468,7 @@ def _mix_columns(state: HybridState, a: int, b: int, u):
         probes[:, a] = _times(u00, pa) + _times(u01, pb)
         probes[:, b] = _times(u10, pa) + _times(u11, pb)
     if np.count_nonzero(np.isfinite(probes[:, [a, b]])) < 2 * len(modes):
-        return None
+        raise _HandOver
     return _column_state(state.m_modes, state.k_probes, (modes, amps, probes))
 
 
@@ -638,9 +648,11 @@ def _per_point(f, x, y=None):
     return list(map(f, repeat(x), y)) if type(y) is list else f(x, y)
 
 
-def _at_every_point(f, value) -> bool:
-    """Whether ``f(value)`` holds at every point (see :func:`_per_point`)."""
-    return all(map(f, value)) if type(value) is list else bool(f(value))
+def _require(f, value):
+    """``value``; hands over unless ``f(value)`` holds at every point (see :func:`_per_point`)."""
+    if not (all(map(f, value)) if type(value) is list else f(value)):
+        raise _HandOver
+    return value
 
 
 def _sum_of_product(acc, *factors):
@@ -660,17 +672,17 @@ def _halves(p):
     return 0.5 * (p.real * p.real + p.imag * p.imag)
 
 
-def _batch_overlaps(bra: list, ket: list) -> list | None:
-    """The coherent overlaps of every mode-matched pair of rows over a batch axis, or None.
+def _batch_overlaps(bra: list, ket: list) -> list:
+    """The coherent overlaps of every mode-matched pair of rows over a batch axis.
 
     A row is (mode, amp, probes) of values on the axis (:func:`_per_point`).
     Returns (i, j, conj, overlaps) per pair of bra row i and ket row j, in
     the loop's bra-major order, with conj(u_k) and <u_k|v_k> per probe by
     :func:`_pair_sum`'s expressions; |p|^2/2 and conj(u) are formed once per
-    row.  None from ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.
+    row.  Hands over from ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.
     """
     if len(bra) * len(ket) >= _GRAM_MIN_PAIRS:
-        return None
+        raise _HandOver
     exp = cmath.exp
     halves = [[_halves(p) for p in probes] for _, _, probes in ket]
     bra_halves = halves if bra is ket else [[_halves(p) for p in probes] for _, _, probes in bra]
@@ -691,12 +703,12 @@ def _batch_overlaps(bra: list, ket: list) -> list | None:
                         overlaps.append(exp(-hu - hv + cu * pv))
                 pairs.append((i, j, conj, overlaps))
     except (OverflowError, ValueError):
-        return None
+        raise _HandOver from None
     return pairs
 
 
 def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bool = False):
-    """:func:`_pair_sum` of rows over a batch axis, or None where it fails or is not finite.
+    """:func:`_pair_sum` of rows over a batch axis; hands over where it fails or is not finite.
 
     ``pairs`` (formed where None) are the :func:`_batch_overlaps` of these
     rows or of rows with the same modes and probes.  Returns the sum and,
@@ -705,8 +717,6 @@ def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bo
     conj(a_u) is formed once per bra row.
     """
     pairs = _batch_overlaps(bra, ket) if pairs is None else pairs
-    if pairs is None:
-        return None
     total = 0j
     sums = [0j] * (len(ket[0][2]) if moments and ket else 0)
     u_amps = [_per_point(complex.conjugate, amp) for _, amp, _ in bra]
@@ -715,8 +725,7 @@ def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bo
         for k, (cu, pv) in enumerate(zip(conj, ket[j][2]) if sums else ()):
             sums[k] = _sum_of_product(sums[k], term, cu, pv, *overlaps)
         total = _sum_of_product(total, term, *overlaps)
-    finite = all(_at_every_point(cmath.isfinite, value) for value in (total, *sums))
-    return (total, sums) if finite else None
+    return _require(cmath.isfinite, total), [_require(cmath.isfinite, s) for s in sums]
 
 
 def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = None) -> complex:
@@ -920,36 +929,34 @@ def _merge_groups(branches: Sequence[Branch], buckets: Sequence | None = None) -
     return groups
 
 
-def _merge_rows(rows: list):
-    """:func:`merge_branches` of rows over a batch axis (see :func:`_batch_overlaps`), or None.
+def _merge_rows(rows: list) -> list:
+    """:func:`merge_branches` of rows over a batch axis (see :func:`_batch_overlaps`).
 
     Rows in distinct modes cannot merge.  Otherwise every probe must be
     fixed, and :func:`_merge_owners` groups the rows once for all points; a
     group sums its amplitudes as :func:`_merge_groups` does.  Rows are
     dropped (by :func:`_nonempty` at each point) and sorted as the per-point
-    merge does.  None where the points would not share the result or the
-    per-point merge would raise: a varying probe in a shared mode,
+    merge does.  Hands over where the points would not share the result or
+    the per-point merge would raise: a varying probe in a shared mode,
     ``_MERGE_SORT_MIN`` rows or more, a non-finite sum, or a row kept at
     some points only.
     """
     shared = len({row[0] for row in rows}) < len(rows)
     if shared:
         if len(rows) >= _MERGE_SORT_MIN or any(type(p) is list for row in rows for p in row[2]):
-            return None
+            raise _HandOver
         groups: dict[int, tuple] = {}
         for row, first in zip(rows, _merge_owners([_branch(m, None, ps) for m, _, ps in rows])):
             g = groups.get(first)
             if g is not None:
-                row = g[0], _per_point(operator.add, g[1], row[1]), g[2]
-                if not _at_every_point(cmath.isfinite, row[1]):
-                    return None
+                row = g[0], _require(cmath.isfinite, _per_point(operator.add, g[1], row[1])), g[2]
             groups[first] = row
         rows = list(groups.values())
     kept = []
     for row in rows:
         keep = set(map(_nonempty, row[1])) if type(row[1]) is list else {_nonempty(row[1])}
         if len(keep) > 1:
-            return None
+            raise _HandOver
         if all(keep):
             kept.append(row)
     # By mode, then (in a shared mode, where probes are fixed) as _canonical_key sorts.

@@ -257,6 +257,43 @@ class TestNumpyReflectivity:
             assert repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
 
 
+class TestRealAngles:
+    """eps_tau and phi must be real numbers, as a reflectivity must.
+
+    A complex angle, numpy's included, formed a factor that is not of unit
+    modulus: ``apply_phase`` with phi = 0.3+0.5j left a norm of 0.3679, and
+    ``serialize_circuit`` wrote the real part alone.  None or a string
+    raised a bare ``TypeError``.
+    """
+
+    NOT_REAL = [0.3 + 0.5j, 0.3 + 0j, np.complex128(0.3 + 0.5j), np.complex64(0.5 + 0.25j),
+                None, "0.3"]
+
+    @pytest.mark.parametrize("angle", NOT_REAL, ids=repr)
+    def test_non_real_angles_raise(self, angle):
+        for el in every_kind():
+            if isinstance(el, (KerrCoupling, PhaseShift)):
+                name = "eps_tau" if isinstance(el, KerrCoupling) else "phi"
+                with pytest.raises(ValueError, match=rf"^{name} .* is not a real number$"):
+                    dataclasses.replace(el, **{name: angle})
+        with pytest.raises(ValueError, match=r"^eps_tau .* is not a real number$"):
+            build_nested_mzi(0.6, 2, angle)
+
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            PhaseShift(SYS, 0, 10**400)
+        with pytest.raises(ValueError, match="eps_tau must be finite"):
+            KerrCoupling(frozenset({0}), 0, -10**400)
+
+    @pytest.mark.parametrize("angle", [0, 2, False, True, np.float64(0.3), np.float32(0.5),
+                                       np.int64(-3), Fraction(1, 3)], ids=repr)
+    def test_real_angle_types_keep_their_bits(self, angle):
+        for el in every_kind(angle):
+            assert_constants_match_fields(el)
+        assert PhaseShift(SYS, 1, angle).phi is angle
+        assert KerrCoupling(frozenset({1}), 0, angle).eps_tau is angle
+
+
 class TestOverlapOverflow:
     @pytest.mark.parametrize("a,b", [
         # Bra and ket source probes of run_both(build_nested_mzi(0.6,

@@ -13,6 +13,7 @@ import random
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qndmzi.analysis
@@ -43,6 +44,7 @@ from qndmzi import (
     run_forward,
 )
 from qndmzi.analysis import fringe_csv, leakage_csv
+from deep_chains import deep_chain
 from helpers import random_complex, random_element
 import sweep_reference
 from sweep_reference import (
@@ -62,6 +64,10 @@ SIGNED_PROBES = (
 )
 SIGNED_PHIS = (0.0, -0.0, math.pi, -math.pi, 1.0, -0.0, 2.5)
 SIGNED_DELTAS = (-0.0, 1e-4, math.pi, -math.pi, -0.0)
+
+#: Angles that are not real numbers: complex ones, numpy's included (whose
+#: imaginary part ``float`` drops), None and a string.
+NOT_REAL = (0.1 + 1j, 0.1 + 0j, np.complex128(0.1 + 1j), np.complex64(0.5 + 0.25j), None, "0.1")
 
 
 def _signed(rng, scale=1.0):
@@ -144,13 +150,17 @@ def _reference_intensities(circuit, mode, phis):
 
 
 def _count_axis(monkeypatch, name):
-    """Record, per call of the axis entry ``name`` from now on, whether it ran."""
+    """Record, per call of the axis entry ``name`` from now on, whether it ran or handed over."""
     ran = []
     axis = getattr(qndmzi.analysis, name)
 
     def counted(*args):
-        points = axis(*args)
-        ran.append(points is not None)
+        try:
+            points = axis(*args)
+        except qndmzi.states._HandOver:
+            ran.append(False)
+            raise
+        ran.append(True)
         return points
 
     monkeypatch.setattr(qndmzi.analysis, name, counted)
@@ -435,22 +445,24 @@ class TestPhaseAxis:
         args = (qndmzi.analysis._phase_factors(PHIS), circuit.detect_stage)
         suffix = circuit.elements[self.INSERT_AT:]
         head = HybridState(3, 2, (Branch(2, 1e200, (2.0, 1j)),))
-        assert phase_axis(suffix, head, 2, *args) is None
+        with pytest.raises(qndmzi.states._HandOver):
+            phase_axis(suffix, (head, {}), 2, *args)
         head = HybridState(3, 2, (Branch(2, 0.5, (2.0, 1j)),))
-        assert phase_axis(suffix, head, 2, *args) is not None
+        assert len(phase_axis(suffix, (head, {}), 2, *args)) == 2
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
     def test_edge_inputs(self, magnitude):
-        # repr tells signed zeros apart, which == does not.
+        # repr tells signed zeros apart, which == does not.  Detected at L2,
+        # the axis reads the stage the prefix recorded.
         for r in (0.0, 0.37, 1.0):
             for eps in (0.0, -0.0, 1e-13, math.pi):
-                circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
-                for mode in range(circuit.m_modes):
-                    got = _outcome(fringe_scan, circuit, mode, PHIS)
-                    assert repr(got) == repr(_outcome(reference_fringe_scan, circuit, mode, PHIS))
-                    assert repr(_outcome(
-                        qndmzi.analysis._scan_intensities, circuit, mode, PHIS
-                    )) == repr(_outcome(_reference_intensities, circuit, mode, PHIS))
+                for circuit in _circuits(r, cmath.rect(magnitude, -2.5), eps):
+                    for mode in range(circuit.m_modes):
+                        got = _outcome(fringe_scan, circuit, mode, PHIS)
+                        assert repr(got) == repr(_outcome(reference_fringe_scan, circuit, mode, PHIS))
+                        assert repr(_outcome(
+                            qndmzi.analysis._scan_intensities, circuit, mode, PHIS
+                        )) == repr(_outcome(_reference_intensities, circuit, mode, PHIS))
 
     def test_signed_zero_inputs(self, monkeypatch):
         # Signed zeros in the source probes, eps_tau and the phases (with
@@ -482,13 +494,16 @@ class TestPhaseAxis:
         for probes in SIGNED_PROBES + tuple(_signed_circuit(rng).source_probes for _ in range(6)):
             for eps in (0.0, -0.0, 0.3):
                 circuit = replace(build_nested_mzi(0.6, 2.0, eps), source_probes=probes)
-                head = qndmzi.circuit._run_prefix(circuit, self.INSERT_AT)[0]
+                prefix = qndmzi.circuit._run_prefix(circuit, self.INSERT_AT)
                 suffix = circuit.elements[self.INSERT_AT:]
-                rows = analysis._axis_stages(suffix, head, PROBE, 1, factors, "L3p")["L3p"]
+                rows = analysis._axis_stages(suffix, prefix, PROBE, 1, factors, "L3p")["L3p"]
                 for mode in (0, 2):
                     kept = [row for row in rows if row[0] == mode]
                     total, moments = states._batch_pair_sum(kept, kept, moments=True)
-                    conditioned = analysis._axis_condition(rows, mode, moments=True)
+                    try:
+                        conditioned = analysis._axis_condition(rows, mode, moments=True)
+                    except states._HandOver:
+                        conditioned = None
                     for i in range(len(factors)):
                         state = _point_state(rows, i).project_mode(mode)
                         point_moments = []
@@ -602,14 +617,16 @@ class TestDeltaAxis:
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-3, 1e8, 1e100, 1e150, 1e154, 1e160])
     def test_edge_inputs(self, magnitude):
-        # repr tells signed zeros apart, which == does not.
+        # repr tells signed zeros apart, which == does not.  A dark stage at
+        # the source is read from the prefix; a leakage sweep ignores the
+        # detection stage.
         for r in (0.0, 0.37, 1.0):
             for eps in (0.0, -0.0, 1e-13, math.pi):
-                circuit = build_nested_mzi(r, cmath.rect(magnitude, -2.5), eps)
-                for arm_mode, dark_stage in self.ARMS:
-                    args = (circuit, self.DELTAS, arm_mode, dark_stage)
-                    got = _outcome(leakage_sweep, *args)
-                    assert repr(got) == repr(_outcome(reference_leakage_sweep, *args))
+                for circuit in _circuits(r, cmath.rect(magnitude, -2.5), eps):
+                    for arm_mode, dark_stage in self.ARMS:
+                        args = (circuit, self.DELTAS, arm_mode, dark_stage)
+                        got = _outcome(leakage_sweep, *args)
+                        assert repr(got) == repr(_outcome(reference_leakage_sweep, *args))
 
     def test_signed_zero_inputs(self, monkeypatch):
         # Signed zeros in the source probes, eps_tau and the deltas (with
@@ -703,6 +720,79 @@ class TestDeltaAxis:
             assert repr(points) == repr(reference_leakage_sweep(circuit, deltas))
 
 
+class TestAxisDeclinesAtSize:
+    """A prefix that holds a Kerr-marked chain meets the axis's size bounds.
+
+    The chain is ``tests/deep_chains.py``'s at depth 7 with K = 2: 128
+    branches at d7, 64 in each of modes 0 and 1, and 192 from the inner
+    splitter on.  The axis hands over to the per-point loop at
+    ``_MERGE_SORT_MIN`` rows in a shared mode and at ``_GRAM_MIN_PAIRS``
+    pairs, and the results keep every bit of ``sweep_reference``'s.
+    """
+
+    PHIS = (0.1, 0.7, 1.9, 2.8, 4.0)
+    DELTAS = (1e-3, 0.2, -1.0)
+
+    @staticmethod
+    def _circuit(detect_stage=FINAL_STAGE):
+        rng = random.Random("axis size")
+        chain = deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 2.0, 2)
+        tail = (
+            BeamSplitter(SYS, 1, 2, math.sqrt(0.5)), Snapshot("in"), PhaseShift(PROBE, 0, 0.4),
+            BeamSplitter(PROBE, 0, 1, math.sqrt(0.5)), Snapshot("out"),
+            BeamSplitter(SYS, 1, 2, 0.3),
+        )
+        return Circuit(3, 2, chain.elements + tail, 0, chain.source_probes,
+                       detect_stage=detect_stage)
+
+    @staticmethod
+    def _declines(monkeypatch, name):
+        """Record the rows of every call of ``analysis.name`` that hands over."""
+        declined = []
+        step = getattr(qndmzi.analysis, name)
+
+        def counted(*rows):
+            try:
+                return step(*rows)
+            except qndmzi.states._HandOver:
+                declined.append(rows)
+                raise
+
+        monkeypatch.setattr(qndmzi.analysis, name, counted)
+        return declined
+
+    def test_fringe_scan_detected_ahead_declines_at_the_pair_count(self, monkeypatch):
+        declined = self._declines(monkeypatch, "_batch_overlaps")
+        for stage in ("d7", "in"):  # ahead of the scanned phase
+            circuit = self._circuit(stage)
+            for mode in (0, 1):
+                declined.clear()
+                args = (circuit, mode, self.PHIS)
+                assert repr(_outcome(qndmzi.analysis._scan_intensities, *args)) == repr(
+                    _outcome(_reference_intensities, *args))
+                # The scan's 64 rows in the detected mode; the Kerr-free
+                # reference's few rows stay on the axis.
+                assert [(len(bra), len(ket)) for bra, ket in declined] == [(64, 64)]
+                assert 64 * 64 >= qndmzi.states._GRAM_MIN_PAIRS
+                got = _outcome(fringe_scan, *args)
+                assert repr(got) == repr(_outcome(reference_fringe_scan, *args))
+                assert got[0] is ValueError and "is flat" in got[1]
+
+    def test_leakage_sweep_declines_at_the_merge_size(self, monkeypatch):
+        declined = self._declines(monkeypatch, "_merge_rows")
+        circuit = self._circuit()
+        for arm_mode, dark_stage in ((1, "d7"), (2, "out"), (0, FINAL_STAGE)):
+            declined.clear()
+            args = (circuit, self.DELTAS, arm_mode, dark_stage)
+            assert repr(_outcome(leakage_sweep, *args)) == repr(
+                _outcome(reference_leakage_sweep, *args))
+            # The inserted phase's merge: 192 rows with fixed probes, so the
+            # row count alone hands over.
+            [(rows,)] = declined
+            assert len(rows) == 192 >= qndmzi.states._MERGE_SORT_MIN
+            assert not any(type(p) is list for row in rows for p in row[2])
+
+
 class TestErrorPaths:
     def test_fringe_scan_needs_a_probe_splitter(self):
         circuit = Circuit(3, 2, (BeamSplitter(SYS, 0, 1, 0.5),), 0, (1.0, 0.0))
@@ -735,6 +825,13 @@ class TestErrorPaths:
             fringe_scan(build_nested_mzi(0.6, 2.0, 0.3), 2, PHIS + (bad,))
         assert calls == []
 
+    @pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+    def test_fringe_scan_non_real_phi_fails_before_evolving(self, monkeypatch, bad):
+        calls = _count_elements(monkeypatch)
+        with pytest.raises(ValueError, match=r"^phi .* is not a real number$"):
+            fringe_scan(build_nested_mzi(0.6, 2.0, 0.3), 2, PHIS + (bad,))
+        assert calls == []
+
     def test_leakage_sweep_needs_an_inner_splitter(self):
         circuit = Circuit(3, 1, (BeamSplitter(SYS, 0, 1, 0.5),), 0, (1.0,))
         with pytest.raises(ValueError, match="no inner beam splitter"):
@@ -762,6 +859,30 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match=f"leakage delta {bad!r} is not finite"):
             leakage_sweep(build_nested_mzi(0.6, 2.0, 0.3), [1e-3, bad])
         assert calls == []
+
+    @pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+    def test_leakage_sweep_non_real_delta_fails_before_evolving(self, monkeypatch, bad):
+        calls = _count_elements(monkeypatch)
+        with pytest.raises(ValueError, match=r"^leakage delta .* is not a real number$"):
+            leakage_sweep(build_nested_mzi(0.6, 2.0, 0.3), [1e-3, bad])
+        assert calls == []
+
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            fringe_scan(circuit, 2, PHIS + (-10**400,))
+        with pytest.raises(ValueError, match="leakage delta inf is not finite"):
+            leakage_sweep(circuit, [1e-3, 10**400])
+
+    def test_real_phase_and_delta_types_keep_their_bits(self):
+        # ints, bools and numpy reals run as float() of the value, as before.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        phis = (0, 1, True, np.float64(2.5), np.int64(4), np.float32(5.5))
+        assert repr(fringe_scan(circuit, 2, phis)) == repr(
+            fringe_scan(circuit, 2, [float(p) for p in phis]))
+        deltas = (1, False, np.float64(1e-3), np.int64(-2), np.float32(0.25))
+        assert repr(leakage_sweep(circuit, deltas)) == repr(
+            leakage_sweep(circuit, [float(d) for d in deltas]))
 
     def test_leakage_sweep_checks_arm_mode_before_dark_stage(self):
         with pytest.raises(IndexError):
