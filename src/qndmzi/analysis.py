@@ -254,7 +254,7 @@ def _phase_axis_intensities(
     :func:`_axis_condition` with the probe moments, then divides as
     :func:`_probe_means` does.
     """
-    rows = _axis_stages(suffix, prefix, PROBE, 1, factors, stop)[stop]
+    rows = _axis_stages(suffix, prefix, PROBE, 1, factors, (stop,))[stop]
     _, (norm, moments) = _axis_condition(rows, mode, moments=True)
     n = len(factors)
     # Each probe's m.real / norm, as _probe_means divides.
@@ -278,31 +278,36 @@ def _phase_factors(phis: Sequence[float]) -> list[complex]:
 
 
 def _axis_stages(
-    suffix: Sequence[Element], prefix: tuple, target: str, index: int, factors: list, stop: str
+    suffix: Sequence[Element], prefix: tuple, target: str, index: int, factors: list,
+    reads: tuple[str, ...],
 ) -> dict[str, list]:
-    """The rows at each stage over an axis of phases inserted between ``prefix`` and ``suffix``.
+    """The rows at the stages ``reads`` over an axis of phases between ``prefix`` and ``suffix``.
 
-    ``prefix`` is what :func:`~qndmzi.circuit._run_prefix` returned; its
-    stages are read once, as rows of fixed values, and the run ends there
-    if ``stop`` is one of them.  Otherwise a phase shift on ``target`` mode
-    ``index``, with the per-point ``factors`` (:func:`_phase_factors`), goes
-    ahead of ``suffix`` and runs with it on the rows of the prefix's state,
-    through :func:`~qndmzi.elements._apply_to_rows` and
+    ``reads`` are stage labels in run order; the last, ``stop``, ends the
+    run.  ``prefix`` is what :func:`~qndmzi.circuit._run_prefix` returned;
+    the stages of ``reads`` it recorded are read once, as rows of fixed
+    values, and the run ends there if ``stop`` is one of them.  Otherwise a
+    phase shift on ``target`` mode ``index``, with the per-point ``factors``
+    (:func:`_phase_factors`), goes ahead of ``suffix`` and runs with it on
+    the rows of the prefix's state, through
+    :func:`~qndmzi.elements._apply_to_rows` and
     :func:`~qndmzi.states._merge_rows`; a merge after a probe-only step on
     rows in distinct modes is the identity and is skipped.  Returns the rows
-    at each stage up to ``stop``, or to the end and :data:`FINAL_STAGE`.
+    at each stage of ``reads``, running to the end for :data:`FINAL_STAGE`.
     """
     head, recorded = prefix
-    stages = {label: _branch_rows(state.branches) for label, state in recorded.items()}
+    stop = reads[-1]
+    stages = {label: _branch_rows(recorded[label].branches) for label in reads if label in recorded}
     if stop in stages:
         return stages
     rows = _branch_rows(head.branches)
     steps = chain([(PhaseShift(target, index, 0.0), factors)], ((el, None) for el in suffix))
     for el, factor in steps:
         if isinstance(el, Snapshot):
-            stages[el.label] = rows
-            if el.label == stop:
-                return stages
+            if el.label in reads:
+                stages[el.label] = rows
+                if el.label == stop:
+                    return stages
             continue
         moved = _apply_to_rows(el, rows, factor)
         probe_only = isinstance(el, KerrCoupling) or el.target == PROBE
@@ -560,7 +565,7 @@ def _delta_axis_points(
     if base_norm <= 0.0:
         raise _HandOver
     stages = _axis_stages(circuit.elements[insert_at:], prefix, SYS, arm_mode,
-                          _phase_factors(deltas), FINAL_STAGE)
+                          _phase_factors(deltas), (dark_stage, FINAL_STAGE))
     kept = [row for row in stages[dark_stage] if row[0] == arm_mode]
     leak, _ = _batch_pair_sum(kept, kept)
     kept, (norm, _) = _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)

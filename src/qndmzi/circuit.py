@@ -15,7 +15,6 @@ them into a copy of the template.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -30,7 +29,17 @@ from .elements import (
     _check_indices,
     apply_element,
 )
-from .states import HybridState, _branch, _check_finite, _check_mode, _check_shape, _new, _set, _state
+from .states import (
+    HybridState,
+    _branch,
+    _check_counts,
+    _check_finite,
+    _check_mode,
+    _check_shape,
+    _new,
+    _set,
+    _state,
+)
 
 SOURCE_STAGE = "source"
 FINAL_STAGE = "final"
@@ -47,17 +56,6 @@ def _check_label(label: str, seen: set[str]) -> None:
     if label in seen:
         raise ValueError(f"duplicate snapshot label {label!r}")
     seen.add(label)
-
-
-def _check_counts(m_modes: int, k_probes: int) -> tuple[int, int]:
-    """The mode counts as ints; raises unless M >= 1 and K >= 0 are integers."""
-    try:
-        counts = operator.index(m_modes), operator.index(k_probes)
-    except TypeError:
-        raise ValueError("mode counts must be integers") from None
-    if counts[0] < 1 or counts[1] < 0:
-        raise ValueError("mode counts out of range")
-    return counts
 
 
 @dataclass(frozen=True)

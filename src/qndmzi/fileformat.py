@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import FINAL_STAGE, Circuit, _check_counts, _check_label
+from .circuit import FINAL_STAGE, Circuit, _check_label
 from .elements import (
     SYS,
     BeamSplitter,
@@ -36,7 +36,7 @@ from .elements import (
     Snapshot,
     _check_indices,
 )
-from .states import _check_finite, _check_mode
+from .states import _check_counts, _check_finite, _check_mode
 
 
 class CircuitFormatError(ValueError):

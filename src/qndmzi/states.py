@@ -77,7 +77,8 @@ the engine derives from an already checked state (the element appliers,
 :func:`merge_branches`, :meth:`HybridState.project_mode` and
 :meth:`HybridState.scaled`, which coerces only its factor) are built by
 the private ``_branch``, ``_state`` and ``_column_state`` instead, which
-store their values as given.  Their callers keep a finite check only where
+write their values as given straight into the slots of these slotted,
+frozen dataclasses.  Their callers keep a finite check only where
 arithmetic can overflow, with the same error as the public constructor;
 every other value is a complex, an int mode in range or a probe tuple of
 length K already, or, in columns, arrays of those values.
@@ -150,12 +151,23 @@ def _check_mode(what: str, mode: int, m_modes: int | None = None) -> int:
     return index
 
 
+def _check_counts(m_modes: int, k_probes: int) -> tuple[int, int]:
+    """The mode counts as ints; raises unless M >= 1 and K >= 0 are integers."""
+    try:
+        counts = operator.index(m_modes), operator.index(k_probes)
+    except TypeError:
+        raise ValueError("mode counts must be integers") from None
+    if counts[0] < 1 or counts[1] < 0:
+        raise ValueError("mode counts out of range")
+    return counts
+
+
 def _check_finite(z: complex, what: str) -> None:
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite {what}: {z!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """One superposition term: photon in ``mode``, probes in coherent states.
 
@@ -168,33 +180,35 @@ class Branch:
     probes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", operator.index(self.mode))
+        _set_mode(self, operator.index(self.mode))
         amp = complex(self.amp)
         probes = tuple(map(complex, self.probes))
-        object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "probes", probes)
+        _set_amp(self, amp)
+        _set_probes(self, probes)
         _check_finite(amp, "branch amplitude")
         for p in probes:
             _check_finite(p, "probe amplitude")
 
 
-# Trusted construction sets fields the way the frozen dataclass __init__
-# does.  Writing through ``obj.__dict__`` instead would materialize the dict
-# and make every later attribute read about 2.5x slower (CPython 3.11).
+# Trusted construction writes each field straight through its slot
+# descriptor's ``__set__``, bound once here: the frozen ``__setattr__`` and
+# ``object.__setattr__``'s lookup by name are both skipped.  ``_set`` serves
+# the dict-backed classes (``Circuit``, a column state's ``_cols``).
 _new = object.__new__
 _set = object.__setattr__
+_set_mode, _set_amp, _set_probes = Branch.mode.__set__, Branch.amp.__set__, Branch.probes.__set__
 
 
 def _branch(mode: int, amp: complex, probes: tuple[complex, ...]) -> Branch:
     """A :class:`Branch` of already checked values, stored without coercion."""
     br = _new(Branch)
-    _set(br, "mode", mode)
-    _set(br, "amp", amp)
-    _set(br, "probes", probes)
+    _set_mode(br, mode)
+    _set_amp(br, amp)
+    _set_probes(br, probes)
     return br
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HybridState:
     """Superposition of :class:`Branch` terms over M system and K probe modes."""
 
@@ -207,7 +221,10 @@ class HybridState:
     _cols = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
+        m_modes, k_probes = _check_counts(self.m_modes, self.k_probes)
+        _set_m_modes(self, m_modes)
+        _set_k_probes(self, k_probes)
+        _set_branches(self, tuple(self.branches))
         for br in self.branches:
             _check_mode("branch mode", br.mode, self.m_modes)
             if len(br.probes) != self.k_probes:
@@ -253,12 +270,16 @@ class HybridState:
         return self.scaled(1.0 / math.sqrt(n))
 
 
+_set_m_modes, _set_k_probes, _set_branches = (
+    HybridState.m_modes.__set__, HybridState.k_probes.__set__, HybridState.branches.__set__)
+
+
 def _state(m_modes: int, k_probes: int, branches: tuple[Branch, ...]) -> HybridState:
     """A :class:`HybridState` of branches already checked against (M, K)."""
     state = _new(HybridState)
-    _set(state, "m_modes", m_modes)
-    _set(state, "k_probes", k_probes)
-    _set(state, "branches", branches)
+    _set_m_modes(state, m_modes)
+    _set_k_probes(state, k_probes)
+    _set_branches(state, branches)
     return state
 
 
@@ -267,16 +288,17 @@ class _ColumnState(HybridState):
 
     A subclass, so that only these states pay for the lookup hook: ``==``,
     ``hash``, ``repr``, ``copy`` and pickling treat it as the
-    :class:`HybridState` of its branches.
+    :class:`HybridState` of its branches.  It keeps an instance
+    ``__dict__`` for ``_cols``.
     """
 
     def __getattr__(self, name: str):
-        # Reached only where normal lookup fails: the branches, built on
-        # first read and kept.
+        # Reached only where normal lookup fails: the unset ``branches``
+        # slot, filled on first read and kept.
         if name != "branches":
             raise AttributeError(f"'HybridState' object has no attribute {name!r}")
         branches = tuple(_column_branches(self._cols))
-        _set(self, "branches", branches)
+        _set_branches(self, branches)
         return branches
 
     def __eq__(self, other):
@@ -299,8 +321,8 @@ class _ColumnState(HybridState):
 def _column_state(m_modes: int, k_probes: int, cols: tuple) -> HybridState:
     """A :class:`_ColumnState` of checked columns."""
     state = _new(_ColumnState)
-    _set(state, "m_modes", m_modes)
-    _set(state, "k_probes", k_probes)
+    _set_m_modes(state, m_modes)
+    _set_k_probes(state, k_probes)
     _set(state, "_cols", cols)
     return state
 

@@ -174,8 +174,17 @@ def column_state() -> HybridState:
     rng = random.Random(17)
     state = run_forward(deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 1.5 - 0.5j))
     state = state.forward[FINAL_STAGE]
-    assert state._cols is not None and "branches" not in vars(state)
+    assert state._cols is not None and not built(state)
     return state
+
+
+def built(state: HybridState) -> bool:
+    """Whether the ``branches`` slot of ``state`` is set; reading it so skips ``__getattr__``."""
+    try:
+        HybridState.branches.__get__(state)
+    except AttributeError:
+        return False
+    return True
 
 
 def twin(state: HybridState) -> HybridState:
@@ -202,6 +211,7 @@ class TestColumnState:
 
     def test_branches_are_built_once(self, column_state):
         assert column_state.branches is column_state.branches
+        assert built(column_state)
 
     def test_unknown_attribute(self, column_state):
         with pytest.raises(AttributeError, match="nothing"):
@@ -256,7 +266,7 @@ def test_run_both_builds_branches_only_below_the_column_size(monkeypatch):
     assert counts["_branch"] == forward + backward == 157
     # d5, d6, d7 and final forward (final is d7), d2, d1 and source backward.
     columns = [s for s in (*trace.forward.values(), *trace.backward.values()) if s._cols is not None]
-    assert len(columns) == 7 and not any("branches" in vars(s) for s in columns)
+    assert len(columns) == 7 and not any(map(built, columns))
     final = trace.forward[FINAL_STAGE]
     assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7
     assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7

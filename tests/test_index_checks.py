@@ -28,6 +28,7 @@ from qndmzi import (
     apply_kerr,
     apply_phase,
     parse_circuit,
+    run_backward,
     serialize_circuit,
 )
 
@@ -172,6 +173,30 @@ def test_bad_mode_counts_fail_alike(m_modes, k_probes, line, message):
     with pytest.raises(CircuitFormatError) as parsed:
         parse_circuit(f"{line}\nsource mode=0\n")
     assert str(parsed.value) == f"line 1: {message}"
+    with pytest.raises(ValueError) as state:
+        HybridState(m_modes, k_probes, ())
+    assert str(state.value) == message
+
+
+@pytest.mark.parametrize("m_modes,k_probes,message", [
+    (None, 1, "mode counts must be integers"),
+    ("2", 1, "mode counts must be integers"),
+    (2, -1, "mode counts out of range"),
+    (0, 0, "mode counts out of range"),
+    (0, 1, "mode counts out of range"),
+])
+def test_state_checks_its_mode_counts_before_its_branches(m_modes, k_probes, message):
+    branches = (Branch(0, 1.0, (0j,)),)
+    for given in (branches, ()):
+        with pytest.raises(ValueError) as got:
+            HybridState(m_modes, k_probes, given)
+        assert type(got.value) is ValueError and str(got.value) == message
+
+
+def test_backward_run_rejects_a_non_integer_bra_count():
+    circuit = Circuit(3, 2, (BeamSplitter(SYS, 0, 1, 0.5),), 0, (1j, 0j))
+    with pytest.raises(ValueError, match="mode counts must be integers"):
+        run_backward(circuit, HybridState(3.0, 2, (Branch(0, 1.0, (0j, 0j)),)))
 
 
 @pytest.mark.parametrize("m_modes,k_probes", [(True, True), (np.int64(3), np.int64(2))])
@@ -181,6 +206,11 @@ def test_integer_like_mode_counts_are_stored_as_int(m_modes, k_probes):
     text = serialize_circuit(circuit)
     assert text.startswith(f"modes {int(m_modes)} probes {int(k_probes)}\n")
     assert parse_circuit(text) == circuit
+    branches = (Branch(0, 1.0, (0.5j,) * int(k_probes)),)
+    state = HybridState(m_modes, k_probes, branches)
+    assert (type(state.m_modes), type(state.k_probes)) == (int, int)
+    same = HybridState(int(m_modes), int(k_probes), branches)
+    assert state == same and hash(state) == hash(same) and repr(state) == repr(same)
 
 
 @pytest.mark.parametrize("thing", [5, "bs sys 0 1 r=0.5", None, (SYS, 0, 1, 0.5), BeamSplitter,

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,8 @@ from qndmzi import (
     merge_branches,
     run_forward,
 )
+from qndmzi.states import _branch, _state
+
 from helpers import random_complex, random_state
 
 
@@ -148,3 +152,37 @@ class TestStateValidation:
             Branch(0, complex("nan"), (0j,))
         with pytest.raises(ValueError):
             Branch(0, 1.0, (complex("inf"),))
+
+
+class TestSlots:
+    """``Branch`` and ``HybridState`` store their fields in slots, not in a ``__dict__``."""
+
+    BRANCHES = (Branch(0, 0.6, (0.5j, -1.0)), Branch(2, -0.8j, (0j, 2.0)))
+
+    def objects(self):
+        return (*self.BRANCHES, HybridState(3, 2, self.BRANCHES), HybridState(1, 0, ()))
+
+    def test_no_instance_dict(self):
+        for obj in self.objects():
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(TypeError):
+                vars(obj)
+
+    def test_trusted_constructors_build_the_public_objects(self):
+        built = [_branch(br.mode, br.amp, br.probes) for br in self.BRANCHES]
+        built += [_state(3, 2, tuple(built)), _state(1, 0, ())]
+        for got, want in zip(built, self.objects()):
+            assert type(got) is type(want)
+            assert got == want and want == got and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+
+    def test_frozen(self):
+        for obj, name in zip(self.objects(), ("mode", "amp", "branches", "m_modes")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+
+    def test_copy_and_pickle_round_trips(self):
+        for obj in self.objects():
+            for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(back) is type(obj) and back == obj
+                assert hash(back) == hash(obj) and repr(back) == repr(obj)

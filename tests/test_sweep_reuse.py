@@ -496,7 +496,7 @@ class TestPhaseAxis:
                 circuit = replace(build_nested_mzi(0.6, 2.0, eps), source_probes=probes)
                 prefix = qndmzi.circuit._run_prefix(circuit, self.INSERT_AT)
                 suffix = circuit.elements[self.INSERT_AT:]
-                rows = analysis._axis_stages(suffix, prefix, PROBE, 1, factors, "L3p")["L3p"]
+                rows = analysis._axis_stages(suffix, prefix, PROBE, 1, factors, ("L3p",))["L3p"]
                 for mode in (0, 2):
                     kept = [row for row in rows if row[0] == mode]
                     total, moments = states._batch_pair_sum(kept, kept, moments=True)
