@@ -35,7 +35,9 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 ``_GRAM_MIN_PAIRS`` branch pairs it is a Python loop, bit-equal to summing
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
-<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same call.  Pair
+<bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same pass: a
+moment is one more weight row on each block, and a part is its mode's
+block sums, since a block holds one mode.  Pair
 sums and merges of rows over a batch axis (a sweep's points) run once for
 all points: a value is a Python number, or a list of one per point where
 it varies (:func:`_per_point`), formed by the loop's own expression, bit for bit.
@@ -180,7 +182,7 @@ class Branch:
     probes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        _set_mode(self, operator.index(self.mode))
+        _set_mode(self, _check_mode("branch mode", self.mode))
         amp = complex(self.amp)
         probes = tuple(map(complex, self.probes))
         _set_amp(self, amp)
@@ -531,29 +533,29 @@ def _pair_sum(
     numbers all sum here, so an overflowed coherent overlap raises instead
     of passing on as NaN; one whose exponent overflows ``cmath.exp`` raises
     the same ``ValueError``.  With ``parts`` given, ``parts[m]`` also receives
-    <bra|P_m|ket>, bit-equal to the sum for ``ket.project_mode(m)`` (a mode
-    missing from it sums to 0j).
+    <bra|P_m|ket>, unchecked, from the same pass (a mode missing from it
+    sums to 0j).
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
-    instead, the moments from the same exponents, and each of ``parts`` is
-    a checked sum of its own, in mode order.  Below it, the total alone of
-    a pair with a column state on either side sums in
-    :func:`_column_pair_sum`, with the loop's bits; everything else runs
-    the loop over the branches (a column state's are built).  There the
-    overlap is :func:`coherent_overlap` inlined with the same operations
-    in the same order, so every sum is bit-equal to calling it, and
-    ``parts`` holds the pass's unchecked partial sums; -|u|^2/2 and conj(u)
-    are computed once per bra branch, and only when it has a mode-matched
-    partner, and each pair's overlaps once for the norm and all K moments.
-    Cost: O(n^2) in the branch pairs either way.
+    instead, the moments from the same exponents and each part from its
+    mode's blocks, with the bits of the Gram sum for ``ket.project_mode(m)``.
+    Below it, the total alone of a pair with a column state on either side
+    sums in :func:`_column_pair_sum`, with the loop's bits; everything else
+    runs the loop over the branches (a column state's are built).  There the
+    overlap is :func:`coherent_overlap` inlined with the same operations in
+    the same order, so every sum is bit-equal to calling it, and each part
+    is the pass's partial sum, the loop's bits for ``ket.project_mode(m)``;
+    -|u|^2/2 and conj(u) are computed once per bra branch, and only when it
+    has a mode-matched partner, and each pair's overlaps once for the norm
+    and all K moments.  Cost: O(n^2) in the branch pairs either way.
     """
     if bra._cols is not None or ket._cols is not None:
         if _count(bra) * _count(ket) >= _GRAM_MIN_PAIRS:
-            return _gram_sums(bra, ket, moments, parts)
+            return _gram_pair_sum(bra, ket, moments, parts)
         if moments is None and parts is None:
             return _column_pair_sum(bra, ket)
     elif len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS:
-        return _gram_sums(bra, ket, moments, parts)
+        return _gram_pair_sum(bra, ket, moments, parts)
     exp = cmath.exp
     total = 0j
     if moments is not None:
@@ -593,15 +595,6 @@ def _pair_sum(
     _check_finite(total, "inner product")
     for moment in moments or ():
         _check_finite(moment, "inner product")
-    return total
-
-
-def _gram_sums(bra: HybridState, ket: HybridState, moments, parts) -> complex:
-    """:func:`_pair_sum` from ``_GRAM_MIN_PAIRS`` branch pairs on."""
-    total = _gram_pair_sum(bra, ket, moments)
-    if parts is not None:
-        for mode in sorted(set(_columns(ket)[0].tolist())):
-            parts[mode] = _pair_sum(bra, ket.project_mode(mode))
     return total
 
 
@@ -750,7 +743,7 @@ def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bo
     return _require(cmath.isfinite, total), [_require(cmath.isfinite, s) for s in sums]
 
 
-def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = None) -> complex:
+def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None) -> complex:
     """:func:`_pair_sum` as one Gram matrix per mode that both sides hold.
 
     For the n bra and m ket branches of one mode, the probes form U (n x K)
@@ -761,10 +754,13 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = No
     block's sum is w_u . exp(E) . w_v, at most ``_GRAM_BLOCK`` entries at a
     time, for each pair of weight rows: (conj(a_u), a_v) for the total and,
     with ``moments`` given, (conj(a_u) conj(u_k), a_v v_k) for
-    ``moments[k]``, all from the one ``exp(E)``.  Only ufuncs and ``einsum``
-    run here, never BLAS, whose threads would contend for a process pinned
-    to one core.  Overflow gives inf or NaN without a warning and raises in
-    the finite checks at the end, the total's first.
+    ``moments[k]``, all from the one ``exp(E)``.  A block holds one mode, so
+    with ``parts`` given, ``parts[m]`` is mode m's total-weight sums added
+    from 0j: the bits of this sum for ``ket.project_mode(m)``.  Only ufuncs
+    and ``einsum`` run here, never BLAS, whose threads would contend for a
+    process pinned to one core.  Overflow gives inf or NaN without a
+    warning and raises in the finite checks at the end, the total's first;
+    ``parts`` are left unchecked, as the loop leaves them.
     """
     import numpy as np
 
@@ -782,14 +778,18 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments: list | None = No
             hu = -0.5 * (cu.real * cu.real + cu.imag * cu.imag)
             hv = -0.5 * (V.real * V.real + V.imag * V.imag)
             rows = max(1, _GRAM_BLOCK // len(a_v))
+            part = 0j
             for i in range(0, len(a_u), rows):
                 block = slice(i, i + rows)
                 E = np.zeros((len(hu[block]), len(a_v)), dtype=complex)
                 for j in range(ket.k_probes):
                     E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
                 np.exp(E, out=E)
-                for w, (w_u, w_v) in enumerate(weights):
-                    sums[w] += complex(np.einsum("i,ij,j->", w_u[block], E, w_v))
+                chunk = [complex(np.einsum("i,ij,j->", w_u[block], E, w_v)) for w_u, w_v in weights]
+                part += chunk[0]
+                sums = list(map(operator.add, sums, chunk))
+            if parts is not None:
+                parts[mode] = part
     for z in sums:
         _check_finite(z, "inner product")
     if moments is not None:
@@ -959,13 +959,12 @@ def _merge_rows(rows: list) -> list:
     group sums its amplitudes as :func:`_merge_groups` does.  Rows are
     dropped (by :func:`_nonempty` at each point) and sorted as the per-point
     merge does.  Hands over where the points would not share the result or
-    the per-point merge would raise: a varying probe in a shared mode,
-    ``_MERGE_SORT_MIN`` rows or more, a non-finite sum, or a row kept at
-    some points only.
+    the per-point merge would raise: a varying probe in a shared mode, a
+    non-finite sum, or a row kept at some points only.
     """
     shared = len({row[0] for row in rows}) < len(rows)
     if shared:
-        if len(rows) >= _MERGE_SORT_MIN or any(type(p) is list for row in rows for p in row[2]):
+        if any(type(p) is list for row in rows for p in row[2]):
             raise _HandOver
         groups: dict[int, tuple] = {}
         for row, first in zip(rows, _merge_owners([_branch(m, None, ps) for m, _, ps in rows])):

@@ -21,8 +21,11 @@ from qndmzi import (
     Circuit,
     KerrCoupling,
     Snapshot,
+    StageTrace,
     inner_product,
+    run_backward,
     run_both,
+    run_forward,
 )
 
 
@@ -40,6 +43,19 @@ def deep_chain(eps, alpha: complex, k_probes: int = 1, reflectivity: float = mat
         ]
     probes = (complex(alpha), 0.6j * alpha)[:k_probes]
     return Circuit(2, k_probes, tuple(elements), 0, probes)
+
+
+def self_bra_trace(depth: int) -> StageTrace:
+    """A seeded chain run forward, then back from its own final state.
+
+    Its ``final`` stage holds 2**depth x 2**depth branch pairs, and each
+    mode there half as many, so from depth 7 on the stage sums and their
+    per-mode parts are Gram-sized.
+    """
+    rng = random.Random(3)
+    circuit = deep_chain([rng.uniform(0.05, 1.0) for _ in range(depth)], 1.5 - 0.5j)
+    forward = run_forward(circuit).forward
+    return StageTrace(circuit, forward, run_backward(circuit, forward[FINAL_STAGE]).backward)
 
 
 def golden_chains() -> list[Circuit]:

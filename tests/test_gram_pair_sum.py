@@ -3,7 +3,7 @@
 ``states._pair_sum`` hands a sum of at least ``_GRAM_MIN_PAIRS`` branch
 pairs to ``states._gram_pair_sum``, which sums the same terms in another
 order and takes one ``exp`` per pair instead of one per probe, once for the
-total and every probe moment.  Its results must agree with
+total, every probe moment and every per-mode part.  Its results must agree with
 ``overlap_reference`` within 1e-12 max(1, |alpha|^2) times the size of the
 quantity, on deep Kerr chains, on bra != ket pairs and on spliced random
 states.  Below the threshold the loop, and so every bit, stays; an
@@ -32,8 +32,10 @@ from qndmzi import (
     inner_product,
     mean_probe_photons,
     run_both,
+    tsvf_report,
 )
 from qndmzi.states import _GRAM_MIN_PAIRS, _gram_pair_sum, _pair_sum
+from deep_chains import self_bra_trace
 from helpers import random_complex
 from overlap_reference import reference_inner_product, reference_mean_probe_photons
 
@@ -70,9 +72,9 @@ def gram_calls(monkeypatch):
     """Record the (bra, ket) sizes of every pair sum the Gram takes."""
     calls = []
 
-    def counted(bra, ket, moments=None):
+    def counted(bra, ket, moments=None, parts=None):
         calls.append((len(bra.branches), len(ket.branches)))
-        return _gram_pair_sum(bra, ket, moments)
+        return _gram_pair_sum(bra, ket, moments, parts)
 
     monkeypatch.setattr(qndmzi.states, "_gram_pair_sum", counted)
     return calls
@@ -106,6 +108,17 @@ class TestKerrChains:
                     for bra, ket in pairs)
         # Each mean takes the norm and every probe's moment in one sum.
         assert large >= 2 and len(gram_calls) == large + 2
+
+
+def test_tsvf_report_takes_one_gram_pass_per_stage(gram_calls):
+    """Each Gram-sized stage sums its transition amplitude and every part in one pass."""
+    trace = self_bra_trace(7)
+    sizes = [(len(trace.backward[s].branches), len(trace.forward[s].branches))
+             for s in trace.circuit.stages]
+    tsvf_report(trace.circuit, trace=trace)
+    # d6 (64 x 64), d7 and final (128 x 128); each mode at d7 holds 64 branches.
+    assert gram_calls == [(nb, nk) for nb, nk in sizes if nb * nk >= _GRAM_MIN_PAIRS]
+    assert len(gram_calls) == 3
 
 
 def spliced_state(rng: random.Random, radius: float, n_sets: int) -> HybridState:

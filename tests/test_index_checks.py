@@ -132,9 +132,10 @@ def test_bad_labels_indices_and_couplings_fail_alike(build, body, message):
 
 
 def test_branch_takes_integer_modes_only():
-    with pytest.raises(TypeError):
-        Branch(1.5, 1.0, (0j,))
-    with pytest.raises(TypeError):
+    for mode in (None, "0", 1.5):
+        with pytest.raises(ValueError, match=f"^branch mode {mode} is not an integer$"):
+            Branch(mode, 1.0, (0j,))
+    with pytest.raises(ValueError, match="^branch mode 1.0 is not an integer$"):
         HybridState.single_photon(M_MODES, 1.0, (1.0, 0j))
 
 

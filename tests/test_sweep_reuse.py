@@ -726,8 +726,8 @@ class TestAxisDeclinesAtSize:
     The chain is ``tests/deep_chains.py``'s at depth 7 with K = 2: 128
     branches at d7, 64 in each of modes 0 and 1, and 192 from the inner
     splitter on.  The axis hands over to the per-point loop at
-    ``_MERGE_SORT_MIN`` rows in a shared mode and at ``_GRAM_MIN_PAIRS``
-    pairs, and the results keep every bit of ``sweep_reference``'s.
+    ``_GRAM_MIN_PAIRS`` pairs, while its merge takes rows of any count, and
+    the results keep every bit of ``sweep_reference``'s.
     """
 
     PHIS = (0.1, 0.7, 1.9, 2.8, 4.0)
@@ -746,49 +746,53 @@ class TestAxisDeclinesAtSize:
                        detect_stage=detect_stage)
 
     @staticmethod
-    def _declines(monkeypatch, name):
-        """Record the rows of every call of ``analysis.name`` that hands over."""
-        declined = []
+    def _calls(monkeypatch, name):
+        """Record (rows, whether it ran rather than handed over) for every call of ``analysis.name``."""
+        calls = []
         step = getattr(qndmzi.analysis, name)
 
         def counted(*rows):
             try:
-                return step(*rows)
+                out = step(*rows)
             except qndmzi.states._HandOver:
-                declined.append(rows)
+                calls.append((rows, False))
                 raise
+            calls.append((rows, True))
+            return out
 
         monkeypatch.setattr(qndmzi.analysis, name, counted)
-        return declined
+        return calls
 
     def test_fringe_scan_detected_ahead_declines_at_the_pair_count(self, monkeypatch):
-        declined = self._declines(monkeypatch, "_batch_overlaps")
+        calls = self._calls(monkeypatch, "_batch_overlaps")
         for stage in ("d7", "in"):  # ahead of the scanned phase
             circuit = self._circuit(stage)
             for mode in (0, 1):
-                declined.clear()
+                calls.clear()
                 args = (circuit, mode, self.PHIS)
                 assert repr(_outcome(qndmzi.analysis._scan_intensities, *args)) == repr(
                     _outcome(_reference_intensities, *args))
                 # The scan's 64 rows in the detected mode; the Kerr-free
                 # reference's few rows stay on the axis.
-                assert [(len(bra), len(ket)) for bra, ket in declined] == [(64, 64)]
+                declined = [(len(bra), len(ket)) for (bra, ket), ran in calls if not ran]
+                assert declined == [(64, 64)]
                 assert 64 * 64 >= qndmzi.states._GRAM_MIN_PAIRS
                 got = _outcome(fringe_scan, *args)
                 assert repr(got) == repr(_outcome(reference_fringe_scan, *args))
                 assert got[0] is ValueError and "is flat" in got[1]
 
-    def test_leakage_sweep_declines_at_the_merge_size(self, monkeypatch):
-        declined = self._declines(monkeypatch, "_merge_rows")
+    def test_leakage_sweep_merges_every_size_on_the_axis(self, monkeypatch):
+        calls = self._calls(monkeypatch, "_merge_rows")
         circuit = self._circuit()
         for arm_mode, dark_stage in ((1, "d7"), (2, "out"), (0, FINAL_STAGE)):
-            declined.clear()
+            calls.clear()
             args = (circuit, self.DELTAS, arm_mode, dark_stage)
             assert repr(_outcome(leakage_sweep, *args)) == repr(
                 _outcome(reference_leakage_sweep, *args))
-            # The inserted phase's merge: 192 rows with fixed probes, so the
-            # row count alone hands over.
-            [(rows,)] = declined
+            # The inserted phase's merge: 192 rows with fixed probes, past
+            # ``_MERGE_SORT_MIN``, merged once for all points.
+            assert all(ran for _, ran in calls)
+            (rows,), _ = calls[0]
             assert len(rows) == 192 >= qndmzi.states._MERGE_SORT_MIN
             assert not any(type(p) is list for row in rows for p in row[2])
 

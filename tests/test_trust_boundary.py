@@ -6,7 +6,8 @@ without either.  These tests pin both sides: every state the engine yields
 is one the public constructors accept unchanged, and each place where the
 engine's arithmetic can overflow still raises the public constructors'
 error.  They also pin the one-pass stage sums of ``tsvf_report`` against
-the per-mode inner products they replace, bit for bit.
+the per-mode inner products they replace, bit for bit, but for a Gram-sized
+sum's part whose own projected sum is below the Gram size, which is bounded.
 """
 
 import cmath
@@ -18,7 +19,6 @@ import pytest
 
 import qndmzi.analysis
 from qndmzi import (
-    FINAL_STAGE,
     MERGE_TOL,
     PROBE,
     SYS,
@@ -36,14 +36,17 @@ from qndmzi import (
     merge_branches,
     run_backward,
     run_both,
-    run_forward,
     tsvf_report,
 )
 from qndmzi.states import _GRAM_MIN_PAIRS, _pair_sum
 
+from deep_chains import self_bra_trace
 from helpers import random_circuit
 
 HUGE = 1.7e308 + 1.7e308j
+
+#: Relative bound on a Gram block's part against the loop's projected sum.
+PART_TOL = 1e-14
 
 
 def with_snapshots(circuit: Circuit) -> Circuit:
@@ -188,13 +191,28 @@ class TestMergeOfAnOverflowingModulus:
 class TestOnePassStageSums:
     @staticmethod
     def assert_stage_sums(bra, ket):
+        """Parts equal the projected inner products, bit for bit where both take one kernel.
+
+        A Gram-sized sum takes its parts from its mode blocks, so a part
+        whose projected sum falls below ``_GRAM_MIN_PAIRS`` (the loop's)
+        agrees only within ``PART_TOL`` times max(1, |part|).  Returns
+        the number of parts compared so.
+        """
         parts = {}
         assert _pair_sum(bra, ket, parts=parts) == inner_product(bra, ket)
+        gram = len(bra.branches) * len(ket.branches) >= _GRAM_MIN_PAIRS
+        bounded = 0
         for m in range(ket.m_modes):
-            want = inner_product(bra, ket.project_mode(m))
+            projected = ket.project_mode(m)
+            want = inner_product(bra, projected)
             got = parts.get(m, 0j)
-            assert (got.real, got.imag) == (want.real, want.imag)
-            assert repr(got) == repr(want)
+            if gram and len(bra.branches) * len(projected.branches) < _GRAM_MIN_PAIRS:
+                assert abs(got - want) <= PART_TOL * max(1.0, abs(want)), (m, got, want)
+                bounded += 1
+            else:
+                assert (got.real, got.imag) == (want.real, want.imag)
+                assert repr(got) == repr(want)
+        return bounded
 
     @pytest.mark.parametrize("circuit", list(engine_circuits()))
     def test_numerators_equal_the_projected_inner_products(self, circuit):
@@ -203,24 +221,14 @@ class TestOnePassStageSums:
             self.assert_stage_sums(trace.backward[label], trace.forward[label])
 
     def test_gram_sized_stages_keep_their_bits(self):
-        rng = random.Random(3)
-        elements = []
-        for layer in range(7):
-            elements += [
-                BeamSplitter(SYS, 0, 1, math.sqrt(0.5)),
-                KerrCoupling(frozenset({0}), 0, rng.uniform(0.05, 1.0)),
-                Snapshot(f"d{layer}"),
-            ]
-        circuit = Circuit(2, 1, elements, 0, (1.5 - 0.5j,))
-        forward = run_forward(circuit).forward
-        # The forward final state read as the bra: 128 x 128 pairs there.
-        backward = run_backward(circuit, forward[FINAL_STAGE]).backward
-        sizes = [
-            len(forward[s].branches) * len(backward[s].branches) for s in circuit.stages
-        ]
-        assert sum(n >= _GRAM_MIN_PAIRS for n in sizes) >= 2
-        for label in circuit.stages:
-            self.assert_stage_sums(backward[label], forward[label])
+        trace = self_bra_trace(7)
+        sizes = [len(trace.forward[s].branches) * len(trace.backward[s].branches)
+                 for s in trace.circuit.stages]
+        assert sum(n >= _GRAM_MIN_PAIRS for n in sizes) == 3
+        bounded = sum(self.assert_stage_sums(trace.backward[label], trace.forward[label])
+                      for label in trace.circuit.stages)
+        # d6 alone: 64 x 64 pairs, each mode's part 64 x 32.
+        assert bounded == 2
 
     @staticmethod
     def report(bra, ket):
