@@ -430,11 +430,13 @@ def tsvf_report(
 
     ``trace`` defaults to :func:`run_both`; a trace built from
     ``run_backward(circuit, bra)`` reports against a custom final bra.
-    ``threshold`` must be finite and nonnegative; a given ``trace`` must
-    belong to ``circuit`` and hold both directions at every stage.
+    ``threshold`` must be a finite, nonnegative real number, kept as a
+    float; a given ``trace`` must belong to ``circuit`` and hold both
+    directions at every stage.
     """
+    given, threshold = threshold, _real("overlap threshold", threshold)
     if not 0.0 <= threshold < math.inf:
-        raise ValueError(f"overlap threshold must be finite and >= 0, got {threshold!r}")
+        raise ValueError(f"overlap threshold must be finite and >= 0, got {given!r}")
     if trace is None:
         trace = run_both(circuit)
     elif trace.circuit is not circuit and trace.circuit != circuit:

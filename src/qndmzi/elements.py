@@ -12,9 +12,11 @@ parser call as well.  Each element forms its constants once, at
 construction: its factor or matrix, forward and conjugated, and the spans of
 system and probe modes it names.  They sit outside the dataclass fields, so
 ``==``, ``hash``, ``repr`` and ``replace`` ignore them.  An applier reads
-them and hands two steps to one dispatcher, ``_step``: the column step of a
-column state, else, or where it hands over (see :mod:`qndmzi.states`), the
-per-branch step, then the merge.
+them and hands its steps to one dispatcher, ``_step``: the column step of
+a column state, else, or where it hands over (see :mod:`qndmzi.states`),
+the per-branch step, then the merge.  Only the steps of branch growth
+(system splitters, Kerr marks and phases) have a column step: deep
+circuits of those steps are what reach the column form's size.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import mul
 from typing import Union
 
 from .states import (
-    HybridState, _HandOver, _branch, _check_finite, _check_mode, _mix_columns, _per_point, _require,
+    HybridState, _HandOver, _branch, _check_finite, _check_mode, _per_point, _require,
     _scale_branches, _scale_columns, _split_columns, _state, _sum_of_product, merge_branches,
 )
 
@@ -180,12 +182,13 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
 def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
     """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
 
-    A column state takes the column step; where that hands over (see
-    :mod:`qndmzi.states`) or the state has no columns,
-    ``on_branches(state.branches, x, y, z)`` gives the unmerged branches
-    and raises any error.
+    A column state takes the column step, where the element has one (not
+    a probe splitter, whose merge returns a large result to columns); where
+    it has none or hands over (see :mod:`qndmzi.states`), or the state has
+    no columns, ``on_branches(state.branches, x, y, z)`` gives the unmerged
+    branches and raises any error.
     """
-    if state._cols is not None:
+    if on_columns is not None and state._cols is not None:
         try:
             out = on_columns(state, x, y, z)
         except _HandOver:
@@ -203,7 +206,7 @@ def apply_beam_splitter(
     u = bs._adjoint if dagger else bs._unitary
     if bs.target == SYS:
         return _step(state, _split_columns, _split_branches, bs.mode_a, bs.mode_b, u)
-    return _step(state, _mix_columns, _mix_probes, bs.mode_a, bs.mode_b, u)
+    return _step(state, None, _mix_probes, bs.mode_a, bs.mode_b, u)
 
 
 def _split_branches(branches, a: int, b: int, u) -> list:

@@ -48,22 +48,24 @@ a value that code raises on, raises :class:`_HandOver`.  One ``except``
 per entry, around the fast path alone, runs the slower code instead, which
 gives those bits or raises its own error; no public function raises it.
 
-The column form.  A state the engine builds with ``_MERGE_SORT_MIN``
-branches or more and K > 0 (an applier's unmerged output, a merge result,
-a projection or a scaled copy) is a private :class:`_ColumnState`: its
-modes (int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are
-numpy columns, and its ``branches`` are built on first read and kept, so
-``==``, ``hash``, ``repr``, ``copy`` and pickling see the same
-:class:`HybridState` as before.  The element steps, :func:`merge_branches`,
-the Gram pair sum and the pair sum's total below it act on the columns and
-give the per-branch code's bits: every complex product is formed by
-:func:`_cmul` on real and imaginary parts, every overlap by ``cmath.exp``,
-and every sum is added in the loop's order.  Moments and parts below
-``_GRAM_MIN_PAIRS`` pairs run the loop on the built branches.  Where a
-value would not be finite, a step hands over to the per-branch code on
-the built branches, which raises its own error.  Which code a state takes is
-one O(1) check of ``_cols``, None on every other state, so states below
-that size run the per-branch code alone.  Building the branches of a large
+The column form serves branch growth, where system splitters and Kerr
+marks keep doubling and marking branches.  A state the engine builds with
+``_MERGE_SORT_MIN`` branches or more and K > 0 (a column step's unmerged
+output or a merge result) is a private :class:`_ColumnState`: its modes
+(int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are numpy
+columns, and its ``branches`` are built on first read and kept, so ``==``,
+``hash``, ``repr``, ``copy`` and pickling see the same :class:`HybridState`
+as before.  The steps of that growth (system splitters, Kerr marks and
+phases), :func:`merge_branches`, the Gram pair sum and the pair sum's total
+below it act on the columns with the per-branch code's bits: every complex
+product is formed by :func:`_cmul` on real and imaginary parts, every
+overlap by ``cmath.exp``, and every sum is added in the loop's order.
+Probe splitters, projections, scaled copies, and moments and parts below
+``_GRAM_MIN_PAIRS`` pairs run on the built branches; the merge after a
+probe splitter returns its result to columns.  Where a value would not be
+finite, a step hands over to the per-branch code on the built branches,
+which raises its own error.  Which code a state takes is one O(1) check of
+``_cols``, None on every other state.  Building the branches of a large
 state costs more than a column step on it, so they are built only when
 read, not at every stage.
 
@@ -250,19 +252,11 @@ class HybridState:
     def project_mode(self, mode: int) -> "HybridState":
         """Unnormalized restriction to branches with the photon in ``mode``."""
         _check_mode("mode", mode, self.m_modes)
-        cols = self._cols
-        if cols is not None:
-            return _rows_state(self.m_modes, self.k_probes, cols, (cols[0] == mode).nonzero()[0])
         kept = tuple(br for br in self.branches if br.mode == mode)
         return _state(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
         factor = complex(factor)
-        if self._cols is not None:
-            try:
-                return _scale_columns(self, factor)
-            except _HandOver:
-                pass
         return _state(self.m_modes, self.k_probes, tuple(_scale_branches(self.branches, factor)))
 
     def normalized(self) -> "HybridState":
@@ -368,13 +362,6 @@ def _take(cols: tuple, rows) -> tuple:
     return modes[rows], amps[rows], probes[rows]
 
 
-def _rows_state(m_modes: int, k_probes: int, cols: tuple, rows) -> HybridState:
-    """Rows ``rows`` (an index array) of ``cols``: columns from ``_MERGE_SORT_MIN`` rows on."""
-    if len(rows) >= _MERGE_SORT_MIN:
-        return _column_state(m_modes, k_probes, _take(cols, rows))
-    return _state(m_modes, k_probes, tuple(_column_branches(cols, rows)))
-
-
 def _times(factor, z):
     """``factor * z`` per element with CPython's bits (see :func:`_cmul`), as complex."""
     import numpy as np
@@ -417,7 +404,7 @@ def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     return _column_state(state.m_modes, state.k_probes, cols)
 
 
-def _scale_columns(state: HybridState, factor: complex, modes=None, probe=None) -> HybridState:
+def _scale_columns(state: HybridState, factor: complex, modes, probe) -> HybridState:
     """A column state with amplitudes (or probe ``probe``) times ``factor``, unmerged.
 
     Only rows whose mode is in ``modes`` change (every row where it is
@@ -473,27 +460,6 @@ def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
                 br = _branch(br.mode, br.amp, new)
         out.append(br)
     return out
-
-
-def _mix_columns(state: HybridState, a: int, b: int, u) -> HybridState:
-    """A probe splitter with matrix ``u`` on probes a and b of a column state, unmerged.
-
-    Each new probe is u00 pa + u01 pb (or u10 pa + u11 pb) with products by
-    :func:`_cmul`, as the per-branch code forms it.  Hands over where a
-    value is not finite.
-    """
-    import numpy as np
-
-    (u00, u01), (u10, u11) = u
-    modes, amps, probes = state._cols
-    pa, pb = probes[:, a], probes[:, b]
-    probes = probes.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        probes[:, a] = _times(u00, pa) + _times(u01, pb)
-        probes[:, b] = _times(u10, pa) + _times(u11, pb)
-    if np.count_nonzero(np.isfinite(probes[:, [a, b]])) < 2 * len(modes):
-        raise _HandOver
-    return _column_state(state.m_modes, state.k_probes, (modes, amps, probes))
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -1059,5 +1025,8 @@ def _column_merge(state: HybridState) -> HybridState:
     if np.count_nonzero(keep) < len(keep):
         for j in (~keep & (size >= 0.5 * MERGE_TOL)).nonzero()[0].tolist():
             keep[j] = _nonempty(complex(cols[1][j]))
-        return _rows_state(m_modes, k_probes, cols, keep.nonzero()[0])
+        rows = keep.nonzero()[0]
+        if len(rows) < _MERGE_SORT_MIN:
+            return _state(m_modes, k_probes, tuple(_column_branches(cols, rows)))
+        cols = _take(cols, rows)
     return _column_state(m_modes, k_probes, cols)

@@ -10,6 +10,7 @@ overlap that overflows must raise rather than pass on as NaN.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qndmzi import (
@@ -121,6 +122,18 @@ class TestThreshold:
     def test_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
             tsvf_report(build_nested_mzi(0.6, 2.0, 0.0), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", ["0.1", 0.1 + 0j, np.complex128(0.1), None, b"0.1"])
+    def test_non_real_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"^overlap threshold .* is not a real number$"):
+            tsvf_report(build_nested_mzi(0.6, 2.0, 0.0), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [np.float64(0.1), np.float32(0.25), np.int64(1), 1, True])
+    def test_numpy_and_int_kept_as_float(self, threshold):
+        circuit = build_nested_mzi(0.6, 2.0, 0.0)
+        report = tsvf_report(circuit, threshold=threshold)
+        assert type(report.threshold) is float and report.threshold == float(threshold)
+        assert repr(report) == repr(tsvf_report(circuit, threshold=float(threshold)))
 
     def test_zero_accepted(self):
         report = tsvf_report(build_nested_mzi(0.6, 2.0, 0.0), threshold=0.0)
