@@ -43,8 +43,9 @@ from .elements import (
     _phase_factor, _real,
 )
 from .states import (
-    Branch, HybridState, _HandOver, _batch_overlaps, _batch_pair_sum, _check_finite, _check_mode,
-    _check_shape, _merge_rows, _pair_sum, _per_point, _require, inner_product,
+    _GRAM_MIN_PAIRS, Branch, HybridState, _HandOver, _batch_overlaps, _batch_pair_sum,
+    _check_finite, _check_mode, _check_shape, _merge_rows, _pair_sum, _per_point, _require,
+    inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -562,9 +563,14 @@ def _delta_axis_points(
     Runs :func:`_axis_stages` to the end, the leak's pair sum (of fixed
     rows for a dark stage ahead of the phase), :func:`_axis_condition` and
     the overlap with ``base``; the fidelity deficit is formed per point in
-    Python, as :func:`_fidelity` forms it.
+    Python, as :func:`_fidelity` forms it.  Hands over before the axis runs
+    where the prefix's state holds n rows in ``arm_mode`` or the detector
+    mode with n^2 >= ``_GRAM_MIN_PAIRS``, the size at which its pair sums
+    would hand over after every axis merge.
     """
-    if base_norm <= 0.0:
+    modes = [br.mode for br in prefix[0].branches]
+    rows = max(modes.count(arm_mode), modes.count(circuit.postselect_mode))
+    if base_norm <= 0.0 or rows * rows >= _GRAM_MIN_PAIRS:
         raise _HandOver
     stages = _axis_stages(circuit.elements[insert_at:], prefix, SYS, arm_mode,
                           _phase_factors(deltas), (dark_stage, FINAL_STAGE))

@@ -36,6 +36,7 @@ from .states import (
     _check_finite,
     _check_mode,
     _check_shape,
+    _complex,
     _new,
     _set,
     _state,
@@ -73,9 +74,8 @@ class Circuit:
         object.__setattr__(self, "m_modes", m_modes)
         object.__setattr__(self, "k_probes", k_probes)
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(
-            self, "source_probes", tuple(complex(p) for p in self.source_probes)
-        )
+        object.__setattr__(self, "source_probes", tuple(
+            [_complex("source probe amplitude", p) for p in self.source_probes]))
         if len(self.source_probes) != self.k_probes:
             raise ValueError(
                 f"{len(self.source_probes)} source probe amplitudes for "
@@ -270,9 +270,9 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     onto the same port it was fed from.
 
     Raises what ``Circuit(...)`` of the same elements raises, in its order:
-    ``complex(alpha)``, then r, then eps_tau, then sqrt(2)*alpha.
+    alpha as a complex number, then r, then eps_tau, then sqrt(2)*alpha.
     """
-    alpha = complex(alpha)
+    alpha = _complex("alpha", alpha)
     outer = BeamSplitter(SYS, 0, 1, r)
     kerr = KerrCoupling(frozenset({1, 2}), 0, eps_tau)
     probe = math.sqrt(2) * alpha

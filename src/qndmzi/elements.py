@@ -123,7 +123,10 @@ class KerrCoupling:
     eps_tau: float
 
     def __post_init__(self) -> None:
-        modes = frozenset(_check_mode("system mode", m) for m in self.system_modes)
+        try:
+            modes = frozenset([_check_mode("system mode", m) for m in self.system_modes])
+        except TypeError:
+            raise ValueError(f"system modes {self.system_modes!r} are not a collection") from None
         if not modes:
             raise ValueError("Kerr coupling names no system mode")
         object.__setattr__(self, "system_modes", modes)

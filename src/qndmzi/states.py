@@ -16,18 +16,17 @@ Cost model for n branches: :func:`merge_branches` is greedy in input order.
 A branch joins the earliest group it matches among the earlier groups of
 its bucket, so a branch within tolerance of two groups joins the earlier.
 A state already canonical (distinct modes in increasing order, no amplitude
-to drop) costs one pass and comes back as it is, with nothing built; other
-branches in distinct modes cannot merge and skip the scan.  Below
-``_MERGE_SCAN_MAX`` branches, and for every state with K = 0, the bucket is
-the branch's mode.  From there on (with K > 0), one ``np.lexsort`` into
-canonical order comes first, and the bucket is the branch's run of sorted
-same-mode neighbours, each within :data:`MERGE_TOL` of the next along
-Re(probes[0]); a branch alone in its run cannot merge and keeps its sorted
-slot.  Either way a merge costs at worst O(run length x groups in the run)
-summed over its buckets, a mode counting as one run; a state that cannot
-merge costs one O(n log n) sort and a fixed number of numpy calls.  Below
-the bound, groups left in distinct modes sort by mode alone, comparing no
-probes.  The per-branch element steps map branches that share a probe
+to drop) costs one pass and comes back as it is, with nothing built.  Below
+``_COLUMN_MIN`` branches, and for every state with K = 0, the bucket is the
+branch's mode, and groups left in distinct modes sort by mode alone.  From
+there on (with K > 0), the merge runs on the column form: one
+``np.lexsort`` into canonical order comes first, and the bucket is the
+branch's run of sorted same-mode neighbours, each within :data:`MERGE_TOL`
+of the next along Re(probes[0]); a branch alone in its run cannot merge and
+keeps its sorted slot.  Either way a merge costs at worst O(run length x
+groups in the run) summed over its buckets, a mode counting as one run; a
+state that cannot merge costs one O(n log n) sort and a fixed number of
+numpy calls.  The per-branch element steps map branches that share a probe
 tuple (a system splitter's two outputs) to one new tuple, which the merge
 matches by identity.
 
@@ -50,7 +49,7 @@ gives those bits or raises its own error; no public function raises it.
 
 The column form serves branch growth, where system splitters and Kerr
 marks keep doubling and marking branches.  A state the engine builds with
-``_MERGE_SORT_MIN`` branches or more and K > 0 (a column step's unmerged
+``_COLUMN_MIN`` branches or more and K > 0 (a column step's unmerged
 output or a merge result) is a private :class:`_ColumnState`: its modes
 (int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are numpy
 columns, and its ``branches`` are built on first read and kept, so ``==``,
@@ -110,18 +109,18 @@ MERGE_TOL = 1e-12
 #: Gram is about 10x faster than the loop.
 _GRAM_MIN_PAIRS = 4096
 
-#: Branch count from which engine-built states with K > 0 keep the column
-#: form (module docstring).  Where nearly every branch merges the columns
-#: only add their numpy setup, so the bound sits above ``_MERGE_SCAN_MAX``.
-_MERGE_SORT_MIN = 32
-
 #: Branch count from which :func:`merge_branches` (with K > 0) sorts with
-#: numpy first and scans only the runs of sorted neighbours; below it, a
-#: branch scans the earlier groups of its mode.  On Kerr-chain states that
-#: cannot merge the scan takes about 17 us at 8 branches against 20 us for
-#: the sorted pass, and 47 us at 16 against 22 us (one core of a 2-vCPU
-#: Xeon, Python 3.11.7, numpy 2.4.6).
-_MERGE_SCAN_MAX = 16
+#: numpy and scans only the runs of sorted neighbours, and from which its
+#: result keeps the column form (module docstring); below it, a branch scans
+#: the earlier groups of its mode.  On Kerr-chain states that cannot merge
+#: the scan takes about 17 us at 8 branches against 20 us for the sorted
+#: pass, and 47 us at 16 against 22 us.  Where nearly every branch merges
+#: the columns only add their numpy setup: ``run_both`` of a chain whose 10
+#: to 32 branches nearly halve at every merge takes 1.5-1.6x as long as
+#: with results of fewer than 32 branches kept as branches, and a deep
+#: chain whose branches survive 0.98x (one core of a 2-vCPU Xeon, Python
+#: 3.11.7, numpy 2.4.6).
+_COLUMN_MIN = 16
 
 #: Gram entries evaluated at once: bounds the temporaries of one mode block
 #: to 256 kB each, however many branches it holds.
@@ -166,6 +165,24 @@ def _check_counts(m_modes: int, k_probes: int) -> tuple[int, int]:
     return counts
 
 
+def _complex(what: str, value) -> complex:
+    """``value`` as a complex; ``ValueError`` unless it is a number in the float range.
+
+    numpy scalars are numbers; None, a string and bytes are not (the CLI
+    parses text with :func:`~qndmzi.fileformat.parse_complex` first).
+    """
+    if type(value) is complex:
+        return value
+    if not isinstance(value, str):
+        try:
+            return complex(value)
+        except OverflowError:
+            raise ValueError(f"{what} lies beyond the float range") from None
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not a complex number")
+
+
 def _check_finite(z: complex, what: str) -> None:
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite {what}: {z!r}")
@@ -185,8 +202,8 @@ class Branch:
 
     def __post_init__(self) -> None:
         _set_mode(self, _check_mode("branch mode", self.mode))
-        amp = complex(self.amp)
-        probes = tuple(map(complex, self.probes))
+        amp = _complex("branch amplitude", self.amp)
+        probes = tuple([_complex("probe amplitude", p) for p in self.probes])
         _set_amp(self, amp)
         _set_probes(self, probes)
         _check_finite(amp, "branch amplitude")
@@ -242,7 +259,7 @@ class HybridState:
         cls, m_modes: int, mode: int, probes: tuple[complex, ...]
     ) -> "HybridState":
         """State with one photon in ``mode`` and the given probe amplitudes."""
-        probes = tuple(complex(p) for p in probes)
+        probes = tuple([_complex("probe amplitude", p) for p in probes])
         return cls(m_modes, len(probes), (Branch(mode, 1.0, probes),))
 
     def norm_sq(self) -> float:
@@ -256,7 +273,7 @@ class HybridState:
         return _state(self.m_modes, self.k_probes, kept)
 
     def scaled(self, factor: complex) -> "HybridState":
-        factor = complex(factor)
+        factor = _complex("scale factor", factor)
         return _state(self.m_modes, self.k_probes, tuple(_scale_branches(self.branches, factor)))
 
     def normalized(self) -> "HybridState":
@@ -323,15 +340,6 @@ def _column_state(m_modes: int, k_probes: int, cols: tuple) -> HybridState:
     return state
 
 
-def _mode_probe_columns(branches: Sequence[Branch], k_probes: int) -> tuple:
-    """The modes and probes (n x K) of ``branches`` as arrays."""
-    import numpy as np
-
-    n = len(branches)
-    probes = np.fromiter(chain.from_iterable([br.probes for br in branches]), complex, n * k_probes)
-    return np.fromiter([br.mode for br in branches], np.intp, n), probes.reshape(n, k_probes)
-
-
 def _columns(state: HybridState) -> tuple:
     """The column form of ``state``: modes, amplitudes and probes (n x K), kept or built."""
     import numpy as np
@@ -339,9 +347,10 @@ def _columns(state: HybridState) -> tuple:
     cols = state._cols
     if cols is not None:
         return cols
-    branches = state.branches
-    modes, probes = _mode_probe_columns(branches, state.k_probes)
-    return modes, np.fromiter([br.amp for br in branches], complex, len(branches)), probes
+    branches, n, k = state.branches, len(state.branches), state.k_probes
+    probes = np.fromiter(chain.from_iterable([br.probes for br in branches]), complex, n * k)
+    return (np.fromiter([br.mode for br in branches], np.intp, n),
+            np.fromiter([br.amp for br in branches], complex, n), probes.reshape(n, k))
 
 
 def _count(state: HybridState) -> int:
@@ -470,8 +479,8 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     in ``cmath.exp`` or already in |a|^2 or |b|^2, raises the ``ValueError``
     of :func:`_pair_sum`.
     """
-    a = complex(a)
-    b = complex(b)
+    a = _complex("coherent amplitude", a)
+    b = _complex("coherent amplitude", b)
     try:
         overlap = cmath.exp(
             -0.5 * (a.real * a.real + a.imag * a.imag)
@@ -816,22 +825,18 @@ def merge_branches(state: HybridState) -> HybridState:
     A state that one pass finds canonical already (branches in distinct,
     increasing modes, every ``|amp| >= MERGE_TOL``) comes back as it is,
     the same object; an amplitude whose modulus overflows ends that pass.
-    Other states in distinct modes, at most M branches, cannot merge: they
-    are only filtered and sorted by mode, their canonical order.
 
     Merging is greedy in input order: a branch joins the earliest group
     (the first branch of each group fixes its probes) that it matches, or
     starts a new one, so a branch within tolerance of two groups joins the
     earlier.  A |a - b| that overflows exceeds the tolerance.  A branch
-    scans only the earlier groups of its mode, or, from ``_MERGE_SCAN_MAX``
-    branches on with K > 0, of its run of sorted neighbours in
-    :func:`_column_merge`, whose result keeps the column form from
-    ``_MERGE_SORT_MIN`` branches on.  At worst a merge costs O(run length x
-    groups in the run) per run, a mode below the bound counting as one run.
-    Every path gives the same groups, sums and order, bit for bit.
+    scans only the earlier groups of its mode, or, in a state of
+    ``_COLUMN_MIN`` branches or more with K > 0, of its run of sorted
+    neighbours in :func:`_column_merge`.  At worst a merge costs O(run
+    length x groups in the run) per run, a mode below the bound counting as
+    one run.  Both paths give the same groups, sums and order, bit for bit.
     """
-    cols = state._cols
-    if cols is not None and len(cols[0]) > state.m_modes:
+    if state.k_probes and _count(state) >= _COLUMN_MIN:
         return _column_merge(state)
     branches = state.branches
     last = -1
@@ -844,12 +849,6 @@ def merge_branches(state: HybridState) -> HybridState:
             return state
     except OverflowError:
         pass
-    if len(branches) <= state.m_modes and len({br.mode for br in branches}) == len(branches):
-        kept = [br for br in branches if _nonempty(br.amp)]
-        kept.sort(key=_mode_of)
-        return _state(state.m_modes, state.k_probes, tuple(kept))
-    if len(branches) >= _MERGE_SCAN_MAX and state.k_probes:
-        return _column_merge(state)
     kept = [g for g in _merge_groups(branches).values() if _nonempty(g.amp)]
     # In distinct modes the mode alone gives the canonical order.
     kept.sort(key=_mode_of if len({g.mode for g in kept}) == len(kept) else _canonical_key)
@@ -952,7 +951,7 @@ def _merge_rows(rows: list) -> list:
 
 
 def _column_merge(state: HybridState) -> HybridState:
-    """:func:`merge_branches` of a state of ``_MERGE_SCAN_MAX`` branches or more with K > 0.
+    """:func:`merge_branches` of a state of ``_COLUMN_MIN`` branches or more with K > 0.
 
     Runs on the column form, built from the branches if the state has none.
     One ``np.lexsort`` puts the rows in canonical order (mode, then Re p0,
@@ -967,21 +966,12 @@ def _column_merge(state: HybridState) -> HybridState:
     member's sorted slot; every other row is a group of its own.  So
     groups, amplitude sums, finite checks, drops and order are those of the
     scan on the whole state.  A gap that overflows is inf, not a warning.
-    The result keeps columns from ``_MERGE_SORT_MIN`` branches on; below,
-    its branches are built, reusing any :class:`Branch` at hand.
+    A result of ``_COLUMN_MIN`` rows or more keeps the columns; a smaller
+    one is built from them as branches.
     """
     import numpy as np
 
-    m_modes, k_probes = state.m_modes, state.k_probes
-    cols = state._cols
-    if cols is None:
-        # Amplitudes are read from the branches only if the result keeps columns.
-        branches = state.branches
-        modes, probes = _mode_probe_columns(branches, k_probes)
-        amps = None
-    else:
-        branches = None
-        modes, amps, probes = cols
+    modes, amps, probes = cols = _columns(state)
     keys = [modes]
     for p in probes.T:
         keys += [p.real, p.imag]
@@ -989,10 +979,8 @@ def _column_merge(state: HybridState) -> HybridState:
     ranked, re0 = modes[order], probes[order, 0].real
     with np.errstate(over="ignore"):
         close = (ranked[1:] == ranked[:-1]) & (re0[1:] - re0[:-1] <= MERGE_TOL)
-    # The rows that may merge, in input order, and their groups by position.
-    members: list[int] = []
-    groups: dict[int, Branch] = {}
     if np.count_nonzero(close):
+        # The rows that may merge, in input order, and their groups by position.
         candidate = np.zeros(len(modes), dtype=bool)
         candidate[1:] = close
         candidate[:-1] |= close
@@ -1000,18 +988,7 @@ def _column_merge(state: HybridState) -> HybridState:
         runs[order[1:]] = np.cumsum(~close)
         rows = np.sort(order[candidate])
         members = rows.tolist()
-        found = [branches[i] for i in members] if branches else list(_column_branches(cols, rows))
-        groups = _merge_groups(found, runs[rows].tolist())
-    if len(order) - len(members) + len(groups) < _MERGE_SORT_MIN:
-        slots: list[Branch | None] = list(branches or _column_branches(cols))
-        for pos, i in enumerate(members):
-            slots[i] = groups.get(pos)
-        return _state(m_modes, k_probes, tuple(
-            [br for br in map(slots.__getitem__, order.tolist()) if br is not None and _nonempty(br.amp)]
-        ))
-    if amps is None:
-        amps = np.fromiter([br.amp for br in branches], complex, len(branches))
-    if members:
+        groups = _merge_groups(list(_column_branches(cols, rows)), runs[rows].tolist())
         amps = amps.copy()
         for pos, i in enumerate(members):
             if pos in groups:
@@ -1025,8 +1002,7 @@ def _column_merge(state: HybridState) -> HybridState:
     if np.count_nonzero(keep) < len(keep):
         for j in (~keep & (size >= 0.5 * MERGE_TOL)).nonzero()[0].tolist():
             keep[j] = _nonempty(complex(cols[1][j]))
-        rows = keep.nonzero()[0]
-        if len(rows) < _MERGE_SORT_MIN:
-            return _state(m_modes, k_probes, tuple(_column_branches(cols, rows)))
-        cols = _take(cols, rows)
-    return _column_state(m_modes, k_probes, cols)
+        cols = _take(cols, keep.nonzero()[0])
+    if len(cols[0]) < _COLUMN_MIN:
+        return _state(state.m_modes, state.k_probes, tuple(_column_branches(cols)))
+    return _column_state(state.m_modes, state.k_probes, cols)

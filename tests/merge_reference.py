@@ -1,7 +1,7 @@
 """The plain greedy O(n^2) merge loop, as an oracle.
 
 ``states.merge_branches`` compares a branch only with the earlier groups of
-its mode, or, from ``_MERGE_SCAN_MAX`` branches on, of its run of sorted
+its mode, or, from ``_COLUMN_MIN`` branches on, of its run of sorted
 neighbours within ``MERGE_TOL`` along Re(probes[0]).  This copy keeps the
 plain loop, operation for operation (scan every earlier group, first match
 wins), as the oracle the merge equality tests compare against bit for bit.

@@ -7,7 +7,9 @@ function that is renamed or deleted would silently zero its metric.  Each
 a public attribute defined in ``qndmzi.<module>`` (``init`` stands for
 ``__init__``), since the tracer names a function after the module that
 defines it.  The tracer also wraps the methods its ``METHODS`` table names
-through ``vars(cls)[attr]``, so each must still be defined in its class.
+through ``vars(cls)[attr]``, so each must still be defined in its class,
+and every package metric must name a span that the tracer's ``_targets``
+wraps, or ``--trace 1`` would fail on it or read it as zero.
 The benchmark's runner reads numpy's import time from ``python -X
 importtime -c "import qndmzi.cli"`` and fails where numpy is not imported,
 so the CLI must import numpy while the runner reads it.  These files are
@@ -20,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,19 @@ def test_cli_imports_numpy_while_the_runner_times_it():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def traced_spans() -> set[str]:
+    """The span names of the tracer's ``_targets()``, run from its source, writing no bytecode."""
+    tracing = types.ModuleType("perfbench_tracing")
+    tracing.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), vars(tracing))
+    return {name for name, *_ in tracing._targets()}
+
+
+def test_every_package_metric_names_a_traced_span():
+    spans = traced_spans()
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    untraced = [n for n in names
+                if not n.startswith(("cli.", "trace.")) and n.rsplit(".", 1)[0] not in spans]
+    assert untraced == []

@@ -1,17 +1,19 @@
-"""States of ``_MERGE_SORT_MIN`` branches or more run on a column form, with the branch path's bits.
+"""States of ``_COLUMN_MIN`` branches or more run on a column form, with the branch path's bits.
 
-A state the engine builds with at least ``_MERGE_SORT_MIN`` branches and
-K > 0 keeps its modes, amplitudes and probes as numpy columns; the system
+A state the engine builds with at least ``_COLUMN_MIN`` branches and K > 0
+keeps its modes, amplitudes and probes as numpy columns; the system
 splitters, Kerr marks and phases, ``merge_branches`` and the pair sums act
 on those, and its ``branches`` are built on first read.  Probe splitters,
 projections and scaled copies run on the built branches.  Raising
-``_MERGE_SORT_MIN`` past every state's size turns the column form off, so
-every state runs the per-branch code; both runs must agree bit for bit,
-compared by ``repr``, raised errors included.
+``_COLUMN_MIN`` past every state's size turns the column form and the
+sorted merge off, so every state runs the per-branch code and the plain
+mode scan; both runs must agree bit for bit, compared by ``repr``, raised
+errors included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import pickle
@@ -43,12 +45,19 @@ from qndmzi import (
 )
 from qndmzi.states import _pair_sum
 from deep_chains import deep_chain
+from test_merge_index import kerr_chain
 from test_preset import _count_builds
 
 
+@contextlib.contextmanager
 def branch_path():
-    """Patch under which no state takes the column form."""
-    return mock.patch.object(qndmzi.states, "_MERGE_SORT_MIN", 1 << 62)
+    """Patch under which no state takes the column form; one that forms fails the test."""
+    def no_columns(*_):
+        raise AssertionError("a column state formed on the branch path")
+
+    with mock.patch.object(qndmzi.states, "_COLUMN_MIN", 1 << 62), \
+            mock.patch.object(qndmzi.states, "_column_state", no_columns):
+        yield
 
 
 def outcome(circuit: Circuit) -> list[str]:
@@ -133,21 +142,35 @@ def test_equal_marks_merge_alike_property(depth, eps, alpha):
     assert_same_paths(deep_chain([eps] * depth, alpha))
 
 
-def test_marks_on_two_modes():
-    # Each layer splits modes (0, 1) and (1, 2), then marks modes 1 and 2
-    # with its own eps: the Kerr steps take the multi-mode mask on columns
-    # and the ``mode in modes`` test on branches, each at 32+ branches.
+def three_mode_chain(depth: int) -> Circuit:
+    """Per layer: splitters on modes (0, 1) and (1, 2), then a Kerr mark of its own eps on 1, 2."""
     elements = []
-    for i, eps in enumerate((0.11, 0.23, 0.37, 0.41, 0.53, 0.67)):
+    for i, eps in enumerate((0.11, 0.23, 0.37, 0.41, 0.53, 0.67, 0.79)[:depth]):
         elements += [BeamSplitter(SYS, 0, 1, 0.6), BeamSplitter(SYS, 1, 2, 0.6),
                      KerrCoupling(frozenset({1, 2}), 0, eps), Snapshot(f"d{i + 1}")]
-    circuit = Circuit(3, 1, tuple(elements), 0, (2.0,))
+    return Circuit(3, 1, tuple(elements), 0, (2.0,))
+
+
+def test_marks_on_two_modes():
+    # The Kerr steps take the multi-mode mask on columns and the ``mode in
+    # modes`` test on branches, each at 16+ branches.
+    circuit = three_mode_chain(6)
     trace = run_both(circuit)
-    for stages, labels in ((trace.forward, ["d5", "d6", FINAL_STAGE]),
-                           (trace.backward, ["d1", "source"])):
+    for stages, labels in ((trace.forward, ["d4", "d5", "d6", FINAL_STAGE]),
+                           (trace.backward, ["d2", "d1", "source"])):
         assert [label for label in stages if stages[label]._cols is not None] == labels
+    assert len(trace.forward["d4"].branches) == 24
     assert len(trace.forward["d5"].branches) == 48
     assert len(trace.forward[FINAL_STAGE].branches) == 90
+    assert_same_paths(circuit)
+
+
+@pytest.mark.parametrize("circuit", [
+    pytest.param(kerr_chain(9, [0.5] * 9, 2.0), id="equal-eps-chain"),
+    *(pytest.param(three_mode_chain(depth), id=f"three-modes-{depth}") for depth in (5, 6, 7)),
+])
+def test_states_that_merge_in_the_column_band(circuit):
+    # 16 to 31 branches, many of which merge, take columns at every merge.
     assert_same_paths(circuit)
 
 
@@ -256,11 +279,11 @@ class TestColumnState:
 
 
 def test_run_both_builds_branches_only_below_the_column_size(monkeypatch):
-    """``_branch`` calls of a depth-7 chain: only steps on states below 32 branches build any.
+    """``_branch`` calls of a depth-7 chain: only steps on states below 16 branches build any.
 
-    Forward, the source builds 1 branch; a splitter from n < 16 branches
+    Forward, the source builds 1 branch; a splitter from n < 8 branches
     builds 2n and the Kerr mark after it n (its mode-0 half); the splitter
-    from 16 builds 32 on the per-branch code, whose merge moves them to
+    from 8 builds 16 on the per-branch code, whose merge moves them to
     columns.  Backward, the final bra builds 1, each Kerr mark rotates its
     one mode-0 half, and the splitters build as forward.  Nothing after
     that builds a branch until one is read.
@@ -269,12 +292,12 @@ def test_run_both_builds_branches_only_below_the_column_size(monkeypatch):
     circuit = deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 2.0)
     counts = _count_builds(monkeypatch)
     trace = run_both(circuit)
-    forward = 1 + sum(2 * n + n for n in (1, 2, 4, 8)) + 32
-    backward = 1 + (1 + 1 + 2 + 4 + 8) + (2 + 4 + 8 + 16 + 32)
-    assert counts["_branch"] == forward + backward == 157
-    # d5, d6, d7 and final forward (final is d7), d2, d1 and source backward.
+    forward = 1 + sum(2 * n + n for n in (1, 2, 4)) + 16
+    backward = 1 + (1 + 1 + 2 + 4) + (2 + 4 + 8 + 16)
+    assert counts["_branch"] == forward + backward == 77
+    # d4 to d7 and final forward (final is d7), d3, d2, d1 and source backward.
     columns = [s for s in (*trace.forward.values(), *trace.backward.values()) if s._cols is not None]
-    assert len(columns) == 7 and not any(map(built, columns))
+    assert len(columns) == 9 and not any(map(built, columns))
     final = trace.forward[FINAL_STAGE]
-    assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7
-    assert len(final.branches) == 2**7 and counts["_branch"] == 157 + 2**7
+    assert len(final.branches) == 2**7 and counts["_branch"] == 77 + 2**7
+    assert len(final.branches) == 2**7 and counts["_branch"] == 77 + 2**7

@@ -1,8 +1,8 @@
 """The grouped merge gives exactly the greedy merge's result.
 
 ``merge_branches`` compares a branch only with the earlier groups of its
-bucket: its mode below ``_MERGE_SCAN_MAX`` branches, its run of sorted
-neighbours within ``MERGE_TOL`` along Re(probes[0]) from there on.  On
+bucket: its mode below ``_COLUMN_MIN`` branches, its run of sorted
+neighbours within ``MERGE_TOL`` along Re(probes[0]) from there on (K > 0).  On
 every input here its result must equal
 ``merge_reference.reference_merge_branches`` bit for bit: same branches,
 same order, same float bits (signed zeros included).  The inputs aim at the
@@ -10,8 +10,8 @@ edges of the tolerance: offsets of 0.5, 0.99, 1.0 and 1.01 times
 ``MERGE_TOL``, multiples of ``CELL`` (4 * ``MERGE_TOL``), negative and
 signed-zero reals, many groups at one Re(probes[0]), several modes, and
 probes from subnormal to 1.7e308.  ``TestSortedMerge`` checks the sorted
-pass on states of every size around ``_MERGE_SCAN_MAX`` and
-``_MERGE_SORT_MIN``, where its result keeps the column form.  Engine-built
+pass on states of every size around ``_COLUMN_MIN``, from which its result
+keeps the column form, and on larger ones.  Engine-built
 small states whose branches share probe tuples by identity (as the element
 steps leave them) merge and step as the same states with a tuple of their
 own per branch.
@@ -160,12 +160,12 @@ class TestAdversarialStates:
 
 
 class TestDistinctModeShortcut:
-    """States of at most M branches in distinct modes skip the group scan.
+    """States of at most M branches in distinct modes cannot merge.
 
-    They cannot merge, so they are only filtered and sorted by mode.  The
-    scan path groups them with ``_merge_owners``; counting its calls tells
-    which path a state took.  (The scan path's sort key cannot tell: groups
-    left in distinct modes sort by mode there too.)
+    The group scan leaves each branch a group of its own, so they are only
+    filtered and sorted by mode; groups left in distinct modes sort by mode
+    alone.  Counting the calls of ``_merge_owners`` tells whether a state
+    took the scan rather than the canonical return.
     """
 
     AMPS = (0.99 * MERGE_TOL, MERGE_TOL, 1.01 * MERGE_TOL, 1.0, -0.5j, -0.99 * MERGE_TOL)
@@ -183,8 +183,7 @@ class TestDistinctModeShortcut:
         return calls
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_reference(self, monkeypatch, seed):
-        scans = self.group_scans(monkeypatch)
+    def test_matches_the_reference(self, seed):
         rng = random.Random(6100 + seed)
         for _ in range(60):
             m_modes = rng.randint(1, 5)
@@ -197,21 +196,17 @@ class TestDistinctModeShortcut:
                 for m in modes
             )
             assert_same_merge(HybridState(m_modes, k, branches))
-        assert scans == []
 
     @pytest.mark.parametrize("m_modes", [1, 2, 3, 4])
-    def test_as_many_branches_as_modes(self, monkeypatch, m_modes):
-        scans = self.group_scans(monkeypatch)
+    def test_as_many_branches_as_modes(self, m_modes):
         for amp in self.AMPS:
             for order in (range(m_modes)[::-1], (*range(1, m_modes), 0)):
                 branches = tuple(Branch(m, amp * (m + 1), (complex(m, -m),)) for m in order)
                 assert_same_merge(HybridState(m_modes, 1, branches))
-        assert scans == []
 
-    def test_overflowing_modulus_is_kept(self, monkeypatch):
+    def test_overflowing_modulus_is_kept(self):
         # abs() of the amplitude overflows, so the reference cannot take it;
         # the rest of the state must still match it bit for bit.
-        scans = self.group_scans(monkeypatch)
         huge = Branch(1, 1e308 + 1e308j, (0.5j,))
         rest = (Branch(2, 1.01 * MERGE_TOL, (1j,)), Branch(0, 0.99 * MERGE_TOL, (0j,)))
         merged = merge_branches(HybridState(3, 1, (rest[0], huge, rest[1])))
@@ -219,7 +214,6 @@ class TestDistinctModeShortcut:
         assert state_bits(merged) == state_bits(
             HybridState(3, 1, (huge, *want.branches))
         )
-        assert scans == []
 
     def test_two_branches_in_one_mode_use_the_index(self, monkeypatch):
         scans = self.group_scans(monkeypatch)
@@ -354,7 +348,7 @@ def _shared_probe_states(draw):
     k = draw(st.integers(1, 2))
     pool = [tuple(draw(_probe) for _ in range(k)) for _ in range(draw(st.integers(1, 3)))]
     branches = []
-    for _ in range(draw(st.integers(1, qndmzi.states._MERGE_SCAN_MAX - 1))):
+    for _ in range(draw(st.integers(1, qndmzi.states._COLUMN_MIN - 1))):
         probes = draw(st.sampled_from(pool))
         how = draw(st.sampled_from(("shared", "copied", "nudged")))
         if how == "copied":
@@ -424,8 +418,9 @@ def test_steps_give_branches_of_one_probe_tuple_one_new_tuple():
     assert a.probes is c.probes != probes and b.probes is probes
 
 
-THRESHOLD = qndmzi.states._MERGE_SCAN_MAX
-COLUMNS = qndmzi.states._MERGE_SORT_MIN
+THRESHOLD = qndmzi.states._COLUMN_MIN
+#: A size well past the bound, whose merged results keep the column form too.
+COLUMNS = 2 * THRESHOLD
 SIZES = (THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, COLUMNS - 1, COLUMNS, COLUMNS + 1, 64, 500)
 
 

@@ -2,7 +2,7 @@
 
 ``merge_branches`` hands back its input state itself when one pass finds it
 canonical (distinct modes in increasing order, every |amp| >= MERGE_TOL),
-and below ``_MERGE_SCAN_MAX`` branches scans the earlier groups of each
+and below ``_COLUMN_MIN`` branches scans the earlier groups of each
 branch's mode.  A seeded property over states of 0 to 8 branches holds
 every path to ``merge_reference.reference_merge_branches`` bit for bit,
 raised errors included, and a probe ladder of 0 to 18 branches crosses
@@ -50,7 +50,7 @@ def probe(draw):
 def small_states(draw):
     m_modes, k_probes = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     if draw(st.booleans()):
-        # Distinct modes, sorted or not: the canonical pass and the distinct-mode path.
+        # Distinct modes, sorted or not: the canonical pass and the scan of lone groups.
         modes = draw(st.permutations(range(m_modes)))[: draw(st.integers(0, m_modes))]
         if draw(st.booleans()):
             modes = sorted(modes)
@@ -98,7 +98,7 @@ def test_small_merge_matches_reference(state):
         assert (merge_branches(state) is state) == canonical(state)
 
 
-@pytest.mark.parametrize("n", range(qndmzi.states._MERGE_SCAN_MAX + 3))
+@pytest.mark.parametrize("n", range(qndmzi.states._COLUMN_MIN + 3))
 def test_scan_and_index_group_alike(n):
     # n same-mode branches on a ladder of probes about MERGE_TOL apart, in
     # steps of one ulp below, at and above it: one sorted run from the bound

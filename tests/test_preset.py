@@ -38,13 +38,14 @@ from qndmzi import (
     serialize_circuit,
     tsvf_report,
 )
+from qndmzi.states import _complex
 
 _BALANCED = math.sqrt(0.5)
 
 
 def literal_nested_mzi(r, alpha=2.0, eps_tau=0.0) -> Circuit:
-    """The preset with every element constructed in place, in circuit order."""
-    alpha = complex(alpha)
+    """The preset with every element constructed in place, in circuit order, alpha coerced first."""
+    alpha = _complex("alpha", alpha)
     elements = (
         BeamSplitter(SYS, 0, 1, r),
         Snapshot("L1"),

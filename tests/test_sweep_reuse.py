@@ -726,8 +726,8 @@ class TestAxisDeclinesAtSize:
     The chain is ``tests/deep_chains.py``'s at depth 7 with K = 2: 128
     branches at d7, 64 in each of modes 0 and 1, and 192 from the inner
     splitter on.  The axis hands over to the per-point loop at
-    ``_GRAM_MIN_PAIRS`` pairs, while its merge takes rows of any count, and
-    the results keep every bit of ``sweep_reference``'s.
+    ``_GRAM_MIN_PAIRS`` pairs, and the results keep every bit of
+    ``sweep_reference``'s.
     """
 
     PHIS = (0.1, 0.7, 1.9, 2.8, 4.0)
@@ -781,20 +781,18 @@ class TestAxisDeclinesAtSize:
                 assert repr(got) == repr(_outcome(reference_fringe_scan, *args))
                 assert got[0] is ValueError and "is flat" in got[1]
 
-    def test_leakage_sweep_merges_every_size_on_the_axis(self, monkeypatch):
+    def test_leakage_sweep_declines_ahead_of_the_axis(self, monkeypatch):
+        # The prefix holds 64 rows in each mode, so the leak's or the
+        # detector's pair sum would hand over after every axis merge: the
+        # sweep runs per delta from the start.
         calls = self._calls(monkeypatch, "_merge_rows")
         circuit = self._circuit()
+        assert 64 * 64 >= qndmzi.states._GRAM_MIN_PAIRS
         for arm_mode, dark_stage in ((1, "d7"), (2, "out"), (0, FINAL_STAGE)):
-            calls.clear()
             args = (circuit, self.DELTAS, arm_mode, dark_stage)
             assert repr(_outcome(leakage_sweep, *args)) == repr(
                 _outcome(reference_leakage_sweep, *args))
-            # The inserted phase's merge: 192 rows with fixed probes, past
-            # ``_MERGE_SORT_MIN``, merged once for all points.
-            assert all(ran for _, ran in calls)
-            (rows,), _ = calls[0]
-            assert len(rows) == 192 >= qndmzi.states._MERGE_SORT_MIN
-            assert not any(type(p) is list for row in rows for p in row[2])
+            assert calls == []
 
 
 class TestErrorPaths:

@@ -8,6 +8,8 @@ engine's arithmetic can overflow still raises the public constructors'
 error.  They also pin the one-pass stage sums of ``tsvf_report`` against
 the per-mode inner products they replace, bit for bit, but for a Gram-sized
 sum's part whose own projected sum is below the Gram size, which is bounded.
+Every public entry that takes a complex number takes numbers alone, numpy
+scalars included, and raises ``ValueError`` naming the argument otherwise.
 """
 
 import cmath
@@ -32,6 +34,7 @@ from qndmzi import (
     StageTrace,
     apply_element,
     build_nested_mzi,
+    coherent_overlap,
     inner_product,
     merge_branches,
     run_backward,
@@ -282,3 +285,51 @@ class TestOnePassStageSums:
         # One pair sum per stage; the per-mode numerators were three more.
         assert len(sums) == len(circuit.stages)
         assert products == []
+
+
+#: Public entries that take a complex number: (call on the value, the argument's name).
+COMPLEX_ENTRIES = {
+    "build_nested_mzi": (lambda v: build_nested_mzi(0.6, v), "alpha"),
+    "Branch.amp": (lambda v: Branch(0, v, ()), "branch amplitude"),
+    "Branch.probes": (lambda v: Branch(0, 1.0, (0j, v)), "probe amplitude"),
+    "Circuit.source_probes": (lambda v: Circuit(1, 1, (), 0, (v,)), "source probe amplitude"),
+    "HybridState.single_photon": (
+        lambda v: HybridState.single_photon(2, 1, (v,)), "probe amplitude"),
+    "HybridState.scaled": (
+        lambda v: build_nested_mzi(0.6).source_state().scaled(v), "scale factor"),
+    "coherent_overlap.a": (lambda v: coherent_overlap(v, 0.5), "coherent amplitude"),
+    "coherent_overlap.b": (lambda v: coherent_overlap(0.5, v), "coherent amplitude"),
+}
+
+
+class TestComplexInputs:
+    NOT_NUMBERS = [None, "1", "2+1j", b"1", [1.0], object()]
+    NUMBERS = [
+        7, True, -0.0, 0.5, np.int64(3), np.float32(0.5), np.float64(-2.5),
+        np.complex64(1 - 2j), np.complex128(0.25j),
+    ]
+
+    @pytest.mark.parametrize(
+        "value", NOT_NUMBERS, ids=["None", "str", "str-complex", "bytes", "list", "object"])
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRIES))
+    def test_non_numbers_raise(self, entry, value):
+        call, what = COMPLEX_ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{what} .* is not a complex number$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRIES))
+    def test_ints_beyond_the_float_range_raise(self, entry, value):
+        call, what = COMPLEX_ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{what} lies beyond the float range$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", NUMBERS, ids=repr)
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRIES))
+    def test_numbers_are_taken_as_python_complex(self, entry, value):
+        call, _ = COMPLEX_ENTRIES[entry]
+        assert repr(call(value)) == repr(call(complex(value)))
+
+    def test_kerr_coupling_needs_a_collection_of_modes(self):
+        with pytest.raises(ValueError, match="system modes 1 are not a collection"):
+            KerrCoupling(1, 0, 0.3)
