@@ -44,7 +44,7 @@ from .elements import (
 )
 from .states import (
     _GRAM_MIN_PAIRS, Branch, HybridState, _HandOver, _batch_overlaps, _batch_pair_sum,
-    _check_finite, _check_mode, _check_shape, _merge_rows, _pair_sum, _per_point, _require,
+    _check_finite, _check_mode, _check_shape, _collection, _merge_rows, _pair_sum, _per_point, _require,
     inner_product,
 )
 
@@ -116,7 +116,7 @@ def postselect(
     of the first coupling (:func:`_kerr_free_run`).
     """
     stage = trace.detect_stage if at is None else at
-    if stage not in trace.forward:
+    if not isinstance(stage, str) or stage not in trace.forward:
         raise ValueError(f"stage {stage!r} not present in the forward trace")
     probability, conditional = _condition(trace.forward[stage], mode)
     if conditional is None:
@@ -360,7 +360,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     for bit, those of inserting the phase and running each scanned circuit
     forward from the source.
     """
-    phis = tuple([_real("phi", p) for p in phis])
+    phis = tuple([_real("phi", p) for p in _collection("phis", phis)])
     if len(phis) < 4:
         raise ValueError("need at least 4 scan points to fit the fringe")
     if circuit.k_probes != 2:
@@ -522,9 +522,9 @@ def leakage_sweep(
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
     _check_mode("system mode", arm_mode, circuit.m_modes)
-    if dark_stage not in circuit.stages:
+    if not isinstance(dark_stage, str) or dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
-    deltas = tuple([_real("leakage delta", d) for d in deltas])
+    deltas = tuple([_real("leakage delta", d) for d in _collection("deltas", deltas)])
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")

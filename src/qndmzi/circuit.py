@@ -36,6 +36,7 @@ from .states import (
     _check_finite,
     _check_mode,
     _check_shape,
+    _collection,
     _complex,
     _new,
     _set,
@@ -73,9 +74,10 @@ class Circuit:
         m_modes, k_probes = _check_counts(self.m_modes, self.k_probes)
         object.__setattr__(self, "m_modes", m_modes)
         object.__setattr__(self, "k_probes", k_probes)
-        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", _collection("elements", self.elements))
+        probes = _collection("source probes", self.source_probes)
         object.__setattr__(self, "source_probes", tuple(
-            [_complex("source probe amplitude", p) for p in self.source_probes]))
+            [_complex("source probe amplitude", p) for p in probes]))
         if len(self.source_probes) != self.k_probes:
             raise ValueError(
                 f"{len(self.source_probes)} source probe amplitudes for "
@@ -92,7 +94,7 @@ class Circuit:
                 _check_label(el.label, seen)
             else:
                 _check_indices(el, self.m_modes, self.k_probes)
-        if self.detect_stage != FINAL_STAGE and self.detect_stage not in seen:
+        if not isinstance(self.detect_stage, str) or self.detect_stage not in seen | {FINAL_STAGE}:
             raise ValueError(f"detection stage {self.detect_stage!r} has no snapshot")
 
     @property
@@ -108,6 +110,7 @@ class Circuit:
         return _photon_at(self, self.source_mode)
 
     def insert(self, index: int, element: Element) -> "Circuit":
+        index = _check_mode("element index", index)
         els = self.elements[:index] + (element,) + self.elements[index:]
         return replace(self, elements=els)
 

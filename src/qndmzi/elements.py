@@ -14,9 +14,10 @@ system and probe modes it names.  They sit outside the dataclass fields, so
 ``==``, ``hash``, ``repr`` and ``replace`` ignore them.  An applier reads
 them and hands its steps to one dispatcher, ``_step``: the column step of
 a column state, else, or where it hands over (see :mod:`qndmzi.states`),
-the per-branch step, then the merge.  Only the steps of branch growth
-(system splitters, Kerr marks and phases) have a column step: deep
-circuits of those steps are what reach the column form's size.
+the per-branch step, then the merge.  Only the two steps that a chain of
+branch growth repeats have a column step, a system splitter that splits
+every branch and a Kerr mark: deep circuits of those steps are what reach
+the column form's size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Union
 
 from .states import (
-    HybridState, _HandOver, _branch, _check_finite, _check_mode, _per_point, _require,
+    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _per_point, _require,
     _scale_branches, _scale_columns, _split_columns, _state, _sum_of_product, merge_branches,
 )
 
@@ -123,10 +124,8 @@ class KerrCoupling:
     eps_tau: float
 
     def __post_init__(self) -> None:
-        try:
-            modes = frozenset([_check_mode("system mode", m) for m in self.system_modes])
-        except TypeError:
-            raise ValueError(f"system modes {self.system_modes!r} are not a collection") from None
+        modes = _collection("system modes", self.system_modes)
+        modes = frozenset([_check_mode("system mode", m) for m in modes])
         if not modes:
             raise ValueError("Kerr coupling names no system mode")
         object.__setattr__(self, "system_modes", modes)
@@ -185,11 +184,11 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
 def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
     """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
 
-    A column state takes the column step, where the element has one (not
-    a probe splitter, whose merge returns a large result to columns); where
-    it has none or hands over (see :mod:`qndmzi.states`), or the state has
-    no columns, ``on_branches(state.branches, x, y, z)`` gives the unmerged
-    branches and raises any error.
+    A column state takes the column step, where the element has one (a
+    system splitter or a Kerr mark); where it has none or hands over (see
+    :mod:`qndmzi.states`), or the state has no columns,
+    ``on_branches(state.branches, x, y, z)`` gives the unmerged branches
+    and raises any error, and the merge returns a large result to columns.
     """
     if on_columns is not None and state._cols is not None:
         try:
@@ -280,8 +279,8 @@ def apply_phase(
     forward, back = shift._factors
     factor = back if dagger else forward
     if shift.target == SYS:
-        return _step(state, _scale_columns, _scale_branches, factor, shift._indices[0], None)
-    return _step(state, _scale_columns, _scale_branches, factor, None, shift.index)
+        return _step(state, None, _scale_branches, factor, shift._indices[0], None)
+    return _step(state, None, _scale_branches, factor, None, shift.index)
 
 
 def _apply_to_rows(el: Element, rows: list, factor=None) -> list:

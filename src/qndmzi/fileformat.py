@@ -36,7 +36,7 @@ from .elements import (
     Snapshot,
     _check_indices,
 )
-from .states import _check_counts, _check_finite, _check_mode
+from .states import _check_counts, _check_finite, _check_mode, _complex
 
 
 class CircuitFormatError(ValueError):
@@ -50,6 +50,8 @@ class CircuitFormatError(ValueError):
 
 def parse_complex(token: str) -> complex:
     """Parse ``a+bi`` / ``a-bi`` / bare-real literals."""
+    if not isinstance(token, str):
+        raise ValueError(f"complex literal {token!r} is not a str")
     tok = token.strip()
     try:
         if not tok.endswith("i"):
@@ -69,7 +71,7 @@ def parse_complex(token: str) -> complex:
 
 
 def format_complex(z: complex) -> str:
-    z = complex(z)
+    z = _complex("value", z)
     sign = "+" if z.imag >= 0 else "-"
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
@@ -129,6 +131,8 @@ def parse_circuit(text: str) -> Circuit:
     and a missing source line.  Each line is checked as it is read, by the
     same checks, with the same text, that :class:`Circuit` makes.
     """
+    if not isinstance(text, str):
+        raise CircuitFormatError(None, f"circuit text {text!r} is not a str")
     m_modes: int | None = None
     k_probes: int | None = None
     source_mode: int | None = None

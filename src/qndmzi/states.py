@@ -54,19 +54,19 @@ output or a merge result) is a private :class:`_ColumnState`: its modes
 (int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are numpy
 columns, and its ``branches`` are built on first read and kept, so ``==``,
 ``hash``, ``repr``, ``copy`` and pickling see the same :class:`HybridState`
-as before.  The steps of that growth (system splitters, Kerr marks and
-phases), :func:`merge_branches`, the Gram pair sum and the pair sum's total
-below it act on the columns with the per-branch code's bits: every complex
-product is formed by :func:`_cmul` on real and imaginary parts, every
-overlap by ``cmath.exp``, and every sum is added in the loop's order.
-Probe splitters, projections, scaled copies, and moments and parts below
-``_GRAM_MIN_PAIRS`` pairs run on the built branches; the merge after a
-probe splitter returns its result to columns.  Where a value would not be
-finite, a step hands over to the per-branch code on the built branches,
-which raises its own error.  Which code a state takes is one O(1) check of
-``_cols``, None on every other state.  Building the branches of a large
-state costs more than a column step on it, so they are built only when
-read, not at every stage.
+as before.  The two steps such a chain repeats (a system splitter that
+splits every branch, and a Kerr mark), :func:`merge_branches`, the Gram
+pair sum and the pair sum's total below it act on the columns with the
+per-branch code's bits: every complex product is formed by :func:`_times`
+on real and imaginary parts, every overlap by ``cmath.exp``, and every sum
+is added in the loop's order.  Every other step (a splitter that leaves a
+branch in place, a phase shift, a probe splitter), projections, scaled
+copies, and moments and parts below ``_GRAM_MIN_PAIRS`` pairs run on the
+built branches, as does a column step where a value would not be finite,
+and the merge after them returns a large result to columns.  Which code
+a state takes is one O(1) check of ``_cols``, None on every other state.
+Building the branches of a large state costs more than a column step on
+it, so they are built only when read, not at every stage.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution
@@ -183,6 +183,19 @@ def _complex(what: str, value) -> complex:
     raise ValueError(f"{what} {value!r} is not a complex number")
 
 
+def _collection(what: str, value) -> tuple:
+    """The items of ``value`` as a tuple; ``ValueError`` unless it is iterable and not str or bytes."""
+    if type(value) is tuple:
+        return value
+    try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError
+        items = iter(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not a collection") from None
+    return tuple(items)
+
+
 def _check_finite(z: complex, what: str) -> None:
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite {what}: {z!r}")
@@ -203,7 +216,7 @@ class Branch:
     def __post_init__(self) -> None:
         _set_mode(self, _check_mode("branch mode", self.mode))
         amp = _complex("branch amplitude", self.amp)
-        probes = tuple([_complex("probe amplitude", p) for p in self.probes])
+        probes = tuple([_complex("probe amplitude", p) for p in _collection("probes", self.probes)])
         _set_amp(self, amp)
         _set_probes(self, probes)
         _check_finite(amp, "branch amplitude")
@@ -245,8 +258,10 @@ class HybridState:
         m_modes, k_probes = _check_counts(self.m_modes, self.k_probes)
         _set_m_modes(self, m_modes)
         _set_k_probes(self, k_probes)
-        _set_branches(self, tuple(self.branches))
+        _set_branches(self, _collection("branches", self.branches))
         for br in self.branches:
+            if not isinstance(br, Branch):
+                raise ValueError(f"branch {br!r} is not a Branch")
             _check_mode("branch mode", br.mode, self.m_modes)
             if len(br.probes) != self.k_probes:
                 raise DimensionMismatchError(
@@ -259,7 +274,7 @@ class HybridState:
         cls, m_modes: int, mode: int, probes: tuple[complex, ...]
     ) -> "HybridState":
         """State with one photon in ``mode`` and the given probe amplitudes."""
-        probes = tuple([_complex("probe amplitude", p) for p in probes])
+        probes = tuple([_complex("probe amplitude", p) for p in _collection("probes", probes)])
         return cls(m_modes, len(probes), (Branch(mode, 1.0, probes),))
 
     def norm_sq(self) -> float:
@@ -372,11 +387,16 @@ def _take(cols: tuple, rows) -> tuple:
 
 
 def _times(factor, z):
-    """``factor * z`` per element with CPython's bits (see :func:`_cmul`), as complex."""
+    """``factor * z`` per element of numpy arrays, as complex, with CPython's bits.
+
+    numpy's complex ``*`` may round differently from CPython's; the parts
+    fr zr - fi zi and fr zi + fi zr, formed on floats, are CPython's.
+    """
     import numpy as np
 
     out = np.empty(np.broadcast(factor, z).shape, complex)
-    out.real, out.imag = _cmul(factor.real, factor.imag, z.real, z.imag)
+    fr, fi, zr, zi = factor.real, factor.imag, z.real, z.imag
+    out.real, out.imag = fr * zr - fi * zi, fr * zi + fi * zr
     return out
 
 
@@ -384,60 +404,42 @@ def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     """A system splitter with matrix ``u`` on modes a and b of a column state, unmerged.
 
     As in :func:`~qndmzi.elements._split_branches`, a branch in mode a
-    becomes (a, u00 amp) then (b, u10 amp) in its place, one in mode b
-    becomes (a, u01 amp) then (b, u11 amp), and every other branch stays.
-    The products cannot overflow (see there), so this cannot fail.
+    becomes (a, u00 amp) then (b, u10 amp) in its place, and one in mode b
+    becomes (a, u01 amp) then (b, u11 amp).  Hands over unless every branch
+    sits in mode a or b.  The products cannot overflow (see there).
     """
     import numpy as np
 
     (u00, u01), (u10, u11) = u
     modes, amps, probes = state._cols
     in_a = modes == a
-    splits = in_a | (modes == b)
-    if np.count_nonzero(splits) == len(modes):
-        # Every branch splits: its copies take slots 2i and 2i + 1.
-        out_modes = np.empty(2 * len(modes), np.intp)
-        out_modes[0::2], out_modes[1::2] = a, b
-        out_amps = _times(np.where(in_a, [[u00], [u10]], [[u01], [u11]]), amps).T.ravel()
-        cols = out_modes, out_amps, probes.repeat(2, axis=0)
-        return _column_state(state.m_modes, state.k_probes, cols)
-    rows = np.repeat(np.arange(len(modes)), splits + 1)
-    split = splits.nonzero()[0]
-    # Output slots of each split branch's two copies, one row per copy.
-    slots = split + np.arange(len(split)) + [[0], [1]]
-    factors = np.where(in_a[split], [[u00], [u10]], [[u01], [u11]])
-    out_modes, out_amps = modes[rows], amps[rows]
-    out_modes[slots] = [[a], [b]]
-    out_amps[slots] = _times(factors, amps[split])
-    cols = out_modes, out_amps, probes[rows]
+    if np.count_nonzero(in_a | (modes == b)) < len(modes):
+        raise _HandOver
+    # The copies of branch i take slots 2i and 2i + 1.
+    out_modes = np.empty(2 * len(modes), np.intp)
+    out_modes[0::2], out_modes[1::2] = a, b
+    out_amps = _times(np.where(in_a, [[u00], [u10]], [[u01], [u11]]), amps).T.ravel()
+    cols = out_modes, out_amps, probes.repeat(2, axis=0)
     return _column_state(state.m_modes, state.k_probes, cols)
 
 
-def _scale_columns(state: HybridState, factor: complex, modes, probe) -> HybridState:
-    """A column state with amplitudes (or probe ``probe``) times ``factor``, unmerged.
+def _scale_columns(state: HybridState, factor: complex, modes, probe: int) -> HybridState:
+    """A Kerr mark on a column state, unmerged: probe ``probe`` times ``factor`` in rows of ``modes``.
 
-    Only rows whose mode is in ``modes`` change (every row where it is
-    None), each by :func:`_cmul` as the per-branch code forms ``factor *
-    value``.  Hands over where a value written is not finite.
+    Each value changes by :func:`_times`, as the per-branch code forms
+    ``factor * value``.  Hands over where a value written is not finite.
     """
     import numpy as np
 
     rows, amps, probes = state._cols
-    old = amps if probe is None else probes[:, probe]
+    old = probes[:, probe]
+    marked = reduce(operator.or_, [rows == mode for mode in modes])
     with np.errstate(over="ignore", invalid="ignore"):
-        new = _times(factor, old)
-    if modes is not None:
-        mask = None
-        for mode in modes:
-            mask = rows == mode if mask is None else mask | (rows == mode)
-        new = np.where(mask, new, old)
+        new = np.where(marked, _times(factor, old), old)
     if np.count_nonzero(np.isfinite(new)) < len(new):
         raise _HandOver
-    if probe is None:
-        amps = new
-    else:
-        probes = probes.copy()
-        probes[:, probe] = new
+    probes = probes.copy()
+    probes[:, probe] = new
     return _column_state(state.m_modes, state.k_probes, (rows, amps, probes))
 
 
@@ -578,7 +580,7 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
 
     numpy finds the mode-matched pairs (u, v), in the loop's bra-major
     order, and forms each pair's overlap exponents by the loop's own float
-    operations (as :func:`_cmul` does; a float plus a complex adds 0.0 to
+    operations (as :func:`_times` does; a float plus a complex adds 0.0 to
     the imaginary part).  The rest runs on Python complex values, probe by
     probe: each pair's term conj(a_u) a_v is multiplied by ``cmath.exp`` of
     its probe-k exponent for k = 0, 1, ..., as the loop multiplies it, and
@@ -609,15 +611,6 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
         total += term
     _check_finite(total, "inner product")
     return total
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) on float arrays, as CPython forms a complex product.
-
-    numpy's complex ``*`` may round differently from CPython's; this form
-    gives CPython's bits on every element of a column.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _each(value):

@@ -1,14 +1,17 @@
 """States of ``_COLUMN_MIN`` branches or more run on a column form, with the branch path's bits.
 
 A state the engine builds with at least ``_COLUMN_MIN`` branches and K > 0
-keeps its modes, amplitudes and probes as numpy columns; the system
-splitters, Kerr marks and phases, ``merge_branches`` and the pair sums act
-on those, and its ``branches`` are built on first read.  Probe splitters,
-projections and scaled copies run on the built branches.  Raising
-``_COLUMN_MIN`` past every state's size turns the column form and the
-sorted merge off, so every state runs the per-branch code and the plain
-mode scan; both runs must agree bit for bit, compared by ``repr``, raised
-errors included.
+keeps its modes, amplitudes and probes as numpy columns, and its
+``branches`` are built on first read.  Two element steps act on the
+columns, the two that a chain of branch growth repeats: a system splitter
+that splits every branch, and a Kerr mark.  So do ``merge_branches`` and
+the pair sums.  Every other step (a splitter that leaves a branch in place,
+a phase shift, a probe splitter), projections and scaled copies run on the
+built branches, and the merge after them returns a large result to
+columns.  Raising ``_COLUMN_MIN`` past every state's size turns the column
+form and the sorted merge off, so every state runs the per-branch code and
+the plain mode scan; both runs must agree bit for bit, compared by
+``repr``, raised errors included.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import qndmzi.elements
 import qndmzi.states
 from qndmzi import (
     FINAL_STAGE,
@@ -36,6 +40,7 @@ from qndmzi import (
     KerrCoupling,
     PhaseShift,
     Snapshot,
+    apply_element,
     inner_product,
     mean_probe_photons,
     postselect,
@@ -43,7 +48,7 @@ from qndmzi import (
     run_forward,
     tsvf_report,
 )
-from qndmzi.states import _pair_sum
+from qndmzi.states import _HandOver, _pair_sum
 from deep_chains import deep_chain
 from test_merge_index import kerr_chain
 from test_preset import _count_builds
@@ -172,6 +177,85 @@ def test_marks_on_two_modes():
 def test_states_that_merge_in_the_column_band(circuit):
     # 16 to 31 branches, many of which merge, take columns at every merge.
     assert_same_paths(circuit)
+
+
+@pytest.mark.parametrize("extra", ["phase", "probe"])
+@pytest.mark.parametrize("depth", [6, 7, 8])
+def test_steps_without_a_column_form_on_every_layer(extra, depth):
+    # A phase shift, or a probe splitter and a probe phase, after every Kerr
+    # mark: each runs on the built branches and its merge returns to columns.
+    rng = random.Random(f"{extra} {depth}")
+    layers = [(_BALANCED, rng.uniform(0.05, 1.0), extra) for _ in range(depth)]
+    circuit = chain(layers, 2.0 - 0.5j, 2)
+    assert run_forward(circuit).forward[FINAL_STAGE]._cols is not None
+    assert_same_paths(circuit)
+
+
+@contextlib.contextmanager
+def column_steps():
+    """Patch under which the column steps log (name, the state's branch count, outcome) per call."""
+    calls: list[tuple[str, int, str]] = []
+
+    def spy(name):
+        step = getattr(qndmzi.elements, name)
+
+        def logged(state, *args):
+            try:
+                out = step(state, *args)
+            except _HandOver:
+                calls.append((name, qndmzi.states._count(state), "hand-over"))
+                raise
+            calls.append((name, qndmzi.states._count(state), "columns"))
+            return out
+        return mock.patch.object(qndmzi.elements, name, logged)
+
+    with spy("_split_columns"), spy("_scale_columns"):
+        yield calls
+
+
+def test_partial_split_hands_over():
+    # At d4 the three-mode chain holds 24 branches in all three modes, so a
+    # splitter on modes 0 and 1 leaves the mode-2 branches in place.
+    state = run_forward(three_mode_chain(4)).forward["d4"]
+    assert state._cols is not None and not built(state)
+    for el in (BeamSplitter(SYS, 0, 1, 0.6), BeamSplitter(SYS, 2, 1, 0.3)):
+        with column_steps() as calls:
+            got = apply_element(state, el)
+        assert calls == [("_split_columns", 24, "hand-over")]
+        assert got._cols is not None
+        assert repr(got) == repr(apply_element(twin(state), el))
+
+
+def test_full_split_and_kerr_mark_stay_on_columns(column_state):
+    steps = [BeamSplitter(SYS, 1, 0, 0.3), KerrCoupling(frozenset({1}), 0, 0.4)]
+    for el, name in zip(steps, ("_split_columns", "_scale_columns")):
+        for dagger in (False, True):
+            with column_steps() as calls:
+                got = apply_element(column_state, el, dagger)
+            assert calls == [(name, 128, "columns")]
+            assert repr(got) == repr(apply_element(twin(column_state), el, dagger))
+
+
+@pytest.mark.parametrize("shift", [PhaseShift(SYS, 0, 0.7), PhaseShift(SYS, 1, -2.1),
+                                   PhaseShift(PROBE, 0, 0.7)], ids=repr)
+def test_phase_shifts_take_no_column_step(column_state, shift):
+    for dagger in (False, True):
+        with column_steps() as calls:
+            got = apply_element(column_state, shift, dagger)
+        assert calls == []
+        assert got._cols is not None
+        assert repr(got) == repr(apply_element(twin(column_state), shift, dagger))
+
+
+def test_column_steps_run_only_in_branch_growth():
+    # Forward and backward over the depth-7 chain: every splitter from 16
+    # branches splits them all, and every Kerr mark from 16 runs on columns.
+    rng = random.Random(29)
+    with column_steps() as calls:
+        run_both(deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], 2.0))
+    assert {outcome for *_, outcome in calls} == {"columns"}
+    assert [name for name, *_ in calls].count("_split_columns") == 3 + 3
+    assert [name for name, *_ in calls].count("_scale_columns") == 4 + 3
 
 
 @pytest.mark.parametrize("alpha", [1e154, 1e160, 1.2e308, 1e308 + 1e308j])

@@ -1,0 +1,171 @@
+"""One input contract for every public entry: return, or raise ``ValueError``/``IndexError``.
+
+Each scalar or collection argument of each public constructor, method and
+function is drawn from one grammar of awkward values: None, str, bytes and
+bool; complex where a real is expected; numpy int, float and complex
+scalars; +-0.0, +-inf and nan; ints beyond the float range and magnitudes
+near overflow and underflow; a scalar where a collection is expected and a
+list where a label is expected.  The other arguments of a call keep a valid
+value, or draw too.  Whatever the draw, the call returns or raises
+``ValueError`` or ``IndexError`` (the package's own errors subclass
+``ValueError``): no bare ``TypeError``, ``AttributeError``,
+``OverflowError`` or ``ZeroDivisionError`` escapes.
+
+Arguments that take engine objects (states, circuits, traces, elements)
+keep a valid one; their contract is the element and state checks'.  The
+report lookups ``TsvfReport.stage``/``overlap_modes`` raise ``KeyError``
+for a label they do not hold, as a mapping does, and are not drawn.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qndmzi import (
+    FINAL_STAGE,
+    SYS,
+    BeamSplitter,
+    Branch,
+    Circuit,
+    HybridState,
+    KerrCoupling,
+    PhaseShift,
+    Snapshot,
+    apply_element,
+    build_nested_mzi,
+    coherent_overlap,
+    format_complex,
+    fringe_scan,
+    leakage_sweep,
+    parse_circuit,
+    parse_complex,
+    postselect,
+    run_both,
+    serialize_circuit,
+    tsvf_report,
+)
+
+_MAX = 1.7976931348623157e308
+
+
+def _numpy(kinds, values):
+    """A numpy scalar of one of ``kinds``, from ``values(kind)``."""
+    return st.sampled_from(kinds).flatmap(lambda kind: values(kind).map(kind))
+
+
+def _bits(kind) -> int:
+    return np.dtype(kind).itemsize * 8
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                     1e-200, 1e154, 1e200, _MAX, -_MAX]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.integers(2**1024, 2**1100),
+    st.integers(-(2**1100), -(2**1024)),
+    _numpy([np.int8, np.int64, np.uint64],
+           lambda kind: st.integers(int(np.iinfo(kind).min), int(np.iinfo(kind).max))),
+    _numpy([np.float16, np.float32, np.float64],
+           lambda kind: st.floats(width=_bits(kind), allow_nan=True, allow_infinity=True)),
+    _numpy([np.complex64, np.complex128],
+           lambda kind: st.complex_numbers(width=_bits(kind), allow_nan=True, allow_infinity=True)),
+)
+#: Any awkward value: a scalar, or a list of them where a scalar or label is expected.
+AWKWARD = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+def arg(valid) -> st.SearchStrategy:
+    """A scalar or label argument: ``valid`` or an awkward value."""
+    return st.one_of(st.just(valid), AWKWARD)
+
+
+def items(valid, min_size: int = 0, max_size: int = 4) -> st.SearchStrategy:
+    """A collection argument: a non-collection, or a list or tuple of ``valid`` and awkward items."""
+    values = st.lists(st.one_of(st.just(valid), SCALARS), min_size=min_size, max_size=max_size)
+    return st.one_of(SCALARS, values, values.map(tuple))
+
+
+PRESET = build_nested_mzi(0.6, 2.0, 0.3)
+TRACE = run_both(PRESET)
+STATE = PRESET.source_state()
+#: A valid, engine-object-only collection argument, or a value that is no collection.
+ELEMENTS = st.one_of(st.just(()), st.just((Snapshot("s"),)), SCALARS)
+
+#: Public entry -> (callable, one strategy per positional argument).
+ENTRIES = {
+    "Branch": (Branch, [arg(0), arg(1.0), items(0.5)]),
+    "HybridState": (HybridState, [arg(1), arg(0), items(Branch(0, 1.0, ()))]),
+    "HybridState.single_photon": (HybridState.single_photon, [arg(2), arg(0), items(0.5)]),
+    "HybridState.project_mode": (STATE.project_mode, [arg(0)]),
+    "HybridState.scaled": (STATE.scaled, [arg(0.5)]),
+    "BeamSplitter": (BeamSplitter, [arg(SYS), arg(0), arg(1), arg(0.6)]),
+    "KerrCoupling": (KerrCoupling, [items(0, min_size=1), arg(0), arg(0.3)]),
+    "PhaseShift": (PhaseShift, [arg(SYS), arg(0), arg(0.3)]),
+    "Snapshot": (Snapshot, [arg("x")]),
+    "Circuit": (Circuit, [arg(1), arg(1), ELEMENTS, arg(0), items(0.5), arg(0), arg(FINAL_STAGE)]),
+    "Circuit.insert": (lambda index: PRESET.insert(index, Snapshot("x")), [arg(1)]),
+    "build_nested_mzi": (build_nested_mzi, [arg(0.6), arg(2.0), arg(0.3)]),
+    "coherent_overlap": (coherent_overlap, [arg(0.5), arg(0.5j)]),
+    "postselect": (lambda *a: postselect(TRACE, *a), [arg(0), arg("L3"), arg(True)]),
+    "tsvf_report": (lambda t: tsvf_report(PRESET, t, TRACE), [arg(1e-10)]),
+    "fringe_scan": (lambda *a: fringe_scan(PRESET, *a), [arg(0), items(1.0, max_size=6)]),
+    "leakage_sweep": (lambda *a: leakage_sweep(PRESET, *a), [items(1e-3), arg(1), arg("L3")]),
+    "parse_complex": (parse_complex, [arg("1-2i")]),
+    "parse_circuit": (parse_circuit, [arg(serialize_circuit(PRESET))]),
+    "format_complex": (format_complex, [arg(1 - 2j)]),
+    "apply_element": (lambda dagger: apply_element(STATE, PRESET.elements[0], dagger), [arg(True)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_entry_returns_or_raises_value_error(entry, data):
+    call, strategies = ENTRIES[entry]
+    args = data.draw(st.tuples(*strategies), label="args")
+    try:
+        call(*args)
+    except (ValueError, IndexError):
+        pass
+
+
+#: Calls that once raised a bare error or read a value wrongly without one.
+REJECTED = {
+    "Branch probes 5": lambda: Branch(0, 1.0, 5),
+    "Branch probes bytes": lambda: Branch(0, 1.0, b"1"),
+    "single_photon probes 5": lambda: HybridState.single_photon(2, 0, 5),
+    "HybridState branches 5": lambda: HybridState(1, 1, 5),
+    "HybridState branch 5": lambda: HybridState(1, 1, (5,)),
+    "Circuit source probes 5": lambda: Circuit(1, 1, (), 0, 5),
+    "Circuit elements 5": lambda: Circuit(1, 0, 5, 0, ()),
+    "Circuit detect_stage list": lambda: Circuit(1, 0, (), 0, (), detect_stage=[]),
+    "Circuit.insert index 1.5": lambda: PRESET.insert(1.5, Snapshot("x")),
+    "fringe_scan phis 5": lambda: fringe_scan(PRESET, 2, 5),
+    "fringe_scan phis bytes": lambda: fringe_scan(PRESET, 2, b"\x00\x01\x02\x03"),
+    "leakage_sweep deltas 5": lambda: leakage_sweep(PRESET, 5),
+    "KerrCoupling modes bytes": lambda: KerrCoupling(b"\x00", 0, 0.3),
+    "format_complex None": lambda: format_complex(None),
+    "format_complex 1e400": lambda: format_complex(10**400),
+    "format_complex str": lambda: format_complex("1"),
+    "parse_complex None": lambda: parse_complex(None),
+    "parse_circuit None": lambda: parse_circuit(None),
+    "postselect at list": lambda: postselect(TRACE, 0, at=[]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_known_cases_raise_value_error(case):
+    with pytest.raises(ValueError):
+        REJECTED[case]()

@@ -35,6 +35,7 @@ from qndmzi import (
     apply_element,
     build_nested_mzi,
     coherent_overlap,
+    format_complex,
     inner_product,
     merge_branches,
     run_backward,
@@ -299,6 +300,7 @@ COMPLEX_ENTRIES = {
         lambda v: build_nested_mzi(0.6).source_state().scaled(v), "scale factor"),
     "coherent_overlap.a": (lambda v: coherent_overlap(v, 0.5), "coherent amplitude"),
     "coherent_overlap.b": (lambda v: coherent_overlap(0.5, v), "coherent amplitude"),
+    "format_complex": (format_complex, "value"),
 }
 
 
@@ -331,5 +333,5 @@ class TestComplexInputs:
         assert repr(call(value)) == repr(call(complex(value)))
 
     def test_kerr_coupling_needs_a_collection_of_modes(self):
-        with pytest.raises(ValueError, match="system modes 1 are not a collection"):
+        with pytest.raises(ValueError, match="system modes 1 is not a collection"):
             KerrCoupling(1, 0, 0.3)
