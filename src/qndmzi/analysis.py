@@ -7,26 +7,28 @@ stay correct when a conditional state is a superposition of coherent
 branches rather than a single product.
 
 Cost: the sweeps evolve the circuit prefix their points share once (a
-fringe scan's Kerr-free reference resumes from it), and read a stage ahead
-of the inserted phase once.  Past it, one axis engine runs the suffix once
-for all points: each branch is a row whose amplitude and probes are Python
-complex values where they are the same at every point and lists of one per
-point where they vary (:func:`_axis_stages`), formed by the per-branch
-expressions.  Where rows could not share one structure, or a point would
-raise, the axis hands over (:mod:`qndmzi.states`) to the per-point run.
+fringe scan's Kerr-free reference resumes from it), and past it they run a
+fixed number of times, whatever the number of points.  Every element after
+a leakage sweep's phase is linear, so two runs, of the prefix state and of
+its part in the perturbed arm, give every delta in closed form
+(:func:`leakage_sweep`).  A fringe is a degree-1 trigonometric form in the
+scanned phase unless a system splitter follows a Kerr coupling past it, so
+three sampled phases give every point (:func:`fringe_scan`); elsewhere the
+scan also runs once per phase.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+# Unused here, but kept: perfbench/run.py::import_times reads numpy's import
+# time under the CLI and raises KeyError if the CLI stops importing numpy, as
+# tests/test_benchmark_layers.py::test_cli_imports_numpy_while_the_runner_times_it
+# pins.
+import numpy as np  # noqa: F401
 
 from .circuit import (
     FINAL_STAGE,
@@ -39,13 +41,10 @@ from .circuit import (
     run_both,
 )
 from .elements import (
-    PROBE, SYS, BeamSplitter, Element, KerrCoupling, PhaseShift, Snapshot, _apply_to_rows,
-    _phase_factor, _real,
+    PROBE, SYS, BeamSplitter, Element, KerrCoupling, PhaseShift, Snapshot, _phase_factor, _real,
 )
 from .states import (
-    _GRAM_MIN_PAIRS, Branch, HybridState, _HandOver, _batch_overlaps, _batch_pair_sum,
-    _check_finite, _check_mode, _check_shape, _collection, _merge_rows, _pair_sum, _per_point, _require,
-    inner_product,
+    HybridState, _check_finite, _check_mode, _check_shape, _collection, _pair_sum, inner_product,
 )
 
 #: Weak values with magnitude above this count as a nonzero overlap of the
@@ -169,9 +168,9 @@ class FringeScan:
     """Detector intensities versus a scanned probe phase.
 
     ``extracted_shift`` is the phase the interaction imprinted on the
-    scanned interferometer, recovered by fitting A cos(phi - u) + B to the
-    port-0 intensity of this scan and of the coupling-off reference scan
-    and reporting (u_ref - u) mod 2pi: the displacement that must be undone
+    scanned interferometer.  The port-0 intensity of this scan and of the
+    coupling-off reference scan is c0 + 2 Re(c1 e^{i phi}), and the shift
+    is arg(c1) - arg(c1_ref) mod 2pi: the displacement that must be undone
     to recover the reference fringe.
     """
 
@@ -182,61 +181,70 @@ class FringeScan:
     visibility: float
 
 
-def _fit_cosine_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
-    """Least-squares fit of A cos(phi - u) + B; returns u.
+def _fringe(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mode: int,
+            phis: Sequence[float], factors: list[complex]) -> tuple[Iterator[list[float]], complex]:
+    """Each probe output's intensities at ``phis`` between ``prefix`` and ``suffix``, and port 0's c1.
 
-    Raises when the fringe is flat (every value equal, or a fit with
-    A == 0), whose u is undefined; ``mode`` is the post-selected mode,
-    named in the error.
+    Each port's intensity is sampled at phi = 0, 2pi/3 and 4pi/3 by
+    :func:`_resumed_scan`, whose three values I0, I1, I2 give
+    c1 = ((I0 - I1) + (I0 - I2)) / 6 + i (I2 - I1) / (2 sqrt 3) and
+    c0 = I0 - 2 Re c1: three equal samples give c1 = 0 and c0 = I0 exactly.
+    Where :func:`_degree_one` holds, the intensity at phi is
+    c0 + 2 Re(c1 e^{i phi}), with e^{i phi} from ``factors``, evaluated
+    for a port only as the iterator reaches it; elsewhere every phase runs
+    through :func:`_resumed_scan`.
     """
-    phis = np.asarray(phis, dtype=float)
-    values = np.asarray(values, dtype=float)
-    design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    if values.min() == values.max() or (coef[0] == 0.0 and coef[1] == 0.0):
-        raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
-    return math.atan2(coef[1], coef[0])
+    third = 2.0 * math.pi / 3.0
+    samples = _resumed_scan(circuit, prefix, suffix, mode, (0.0, third, 2.0 * third))
+    coefficients = []
+    for i0, i1, i2 in samples:
+        c1 = complex(((i0 - i1) + (i0 - i2)) / 6.0, (i2 - i1) / (2.0 * math.sqrt(3.0)))
+        coefficients.append((i0 - 2.0 * c1.real, c1))
+    if _degree_one(suffix, circuit.detect_stage):
+        ports = ([c0 + 2.0 * (c1 * f).real for f in factors] for c0, c1 in coefficients)
+    else:
+        ports = iter(_resumed_scan(circuit, prefix, suffix, mode, phis))
+    return ports, coefficients[0][1]
 
 
-def _scan_intensities(
-    circuit: Circuit, mode: int, phis: Sequence[float]
-) -> tuple[list[float], list[float], list[float]]:
-    """Per phase, both probe outputs' conditional intensities, then the Kerr-free reference's first.
+def _degree_one(suffix: Sequence[Element], stop: str) -> bool:
+    """Whether each port's intensity is a degree-1 form in a phase on probe mode 1 ahead of ``suffix``.
 
-    The phase goes on probe mode 1 ahead of the last probe beam splitter.
-    Everything ahead of it is evolved once, the reference resumes from that
-    run (:func:`_kerr_free_run`), and both take one set of phase factors.
+    It is unless a system beam splitter follows a Kerr coupling in
+    ``suffix`` before snapshot ``stop``.  ``suffix`` starts with the probe
+    recombiner, the last probe beam splitter, so probe 1 is mixed there and
+    nowhere after.  In the Heisenberg picture back to the phase, the
+    detector's mode projector stays diagonal in the photon's modes through
+    every element but a system splitter, so it commutes with every Kerr
+    coupling it passes, and the probe number operators become bilinear
+    forms a_j^dagger a_l times photon operators.  The conditional norm then
+    does not depend on phi, and each moment is c0 + 2 Re(c1 e^{i phi}).  A
+    system splitter makes the projector off-diagonal, and a Kerr coupling
+    ahead of it then adds exp(i eps n_k), which the recombiner turns into
+    every power of e^{i phi}.
     """
-    insert_at = max((i for i, el in enumerate(circuit.elements)
-                     if isinstance(el, BeamSplitter) and el.target == PROBE), default=None)
-    if insert_at is None:
-        raise ValueError("circuit has no probe beam splitter to scan against")
-    factors = _phase_factors(phis)
-    prefix = _run_prefix(circuit, insert_at)
-    suffix = circuit.elements[insert_at:]
-    dp1, dp2 = _resumed_scan(circuit, prefix, suffix, mode, phis, factors)
-    twin = _kerr_free_run(circuit, prefix[1], insert_at)
-    bare = tuple(el for el in suffix if not isinstance(el, KerrCoupling))
-    return dp1, dp2, _resumed_scan(circuit, twin, bare, mode, phis, factors)[0]
+    marked = False
+    for el in suffix:
+        if isinstance(el, Snapshot) and el.label == stop:
+            break
+        if isinstance(el, KerrCoupling):
+            marked = True
+        elif marked and isinstance(el, BeamSplitter) and el.target == SYS:
+            return False
+    return True
 
 
 def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mode: int,
-                  phis: Sequence[float], factors: list) -> tuple[list[float], list[float]]:
+                  phis: Sequence[float]) -> tuple[list[float], list[float]]:
     """Both probe outputs' intensities per phase inserted between ``prefix`` and ``suffix``.
 
-    ``factors`` are the phases' :func:`_phase_factors`.  The rest runs
-    once over all phases where :func:`_phase_axis_intensities` applies (a
-    detection stage in ``prefix`` is read once), and else once per phase,
-    resuming from ``prefix``.
+    Each phase resumes from ``prefix`` (a detection stage in ``prefix`` is
+    read from there) and runs to the detection stage, with the bits of
+    inserting the phase and running the circuit forward from the source.
     """
-    stop = circuit.detect_stage
-    try:
-        return _phase_axis_intensities(suffix, prefix, mode, factors, stop)
-    except _HandOver:
-        pass
     dp1, dp2 = [], []
     scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
-    for stages in _insertion_runs(suffix, prefix, scans, stop):
+    for stages in _insertion_runs(suffix, prefix, scans, circuit.detect_stage):
         result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
         if result.conditional is None:
             raise ValueError(f"post-selection on mode {mode} is impossible; no fringe")
@@ -246,104 +254,6 @@ def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mo
     return dp1, dp2
 
 
-def _phase_axis_intensities(
-    suffix: Sequence[Element], prefix: tuple, mode: int, factors: list, stop: str
-) -> tuple[list[float], list[float]]:
-    """:func:`_resumed_scan` past ``prefix`` over a phase axis.
-
-    Runs :func:`_axis_stages` to the detection stage ``stop`` and
-    :func:`_axis_condition` with the probe moments, then divides as
-    :func:`_probe_means` does.
-    """
-    rows = _axis_stages(suffix, prefix, PROBE, 1, factors, (stop,))[stop]
-    _, (norm, moments) = _axis_condition(rows, mode, moments=True)
-    n = len(factors)
-    # Each probe's m.real / norm, as _probe_means divides.
-    return tuple([m.real / nb for m, nb in zip(_points(moment, n), _points(norm, n))]
-                 for moment in moments)
-
-
-def _branch_rows(branches: Iterable[Branch]) -> list:
-    """``branches`` as axis rows (mode, amp, probes) of fixed values."""
-    return [(br.mode, br.amp, br.probes) for br in branches]
-
-
-def _points(value, n: int) -> list:
-    """A fixed value or a list over ``n`` points as a list (see :func:`~qndmzi.states._per_point`)."""
-    return value if type(value) is list else [value] * n
-
-
-def _phase_factors(phis: Sequence[float]) -> list[complex]:
-    """Each phase's :func:`~qndmzi.elements._phase_factor`, one complex per point."""
-    return [_phase_factor(phi) for phi in phis]
-
-
-def _axis_stages(
-    suffix: Sequence[Element], prefix: tuple, target: str, index: int, factors: list,
-    reads: tuple[str, ...],
-) -> dict[str, list]:
-    """The rows at the stages ``reads`` over an axis of phases between ``prefix`` and ``suffix``.
-
-    ``reads`` are stage labels in run order; the last, ``stop``, ends the
-    run.  ``prefix`` is what :func:`~qndmzi.circuit._run_prefix` returned;
-    the stages of ``reads`` it recorded are read once, as rows of fixed
-    values, and the run ends there if ``stop`` is one of them.  Otherwise a
-    phase shift on ``target`` mode ``index``, with the per-point ``factors``
-    (:func:`_phase_factors`), goes ahead of ``suffix`` and runs with it on
-    the rows of the prefix's state, through
-    :func:`~qndmzi.elements._apply_to_rows` and
-    :func:`~qndmzi.states._merge_rows`; a merge after a probe-only step on
-    rows in distinct modes is the identity and is skipped.  Returns the rows
-    at each stage of ``reads``, running to the end for :data:`FINAL_STAGE`.
-    """
-    head, recorded = prefix
-    stop = reads[-1]
-    stages = {label: _branch_rows(recorded[label].branches) for label in reads if label in recorded}
-    if stop in stages:
-        return stages
-    rows = _branch_rows(head.branches)
-    steps = chain([(PhaseShift(target, index, 0.0), factors)], ((el, None) for el in suffix))
-    for el, factor in steps:
-        if isinstance(el, Snapshot):
-            if el.label in reads:
-                stages[el.label] = rows
-                if el.label == stop:
-                    return stages
-            continue
-        moved = _apply_to_rows(el, rows, factor)
-        probe_only = isinstance(el, KerrCoupling) or el.target == PROBE
-        rows = moved if probe_only and len({row[0] for row in rows}) == len(rows) else _merge_rows(moved)
-    stages[FINAL_STAGE] = rows
-    return stages
-
-
-def _axis_condition(rows: list, mode: int, moments: bool = False):
-    """:func:`_condition` and the conditioned norm over an axis.
-
-    Returns the projection's rows scaled to unit norm and their
-    :func:`_axis_norm` (with the probe moments if asked); both sums share
-    one set of overlaps.  Hands over where, at some point, the projection
-    is empty, its probability or norm is not finite and > 0, or a scaled
-    amplitude is not finite.
-    """
-    kept = [row for row in rows if row[0] == mode]
-    pairs = _batch_overlaps(kept, kept)
-    p, _ = _axis_norm(kept, pairs)
-    # The factor 1.0 / math.sqrt(p), as HybridState.scaled takes it.
-    scale = (list(map(complex, map(operator.truediv, repeat(1.0), map(math.sqrt, p))))
-             if type(p) is list else complex(1.0 / math.sqrt(p)))
-    kept = [(m, _require(cmath.isfinite, _per_point(operator.mul, scale, amp)), probes)
-            for m, amp, probes in kept]
-    return kept, _axis_norm(kept, pairs, moments)
-
-
-def _axis_norm(rows: list, pairs: list, moments: bool = False):
-    """The squared norm of ``rows`` per point (and the probe moments); hands over unless all > 0."""
-    total, sums = _batch_pair_sum(rows, rows, pairs, moments)
-    reals = [z.real for z in total] if type(total) is list else total.real
-    return _require(partial(operator.lt, 0.0), reals), sums
-
-
 def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
     """Scan a phase on probe mode 1 ahead of the probe recombiner.
 
@@ -351,14 +261,19 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     stage, and the conditional mean photon numbers at both probe outputs
     are recorded.  Every phase must be finite; it is checked, with the
     mode, before anything is evolved.  Everything ahead of the scanned
-    phase is evolved once; the Kerr-free reference resumes from that run at
-    its last snapshot ahead of the first coupling and skips every coupling.
-    A detection stage ahead of the phase is read from there once.  The rest
-    runs once over an axis of all phases where every merge keeps one
-    structure for all of them (as on :func:`~qndmzi.circuit.build_nested_mzi`
-    detected at L3p), and else per phase.  Either way the results equal, bit
-    for bit, those of inserting the phase and running each scanned circuit
-    forward from the source.
+    phase (placed ahead of the last probe beam splitter) is evolved once;
+    the Kerr-free reference resumes from that run at its last snapshot
+    ahead of the first coupling and skips every coupling.
+
+    Past the phase, each port's intensity is c0 + 2 Re(c1 e^{i phi}) unless
+    a system beam splitter follows a Kerr coupling between the phase and
+    the detection stage (:func:`_degree_one`).  So the scan and the
+    reference each run three phases, 0, 2pi/3 and 4pi/3, whatever the
+    number of points, and every point is evaluated from c0 and c1; where
+    that rule fails, every phase also runs, with the bits of inserting it
+    and running the circuit forward from the source.  The shift is
+    arg(c1) - arg(c1_ref) mod 2pi; a fringe is flat, and raises, where c1
+    is 0 or every intensity is equal.
     """
     phis = tuple([_real("phi", p) for p in _collection("phis", phis)])
     if len(phis) < 4:
@@ -368,9 +283,22 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     _check_mode("mode", mode, circuit.m_modes)
     if not all(map(math.isfinite, phis)):
         raise ValueError("phi must be finite")
-    dp1, dp2, ref_dp1 = _scan_intensities(circuit, mode, phis)
-    ref_phase = _fit_cosine_phase(phis, ref_dp1, mode)
-    shift = (ref_phase - _fit_cosine_phase(phis, dp1, mode)) % (2.0 * math.pi)
+    insert_at = max((i for i, el in enumerate(circuit.elements)
+                     if isinstance(el, BeamSplitter) and el.target == PROBE), default=None)
+    if insert_at is None:
+        raise ValueError("circuit has no probe beam splitter to scan against")
+    factors = [_phase_factor(phi) for phi in phis]
+    prefix = _run_prefix(circuit, insert_at)
+    suffix = circuit.elements[insert_at:]
+    (dp1, dp2), c1 = _fringe(circuit, prefix, suffix, mode, phis, factors)
+    twin = _kerr_free_run(circuit, prefix[1], insert_at)
+    bare = tuple(el for el in suffix if not isinstance(el, KerrCoupling))
+    ref_ports, ref_c1 = _fringe(circuit, twin, bare, mode, phis, factors)
+    ref_dp1 = next(ref_ports)
+    for fringe, first in ((ref_dp1, ref_c1), (dp1, c1)):
+        if first == 0j or min(fringe) == max(fringe):
+            raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
+    shift = (cmath.phase(c1) - cmath.phase(ref_c1)) % (2.0 * math.pi)
     top, bottom = max(dp1), min(dp1)
     visibility = 0.0 if top + bottom == 0.0 else (top - bottom) / (top + bottom)
     return FringeScan(phis, tuple(dp1), tuple(dp2), shift, visibility)
@@ -508,14 +436,22 @@ def leakage_sweep(
 
     ``arm_mode``, ``dark_stage`` and every delta (which must be finite) are
     checked before anything is evolved.
-    The elements up to the inner splitter are evolved once; the unperturbed
-    circuit resumes from there with the elements after it.  The phase and
-    the elements after it run once over an axis of all deltas where every
-    merge keeps the same branches at every delta (on
-    :func:`~qndmzi.circuit.build_nested_mzi`, deltas that leave both inner
-    exits lit), and else per delta; a dark stage ahead of the phase is read
-    once.  The results equal, bit for bit, those of inserting the phase and
-    running each perturbed circuit forward from the source.
+
+    The phase multiplies the part psi_m of the state in ``arm_mode`` by
+    e^{i delta}, and every element after it is linear, so the state at
+    delta is psi_0 + z psi_m, with z = e^{i delta} - 1 = 2i sin(delta/2)
+    e^{i delta/2}, which keeps its digits at small delta.  The elements up
+    to the inner splitter run once; the rest runs twice from there, on
+    psi_0 and on psi_m, whatever the number of deltas (a dark stage ahead
+    of the phase is read once, and psi_m is 0 there).  With P the
+    projection on ``arm_mode`` at the dark stage, the leak is
+    ||P psi_0||^2 + 2 Re(z <P psi_0|P psi_m>) + |z|^2 ||P psi_m||^2.  With
+    F_0 and F_m the detector projections at the end, n00 = ||F_0||^2,
+    n0m = <F_0|F_m> and nmm = ||F_m||^2, the conditioned norm is
+    N = n00 + 2 Re(z n0m) + |z|^2 nmm, and the deficit is the Gram
+    determinant |z|^2 (n00 nmm - |n0m|^2) / (n00 N), which does not cancel
+    as delta goes to 0; rounding that takes the determinant below 0 gives 0.
+    A null F_0, or N <= 0 at some delta, raises ``ValueError``.
     """
     insert_at = next((i + 1 for i, el in enumerate(circuit.elements) if isinstance(el, BeamSplitter)
                       and el.target == SYS and {el.mode_a, el.mode_b} == {1, 2}), None)
@@ -528,59 +464,33 @@ def leakage_sweep(
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"leakage delta {delta!r} is not finite")
-    arm_phases = ((PhaseShift(SYS, arm_mode, delta),) for delta in deltas)
-    prefix = _run_prefix(circuit, insert_at)
-    runs = _insertion_runs(circuit.elements[insert_at:], prefix, chain([()], arm_phases))
-    _, base = _condition(next(runs)[FINAL_STAGE], circuit.postselect_mode)
-    if base is None:
+    head, recorded = _run_prefix(circuit, insert_at)
+    suffix = circuit.elements[insert_at:]
+    runs = dict(recorded), {}
+    for state, stages in zip((head, head.project_mode(arm_mode)), runs):
+        _evolve(state, suffix, stages, end=FINAL_STAGE)
+    f0, fm = (stages[FINAL_STAGE].project_mode(circuit.postselect_mode) for stages in runs)
+    n00 = _pair_sum(f0, f0).real
+    if n00 <= 0.0:
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
-    base_norm = base.norm_sq()
-    try:
-        return _delta_axis_points(circuit, insert_at, prefix, deltas, arm_mode, dark_stage,
-                                  base, base_norm)
-    except _HandOver:
-        pass
-    ahead = dark_stage in prefix[1]
+    nmm, n0m = _pair_sum(fm, fm).real, _pair_sum(f0, fm)
+    # nmm - |n0m|^2 / n00, in an order that neither overflows nor underflows early.
+    gap = max(0.0, nmm - abs(n0m) * (abs(n0m) / n00))
+    p0 = runs[0][dark_stage].project_mode(arm_mode)
+    l00, l0m, lmm = _pair_sum(p0, p0).real, 0j, 0.0
+    if dark_stage not in recorded:
+        pm = runs[1][dark_stage].project_mode(arm_mode)
+        l0m, lmm = _pair_sum(p0, pm), _pair_sum(pm, pm).real
     points = []
-    for i, (delta, stages) in enumerate(zip(deltas, runs)):
-        if not (ahead and i):
-            # A dark stage ahead of the insertion is the same for every delta.
-            leak = stages[dark_stage].project_mode(arm_mode).norm_sq()
-        _, conditioned = _condition(stages[FINAL_STAGE], circuit.postselect_mode)
-        if conditioned is None:
+    for delta in deltas:
+        s = math.sin(0.5 * delta)
+        z, zz = 2j * s * cmath.exp(0.5j * delta), 4.0 * s * s
+        norm = n00 + 2.0 * (z * n0m).real + zz * nmm
+        if not norm > 0.0:
             raise ValueError(f"detector-conditioned state at delta {delta!r} is null")
-        deficit = 1.0 - _fidelity(base, conditioned, base_norm, conditioned.norm_sq())
-        points.append(LeakagePoint(delta, leak, deficit))
+        leak = l00 + 2.0 * (z * l0m).real + zz * lmm
+        points.append(LeakagePoint(delta, leak, zz * gap / norm))
     return tuple(points)
-
-
-def _delta_axis_points(
-    circuit: Circuit, insert_at: int, prefix: tuple, deltas: tuple[float, ...], arm_mode: int,
-    dark_stage: str, base: HybridState, base_norm: float,
-) -> tuple[LeakagePoint, ...]:
-    """:func:`leakage_sweep`'s points past the shared ``prefix``.
-
-    Runs :func:`_axis_stages` to the end, the leak's pair sum (of fixed
-    rows for a dark stage ahead of the phase), :func:`_axis_condition` and
-    the overlap with ``base``; the fidelity deficit is formed per point in
-    Python, as :func:`_fidelity` forms it.  Hands over before the axis runs
-    where the prefix's state holds n rows in ``arm_mode`` or the detector
-    mode with n^2 >= ``_GRAM_MIN_PAIRS``, the size at which its pair sums
-    would hand over after every axis merge.
-    """
-    modes = [br.mode for br in prefix[0].branches]
-    rows = max(modes.count(arm_mode), modes.count(circuit.postselect_mode))
-    if base_norm <= 0.0 or rows * rows >= _GRAM_MIN_PAIRS:
-        raise _HandOver
-    stages = _axis_stages(circuit.elements[insert_at:], prefix, SYS, arm_mode,
-                          _phase_factors(deltas), (dark_stage, FINAL_STAGE))
-    kept = [row for row in stages[dark_stage] if row[0] == arm_mode]
-    leak, _ = _batch_pair_sum(kept, kept)
-    kept, (norm, _) = _axis_condition(stages[FINAL_STAGE], circuit.postselect_mode)
-    overlap, _ = _batch_pair_sum(_branch_rows(base.branches), kept)
-    columns = [_points(v, len(deltas)) for v in (leak, norm, overlap)]
-    return tuple(LeakagePoint(delta, p.real, 1.0 - abs(ov) ** 2 / (base_norm * nb))
-                 for delta, p, nb, ov in zip(deltas, *columns))
 
 
 def fringe_csv(scan: FringeScan) -> str:

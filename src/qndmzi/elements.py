@@ -26,12 +26,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from numbers import Complex, Real
-from operator import mul
 from typing import Union
 
 from .states import (
-    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _per_point, _require,
-    _scale_branches, _scale_columns, _split_columns, _state, _sum_of_product, merge_branches,
+    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _scale_branches,
+    _scale_columns, _split_columns, _state, merge_branches,
 )
 
 SYS = "sys"
@@ -281,63 +280,6 @@ def apply_phase(
     if shift.target == SYS:
         return _step(state, None, _scale_branches, factor, shift._indices[0], None)
     return _step(state, None, _scale_branches, factor, None, shift.index)
-
-
-def _apply_to_rows(el: Element, rows: list, factor=None) -> list:
-    """Apply an element other than a snapshot to rows over a batch axis, forward and unmerged.
-
-    Rows are as in :func:`~qndmzi.states._batch_overlaps`.  Each value the
-    element changes is formed at each point by its per-branch applier's own
-    expression (``u00 * amp``, ``u00 * pa + u01 * pb``, ``factor * p``), so
-    every point gets that applier's bits.  ``factor``, one complex per
-    point, replaces a phase shift's.  A row holding the previous changed
-    row's probe tuple shares its new tuple, as in the per-branch probe
-    steps.  Hands over (see :mod:`qndmzi.states`) where the applier would
-    raise on a non-finite value.
-    """
-    isfinite, out = cmath.isfinite, []
-    if isinstance(el, BeamSplitter):
-        (u00, u01), (u10, u11) = el.unitary()
-        a, b = el.mode_a, el.mode_b
-        if el.target == SYS:
-            # Unchecked, as in _split_branches: no product can overflow.
-            for row in rows:
-                mode, amp, probes = row
-                if mode == a or mode == b:
-                    ua, ub = (u00, u10) if mode == a else (u01, u11)
-                    out += [(a, _per_point(mul, ua, amp), probes), (b, _per_point(mul, ub, amp), probes)]
-                else:
-                    out.append(row)
-            return out
-        modes = None
-
-        def moved(probes):
-            pa, pb = probes[a], probes[b]
-            new = list(probes)
-            # u00 * pa + u01 * pb and u10 * pa + u11 * pb.
-            new[a] = _require(isfinite, _sum_of_product(_per_point(mul, u00, pa), u01, pb))
-            new[b] = _require(isfinite, _sum_of_product(_per_point(mul, u10, pa), u11, pb))
-            return tuple(new)
-    else:
-        factor = el._factors[0] if factor is None else factor
-        if isinstance(el, PhaseShift) and el.target == SYS:
-            return [(m, _require(isfinite, _per_point(mul, factor, a)) if m == el.index else a, ps)
-                    for m, a, ps in rows]
-        # Probe k of the rows in ``modes`` (all where it is None) scales.
-        modes, k = (el.system_modes, el.probe_mode) if isinstance(el, KerrCoupling) else (None, el.index)
-
-        def moved(probes):
-            p = _require(isfinite, _per_point(mul, factor, probes[k]))
-            return probes[:k] + (p,) + probes[k + 1:]
-    old = new = None
-    for row in rows:
-        mode, amp, probes = row
-        if modes is None or mode in modes:
-            if probes is not old:
-                old, new = probes, moved(probes)
-            row = mode, amp, new
-        out.append(row)
-    return out
 
 
 def apply_element(

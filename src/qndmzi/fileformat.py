@@ -155,10 +155,12 @@ def parse_circuit(text: str) -> Circuit:
                     raise ValueError("duplicate modes declaration")
                 if len(tokens) != 4 or tokens[2] != "probes":
                     raise ValueError("expected: modes M probes K")
-                try:
-                    counts = int(tokens[1]), int(tokens[3])
-                except ValueError:
-                    counts = tokens[1], tokens[3]  # _check_counts rejects them
+                counts = []
+                for token in (tokens[1], tokens[3]):
+                    try:
+                        counts.append(_index(token))
+                    except ValueError:
+                        counts.append(token)  # _check_counts names it in its error
                 m_modes, k_probes = _check_counts(*counts)
                 continue
             if m_modes is None or k_probes is None:

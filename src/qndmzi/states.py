@@ -36,16 +36,15 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 per mode block, equal to the loop up to rounding.  Either path also gives
 <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same pass: a
 moment is one more weight row on each block, and a part is its mode's
-block sums, since a block holds one mode.  Pair
-sums and merges of rows over a batch axis (a sweep's points) run once for
-all points: a value is a Python number, or a list of one per point where
-it varies (:func:`_per_point`), formed by the loop's own expression, bit for bit.
+block sums, since a block holds one mode.  A sweep needs no code of its
+own here: it takes a fixed number of states and pair sums, whatever its
+number of points (:mod:`qndmzi.analysis`).
 
-The hand-over.  A fast path (a column step, or a step, merge or pair sum
-over a batch axis) that cannot give the slower code's bits, or would meet
-a value that code raises on, raises :class:`_HandOver`.  One ``except``
-per entry, around the fast path alone, runs the slower code instead, which
-gives those bits or raises its own error; no public function raises it.
+The hand-over.  A column step that cannot give the per-branch step's
+bits, or would meet a value that step raises on, raises
+:class:`_HandOver`.  One ``except``, in ``elements._step`` around the
+column step alone, runs the per-branch step instead, which gives those
+bits or raises its own error; no public function raises it.
 
 The column form serves branch growth, where system splitters and Kerr
 marks keep doubling and marking branches.  A state the engine builds with
@@ -94,7 +93,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence
 
 #: Absolute tolerance for merging duplicate branches and dropping empty
@@ -148,9 +147,9 @@ def _check_mode(what: str, mode: int, m_modes: int | None = None) -> int:
     try:
         index = operator.index(mode)
     except TypeError:
-        raise ValueError(f"{what} {mode} is not an integer") from None
+        raise ValueError(f"{what} {mode!r} is not an integer") from None
     if m_modes is not None and not 0 <= index < m_modes:
-        raise IndexError(f"{what} {mode} outside [0, {m_modes})")
+        raise IndexError(f"{what} {mode!r} outside [0, {m_modes})")
     return index
 
 
@@ -159,9 +158,9 @@ def _check_counts(m_modes: int, k_probes: int) -> tuple[int, int]:
     try:
         counts = operator.index(m_modes), operator.index(k_probes)
     except TypeError:
-        raise ValueError("mode counts must be integers") from None
+        raise ValueError(f"mode counts {m_modes!r} and {k_probes!r} must be integers") from None
     if counts[0] < 1 or counts[1] < 0:
-        raise ValueError("mode counts out of range")
+        raise ValueError(f"mode counts {counts[0]!r} and {counts[1]!r} out of range")
     return counts
 
 
@@ -613,104 +612,6 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
     return total
 
 
-def _each(value):
-    """The values of ``value`` at successive points: a list as it is, a fixed value repeated."""
-    return value if type(value) is list else repeat(value)
-
-
-def _per_point(f, x, y=None):
-    """``f(x)``, or ``f(x, y)`` where ``y`` is given, at each point of a batch axis.
-
-    A value on the axis (a sweep's points) is a Python number where it is
-    the same at every point (fixed), else a list of one per point.
-    """
-    if y is None:
-        return list(map(f, x)) if type(x) is list else f(x)
-    if type(x) is list:
-        return list(map(f, x, _each(y)))
-    return list(map(f, repeat(x), y)) if type(y) is list else f(x, y)
-
-
-def _require(f, value):
-    """``value``; hands over unless ``f(value)`` holds at every point (see :func:`_per_point`)."""
-    if not (all(map(f, value)) if type(value) is list else f(value)):
-        raise _HandOver
-    return value
-
-
-def _sum_of_product(acc, *factors):
-    """``acc + factors[0] * factors[1] * ...`` at each point, multiplied left to right, in one pass."""
-    if list not in map(type, (acc, *factors)):
-        return acc + reduce(operator.mul, factors)
-    product = _each(factors[0])
-    for f in factors[1:]:
-        product = map(operator.mul, product, _each(f))
-    return list(map(operator.add, _each(acc), product))
-
-
-def _halves(p):
-    """|p|^2/2 at each point, as :func:`_pair_sum` forms it (its -0.5 * |u|^2 is the negation)."""
-    if type(p) is list:
-        return [0.5 * (z.real * z.real + z.imag * z.imag) for z in p]
-    return 0.5 * (p.real * p.real + p.imag * p.imag)
-
-
-def _batch_overlaps(bra: list, ket: list) -> list:
-    """The coherent overlaps of every mode-matched pair of rows over a batch axis.
-
-    A row is (mode, amp, probes) of values on the axis (:func:`_per_point`).
-    Returns (i, j, conj, overlaps) per pair of bra row i and ket row j, in
-    the loop's bra-major order, with conj(u_k) and <u_k|v_k> per probe by
-    :func:`_pair_sum`'s expressions; |p|^2/2 and conj(u) are formed once per
-    row.  Hands over from ``_GRAM_MIN_PAIRS`` pairs on and where ``cmath.exp`` raises.
-    """
-    if len(bra) * len(ket) >= _GRAM_MIN_PAIRS:
-        raise _HandOver
-    exp = cmath.exp
-    halves = [[_halves(p) for p in probes] for _, _, probes in ket]
-    bra_halves = halves if bra is ket else [[_halves(p) for p in probes] for _, _, probes in bra]
-    pairs = []
-    try:
-        for i, ((mode, _, u_probes), u_halves) in enumerate(zip(bra, bra_halves)):
-            conj = None
-            for j, ((v_mode, _, v_probes), v_halves) in enumerate(zip(ket, halves)):
-                if v_mode != mode:
-                    continue
-                conj = conj or [_per_point(complex.conjugate, p) for p in u_probes]
-                overlaps = []
-                for hu, hv, cu, pv in zip(u_halves, v_halves, conj, v_probes):
-                    if type(hu) is list or type(hv) is list:
-                        hu, hv, cu, pv = map(_each, (hu, hv, cu, pv))
-                        overlaps.append([exp(-x - y + c * v) for x, y, c, v in zip(hu, hv, cu, pv)])
-                    else:
-                        overlaps.append(exp(-hu - hv + cu * pv))
-                pairs.append((i, j, conj, overlaps))
-    except (OverflowError, ValueError):
-        raise _HandOver from None
-    return pairs
-
-
-def _batch_pair_sum(bra: list, ket: list, pairs: list | None = None, moments: bool = False):
-    """:func:`_pair_sum` of rows over a batch axis; hands over where it fails or is not finite.
-
-    ``pairs`` (formed where None) are the :func:`_batch_overlaps` of these
-    rows or of rows with the same modes and probes.  Returns the sum and,
-    with ``moments``, the K probe moments, by the loop's operations in its
-    order, so each point gets the bits :func:`_pair_sum` gives its state;
-    conj(a_u) is formed once per bra row.
-    """
-    pairs = _batch_overlaps(bra, ket) if pairs is None else pairs
-    total = 0j
-    sums = [0j] * (len(ket[0][2]) if moments and ket else 0)
-    u_amps = [_per_point(complex.conjugate, amp) for _, amp, _ in bra]
-    for i, j, conj, overlaps in pairs:
-        term = _per_point(operator.mul, u_amps[i], ket[j][1])
-        for k, (cu, pv) in enumerate(zip(conj, ket[j][2]) if sums else ()):
-            sums[k] = _sum_of_product(sums[k], term, cu, pv, *overlaps)
-        total = _sum_of_product(total, term, *overlaps)
-    return _require(cmath.isfinite, total), [_require(cmath.isfinite, s) for s in sums]
-
-
 def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None) -> complex:
     """:func:`_pair_sum` as one Gram matrix per mode that both sides hold.
 
@@ -907,40 +808,6 @@ def _merge_groups(branches: Sequence[Branch], buckets: Sequence | None = None) -
             _check_finite(amp, "branch amplitude")
             groups[first] = _branch(g.mode, amp, g.probes)
     return groups
-
-
-def _merge_rows(rows: list) -> list:
-    """:func:`merge_branches` of rows over a batch axis (see :func:`_batch_overlaps`).
-
-    Rows in distinct modes cannot merge.  Otherwise every probe must be
-    fixed, and :func:`_merge_owners` groups the rows once for all points; a
-    group sums its amplitudes as :func:`_merge_groups` does.  Rows are
-    dropped (by :func:`_nonempty` at each point) and sorted as the per-point
-    merge does.  Hands over where the points would not share the result or
-    the per-point merge would raise: a varying probe in a shared mode, a
-    non-finite sum, or a row kept at some points only.
-    """
-    shared = len({row[0] for row in rows}) < len(rows)
-    if shared:
-        if any(type(p) is list for row in rows for p in row[2]):
-            raise _HandOver
-        groups: dict[int, tuple] = {}
-        for row, first in zip(rows, _merge_owners([_branch(m, None, ps) for m, _, ps in rows])):
-            g = groups.get(first)
-            if g is not None:
-                row = g[0], _require(cmath.isfinite, _per_point(operator.add, g[1], row[1])), g[2]
-            groups[first] = row
-        rows = list(groups.values())
-    kept = []
-    for row in rows:
-        keep = set(map(_nonempty, row[1])) if type(row[1]) is list else {_nonempty(row[1])}
-        if len(keep) > 1:
-            raise _HandOver
-        if all(keep):
-            kept.append(row)
-    # By mode, then (in a shared mode, where probes are fixed) as _canonical_key sorts.
-    kept.sort(key=lambda row: (row[0], [(p.real, p.imag) for p in row[2]] if shared else None))
-    return kept
 
 
 def _column_merge(state: HybridState) -> HybridState:

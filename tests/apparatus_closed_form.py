@@ -25,6 +25,7 @@ as |alpha|^2 times machine epsilon, so :func:`tolerance` scales with it.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 
@@ -66,3 +67,35 @@ def dark_port_leak(r: float, delta: float) -> float:
 def l2_weak_values(r: float) -> tuple[float, float, float]:
     ratio = (1.0 - r * r) / (2.0 * r * r)
     return 1.0, ratio, -ratio
+
+
+def fidelity_deficit(r: float, alpha: complex, eps: float, delta: float) -> float:
+    """The leakage sweep's fidelity deficit at D for a phase delta on inner arm 1.
+
+    At the end, the detector mode holds F(delta) = F_0 + z F_m with
+    z = e^{i delta} - 1, F_0 = -r^2 |u> (the outer arm, unmarked probes u)
+    and F_m = -(t^2/2) |m> (the leaked inner arm, Kerr-marked probes m), one
+    branch each, where <u|m> = exp(|alpha|^2 (e^{-i eps} - 1)).  The deficit
+    1 - |<F_0|F>|^2 / (||F_0||^2 ||F||^2) is then
+    |z|^2 (t^4/4) (1 - |<u|m>|^2) / ||F||^2, with
+    1 - |<u|m>|^2 = -expm1(-4 |alpha|^2 sin^2(eps/2)) and
+    ||F||^2 = r^4 + r^2 t^2 Re(z <u|m>) + |z|^2 t^4/4.
+    """
+    t_sq = 1.0 - r * r
+    n = abs(alpha) ** 2
+    half = math.sin(0.5 * eps)
+    s = math.sin(0.5 * delta)
+    z, zz = 2j * s * cmath.exp(0.5j * delta), 4.0 * s * s
+    overlap = cmath.exp(complex(-2.0 * n * half * half, -n * math.sin(eps)))
+    norm = r ** 4 + r * r * t_sq * (z * overlap).real + zz * t_sq * t_sq / 4.0
+    return zz * t_sq * t_sq / 4.0 * -math.expm1(-4.0 * n * half * half) / norm
+
+
+def deficit_scale(r: float, alpha: complex, eps: float, delta: float) -> float:
+    """|z|^2 ||F_m||^2 / ||F||^2: :func:`fidelity_deficit` with the probes told fully apart.
+
+    The deficit's rounding is relative to this scale, since the engine
+    forms 1 - |<u|m>|^2 as a difference of its sums.
+    """
+    return fidelity_deficit(r, alpha, eps, delta) / -math.expm1(
+        -4.0 * abs(alpha) ** 2 * math.sin(0.5 * eps) ** 2)

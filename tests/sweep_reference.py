@@ -6,16 +6,19 @@ the straightforward path instead: for every point the element is inserted
 with :meth:`Circuit.insert` (which re-validates the whole circuit), the
 circuit is run forward from the source, and the post-selection twin is a
 full run of :meth:`Circuit.kerr_free`.  Nothing here uses the engine's
-resumable evolution; this is the oracle the sweep equality tests compare
-against with ``==``.
+resumable evolution; this is the oracle the sweep tests compare against.
+
+The engine's sweeps evaluate most points in closed form, so their values
+agree with these within the bounds the tests name; the fringe shift, read
+off three phases the engine runs per point as well, and every point of a
+scan the engine runs per phase, agree with ``==``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from qndmzi import (
     FINAL_STAGE,
@@ -54,15 +57,10 @@ def reference_postselect(
     )
 
 
-def _fit_phase(phis: Sequence[float], values: Sequence[float], mode: int) -> float:
-    phis = np.asarray(phis, dtype=float)
-    values = np.asarray(values, dtype=float)
-    design = np.column_stack([np.cos(phis), np.sin(phis), np.ones_like(phis)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    if values.min() == values.max() or (coef[0] == 0.0 and coef[1] == 0.0):
-        # A flat fringe (equal values or zero cosine amplitude) has no phase.
-        raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
-    return math.atan2(coef[1], coef[0])
+def _first_harmonic(circuit: Circuit, mode: int) -> complex:
+    """c1 of the port-0 fringe c0 + 2 Re(c1 e^{i phi}), from full runs at phi = 0, 2pi/3 and 4pi/3."""
+    i0, i1, i2 = _intensities(circuit, mode, (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0))[0]
+    return complex(((i0 - i1) + (i0 - i2)) / 6.0, (i2 - i1) / (2.0 * math.sqrt(3.0)))
 
 
 def _intensities(circuit: Circuit, mode: int, phis: Sequence[float]):
@@ -83,20 +81,22 @@ def _intensities(circuit: Circuit, mode: int, phis: Sequence[float]):
 
 
 def reference_fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeScan:
-    """Fringe scan with one full forward run per phase and per reference phase."""
+    """Fringe scan with one full forward run per phase and per sampled phase, and the same for the reference."""
     phis = tuple(float(p) for p in phis)
     dp1, dp2 = _intensities(circuit, mode, phis)
     ref_dp1, _ = _intensities(circuit.kerr_free(), mode, phis)
-    shift = (_fit_phase(phis, ref_dp1, mode) - _fit_phase(phis, dp1, mode)) % (2.0 * math.pi)
+    c1, ref_c1 = _first_harmonic(circuit, mode), _first_harmonic(circuit.kerr_free(), mode)
+    for fringe, first in ((ref_dp1, ref_c1), (dp1, c1)):
+        if first == 0j or min(fringe) == max(fringe):
+            raise ValueError(f"fringe post-selected on mode {mode} is flat; it has no phase")
+    shift = (cmath.phase(c1) - cmath.phase(ref_c1)) % (2.0 * math.pi)
     top, bottom = max(dp1), min(dp1)
     visibility = 0.0 if top + bottom == 0.0 else (top - bottom) / (top + bottom)
     return FringeScan(phis, tuple(dp1), tuple(dp2), shift, visibility)
 
 
-def reference_leakage_sweep(
-    circuit: Circuit, deltas: Iterable[float], arm_mode: int = 1, dark_stage: str = "L3"
-) -> tuple[LeakagePoint, ...]:
-    """Leakage sweep with one full forward run per perturbed circuit."""
+def _perturbed(circuit: Circuit, delta: float, arm_mode: int) -> Circuit:
+    """``circuit`` with the phase ``delta`` on ``arm_mode`` just after its inner splitter."""
     insert_at = 1 + min(
         i
         for i, el in enumerate(circuit.elements)
@@ -104,6 +104,13 @@ def reference_leakage_sweep(
         and el.target == SYS
         and {el.mode_a, el.mode_b} == {1, 2}
     )
+    return circuit.insert(insert_at, PhaseShift(SYS, arm_mode, float(delta)))
+
+
+def reference_leakage_sweep(
+    circuit: Circuit, deltas: Iterable[float], arm_mode: int = 1, dark_stage: str = "L3"
+) -> tuple[LeakagePoint, ...]:
+    """Leakage sweep with one full forward run per perturbed circuit."""
     pm = circuit.postselect_mode
     base = reference_postselect(
         run_forward(circuit), pm, at=FINAL_STAGE, compute_fidelity=False
@@ -112,10 +119,18 @@ def reference_leakage_sweep(
         raise ValueError("detector-conditioned state of the unperturbed circuit is null")
     points = []
     for delta in deltas:
-        perturbed = circuit.insert(insert_at, PhaseShift(SYS, arm_mode, float(delta)))
-        trace = run_forward(perturbed)
+        trace = run_forward(_perturbed(circuit, delta, arm_mode))
         leak = trace.forward[dark_stage].project_mode(arm_mode).norm_sq()
         conditioned = reference_postselect(trace, pm, at=FINAL_STAGE, compute_fidelity=False)
         deficit = 1.0 - state_fidelity(base.conditional, conditioned.conditional)
         points.append(LeakagePoint(float(delta), leak, deficit))
     return tuple(points)
+
+
+def detector_probabilities(
+    circuit: Circuit, deltas: Iterable[float], arm_mode: int = 1
+) -> tuple[float, ...]:
+    """The detector mode's probability at the end of each perturbed circuit, one full run each."""
+    pm = circuit.postselect_mode
+    return tuple(run_forward(_perturbed(circuit, delta, arm_mode)).forward[FINAL_STAGE]
+                 .project_mode(pm).norm_sq() for delta in deltas)

@@ -3,9 +3,8 @@
 Each case runs ``run_both`` on ``build_nested_mzi(r, alpha, eps)`` and reads
 the detector, exit and dark-port post-selections.  Where a port is empty
 (the detector at r = 0, the exit at r = 1) only its probability is checked.
-The fringe shift, the dark-port leak and the L2 weak values come from
-``fringe_scan``, ``leakage_sweep`` and ``tsvf_report``; their errors are
-absolute, since none of them grows with |alpha|.
+The fringe shift, the dark-port leak, the fidelity deficit and the L2 weak
+values come from ``fringe_scan``, ``leakage_sweep`` and ``tsvf_report``.
 """
 
 import cmath
@@ -25,13 +24,27 @@ EPS = (1e-13, 0.3, math.pi)
 RS = (0.0, 0.6, 1.0)
 #: |alpha| of the fringe and leakage checks: their closed forms hold at
 #: every |alpha| whose first norm does not overflow.
-WIDE_MAGNITUDES = (1e-3, 2.0, 1e3, 1e8, 1e100, 1e150)
+WIDE_MAGNITUDES = (1e-3, 2.0, 1e3, 1e6, 1e8, 1e100, 1e150)
 FRINGE_PHIS = tuple(2.0 * math.pi * i / 64 for i in range(64))
 DELTAS = (1e-4, 0.3, math.pi, -2.0)
-#: Absolute tolerance of the fringe shift, the leak and the weak values.
-#: The shift is read off a fit, so at eps = 1e-13 its error (about 3e-17)
-#: is a sizeable fraction of eps; it must stay absolute.
+#: Absolute tolerance of the leak and the weak values.
 ABS_TOL = 1e-12
+#: Absolute tolerance of the fringe shift, in radians.  The shift is the
+#: angle between two first harmonics, each read off three sampled phases;
+#: the largest error seen is 4.4e-16 at every |alpha| here, and at eps =
+#: 1e-13 it must stay absolute.
+SHIFT_TOL = 1e-14
+#: The leak against t^2 sin^2(delta/2), relative, in ulps; the largest
+#: error seen is 2.6.
+LEAK_ULPS = 4
+#: The fidelity deficit against :func:`apparatus_closed_form.fidelity_deficit`,
+#: in ulps of max(1, |alpha|^2) times :func:`apparatus_closed_form.deficit_scale`:
+#: the engine forms 1 - |<u|m>|^2 as a difference of sums whose overlaps
+#: round as |alpha|^2 ulp.  The largest error over these inputs is 2.4.
+DEFICIT_ULPS = 16
+ULP = 2.0 ** -52
+#: Deltas from 1e-12 to pi, log-spaced, with both signs.
+SMALL_TO_PI = tuple(10.0 ** (-12.0 + 12.5 * i / 40) for i in range(40)) + (math.pi, -1e-9, -2.0)
 
 
 def check_apparatus(r: float, alpha: complex, eps: float) -> None:
@@ -91,7 +104,7 @@ def test_exit_fringe_shift_equals_eps(magnitude):
         for eps in EPS:
             circuit = build_nested_mzi(0.6, cmath.rect(magnitude, arg), eps)
             scan = fringe_scan(circuit, 2, FRINGE_PHIS)
-            assert angle_gap(scan.extracted_shift, cf.fringe_shift(eps)) <= ABS_TOL
+            assert angle_gap(scan.extracted_shift, cf.fringe_shift(eps)) <= SHIFT_TOL
 
 
 @pytest.mark.parametrize("magnitude", WIDE_MAGNITUDES)
@@ -103,6 +116,35 @@ def test_dark_port_leak(magnitude):
                 for point in leakage_sweep(circuit, DELTAS):
                     want = cf.dark_port_leak(r, point.delta)
                     assert abs(point.dark_port_probability - want) <= ABS_TOL
+
+
+@pytest.mark.parametrize("magnitude", (1e-3, 2.0, 30.0, 1e4))
+def test_leakage_sweep_matches_the_closed_forms_down_to_tiny_deltas(magnitude):
+    # The leak and the deficit keep their relative digits as delta goes to
+    # 1e-12: neither is formed as a difference that vanishes with delta.
+    for arg in ARGS:
+        for eps in (1e-13, 1e-6, 0.3, math.pi):
+            for r in (0.05, 0.3, 0.6, 0.95, 1.0):
+                alpha = cmath.rect(magnitude, arg)
+                points = leakage_sweep(build_nested_mzi(r, alpha, eps), SMALL_TO_PI)
+                for point in points:
+                    leak = cf.dark_port_leak(r, point.delta)
+                    assert abs(point.dark_port_probability - leak) <= LEAK_ULPS * ULP * leak
+                    assert point.fidelity_deficit >= 0.0
+                    if r == 1.0:
+                        # t = 0: nothing leaks into the detector.
+                        assert point.fidelity_deficit == 0.0
+                        continue
+                    want = cf.fidelity_deficit(r, alpha, eps, point.delta)
+                    unit = ULP * max(1.0, magnitude * magnitude)
+                    scale = cf.deficit_scale(r, alpha, eps, point.delta)
+                    assert abs(point.fidelity_deficit - want) <= DEFICIT_ULPS * unit * scale
+
+
+def test_leakage_sweep_with_the_detector_dark_raises():
+    # At r = 0 the detector is empty whatever delta is.
+    with pytest.raises(ValueError, match="unperturbed circuit is null"):
+        leakage_sweep(build_nested_mzi(0.0, 2.0, 0.3), SMALL_TO_PI)
 
 
 @pytest.mark.parametrize("magnitude", MAGNITUDES[:-1])

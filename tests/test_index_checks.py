@@ -8,6 +8,7 @@ system modes (a coupling's in increasing order), then probe modes.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_bad_labels_indices_and_couplings_fail_alike(build, body, message):
 
 def test_branch_takes_integer_modes_only():
     for mode in (None, "0", 1.5):
-        with pytest.raises(ValueError, match=f"^branch mode {mode} is not an integer$"):
+        with pytest.raises(ValueError, match=f"^branch mode {re.escape(repr(mode))} is not an integer$"):
             Branch(mode, 1.0, (0j,))
     with pytest.raises(ValueError, match="^branch mode 1.0 is not an integer$"):
         HybridState.single_photon(M_MODES, 1.0, (1.0, 0j))
@@ -156,12 +157,12 @@ def test_integer_like_indices_are_stored_as_int(index):
 
 #: (M, K built in Python, the modes line that carries them, expected diagnostic)
 BAD_COUNTS = [
-    (3.0, 2, "modes 3.0 probes 2", "mode counts must be integers"),
-    (3, 2.0, "modes 3 probes 2.0", "mode counts must be integers"),
-    (3, "2", "modes 3 probes two", "mode counts must be integers"),
-    (0, 2, "modes 0 probes 2", "mode counts out of range"),
-    (False, 0, "modes 0 probes 0", "mode counts out of range"),
-    (3, -1, "modes 3 probes -1", "mode counts out of range"),
+    (3.0, 2, "modes 3.0 probes 2", "mode counts 3.0 and 2 must be integers"),
+    (3, 2.0, "modes 3 probes 2.0", "mode counts 3 and 2.0 must be integers"),
+    (3, "two", "modes 3 probes two", "mode counts 3 and 'two' must be integers"),
+    (0, 2, "modes 0 probes 2", "mode counts 0 and 2 out of range"),
+    (False, 0, "modes 0 probes 0", "mode counts 0 and 0 out of range"),
+    (3, -1, "modes 3 probes -1", "mode counts 3 and -1 out of range"),
 ]
 
 
@@ -180,11 +181,11 @@ def test_bad_mode_counts_fail_alike(m_modes, k_probes, line, message):
 
 
 @pytest.mark.parametrize("m_modes,k_probes,message", [
-    (None, 1, "mode counts must be integers"),
-    ("2", 1, "mode counts must be integers"),
-    (2, -1, "mode counts out of range"),
-    (0, 0, "mode counts out of range"),
-    (0, 1, "mode counts out of range"),
+    (None, 1, "mode counts None and 1 must be integers"),
+    ("2", 1, "mode counts '2' and 1 must be integers"),
+    (2, -1, "mode counts 2 and -1 out of range"),
+    (0, 0, "mode counts 0 and 0 out of range"),
+    (0, 1, "mode counts 0 and 1 out of range"),
 ])
 def test_state_checks_its_mode_counts_before_its_branches(m_modes, k_probes, message):
     branches = (Branch(0, 1.0, (0j,)),)
@@ -196,7 +197,7 @@ def test_state_checks_its_mode_counts_before_its_branches(m_modes, k_probes, mes
 
 def test_backward_run_rejects_a_non_integer_bra_count():
     circuit = Circuit(3, 2, (BeamSplitter(SYS, 0, 1, 0.5),), 0, (1j, 0j))
-    with pytest.raises(ValueError, match="mode counts must be integers"):
+    with pytest.raises(ValueError, match="^mode counts 3.0 and 2 must be integers$"):
         run_backward(circuit, HybridState(3.0, 2, (Branch(0, 1.0, (0j, 0j)),)))
 
 

@@ -9,7 +9,9 @@ list where a label is expected.  The other arguments of a call keep a valid
 value, or draw too.  Whatever the draw, the call returns or raises
 ``ValueError`` or ``IndexError`` (the package's own errors subclass
 ``ValueError``): no bare ``TypeError``, ``AttributeError``,
-``OverflowError`` or ``ZeroDivisionError`` escapes.
+``OverflowError`` or ``ZeroDivisionError`` escapes.  A mode index or
+mode count that is no integer is named in the message by its ``repr``, so
+the string "0" does not read like the int 0.
 
 Arguments that take engine objects (states, circuits, traces, elements)
 keep a valid one; their contract is the element and state checks'.  The
@@ -20,6 +22,7 @@ for a label they do not hold, as a mapping does, and are not drawn.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -169,3 +172,46 @@ REJECTED = {
 def test_known_cases_raise_value_error(case):
     with pytest.raises(ValueError):
         REJECTED[case]()
+
+
+def _integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+PHIS = (0.0, 1.0, 2.0, 3.0)
+
+#: One mode index or mode count per call: entry -> call on the drawn value.
+MODE_ARGUMENTS = {
+    "Branch mode": lambda v: Branch(v, 1.0, ()),
+    "HybridState m_modes": lambda v: HybridState(v, 0, ()),
+    "HybridState k_probes": lambda v: HybridState(1, v, ()),
+    "HybridState.single_photon mode": lambda v: HybridState.single_photon(2, v, ()),
+    "HybridState.project_mode": STATE.project_mode,
+    "BeamSplitter mode_a": lambda v: BeamSplitter(SYS, v, 1, 0.6),
+    "BeamSplitter mode_b": lambda v: BeamSplitter(SYS, 0, v, 0.6),
+    "KerrCoupling system mode": lambda v: KerrCoupling((v,), 0, 0.3),
+    "KerrCoupling probe_mode": lambda v: KerrCoupling((1,), v, 0.3),
+    "PhaseShift index": lambda v: PhaseShift(SYS, v, 0.3),
+    "Circuit m_modes": lambda v: Circuit(v, 0, (), 0, ()),
+    "Circuit source_mode": lambda v: Circuit(1, 0, (), v, ()),
+    "Circuit postselect_mode": lambda v: Circuit(1, 0, (), 0, (), v),
+    "Circuit.insert": lambda v: PRESET.insert(v, Snapshot("x")),
+    "postselect mode": lambda v: postselect(TRACE, v),
+    "fringe_scan mode": lambda v: fringe_scan(PRESET, v, PHIS),
+    "leakage_sweep arm_mode": lambda v: leakage_sweep(PRESET, (), v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_ARGUMENTS))
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(value=AWKWARD.filter(lambda v: not _integer(v)))
+def test_a_non_integer_mode_is_named_by_its_repr(entry, value):
+    # The string "0" and the int 0 must not read alike in the message.
+    with pytest.raises(ValueError) as raised:
+        MODE_ARGUMENTS[entry](value)
+    assert repr(value) in str(raised.value)
