@@ -8,8 +8,9 @@ constructs the standard apparatus: an outer interferometer of reflectivity-r
 beam splitters, a balanced inner interferometer nested in one arm, and a
 balanced probe interferometer whose first arm crosses the Kerr medium
 together with both inner arms.  It is checked once, at import, as one
-template circuit; each call checks only r, eps_tau and alpha, and swaps
-them into a copy of the template.
+template circuit.  Each call checks only alpha, r and eps_tau, and swaps
+them into a copy of the template, whose outer splitter and Kerr coupling it
+copies with only the new parameter checked and its constants formed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .elements import (
     PhaseShift,
     Snapshot,
     _check_indices,
+    _retuned,
     apply_element,
 )
 from .states import (
@@ -163,10 +165,19 @@ def _evolve(
             if el.label == stop:
                 return state
         else:
-            state = apply_element(state, el, dagger=dagger)
+            state = apply_element(state, el, dagger)
     if end is not None:
         stages[end] = state
     return state
+
+
+def _trace(circuit: Circuit, forward: dict, backward: dict) -> StageTrace:
+    """A :class:`StageTrace` of stages the engine recorded, set without the dataclass ``__init__``."""
+    trace = _new(StageTrace)
+    _set(trace, "circuit", circuit)
+    _set(trace, "forward", forward)
+    _set(trace, "backward", backward)
+    return trace
 
 
 def run_forward(circuit: Circuit) -> StageTrace:
@@ -178,7 +189,7 @@ def run_forward(circuit: Circuit) -> StageTrace:
     state = circuit.source_state()
     stages: dict[str, HybridState] = {SOURCE_STAGE: state}
     _evolve(state, circuit.elements, stages, end=FINAL_STAGE)
-    return StageTrace(circuit, forward=stages)
+    return _trace(circuit, stages, {})
 
 
 def _run_prefix(circuit: Circuit, index: int) -> tuple[HybridState, dict[str, HybridState]]:
@@ -229,14 +240,12 @@ def run_backward(circuit: Circuit, final_bra: HybridState | None = None) -> Stag
     _check_shape(final_bra, circuit)
     stages: dict[str, HybridState] = {FINAL_STAGE: final_bra}
     _evolve(final_bra, reversed(circuit.elements), stages, end=SOURCE_STAGE, dagger=True)
-    return StageTrace(circuit, backward=stages)
+    return _trace(circuit, {}, stages)
 
 
 def run_both(circuit: Circuit) -> StageTrace:
     """Forward and backward traces over the same circuit."""
-    return StageTrace(
-        circuit, run_forward(circuit).forward, run_backward(circuit).backward
-    )
+    return _trace(circuit, run_forward(circuit).forward, run_backward(circuit).backward)
 
 
 _INNER = BeamSplitter(SYS, 1, 2, _BALANCED)
@@ -248,6 +257,7 @@ _NESTED = Circuit(3, 2, (
     _INNER, Snapshot("L3"), PhaseShift(PROBE, 0, math.pi), _PROBE_SPLITTER, Snapshot("L3p"),
     BeamSplitter(SYS, 0, 1, 0.0),
 ), 0, (0j, 0j), detect_stage="L3p")
+_OUTER, _KERR = _NESTED.elements[0], _NESTED.elements[6]
 _NESTED_HEAD, _NESTED_TAIL = _NESTED.elements[1:6], _NESTED.elements[7:13]
 
 
@@ -272,21 +282,23 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     stays dark.  No phase-free pair of identical balanced splitters closes
     onto the same port it was fed from.
 
-    Raises what ``Circuit(...)`` of the same elements raises, in its order:
-    alpha as a complex number, then r, then eps_tau, then sqrt(2)*alpha.
+    The outer splitter and the Kerr coupling are the template's, retuned:
+    only r and eps_tau are checked, and their constants formed, by the
+    constructors' own code.  Raises what ``Circuit(...)`` of the same
+    elements raises, in its order: alpha as a complex number, then r, then
+    eps_tau, then sqrt(2)*alpha.
     """
     alpha = _complex("alpha", alpha)
-    outer = BeamSplitter(SYS, 0, 1, r)
-    kerr = KerrCoupling(frozenset({1, 2}), 0, eps_tau)
+    outer = _retuned(_OUTER, "reflectivity", r)
+    kerr = _retuned(_KERR, "eps_tau", eps_tau)
     probe = math.sqrt(2) * alpha
     _check_finite(probe, "source probe amplitude")
     # _NESTED with the three new values, unchecked, in the dataclass __init__'s field order.
     circuit = _new(Circuit)
-    _set(circuit, "m_modes", _NESTED.m_modes)
-    _set(circuit, "k_probes", _NESTED.k_probes)
-    _set(circuit, "elements", (outer,) + _NESTED_HEAD + (kerr,) + _NESTED_TAIL + (outer,))
-    _set(circuit, "source_mode", _NESTED.source_mode)
-    _set(circuit, "source_probes", (probe, 0j))
-    _set(circuit, "postselect_mode", _NESTED.postselect_mode)
-    _set(circuit, "detect_stage", _NESTED.detect_stage)
+    vars(circuit).update(
+        m_modes=_NESTED.m_modes, k_probes=_NESTED.k_probes,
+        elements=(outer, *_NESTED_HEAD, kerr, *_NESTED_TAIL, outer),
+        source_mode=_NESTED.source_mode, source_probes=(probe, 0j),
+        postselect_mode=_NESTED.postselect_mode, detect_stage=_NESTED.detect_stage,
+    )
     return circuit

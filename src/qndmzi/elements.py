@@ -9,15 +9,21 @@ how bra states evolve backward.  Constructors reject non-integer mode
 indices; every index is checked against the state's dimensions by one
 private checker, which :class:`~qndmzi.circuit.Circuit` and the file
 parser call as well.  Each element forms its constants once, at
-construction: its factor or matrix, forward and conjugated, and the spans of
-system and probe modes it names.  They sit outside the dataclass fields, so
-``==``, ``hash``, ``repr`` and ``replace`` ignore them.  An applier reads
+construction: its factor or matrix, forward and conjugated, the spans of
+system and probe modes it names, and their reach (the lowest index and one
+past the highest of each kind), which the checker compares in O(1).  They
+sit outside the dataclass fields, so ``==``, ``hash``, ``repr`` and
+``replace`` ignore them.  An applier reads
 them and hands its steps to one dispatcher, ``_step``: the column step of
 a column state, else, or where it hands over (see :mod:`qndmzi.states`),
 the per-branch step, then the merge.  Only the two steps that a chain of
 branch growth repeats have a column step, a system splitter that splits
 every branch and a Kerr mark: deep circuits of those steps are what reach
 the column form's size.
+
+A splitter and a coupling check their parameter and form its constants in
+one private method, ``_form``; :func:`_retuned` runs it alone to set the
+parameter of a checked template, whose modes need no second check.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from numbers import Complex, Real
 from typing import Union
 
 from .states import (
-    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _scale_branches,
-    _scale_columns, _split_columns, _state, merge_branches,
+    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _new,
+    _scale_branches, _scale_columns, _set, _split_columns, _state, merge_branches,
 )
 
 SYS = "sys"
@@ -61,9 +67,36 @@ def _real(what: str, value) -> float:
     raise ValueError(f"{what} {value!r} is not a real number")
 
 
-def _set_indices(el, span: tuple[int, ...]) -> None:
-    """Store ``el._indices``, (system modes, probe modes), with ``span`` on ``el.target``."""
-    object.__setattr__(el, "_indices", (span, ()) if el.target == SYS else ((), span))
+def _set_indices(el, sys_idx: tuple[int, ...], probe_idx: tuple[int, ...]) -> None:
+    """Store ``el._indices``, (system modes, probe modes), and ``el._reach``.
+
+    The reach is (lowest index, highest system mode + 1, highest probe mode
+    + 1), with 0 for a kind the element does not name; it names one at least.
+    """
+    _set(el, "_indices", (sys_idx, probe_idx))
+    _set(el, "_reach", (min(sys_idx + probe_idx), max(sys_idx) + 1 if sys_idx else 0,
+                        max(probe_idx) + 1 if probe_idx else 0))
+
+
+def _set_span(el, span: tuple[int, ...]) -> None:
+    """:func:`_set_indices` with ``span`` on ``el.target``."""
+    if el.target == SYS:
+        _set_indices(el, span, ())
+    else:
+        _set_indices(el, (), span)
+
+
+def _retuned(template, field: str, value):
+    """``replace(template, **{field: value})`` for the field that ``template._form`` checks.
+
+    The copy keeps the template's other fields and constants, in order, and
+    runs only ``_form``: the constructor's checks of ``value`` and its constants.
+    """
+    el = _new(type(template))
+    vars(el).update(vars(template))
+    _set(el, field, value)
+    el._form()
+    return el
 
 
 @dataclass(frozen=True)
@@ -88,21 +121,24 @@ class BeamSplitter:
         object.__setattr__(self, "mode_b", _check_mode(what, self.mode_b))
         if self.mode_a == self.mode_b:
             raise ValueError("beam splitter ports must differ")
+        self._form()
+        _set_span(self, (self.mode_a, self.mode_b))
+
+    def _form(self) -> None:
+        """Check the reflectivity; store the matrix and its conjugate transpose."""
         r = _real("reflectivity", self.reflectivity)
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
-        t = self.transmissivity
+        t = math.sqrt(max(0.0, 1.0 - r * r))
         (u00, u01), (u10, u11) = u = ((-1j * r, t + 0j), (t + 0j, -1j * r))
-        object.__setattr__(self, "_unitary", u)
-        object.__setattr__(self, "_adjoint", (
+        _set(self, "_unitary", u)
+        _set(self, "_adjoint", (
             (u00.conjugate(), u10.conjugate()), (u01.conjugate(), u11.conjugate())
         ))
-        _set_indices(self, (self.mode_a, self.mode_b))
 
     @property
     def transmissivity(self) -> float:
-        r = float(self.reflectivity)
-        return math.sqrt(max(0.0, 1.0 - r * r))
+        return self._unitary[0][1].real
 
     def unitary(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         return self._unitary
@@ -129,11 +165,15 @@ class KerrCoupling:
             raise ValueError("Kerr coupling names no system mode")
         object.__setattr__(self, "system_modes", modes)
         object.__setattr__(self, "probe_mode", _check_mode("probe mode", self.probe_mode))
-        if not math.isfinite(_real("eps_tau", self.eps_tau)):
+        self._form()
+        _set_indices(self, tuple(sorted(modes)), (self.probe_mode,))
+
+    def _form(self) -> None:
+        """Check eps_tau; store the factors exp(-i eps_tau) and exp(i eps_tau) of its float."""
+        eps = _real("eps_tau", self.eps_tau)
+        if not math.isfinite(eps):
             raise ValueError("eps_tau must be finite")
-        eps = self.eps_tau
-        object.__setattr__(self, "_factors", (cmath.exp(-1.0 * 1j * eps), cmath.exp(1.0 * 1j * eps)))
-        object.__setattr__(self, "_indices", (tuple(sorted(modes)), (self.probe_mode,)))
+        _set(self, "_factors", (cmath.exp(-1.0 * 1j * eps), cmath.exp(1.0 * 1j * eps)))
 
 
 @dataclass(frozen=True)
@@ -147,11 +187,11 @@ class PhaseShift:
     def __post_init__(self) -> None:
         what = _check_target(self.target)
         object.__setattr__(self, "index", _check_mode(what, self.index))
-        if not math.isfinite(_real("phi", self.phi)):
+        phi = _real("phi", self.phi)
+        if not math.isfinite(phi):
             raise ValueError("phi must be finite")
-        phi = self.phi
-        object.__setattr__(self, "_factors", (_phase_factor(phi), _phase_factor(phi, True)))
-        _set_indices(self, (self.index,))
+        _set(self, "_factors", (_phase_factor(phi), _phase_factor(phi, True)))
+        _set_span(self, (self.index,))
 
 
 @dataclass(frozen=True)
@@ -161,17 +201,25 @@ class Snapshot:
     label: str
 
     _indices = ((), ())
+    _reach = (0, 0, 0)
 
 
 Element = Union[BeamSplitter, KerrCoupling, PhaseShift, Snapshot]
 
 
 def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
-    """Raise IndexError unless every mode ``el`` names lies in [0, M) or [0, K)."""
+    """Raise IndexError unless every mode ``el`` names lies in [0, M) or [0, K).
+
+    The stored reach decides; only an element out of range loops over its
+    indices, to name the first offending one (system modes first).
+    """
     try:
-        sys_idx, probe_idx = el._indices
+        low, sys_reach, probe_reach = el._reach
     except AttributeError:
         raise TypeError(f"unknown element {el!r}") from None
+    if low >= 0 and sys_reach <= m_modes and probe_reach <= k_probes:
+        return
+    sys_idx, probe_idx = el._indices
     for idx in sys_idx:
         if not 0 <= idx < m_modes:
             raise IndexError(f"system mode {idx} outside [0, {m_modes}) in {el!r}")

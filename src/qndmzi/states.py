@@ -12,10 +12,11 @@ histories (as in the interferometers built here).  A system beam splitter
 can at worst double the branch count, so deep circuits that keep marking
 branches distinctly grow it exponentially.
 
-Cost model for n branches: :func:`merge_branches` is greedy in input order.
-A branch joins the earliest group it matches among the earlier groups of
-its bucket, so a branch within tolerance of two groups joins the earlier.
-A state already canonical (distinct modes in increasing order, no amplitude
+Cost model for n branches: :func:`merge_branches` is greedy in input order,
+in one pass over the branches.  Each branch sums into the earliest group of
+its bucket whose first member's probes it matches, or starts a new group,
+so a branch within tolerance of two groups joins the earlier.  A state
+already canonical (distinct modes in increasing order, no amplitude
 to drop) costs one pass and comes back as it is, with nothing built.  Below
 ``_COLUMN_MIN`` branches, and for every state with K = 0, the bucket is the
 branch's mode, and groups left in distinct modes sort by mode alone.  From
@@ -226,7 +227,8 @@ class Branch:
 # Trusted construction writes each field straight through its slot
 # descriptor's ``__set__``, bound once here: the frozen ``__setattr__`` and
 # ``object.__setattr__``'s lookup by name are both skipped.  ``_set`` serves
-# the dict-backed classes (``Circuit``, a column state's ``_cols``).
+# the dict-backed classes (a trace, an element's constants, a column state's
+# ``_cols``); a copy of a template fills its instance dict in one update.
 _new = object.__new__
 _set = object.__setattr__
 _set_mode, _set_amp, _set_probes = Branch.mode.__set__, Branch.amp.__set__, Branch.probes.__set__
@@ -730,7 +732,8 @@ def merge_branches(state: HybridState) -> HybridState:
     length x groups in the run) per run, a mode below the bound counting as
     one run.  Both paths give the same groups, sums and order, bit for bit.
     """
-    if state.k_probes and _count(state) >= _COLUMN_MIN:
+    # A column state has K > 0 and _COLUMN_MIN rows or more.
+    if state._cols is not None or state.k_probes and len(state.branches) >= _COLUMN_MIN:
         return _column_merge(state)
     branches = state.branches
     last = -1
@@ -767,46 +770,32 @@ def _same_probes(ps: tuple[complex, ...], qs: tuple[complex, ...]) -> bool:
     return True
 
 
-def _merge_owners(branches: Sequence[Branch], buckets: Sequence | None = None) -> list[int]:
-    """The greedy grouping of :func:`merge_branches`, read from modes and probes alone.
+def _merge_groups(branches: Sequence[Branch], buckets: Sequence | None = None) -> dict[int, Branch]:
+    """The greedy groups of :func:`merge_branches`, unfiltered and unsorted, in one pass.
 
-    Entry i is the position in ``branches`` of the first member of the
-    group that branch i joins (i itself where it starts one).  A branch
-    compares only with the earlier groups of its bucket: ``buckets[i]``, or
-    its mode where ``buckets`` is None.  Branches in distinct buckets must
-    be unable to merge.
+    A branch compares only with the earlier groups of its bucket:
+    ``buckets[i]`` for branch i, or its mode where ``buckets`` is None;
+    branches in distinct buckets must be unable to merge.  It sums into the
+    earliest group whose first member's probes it matches, or starts a new
+    group.  Each group is keyed by the position of its first member in
+    ``branches``, and the keys come in input order.  A group's amplitude
+    sums its members' in input order.
     """
-    owners: list[int] = []
+    groups: dict[int, Branch] = {}
     firsts: dict = {}
     for pos, br in enumerate(branches):
         probes = br.probes
         earlier = firsts.setdefault(br.mode if buckets is None else buckets[pos], [])
         for i in earlier:
-            if _same_probes(branches[i].probes, probes):
-                owners.append(i)
+            g = groups[i]
+            if _same_probes(g.probes, probes):
+                amp = g.amp + br.amp
+                _check_finite(amp, "branch amplitude")
+                groups[i] = _branch(g.mode, amp, g.probes)
                 break
         else:
             earlier.append(pos)
-            owners.append(pos)
-    return owners
-
-
-def _merge_groups(branches: Sequence[Branch], buckets: Sequence | None = None) -> dict[int, Branch]:
-    """The greedy groups of :func:`merge_branches`, unfiltered and unsorted.
-
-    Each group is keyed by the position of its first member in ``branches``,
-    and the keys come in input order.  A group's amplitude sums its members'
-    in input order.  ``buckets`` is as in :func:`_merge_owners`.
-    """
-    groups: dict[int, Branch] = {}
-    for br, first in zip(branches, _merge_owners(branches, buckets)):
-        g = groups.get(first)
-        if g is None:
-            groups[first] = br
-        else:
-            amp = g.amp + br.amp
-            _check_finite(amp, "branch amplitude")
-            groups[first] = _branch(g.mode, amp, g.probes)
+            groups[pos] = br
     return groups
 
 

@@ -97,7 +97,7 @@ class TestSplitterUnitary:
         ]
         bs = BeamSplitter(SYS, 0, 2, 0.6)
         assert sorted(vars(bs)) == sorted(["target", "mode_a", "mode_b", "reflectivity",
-                                           "_unitary", "_adjoint", "_indices"])
+                                           "_unitary", "_adjoint", "_indices", "_reach"])
         assert repr(bs) == "BeamSplitter(target='sys', mode_a=0, mode_b=2, reflectivity=0.6)"
         assert bs == BeamSplitter(SYS, 0, 2, 0.6)
         assert bs != BeamSplitter(SYS, 0, 2, 0.8)
@@ -147,8 +147,16 @@ def old_spans(el):
     return (), ()
 
 
+def old_reach(el):
+    """(lowest index, highest system mode + 1, highest probe mode + 1) of the spans."""
+    sys_idx, probe_idx = old_spans(el)
+    return (min(sys_idx + probe_idx, default=0), max(sys_idx, default=-1) + 1,
+            max(probe_idx, default=-1) + 1)
+
+
 def assert_constants_match_fields(el):
     assert el._indices == old_spans(el)
+    assert el._reach == old_reach(el)
     if isinstance(el, BeamSplitter):
         assert bits(el.unitary()) == bits(formula(el.reflectivity))
         assert bits(el._adjoint) == bits(dagger(formula(el.reflectivity)))
@@ -222,7 +230,7 @@ class TestStoredConstants:
             assert repr(el) == f"{type(el).__name__}({shown})"
             # Constants overwritten behind the element's back change neither == nor hash.
             twin = copy.copy(el)
-            for name in ("_indices", "_factors", "_unitary", "_adjoint"):
+            for name in ("_indices", "_reach", "_factors", "_unitary", "_adjoint"):
                 if name in vars(twin):
                     object.__setattr__(twin, name, None)
             assert twin == el and hash(twin) == hash(el) and repr(twin) == repr(el)
@@ -284,6 +292,23 @@ class TestRealAngles:
             PhaseShift(SYS, 0, 10**400)
         with pytest.raises(ValueError, match="eps_tau must be finite"):
             KerrCoupling(frozenset({0}), 0, -10**400)
+
+    #: Every real type an angle may come as; each factor is formed from its float.
+    REAL_TYPES = [0, 2, False, True, 0.3, -0.0, np.float16(0.3), np.float32(0.5), np.float64(0.3),
+                  np.int64(-3), Fraction(1, 3), Fraction(-7, 2), Decimal("0.3"), Decimal("-1e-9")]
+
+    @pytest.mark.parametrize("angle", REAL_TYPES, ids=repr)
+    def test_factors_are_formed_from_the_float(self, angle):
+        # A Decimal angle once raised a bare TypeError: the factor multiplied
+        # a complex by the field as given.
+        x = float(angle)
+        shift, coupling = PhaseShift(SYS, 1, angle), KerrCoupling(frozenset({1}), 0, angle)
+        assert repr(shift._factors) == repr((cmath.exp(1j * x), cmath.exp(-1j * x)))
+        assert repr(coupling._factors) == repr((cmath.exp(-1.0 * 1j * x), cmath.exp(1.0 * 1j * x)))
+        assert shift.phi is angle and coupling.eps_tau is angle
+        preset = build_nested_mzi(0.6, 2, angle)
+        assert repr(preset.elements[6]._factors) == repr(coupling._factors)
+        assert repr(run_both(preset).forward) == repr(run_both(build_nested_mzi(0.6, 2, x)).forward)
 
     @pytest.mark.parametrize("angle", [0, 2, False, True, np.float64(0.3), np.float32(0.5),
                                        np.int64(-3), Fraction(1, 3)], ids=repr)

@@ -3,7 +3,8 @@
 Each scalar or collection argument of each public constructor, method and
 function is drawn from one grammar of awkward values: None, str, bytes and
 bool; complex where a real is expected; numpy int, float and complex
-scalars; +-0.0, +-inf and nan; ints beyond the float range and magnitudes
+scalars; ``Decimal`` (NaNs and infinities included) and ``Fraction``;
++-0.0, +-inf and nan; ints beyond the float range and magnitudes
 near overflow and underflow; a scalar where a collection is expected and a
 list where a label is expected.  The other arguments of a call keep a valid
 value, or draw too.  Whatever the draw, the call returns or raises
@@ -83,6 +84,8 @@ SCALARS = st.one_of(
            lambda kind: st.floats(width=_bits(kind), allow_nan=True, allow_infinity=True)),
     _numpy([np.complex64, np.complex128],
            lambda kind: st.complex_numbers(width=_bits(kind), allow_nan=True, allow_infinity=True)),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.fractions(),
 )
 #: Any awkward value: a scalar, or a list of them where a scalar or label is expected.
 AWKWARD = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))

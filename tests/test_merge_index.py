@@ -164,7 +164,7 @@ class TestDistinctModeShortcut:
 
     The group scan leaves each branch a group of its own, so they are only
     filtered and sorted by mode; groups left in distinct modes sort by mode
-    alone.  Counting the calls of ``_merge_owners`` tells whether a state
+    alone.  Counting the calls of ``_merge_groups`` tells whether a state
     took the scan rather than the canonical return.
     """
 
@@ -173,13 +173,13 @@ class TestDistinctModeShortcut:
     @staticmethod
     def group_scans(monkeypatch):
         calls = []
-        owners = qndmzi.states._merge_owners
+        groups = qndmzi.states._merge_groups
 
         def counted(branches, buckets=None):
             calls.append(branches)
-            return owners(branches, buckets)
+            return groups(branches, buckets)
 
-        monkeypatch.setattr(qndmzi.states, "_merge_owners", counted)
+        monkeypatch.setattr(qndmzi.states, "_merge_groups", counted)
         return calls
 
     @pytest.mark.parametrize("seed", range(6))

@@ -1,11 +1,12 @@
 """The nested-MZI preset: the same circuit, the same errors and the same work as its literal form.
 
-``build_nested_mzi`` shares its parameter-free elements between calls and
-assembles its circuit without the public constructor, whose checks a
+``build_nested_mzi`` shares its parameter-free elements between calls,
+retunes copies of the template's outer splitter and Kerr coupling, and
+assembles its circuit without the public constructor, whose checks the
 template circuit passed once, at import; these tests hold it to the circuit
-written out element by element, and pin how many elements, merges and
-circuits each public run performs on it, and how many branches and states
-it builds.
+written out element by element, constants included, and pin how many
+elements, merges and circuits each public run performs on it, and how many
+branches and states it builds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qndmzi
@@ -85,12 +89,32 @@ ALPHAS = [
 ]
 
 
+#: The constants an element forms at construction, outside its dataclass fields.
+CONSTANTS = ("_unitary", "_adjoint", "_factors", "_indices", "_reach")
+
+#: r and eps_tau of every real type the constructors take, beside the float grid.
+TYPED_R = [np.float64(0.6), np.float32(0.6), np.float16(0.3), np.int64(1), 0, 1, False, True,
+           Fraction(3, 5), Decimal("0.6")]
+TYPED_EPS = [np.float64(0.3), np.float32(0.3), np.float16(0.3), np.int64(2), 0, 3, False, True,
+             Fraction(1, 3), Decimal("0.3")]
+
+
+def assert_same_constants(got: Circuit, want: Circuit) -> None:
+    """Each element's instance attributes, in order, and its constants under ``repr``."""
+    for mine, theirs in zip(got.elements, want.elements, strict=True):
+        assert list(vars(mine)) == list(vars(theirs))
+        for name in CONSTANTS:
+            assert repr(getattr(mine, name, None)) == repr(getattr(theirs, name, None)), name
+
+
 class TestPresetEqualsLiteral:
     @pytest.mark.parametrize("r", [0.0, 0.37, 0.6, 1.0])
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("eps", [0.0, 1e-13, math.pi])
     def test_equal_and_same_bytes(self, r, alpha, eps):
         got, want = build_nested_mzi(r, alpha, eps), literal_nested_mzi(r, alpha, eps)
+        # The outer splitter and the coupling are retuned templates.
+        assert_same_constants(got, want)
         assert got == want
         assert hash(got) == hash(want)
         assert repr(got) == repr(want)
@@ -102,6 +126,14 @@ class TestPresetEqualsLiteral:
         assert [el.unitary() for el in got.elements if isinstance(el, BeamSplitter)] == [
             el.unitary() for el in want.elements if isinstance(el, BeamSplitter)
         ]
+
+    @pytest.mark.parametrize("r", TYPED_R, ids=repr)
+    @pytest.mark.parametrize("eps", TYPED_EPS, ids=repr)
+    def test_typed_parameters_keep_the_constants(self, r, eps):
+        got, want = build_nested_mzi(r, 2.0, eps), literal_nested_mzi(r, 2.0, eps)
+        assert got == want and repr(got) == repr(want)
+        assert got.elements[0].reflectivity is r and got.elements[6].eps_tau is eps
+        assert_same_constants(got, want)
 
     def test_integer_and_default_arguments(self):
         assert build_nested_mzi(1) == literal_nested_mzi(1)
