@@ -36,7 +36,6 @@ from .circuit import (
     Circuit,
     StageTrace,
     _evolve,
-    _insertion_runs,
     _run_prefix,
     run_both,
 )
@@ -241,14 +240,18 @@ def _resumed_scan(circuit: Circuit, prefix: tuple, suffix: Sequence[Element], mo
     Each phase resumes from ``prefix`` (a detection stage in ``prefix`` is
     read from there) and runs to the detection stage, with the bits of
     inserting the phase and running the circuit forward from the source.
+    It then makes :func:`postselect`'s calls, so each sample keeps its bits.
     """
+    head, recorded = prefix
     dp1, dp2 = [], []
-    scans = ((PhaseShift(PROBE, 1, phi),) for phi in phis)
-    for stages in _insertion_runs(suffix, prefix, scans, circuit.detect_stage):
-        result = postselect(StageTrace(circuit, stages), mode, compute_fidelity=False)
-        if result.conditional is None:
+    for phi in phis:
+        state = recorded.get(circuit.detect_stage)
+        if state is None:  # "final" names no snapshot, so a run to it ends with the elements
+            state = _evolve(head, (PhaseShift(PROBE, 1, phi), *suffix), {}, stop=circuit.detect_stage)
+        conditional = _condition(state, mode)[1]
+        if conditional is None:
             raise ValueError(f"post-selection on mode {mode} is impossible; no fringe")
-        means = result.probe_mean_photons
+        means = _probe_means(conditional)[1]
         dp1.append(means[0])
         dp2.append(means[1])
     return dp1, dp2

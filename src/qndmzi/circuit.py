@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .elements import (
     PROBE,
@@ -197,29 +197,6 @@ def _run_prefix(circuit: Circuit, index: int) -> tuple[HybridState, dict[str, Hy
     source = circuit.source_state()
     prefix: dict[str, HybridState] = {SOURCE_STAGE: source}
     return _evolve(source, circuit.elements[:index], prefix), prefix
-
-
-def _insertion_runs(
-    suffix: tuple[Element, ...], prefix: tuple[HybridState, dict[str, HybridState]],
-    inserted: Iterable[tuple[Element, ...]], stop: str = FINAL_STAGE,
-) -> Iterator[dict[str, HybridState]]:
-    """Forward stages of a circuit with each of ``inserted`` placed between its prefix and ``suffix``.
-
-    ``prefix`` is what :func:`_run_prefix` returned for the index where
-    ``suffix`` begins, evolved once for every run.  Yields, per tuple of
-    elements inserted, what ``run_forward`` of the circuit with those
-    elements at that index holds up to stage ``stop``, with the same
-    floating-point operations: each run resumes from ``prefix`` with them
-    and ``suffix``; where ``prefix`` holds ``stop``, nothing more runs.
-    An empty tuple gives the circuit's own run.  The caller checks the
-    inserted elements' indices.
-    """
-    head, prefix = prefix
-    for els in inserted:
-        stages = dict(prefix)
-        if stop not in stages:
-            _evolve(head, els + suffix, stages, stop=stop, end=FINAL_STAGE)
-        yield stages
 
 
 def run_backward(circuit: Circuit, final_bra: HybridState | None = None) -> StageTrace:

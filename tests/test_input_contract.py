@@ -14,6 +14,13 @@ value, or draw too.  Whatever the draw, the call returns or raises
 mode count that is no integer is named in the message by its ``repr``, so
 the string "0" does not read like the int 0.
 
+One alternative among many is drawn too rarely to reach each argument of
+each entry, so a deterministic sweep also puts one fixed value per
+alternative into each argument (and into the first item of each collection
+argument) in turn, the others kept valid.  Where a number is accepted, the
+call's output must have the bits of the same call with the number
+converted by hand, by ``float``, ``complex`` or ``operator.index``.
+
 Arguments that take engine objects (states, circuits, traces, elements)
 keep a valid one; their contract is the element and state checks'.  The
 report lookups ``TsvfReport.stage``/``overlap_modes`` raise ``KeyError``
@@ -24,6 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -50,6 +61,7 @@ from qndmzi import (
     parse_complex,
     postselect,
     run_both,
+    run_forward,
     serialize_circuit,
     tsvf_report,
 )
@@ -91,46 +103,77 @@ SCALARS = st.one_of(
 AWKWARD = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
 
 
-def arg(valid) -> st.SearchStrategy:
+class Spec(NamedTuple):
+    """One positional argument: a valid value, how a number given for it is read, and its draws.
+
+    ``read`` converts a number given for the argument (for a collection,
+    for each item) as the entry reads it: ``float``, ``complex``,
+    ``operator.index``, or ``bool`` for a flag; None for a label, text or
+    engine object.
+    """
+
+    valid: object
+    read: Callable | None
+    collection: bool
+    strategy: st.SearchStrategy
+
+
+def arg(valid, read=None) -> Spec:
     """A scalar or label argument: ``valid`` or an awkward value."""
-    return st.one_of(st.just(valid), AWKWARD)
+    return Spec(valid, read, False, st.one_of(st.just(valid), AWKWARD))
 
 
-def items(valid, min_size: int = 0, max_size: int = 4) -> st.SearchStrategy:
-    """A collection argument: a non-collection, or a list or tuple of ``valid`` and awkward items."""
-    values = st.lists(st.one_of(st.just(valid), SCALARS), min_size=min_size, max_size=max_size)
-    return st.one_of(SCALARS, values, values.map(tuple))
+def items(valid: tuple, read=None, min_size: int = 0, max_size: int = 4) -> Spec:
+    """A collection argument: a non-collection, or a list or tuple of ``valid[0]`` and awkward items."""
+    values = st.lists(st.one_of(st.just(valid[0]), SCALARS), min_size=min_size, max_size=max_size)
+    return Spec(valid, read, True, st.one_of(SCALARS, values, values.map(tuple)))
 
 
 PRESET = build_nested_mzi(0.6, 2.0, 0.3)
 TRACE = run_both(PRESET)
 STATE = PRESET.source_state()
 #: A valid, engine-object-only collection argument, or a value that is no collection.
-ELEMENTS = st.one_of(st.just(()), st.just((Snapshot("s"),)), SCALARS)
+ELEMENTS = Spec((), None, False, st.one_of(st.just(()), st.just((Snapshot("s"),)), SCALARS))
 
-#: Public entry -> (callable, one strategy per positional argument).
+
+def index(valid: int) -> Spec:
+    """A mode index, count or position: an ``int`` read by ``operator.index``."""
+    return arg(valid, operator.index)
+
+
+def real(valid: float) -> Spec:
+    return arg(valid, float)
+
+
+def number(valid: complex) -> Spec:
+    return arg(valid, complex)
+
+
+#: Public entry -> (callable, one spec per positional argument).
 ENTRIES = {
-    "Branch": (Branch, [arg(0), arg(1.0), items(0.5)]),
-    "HybridState": (HybridState, [arg(1), arg(0), items(Branch(0, 1.0, ()))]),
-    "HybridState.single_photon": (HybridState.single_photon, [arg(2), arg(0), items(0.5)]),
-    "HybridState.project_mode": (STATE.project_mode, [arg(0)]),
-    "HybridState.scaled": (STATE.scaled, [arg(0.5)]),
-    "BeamSplitter": (BeamSplitter, [arg(SYS), arg(0), arg(1), arg(0.6)]),
-    "KerrCoupling": (KerrCoupling, [items(0, min_size=1), arg(0), arg(0.3)]),
-    "PhaseShift": (PhaseShift, [arg(SYS), arg(0), arg(0.3)]),
+    "Branch": (Branch, [index(0), number(1.0), items((0.5,), complex)]),
+    "HybridState": (HybridState, [index(1), index(0), items((Branch(0, 1.0, ()),))]),
+    "HybridState.single_photon": (HybridState.single_photon, [index(2), index(0), items((0.5,), complex)]),
+    "HybridState.project_mode": (STATE.project_mode, [index(0)]),
+    "HybridState.scaled": (STATE.scaled, [number(0.5)]),
+    "BeamSplitter": (BeamSplitter, [arg(SYS), index(0), index(1), real(0.6)]),
+    "KerrCoupling": (KerrCoupling, [items((0,), operator.index, min_size=1), index(0), real(0.3)]),
+    "PhaseShift": (PhaseShift, [arg(SYS), index(0), real(0.3)]),
     "Snapshot": (Snapshot, [arg("x")]),
-    "Circuit": (Circuit, [arg(1), arg(1), ELEMENTS, arg(0), items(0.5), arg(0), arg(FINAL_STAGE)]),
-    "Circuit.insert": (lambda index: PRESET.insert(index, Snapshot("x")), [arg(1)]),
-    "build_nested_mzi": (build_nested_mzi, [arg(0.6), arg(2.0), arg(0.3)]),
-    "coherent_overlap": (coherent_overlap, [arg(0.5), arg(0.5j)]),
-    "postselect": (lambda *a: postselect(TRACE, *a), [arg(0), arg("L3"), arg(True)]),
-    "tsvf_report": (lambda t: tsvf_report(PRESET, t, TRACE), [arg(1e-10)]),
-    "fringe_scan": (lambda *a: fringe_scan(PRESET, *a), [arg(0), items(1.0, max_size=6)]),
-    "leakage_sweep": (lambda *a: leakage_sweep(PRESET, *a), [items(1e-3), arg(1), arg("L3")]),
+    "Circuit": (Circuit, [index(1), index(1), ELEMENTS, index(0), items((0.5,), complex), index(0),
+                          arg(FINAL_STAGE)]),
+    "Circuit.insert": (lambda i: PRESET.insert(i, Snapshot("x")), [index(1)]),
+    "build_nested_mzi": (build_nested_mzi, [real(0.6), number(2.0), real(0.3)]),
+    "coherent_overlap": (coherent_overlap, [number(0.5), number(0.5j)]),
+    "postselect": (lambda *a: postselect(TRACE, *a), [index(0), arg("L3"), arg(True, bool)]),
+    "tsvf_report": (lambda t: tsvf_report(PRESET, t, TRACE), [real(1e-10)]),
+    "fringe_scan": (lambda *a: fringe_scan(PRESET, *a),
+                    [index(0), items((1.0, 2.0, 3.0, 4.0), float, max_size=6)]),
+    "leakage_sweep": (lambda *a: leakage_sweep(PRESET, *a), [items((1e-3,), float), index(1), arg("L3")]),
     "parse_complex": (parse_complex, [arg("1-2i")]),
     "parse_circuit": (parse_circuit, [arg(serialize_circuit(PRESET))]),
-    "format_complex": (format_complex, [arg(1 - 2j)]),
-    "apply_element": (lambda dagger: apply_element(STATE, PRESET.elements[0], dagger), [arg(True)]),
+    "format_complex": (format_complex, [number(1 - 2j)]),
+    "apply_element": (lambda dagger: apply_element(STATE, PRESET.elements[0], dagger), [arg(True, bool)]),
 }
 
 
@@ -139,12 +182,67 @@ ENTRIES = {
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_entry_returns_or_raises_value_error(entry, data):
-    call, strategies = ENTRIES[entry]
-    args = data.draw(st.tuples(*strategies), label="args")
+    call, specs = ENTRIES[entry]
+    args = data.draw(st.tuples(*[spec.strategy for spec in specs]), label="args")
     try:
         call(*args)
     except (ValueError, IndexError):
         pass
+
+
+#: One fixed value per alternative of ``SCALARS``, and a list where a scalar is expected.
+VALUES = (None, "x", b"x", True, 0, -0.0, math.inf, math.nan, 5e-324, 1 + 2j, 2**1100, np.int64(1),
+          np.float16(0.5), np.float32(0.3), np.complex64(1), Decimal("0.3"), Decimal("NaN"),
+          Fraction(1, 3), [0.5])
+
+#: What of a result is compared, where its dataclass fields keep an argument as given.
+OUTPUTS = {
+    "BeamSplitter": lambda el: apply_element(STATE, el),
+    "KerrCoupling": lambda el: apply_element(STATE, el),
+    "PhaseShift": lambda el: apply_element(STATE, el),
+    "build_nested_mzi": lambda circuit: run_forward(circuit).forward,
+    "postselect": lambda result: replace(result, mode=None),
+}
+
+
+def _sweep():
+    """(entry, argument position, whether the value replaces the first item, value) per case."""
+    for entry, (_, specs) in sorted(ENTRIES.items()):
+        for position, spec in enumerate(specs):
+            for value in VALUES:
+                if spec is ELEMENTS and isinstance(value, list):
+                    continue  # a non-element in the elements is the element checks' (a TypeError)
+                yield pytest.param(entry, position, False, value, id=f"{entry}-{position}-{value!r}")
+                if spec.collection:
+                    yield pytest.param(entry, position, True, value, id=f"{entry}-{position}[0]-{value!r}")
+
+
+def _valid_but(specs, position, item, value) -> list:
+    """Every argument valid but the one at ``position``, or its first item, which is ``value``."""
+    args = [spec.valid for spec in specs]
+    args[position] = (value,) + args[position][1:] if item else value
+    return args
+
+
+@pytest.mark.parametrize("entry, position, item, value", list(_sweep()))
+def test_each_argument_takes_each_type(entry, position, item, value):
+    # The drawn grammar reaches some argument/type pairs too rarely; this
+    # puts each fixed value into each argument in turn.  An accepted number
+    # must give the bits of the same call with it converted by hand.
+    call, specs = ENTRIES[entry]
+    output = OUTPUTS.get(entry, lambda result: result)
+    try:
+        got = output(call(*_valid_but(specs, position, item, value)))
+    except (ValueError, IndexError):
+        return
+    read = specs[position].read
+    if read is None or item != specs[position].collection:
+        return
+    try:
+        value = read(value)
+    except (TypeError, ValueError, OverflowError):
+        return  # no number of the argument's kind, as an accepted flag may be
+    assert repr(got) == repr(output(call(*_valid_but(specs, position, item, value))))
 
 
 #: Calls that once raised a bare error or read a value wrongly without one.

@@ -566,6 +566,30 @@ class TestFringeClosedForm:
                     checked += not isinstance(got[0], type)
         assert checked > 30
 
+    @pytest.mark.parametrize("case", ["preset", "detected ahead", "per phase"])
+    def test_samples_build_no_trace_and_call_no_postselect(self, monkeypatch, case):
+        # Each sampled phase resumes through _evolve, or reads a detection
+        # stage ahead of the phase from the prefix, and conditions the state
+        # with postselect's own calls: no StageTrace, stage dict copy or
+        # PostSelectionResult is built per phase.
+        circuit = build_nested_mzi(0.6, 2.0, 0.3)
+        if case == "detected ahead":
+            circuit = replace(circuit, detect_stage="L2")
+        elif case == "per phase":
+            circuit = self._after_the_recombiner(
+                circuit, KerrCoupling(frozenset({2}), 1, 0.9), BeamSplitter(SYS, 0, 2, 0.5))
+        mode = 0 if case == "detected ahead" else 2
+        monkeypatch.setattr(qndmzi.circuit.StageTrace, "__init__", _never_called)
+        monkeypatch.setattr(qndmzi.analysis, "postselect", _never_called)
+        got = _outcome(fringe_scan, circuit, mode, PHIS)
+        monkeypatch.undo()
+        want = _outcome(reference_fringe_scan, circuit, mode, PHIS)
+        if case == "preset":
+            _assert_scans_agree(got, want, circuit)
+        else:
+            assert got == want
+        assert isinstance(got, FringeScan) == (case != "detected ahead")
+
     def test_random_signed_zero_inputs(self):
         rng = random.Random(2317)
         for _ in range(60):
