@@ -116,7 +116,9 @@ def postselect(
     stage = trace.detect_stage if at is None else at
     if not isinstance(stage, str) or stage not in trace.forward:
         raise ValueError(f"stage {stage!r} not present in the forward trace")
-    probability, conditional = _condition(trace.forward[stage], mode)
+    state = trace.forward[stage]
+    mode = _check_mode("mode", mode, state.m_modes)
+    probability, conditional = _condition(state, mode)
     if conditional is None:
         return PostSelectionResult(mode, stage, 0.0, None, None, None)
     norm, means = _probe_means(conditional)
@@ -280,7 +282,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
     """
     phis = tuple([_real("phi", p) for p in _collection("phis", phis)])
     if len(phis) < 4:
-        raise ValueError("need at least 4 scan points to fit the fringe")
+        raise ValueError("need at least 4 scan points")
     if circuit.k_probes != 2:
         raise ValueError("fringe scans require exactly two probe modes")
     _check_mode("mode", mode, circuit.m_modes)

@@ -58,9 +58,6 @@ def _fmt_amp(z: complex) -> str:
 
 def _print_state(label: str, state: HybridState, direction: str) -> None:
     click.echo(f"{direction} {label}:")
-    if not state.branches:
-        click.echo("  (null state)")
-        return
     for br in state.branches:
         probes = "  ".join(
             f"p{k}={format_complex(p)}" for k, p in enumerate(br.probes)

@@ -10,10 +10,11 @@ One element per line, whitespace-separated tokens, ``#`` starts a comment::
     kerr sys=1,2 probe=0 eps_tau=0.3
     postselect mode=0 at=L3p
 
-Complex literals are written ``a+bi`` (a bare real is accepted on input).
+Complex literals are written ``a+bi``; input reads as ``complex()`` reads
+the same text with ``j`` (``a-i``, ``-i``), and a bare real is accepted.
 ``postselect`` takes an optional ``at=LABEL`` naming the snapshot at which
 detection statistics are evaluated (default: the fully evolved state).
-Unknown keywords are errors; every diagnostic carries its line number.
+Unknown keywords are errors; a diagnostic about a line carries its number.
 
 Files from older versions may give ``kerr`` two more tokens, in this order:
 ``eta_tau=F``, a photon-photon strength that is inert for one photon (it
@@ -57,15 +58,12 @@ def parse_complex(token: str) -> complex:
         if not tok.endswith("i"):
             return complex(float(tok), 0.0)
         body = tok[:-1]
-        # Split real/imaginary at the last sign that is not an exponent sign.
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "eE":
-                return complex(float(body[:i]), float(body[i:]))
-        if body in ("", "+"):
-            return 1j
-        if body == "-":
-            return -1j
-        return complex(0.0, float(body))
+        # Split real/imaginary at the last sign that is not an exponent sign;
+        # an empty or sign-only imaginary part is a unit, as ``complex("-j")`` reads it.
+        cut = next((k for k in range(len(body) - 1, 0, -1)
+                    if body[k] in "+-" and body[k - 1] not in "eE"), 0)
+        imag = body[cut:]
+        return complex(float(body[:cut] or 0.0), float(imag + "1" if imag in ("", "+", "-") else imag))
     except ValueError:
         raise ValueError(f"malformed complex literal {token!r}") from None
 
@@ -82,15 +80,16 @@ def _kv(token: str, key: str) -> str:
     return token[len(key) + 1 :]
 
 
-def _index(token: str) -> int | float:
-    """A mode index.  A non-integer number reads as a float, which the element
-    and circuit checks then reject with the text they give in Python."""
+def _index(token: str) -> int | float | str:
+    """A mode index.  A non-integer number reads as a float and any other token
+    stays a str, which the element and circuit checks then reject with the
+    text they give in Python."""
     for kind in (int, float):
         try:
             return kind(token)
         except ValueError:
             pass
-    raise ValueError(f"malformed index {token!r}")
+    return token
 
 
 def _float_field(token: str, key: str) -> float:
@@ -127,9 +126,11 @@ def parse_circuit(text: str) -> Circuit:
 
     Raises :class:`CircuitFormatError` naming the line for: unknown
     keywords, malformed or non-finite numbers, non-integer indices or ones
-    outside the declared ranges, bad, reserved or duplicate snapshot labels,
-    and a missing source line.  Each line is checked as it is read, by the
-    same checks, with the same text, that :class:`Circuit` makes.
+    outside the declared ranges, and bad, reserved or duplicate snapshot
+    labels.  Each line is checked as it is read, by the same checks, with
+    the same text, that :class:`Circuit` makes.  A missing source line and
+    a detection stage with no snapshot (which may follow ``postselect``)
+    name no line.
     """
     if not isinstance(text, str):
         raise CircuitFormatError(None, f"circuit text {text!r} is not a str")
@@ -155,15 +156,9 @@ def parse_circuit(text: str) -> Circuit:
                     raise ValueError("duplicate modes declaration")
                 if len(tokens) != 4 or tokens[2] != "probes":
                     raise ValueError("expected: modes M probes K")
-                counts = []
-                for token in (tokens[1], tokens[3]):
-                    try:
-                        counts.append(_index(token))
-                    except ValueError:
-                        counts.append(token)  # _check_counts names it in its error
-                m_modes, k_probes = _check_counts(*counts)
+                m_modes, k_probes = _check_counts(_index(tokens[1]), _index(tokens[3]))
                 continue
-            if m_modes is None or k_probes is None:
+            if m_modes is None:
                 raise ValueError(f"{keyword!r} before the modes declaration")
             if keyword == "source":
                 if source_probes is not None:
@@ -212,17 +207,11 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitFormatError(None, "empty circuit: no modes declaration")
     if source_probes is None or source_mode is None:
         raise CircuitFormatError(None, "missing source line")
-    if detect_stage != FINAL_STAGE and detect_stage not in labels:
-        raise CircuitFormatError(None, f"postselect at={detect_stage!r} names no snapshot")
-    return Circuit(
-        m_modes=m_modes,
-        k_probes=k_probes,
-        elements=tuple(elements),
-        source_mode=source_mode,
-        source_probes=source_probes,
-        postselect_mode=postselect_mode,
-        detect_stage=detect_stage,
-    )
+    try:  # every other rule was checked on its line; the detection stage may name a later one
+        return Circuit(m_modes, k_probes, tuple(elements), source_mode, source_probes,
+                       postselect_mode, detect_stage)
+    except ValueError as exc:
+        raise CircuitFormatError(None, str(exc)) from None
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -14,6 +14,7 @@ from qndmzi import (
     leakage_sweep,
     mean_probe_photons,
     postselect,
+    run_both,
     run_forward,
     state_fidelity,
     tsvf_report,
@@ -66,6 +67,19 @@ class TestPostselect:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             postselect(run_forward(preset()), 0, at="L7")
+
+    @pytest.mark.parametrize("mode, at", [(np.int64(1), "L3"), (True, None), (np.int64(0), None)])
+    def test_result_holds_the_checked_mode(self, mode, at):
+        result = postselect(run_both(preset()), mode, at)
+        assert type(result.mode) is int and result.mode == mode
+
+    def test_stage_is_checked_before_the_mode(self):
+        with pytest.raises(ValueError, match="^stage 'L7' not present"):
+            postselect(run_forward(preset()), "x", at="L7")
+        with pytest.raises(ValueError, match="^mode 'x' is not an integer$"):
+            postselect(run_forward(preset()), "x")
+        with pytest.raises(IndexError, match=r"^mode 3 outside \[0, 3\)$"):
+            postselect(run_forward(preset()), 3)
 
     def test_exit_fidelity_decays_with_coupling(self):
         weak = postselect(run_forward(preset(eps=0.1)), 2)

@@ -112,6 +112,14 @@ class TestTsvfCommand:
         l1_rows = [l for l in result.output.splitlines() if l.startswith("L1 ")]
         assert any("NO-OVERLAP" in row for row in l1_rows)
 
+    def test_impossible_post_selection_at_every_stage(self, runner):
+        # At r = 0 the photon never reaches the detector mode.
+        result = runner.invoke(main, ["nested-mzi", "--r", "0", "tsvf"])
+        assert result.exit_code == 0, result.output
+        rows = result.output.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["source", "L1", "L2", "L2p", "L3", "L3p", "final"]
+        assert all(row.endswith(" post-selection impossible (null transition amplitude)") for row in rows)
+
     def test_record_format(self, runner):
         result = runner.invoke(
             main,
@@ -217,6 +225,19 @@ class TestBadInputFailsCleanly:
         path.write_text("modes 3 probes 2\nsource mode=0 probe0=nan+0i probe1=0+0i\n")
         result = runner.invoke(main, ["circuit", str(path), "run"])
         self.assert_clean_error(result, f"{path}: line 2: ", "non-finite")
+
+    def test_alpha_that_is_no_complex_literal(self, runner):
+        result = runner.invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", "x", "run"])
+        assert result.exit_code == 2
+        self.assert_clean_error(result, "'x' is not a complex literal (a+bi)")
+
+    def test_alpha_default_that_is_complex_already(self, runner):
+        # A default from the default map reaches the parameter type as a complex.
+        args = ["nested-mzi", "--r", "0.6", "postselect", "--mode", "0"]
+        given = runner.invoke(main, args, default_map={"nested-mzi": {"alpha": 2 + 1j}})
+        typed = runner.invoke(main, args[:3] + ["--alpha", "2+1i"] + args[3:])
+        assert given.exit_code == typed.exit_code == 0
+        assert given.output == typed.output
 
     @pytest.mark.parametrize("command", ["run", "tsvf"])
     def test_non_finite_alpha(self, runner, command):

@@ -35,6 +35,7 @@ from qndmzi import (
     PROBE,
     SYS,
     BeamSplitter,
+    Branch,
     Circuit,
     HybridState,
     KerrCoupling,
@@ -43,6 +44,7 @@ from qndmzi import (
     apply_element,
     inner_product,
     mean_probe_photons,
+    merge_branches,
     postselect,
     run_both,
     run_forward,
@@ -269,6 +271,36 @@ def test_overflow_raises_alike(alpha, k_probes):
         assert got == outcome(circuit)
 
 
+def merged_columns(probes) -> HybridState:
+    """The column state ``merge_branches`` makes of one mode-0 branch per probe, none merging."""
+    state = merge_branches(HybridState(1, 1, tuple(Branch(0, 0.25, (p,)) for p in probes)))
+    assert state._cols is not None and len(state.branches) == len(probes)
+    return state
+
+
+def test_kerr_mark_whose_probes_overflow_hands_over():
+    # Finite parts, modulus past the float range: a quarter turn writes inf,
+    # so the column step hands over and the per-branch step raises.  The
+    # merge sorts the rows, so the error is compared on the same order.
+    col = merged_columns([complex(1.5e308 - k * 1e300, 1.5e308) for k in range(16)])
+    mark = KerrCoupling({0}, 0, math.pi / 4)
+    with pytest.raises(ValueError) as got:
+        apply_element(col, mark)
+    with pytest.raises(ValueError) as want:
+        apply_element(twin(col), mark)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite probe amplitude: (inf")
+
+
+def test_column_pair_sum_whose_exponent_overflows():
+    # |u|^2 = 1e24 rounds, so the overlap exponent is of order 1e8.
+    col = merged_columns([1e12 + k * 1e-3 for k in range(16)])
+    one = HybridState(1, 1, (Branch(0, 1.0, (1e12 + 0.5e-3,)),))
+    for bra, ket in ((col, one), (one, col), (twin(col), one), (one, twin(col))):
+        with pytest.raises(ValueError, match="^non-finite inner product: a coherent overlap overflows$"):
+            inner_product(bra, ket)
+
+
 @pytest.mark.parametrize("f", [0.4, 0.6, 0.9, 1.0, 1.1, 1.9, 2.2])
 def test_amplitudes_near_the_drop_tolerance(f):
     # Five balanced layers leave 32 branches of amplitude 2^-2.5; the next
@@ -329,6 +361,9 @@ class TestColumnState:
     def test_branches_are_built_once(self, column_state):
         assert column_state.branches is column_state.branches
         assert built(column_state)
+
+    def test_comparison_with_a_non_state(self, column_state):
+        assert not column_state == 5 and column_state != 5
 
     def test_unknown_attribute(self, column_state):
         with pytest.raises(AttributeError, match="nothing"):

@@ -1,14 +1,17 @@
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qndmzi import (
     FINAL_STAGE,
+    PROBE,
     SYS,
     BeamSplitter,
     Circuit,
@@ -23,6 +26,7 @@ from qndmzi import (
     format_complex,
     serialize_circuit,
 )
+from qndmzi.cli import main
 from helpers import random_circuit, random_complex, random_element
 
 EXAMPLE = """\
@@ -44,6 +48,46 @@ postselect mode=0
 """
 
 
+def _grammar_literals() -> list[str]:
+    """``real + sign + magnitude + "i"``; the sign may be empty only where the real part is."""
+    reals = ["", "0", "-0", "+1", "2.5", "-1.5e-3", "1e5", "nan", "-inf", "7E+2"]
+    magnitudes = ["", "1", "2e4", "0.5", "inf", "nan", "3E-2"]
+    return [real + sign + mag + "i" for real in reals
+            for sign in (("+", "-") if real else ("+", "-", "")) for mag in magnitudes]
+
+
+#: A line with ``{}`` for a mode index, and the element or circuit that Python builds from its value.
+INDEX_LINES = [
+    ("bs sys {} 1 r=0.5", lambda v: BeamSplitter(SYS, v, 1, 0.5)),
+    ("bs probe 0 {} r=0.5", lambda v: BeamSplitter(PROBE, 0, v, 0.5)),
+    ("phase sys {} phi=0.1", lambda v: PhaseShift(SYS, v, 0.1)),
+    ("kerr sys=1,{},2 probe=0 eps_tau=0.1", lambda v: KerrCoupling({1, v, 2}, 0, 0.1)),
+    ("kerr sys=1 probe={} eps_tau=0.1", lambda v: KerrCoupling({1}, v, 0.1)),
+    ("source mode={} probe0=1+0i", lambda v: Circuit(3, 1, (), v, (1,))),
+    ("postselect mode={}", lambda v: Circuit(3, 1, (), 0, (1,), v)),
+]
+
+
+def _index_cases():
+    """Each index line with each token that is no integer, and the value the token reads as.
+
+    A token that is no number stays a str; the empty one, as in ``sys=1,,2``,
+    only fits where a key or comma comes before the index.
+    """
+    tokens = [("x", "x"), ("0x1", "0x1"), ("", ""), ("1.5", 1.5), ("1e400", math.inf)]
+    for line, build in INDEX_LINES:
+        for token, value in tokens:
+            if token or line[line.index("{}") - 1] != " ":
+                yield pytest.param(line, build, token, value, id=line.format(token))
+
+
+def _reading(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ValueError:
+        return "ValueError"
+
+
 class TestParseComplex:
     @pytest.mark.parametrize(
         "text,value",
@@ -57,12 +101,33 @@ class TestParseComplex:
             ("2i", 2j),
             ("-i", -1j),
             ("i", 1j),
+            ("2+i", 2 + 1j),
+            ("2-i", 2 - 1j),
+            ("-1.5e-3-i", -1.5e-3 - 1j),
         ],
     )
     def test_literals(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("bad", ["abc", "1+i2", "2.3.4+0i", "1+nope"])
+    def test_grammar_has_147_literals(self):
+        assert len(set(_grammar_literals())) == 147
+
+    @pytest.mark.parametrize("text", _grammar_literals())
+    def test_reads_as_python_complex(self, text):
+        # Signed zeros and NaNs included: repr tells them apart.
+        assert _reading(parse_complex, text) == _reading(complex, text[:-1] + "j")
+
+    def test_cli_alpha_reads_unit_imaginary(self):
+        runner = CliRunner()
+        outputs = [
+            runner.invoke(main, ["nested-mzi", "--r", "0.6", f"--alpha={alpha}", "--eps-tau", "0.3",
+                                 "postselect", "--mode", "0"])
+            for alpha in ("2+i", "2+1i")
+        ]
+        assert [result.exit_code for result in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
+
+    @pytest.mark.parametrize("bad", ["abc", "1+i2", "2.3.4+0i", "1+nope", "1e+i", "+-i", "2++i"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_complex(bad)
@@ -146,6 +211,15 @@ class TestParseCircuit:
         with pytest.raises(CircuitFormatError):
             parse_circuit("")
 
+    def test_detection_stage_error_is_circuits(self):
+        text = "modes 2 probes 1\nsource mode=0 probe0=0+0i\npostselect mode=0 at=L9\n"
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(text)
+        assert err.value.line_no is None
+        assert str(err.value) == "detection stage 'L9' has no snapshot"
+        # The snapshot may come after the postselect line.
+        assert parse_circuit(text + "snapshot L9\n").detect_stage == "L9"
+
     def test_detect_stage_must_name_a_snapshot(self):
         text = "modes 2 probes 1\nsource mode=0 probe0=0+0i\npostselect mode=0 at=L9\n"
         with pytest.raises(CircuitFormatError) as err:
@@ -181,6 +255,44 @@ class TestParseCircuit:
         with pytest.raises(CircuitFormatError) as err:
             parse_circuit(text)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("line, build, token, value", _index_cases())
+    def test_index_that_is_no_integer_gives_python_text(self, line, build, token, value):
+        with pytest.raises(ValueError) as python:
+            build(value)
+        head = "modes 3 probes 1\n" + ("" if line.startswith("source") else "source mode=0 probe0=1+0i\n")
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(head + line.format(token) + "\n")
+        assert str(err.value) == f"line {len(head.splitlines()) + 1}: {python.value}"
+
+    def test_non_number_index_text(self):
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit("modes 3 probes 1\nsource mode=0 probe0=1+0i\nbs sys x 1 r=0.5\n")
+        assert str(err.value) == "line 3: system mode 'x' is not an integer"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\nbs sys 0 1 x=0.5\n",
+             "line 3: expected r=..., got 'x=0.5'"),
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\nkerr sys=1 probe=0\n",
+             "line 3: expected: kerr sys=I,J probe=P eps_tau=F [eta_tau=F] [branch_phase=F]"),
+            ("modes 3 probes 1\nmodes 3 probes 1\n", "line 2: duplicate modes declaration"),
+            ("modes 3 probe 1\n", "line 1: expected: modes M probes K"),
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\nsource mode=0 probe0=1+0i\n",
+             "line 3: duplicate source line"),
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\nbs sys 0 1\n",
+             "line 3: expected: bs sys|probe A B r=R"),
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\nphase sys 0\n",
+             "line 3: expected: phase sys|probe I phi=F"),
+            ("modes 3 probes 1\nsource mode=0 probe0=1+0i\npostselect\n",
+             "line 3: expected: postselect mode=I [at=LABEL]"),
+        ],
+    )
+    def test_parser_errors(self, text, message):
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("source", ["mode=0 probe0=nan+0i", "mode=0 probe0=1+infi", "mode=3 probe0=1"])
     def test_bad_source_line_is_tagged(self, source):

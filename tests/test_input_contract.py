@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -201,7 +200,6 @@ OUTPUTS = {
     "KerrCoupling": lambda el: apply_element(STATE, el),
     "PhaseShift": lambda el: apply_element(STATE, el),
     "build_nested_mzi": lambda circuit: run_forward(circuit).forward,
-    "postselect": lambda result: replace(result, mode=None),
 }
 
 

@@ -123,3 +123,13 @@ def test_probes_whose_difference_overflows_do_not_merge():
         at_b = (n + 1) // 3  # the -7e307 branches sort first
         assert [br.amp for br in merge_branches(state).branches] == [at_b, n - at_b]
         assert outcome(merge_branches, state) == outcome(reference_merge_branches, state)
+
+
+def test_amplitude_whose_modulus_overflows_is_kept():
+    # abs() overflows in the canonical pass and again in the drop test; the
+    # branch stays, and the next norm reports the overflow.
+    state = HybridState(1, 0, (Branch(0, 1.5e308 + 1.5e308j, ()),))
+    merged = merge_branches(state)
+    assert merged.branches == state.branches
+    with pytest.raises(ValueError, match="^non-finite inner product"):
+        merged.norm_sq()

@@ -32,7 +32,7 @@ def test_public_api_is_pinned():
 
 
 #: Lines of ``src/qndmzi/*.py`` at most, as ``wc -l`` counts them.
-SOURCE_LINES = 2638
+SOURCE_LINES = 2626
 
 
 def test_source_size_is_pinned():

@@ -9,6 +9,8 @@ from qndmzi import (
     Branch,
     DimensionMismatchError,
     HybridState,
+    KerrCoupling,
+    apply_element,
     build_nested_mzi,
     coherent_overlap,
     inner_product,
@@ -139,6 +141,16 @@ class TestMergeBranches:
 
 
 class TestStateValidation:
+    def test_null_state_does_not_normalize(self):
+        with pytest.raises(ValueError, match="^cannot normalize a null state$"):
+            HybridState(2, 1, ()).normalized()
+
+    def test_kerr_mark_whose_probe_overflows(self):
+        # Finite parts, modulus past the float range: a quarter turn writes inf.
+        state = HybridState(2, 1, (Branch(0, 1.0, (1.5e308 + 1.5e308j,)),))
+        with pytest.raises(ValueError, match=r"^non-finite probe amplitude: \(inf"):
+            apply_element(state, KerrCoupling({0}, 0, math.pi / 4))
+
     def test_mode_out_of_range(self):
         with pytest.raises(IndexError):
             HybridState(2, 1, (Branch(2, 1.0, (0j,)),))
