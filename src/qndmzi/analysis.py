@@ -24,12 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-# Unused here, but kept: perfbench/run.py::import_times reads numpy's import
-# time under the CLI and raises KeyError if the CLI stops importing numpy, as
-# tests/test_benchmark_layers.py::test_cli_imports_numpy_while_the_runner_times_it
-# pins.
-import numpy as np  # noqa: F401
-
 from .circuit import (
     FINAL_STAGE,
     SOURCE_STAGE,

@@ -20,6 +20,11 @@ import sys
 from pathlib import Path
 
 import click
+# Unused here, but kept: perfbench/run.py::import_times reads numpy's import
+# time under the CLI and raises KeyError if the CLI stops importing numpy, as
+# tests/test_benchmark_layers.py::test_cli_imports_numpy_while_the_runner_times_it
+# pins.
+import numpy as np  # noqa: F401
 
 from .analysis import (
     OVERLAP_THRESHOLD,

@@ -55,6 +55,8 @@ def parse_complex(token: str) -> complex:
         raise ValueError(f"complex literal {token!r} is not a str")
     tok = token.strip()
     try:
+        if tok.split() != [tok]:  # whitespace inside, which ``complex()`` rejects too
+            raise ValueError
         if not tok.endswith("i"):
             return complex(float(tok), 0.0)
         body = tok[:-1]

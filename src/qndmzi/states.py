@@ -67,6 +67,10 @@ and the merge after them returns a large result to columns.  Which code
 a state takes is one O(1) check of ``_cols``, None on every other state.
 Building the branches of a large state costs more than a column step on
 it, so they are built only when read, not at every stage.
+numpy is imported inside the column and Gram helpers, on first use: by a
+state of ``_COLUMN_MIN`` branches or more with K > 0, by the Gram pair sum
+and by the CLI, which imports it at module level.  The paper's apparatus,
+its sweeps, the two-state report and the circuit file format never do.
 
 A bra (dual vector) is a :class:`HybridState` too, stored un-conjugated:
 :func:`inner_product` conjugates its first argument, so backward evolution

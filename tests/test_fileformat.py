@@ -117,6 +117,20 @@ class TestParseComplex:
         # Signed zeros and NaNs included: repr tells them apart.
         assert _reading(parse_complex, text) == _reading(complex, text[:-1] + "j")
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\n", "\u00a0"])
+    def test_whitespace_reads_as_python_complex(self, space):
+        # Around a literal it is stripped; anywhere inside it, the literal is malformed.
+        for literal in _grammar_literals():
+            for k in range(len(literal) + 1):
+                text = literal[:k] + space + literal[k:]
+                head, _, tail = text.rpartition("i")
+                assert _reading(parse_complex, text) == _reading(complex, head + "j" + tail), text
+
+    def test_cli_rejects_alpha_with_inner_whitespace(self):
+        result = CliRunner().invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", "1 +2i", "run"])
+        assert result.exit_code == 2
+        assert "'1 +2i' is not a complex literal (a+bi)" in result.output
+
     def test_cli_alpha_reads_unit_imaginary(self):
         runner = CliRunner()
         outputs = [

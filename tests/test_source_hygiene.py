@@ -32,7 +32,7 @@ def test_public_api_is_pinned():
 
 
 #: Lines of ``src/qndmzi/*.py`` at most, as ``wc -l`` counts them.
-SOURCE_LINES = 2626
+SOURCE_LINES = 2631
 
 
 def test_source_size_is_pinned():
@@ -74,3 +74,25 @@ def test_every_private_helper_is_used():
         if not any(name in names for node, names in uses if node is not own)
     ]
     assert unused == []
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_only_the_cli_imports_numpy_at_import_time():
+    # numpy costs every fresh process about 60 ms, and the paper's apparatus
+    # never calls it, so the library imports it inside the functions that do.
+    eager = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lazy = {
+            id(sub)
+            for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for sub in ast.walk(node)
+        }
+        eager += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _imports_numpy(node) and id(node) not in lazy]
+    assert [where for where in eager if not where.startswith("cli.py:")] == []
