@@ -339,7 +339,7 @@ class TsvfReport:
         for s in self.stages:
             if s.stage == label:
                 return s
-        raise KeyError(label)
+        raise ValueError(f"stage {label!r} is not one of {[s.stage for s in self.stages]}")
 
     def overlap_modes(self, label: str) -> tuple[int, ...]:
         """Indices of modes whose weak value exceeds the threshold."""

@@ -55,7 +55,9 @@ def parse_complex(token: str) -> complex:
         raise ValueError(f"complex literal {token!r} is not a str")
     tok = token.strip()
     try:
-        if tok.split() != [tok]:  # whitespace inside, which ``complex()`` rejects too
+        # ``complex()`` rejects whitespace inside, and keeps the separators
+        # \x1c-\x1f that ``str.strip()`` removes from the ends.
+        if tok.split() != [tok] or not set(token).isdisjoint("\x1c\x1d\x1e\x1f"):
             raise ValueError
         if not tok.endswith("i"):
             return complex(float(tok), 0.0)

@@ -37,9 +37,12 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 per mode block, equal to the loop up to rounding.  Either path also gives
 <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same pass: a
 moment is one more weight row on each block, and a part is its mode's
-block sums, since a block holds one mode.  A sweep needs no code of its
-own here: it takes a fixed number of states and pair sums, whatever its
-number of points (:mod:`qndmzi.analysis`).
+block sums, since a block holds one mode.  Both numpy pair sums skip, with
+every bit kept, the overlaps whose ``exp`` is an exact +-0: in a
+Kerr-marked state with |alpha| above a few tens most pairs cost a
+comparison, not a complex ``exp``.  A sweep needs no code of its own here:
+it takes a fixed number of states and pair sums, whatever its number of
+points (:mod:`qndmzi.analysis`).
 
 The hand-over.  A column step that cannot give the per-branch step's
 bits, or would meet a value that step raises on, raises
@@ -125,6 +128,10 @@ _GRAM_MIN_PAIRS = 4096
 #: chain whose branches survive 0.98x (one core of a 2-vCPU Xeon, Python
 #: 3.11.7, numpy 2.4.6).
 _COLUMN_MIN = 16
+
+#: Real part of an exponent below which ``math.exp``, ``cmath.exp`` and
+#: ``np.exp`` give exactly +-0: exp(x) rounds to 0 below -745.13.
+_EXP_UNDERFLOW = -745.2
 
 #: Gram entries evaluated at once: bounds the temporaries of one mode block
 #: to 256 kB each, however many branches it holds.
@@ -586,34 +593,45 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
     numpy finds the mode-matched pairs (u, v), in the loop's bra-major
     order, and forms each pair's overlap exponents by the loop's own float
     operations (as :func:`_times` does; a float plus a complex adds 0.0 to
-    the imaginary part).  The rest runs on Python complex values, probe by
-    probe: each pair's term conj(a_u) a_v is multiplied by ``cmath.exp`` of
-    its probe-k exponent for k = 0, 1, ..., as the loop multiplies it, and
-    the terms are summed from 0j in pair order.  So the total is the loop's,
-    and an overflow raises the loop's error.
+    the imaginary part).  Once at least half of them lie below
+    ``_EXP_UNDERFLOW`` (fewer save less than the checks cost), a pair with
+    one there drops out, where the loop would make its term an exact +-0
+    without raising: no exponent is positive (with K = 1 no dropped one
+    is), every one is finite and |a_u| |a_v| <= 1e300.  The rest runs on
+    Python complex values, probe by probe: each kept pair's term conj(a_u)
+    a_v is multiplied by ``cmath.exp`` of its probe-k exponent for k = 0, 1,
+    ..., as the loop multiplies it, and the terms are summed from 0j in pair
+    order, which adding +-0 never changes.  So the total is the loop's, and
+    an overflow raises the loop's error.
     """
     import numpy as np
 
     u_modes, u_amps, u_probes = _columns(bra)
     v_modes, v_amps, v_probes = _columns(ket) if ket is not bra else (u_modes, u_amps, u_probes)
     us, vs = (u_modes[:, None] == v_modes).nonzero()
+    k_probes = ket.k_probes
+    # Entry k_probes * i + k is pair i's probe-k exponent.
+    pu, p = u_probes[us].ravel(), v_probes[vs].ravel()
+    ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
+    e = np.empty(len(pu), complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
+        half = 0.5 * (vr * vr + vi * vi)
+        e.real = re = -0.5 * (ur * ur + ui * ui) - half + (ur * vr + ui * vi)
+        e.imag = 0.0 + (ur * vi - ui * vr)
+        drop = (len(re) and re.min() < _EXP_UNDERFLOW and 2 * np.count_nonzero(re < _EXP_UNDERFLOW) >= len(re)
+                and (k_probes == 1 or re.max() <= 0.0) and math.isfinite(e.imag.sum())
+                and float(np.abs(u_amps).max()) * float(np.abs(v_amps).max()) <= 1e300)
+    if drop:
+        keep = (re.reshape(-1, k_probes) >= _EXP_UNDERFLOW).all(axis=1).nonzero()[0]
+        us, vs, e = us[keep], vs[keep], e.reshape(-1, k_probes)[keep].ravel()
     terms = list(map(operator.mul, u_amps[us].conj().tolist(), v_amps[vs].tolist()))
-    e = np.empty(len(us), complex)
     try:
-        for k in range(ket.k_probes):
-            pu, p = u_probes[us, k], v_probes[vs, k]
-            ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
-            # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
-            with np.errstate(over="ignore", invalid="ignore"):
-                half = 0.5 * (vr * vr + vi * vi)
-                e.real = -0.5 * (ur * ur + ui * ui) - half + (ur * vr + ui * vi)
-                e.imag = 0.0 + (ur * vi - ui * vr)
-            terms = list(map(operator.mul, terms, map(cmath.exp, e.tolist())))
+        for k in range(k_probes):
+            terms = list(map(operator.mul, terms, map(cmath.exp, e[k::k_probes].tolist())))
     except OverflowError:
         raise ValueError("non-finite inner product: a coherent overlap overflows") from None
-    total = 0j
-    for term in terms:
-        total += term
+    total = reduce(operator.add, terms, 0j)
     _check_finite(total, "inner product")
     return total
 
@@ -625,7 +643,12 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
     and V (m x K), and the exponent matrix is the sum over probes j of
     hu[:, j, None] + hv[None, :, j] + outer(conj(U[:, j]), V[:, j]), with
     hu = -|U|^2/2 and hv = -|V|^2/2 elementwise: each probe's exponent is
-    the loop's, bit for bit, but the block takes one ``exp`` per pair.  The
+    the loop's, bit for bit, but the block takes one ``exp`` per pair.  An
+    entry below ``_EXP_UNDERFLOW`` is set to 0 in place of its ``exp``, +-0,
+    whose sign cannot change a sum added from 0j.  As |conj(u) v| <= (|u|^2
+    + |v|^2) / 2, B = 2K (min hu + min hv) bounds Re E and -2 |Im E| from
+    below: a mode whose B rules out the cut, or lets E overflow, takes a
+    plain ``exp``.  The
     block's sum is w_u . exp(E) . w_v, at most ``_GRAM_BLOCK`` entries at a
     time, for each pair of weight rows: (conj(a_u), a_v) for the total and,
     with ``moments`` given, (conj(a_u) conj(u_k), a_v v_k) for
@@ -651,7 +674,9 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
             weights = [(a_u, a_v)]
             weights += [(a_u * cu[:, k], a_v * V[:, k]) for k in range(len(sums) - 1)]
             hu = -0.5 * (cu.real * cu.real + cu.imag * cu.imag)
-            hv = -0.5 * (V.real * V.real + V.imag * V.imag)
+            hv = hu if ket is bra else -0.5 * (V.real * V.real + V.imag * V.imag)
+            # B of the docstring, with a margin for rounding.
+            skip = ket.k_probes and -1e300 < 2.0 * ket.k_probes * (hu.min() + hv.min()) < _EXP_UNDERFLOW + 1.0
             rows = max(1, _GRAM_BLOCK // len(a_v))
             part = 0j
             for i in range(0, len(a_u), rows):
@@ -659,7 +684,12 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
                 E = np.zeros((len(hu[block]), len(a_v)), dtype=complex)
                 for j in range(ket.k_probes):
                     E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
-                np.exp(E, out=E)
+                if skip:
+                    low = E.real < _EXP_UNDERFLOW
+                    np.exp(E, out=E, where=~low)
+                    E[low] = 0
+                else:
+                    np.exp(E, out=E)
                 chunk = [complex(np.einsum("i,ij,j->", w_u[block], E, w_v)) for w_u, w_v in weights]
                 part += chunk[0]
                 sums = list(map(operator.add, sums, chunk))

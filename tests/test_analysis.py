@@ -212,8 +212,10 @@ class TestTsvf:
         )
 
     def test_stage_lookup_raises_for_unknown_label(self):
-        with pytest.raises(KeyError):
-            tsvf_report(preset()).stage("L99")
+        report = tsvf_report(preset())
+        for lookup in (report.stage, report.overlap_modes):
+            with pytest.raises(ValueError, match=r"^stage 'L99' is not one of \['source', .*'L3'"):
+                lookup("L99")
 
     def test_null_transition_amplitude_is_flagged(self):
         # post-selecting on a mode the photon can never reach makes the

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,6 +126,13 @@ class TestParseComplex:
                 text = literal[:k] + space + literal[k:]
                 head, _, tail = text.rpartition("i")
                 assert _reading(parse_complex, text) == _reading(complex, head + "j" + tail), text
+
+    def test_strips_what_python_complex_strips(self):
+        # str.strip() also strips the separators \x1c-\x1f, which complex() keeps and rejects.
+        spaces = [chr(n) for n in range(sys.maxunicode + 1) if chr(n).isspace()]
+        assert {"\x1c", "\x1f", "\x85", "\u3000"} <= set(spaces)
+        for c in spaces:
+            assert _reading(parse_complex, c + "1+2i" + c) == _reading(complex, c + "1+2j" + c), repr(c)
 
     def test_cli_rejects_alpha_with_inner_whitespace(self):
         result = CliRunner().invoke(main, ["nested-mzi", "--r", "0.6", "--alpha", "1 +2i", "run"])

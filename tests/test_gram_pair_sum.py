@@ -15,6 +15,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from qndmzi import (
     run_both,
     tsvf_report,
 )
-from qndmzi.states import _GRAM_MIN_PAIRS, _gram_pair_sum, _pair_sum
+from qndmzi.states import _EXP_UNDERFLOW, _GRAM_MIN_PAIRS, _column_pair_sum, _gram_pair_sum, _pair_sum
 from deep_chains import self_bra_trace
 from helpers import random_complex
 from overlap_reference import reference_inner_product, reference_mean_probe_photons
@@ -42,8 +43,8 @@ from overlap_reference import reference_inner_product, reference_mean_probe_phot
 ALPHAS = [1e-3, 0.7 + 0.2j, 30.0, 1e3 - 2j]
 
 
-def kerr_chain(depth: int, alpha: complex) -> Circuit:
-    """A balanced splitter then a Kerr mark per layer, alternating two probes.
+def kerr_chain(depth: int, alpha: complex, k_probes: int = 2) -> Circuit:
+    """A balanced splitter then a Kerr mark per layer, alternating ``k_probes`` (1 or 2) probes.
 
     Every layer's eps differs, so no branches merge: 2**depth branches.
     """
@@ -52,9 +53,9 @@ def kerr_chain(depth: int, alpha: complex) -> Circuit:
     for layer in range(depth):
         elements += [
             BeamSplitter(SYS, 0, 1, math.sqrt(0.5)),
-            KerrCoupling(frozenset({0}), layer % 2, rng.uniform(0.05, 1.0)),
+            KerrCoupling(frozenset({0}), layer % k_probes, rng.uniform(0.05, 1.0)),
         ]
-    return Circuit(2, 2, tuple(elements), 0, (alpha, 0.6j * alpha))
+    return Circuit(2, k_probes, tuple(elements), 0, (alpha, 0.6j * alpha)[:k_probes])
 
 
 def assert_close(got, want, alpha: complex = 1.0) -> None:
@@ -184,6 +185,75 @@ def test_overflow_raises_without_a_warning():
                      lambda: mean_probe_photons(fwd)):
             with pytest.raises(ValueError, match="^non-finite inner product"):
                 call()
+
+
+class TestUnderflowSkip:
+    """Both numpy kernels skip the overlaps whose exponent lies below the cut, every bit kept."""
+
+    def test_the_cut_gives_exact_zeros(self):
+        below = [_EXP_UNDERFLOW, math.nextafter(_EXP_UNDERFLOW, -math.inf), -800.0, -1e5, -1e300]
+        imags = [0.0, 1e-300, 0.5, 1.0, math.pi, 100.0, 12345.678, 1e6]
+        for x in below:
+            assert math.exp(x) == 0.0
+            for y in imags + [-y for y in imags]:
+                for z in (cmath.exp(complex(x, y)), complex(np.exp(complex(x, y))),
+                          complex(np.exp(np.full(3, complex(x, y)))[1])):
+                    assert z.real == 0.0 and z.imag == 0.0, (x, y, z)
+        # Just above the cut, exp is a subnormal, not 0.
+        assert math.exp(-745.13) > 0.0
+
+    @staticmethod
+    def outputs(bra: HybridState, ket: HybridState) -> tuple:
+        moments, parts = [], {}
+        gram = _gram_pair_sum(bra, ket, moments, parts)
+        return _column_pair_sum(bra, ket), gram, moments, sorted(parts.items())
+
+    @pytest.mark.parametrize("alpha", [30.0, 100.0, 300.0, 1e3])
+    @pytest.mark.parametrize("k_probes", (1, 2))
+    @pytest.mark.parametrize("depth", (5, 7))
+    def test_every_bit_kept(self, monkeypatch, depth, k_probes, alpha):
+        alpha = cmath.rect(alpha, 0.3 + depth)
+        fwd = run_both(kerr_chain(depth, alpha, k_probes)).forward[FINAL_STAGE]
+        other = run_both(kerr_chain(depth, alpha * cmath.rect(1.001, 0.01), k_probes)).forward[FINAL_STAGE]
+        # Every probe-0 amplitude of ``far`` lies 80 further out than each of ``fwd``'s: each
+        # overlap underflows, and every sum is exactly 0j.
+        far = run_both(kerr_chain(depth, alpha * (1 + 80 / abs(alpha)), k_probes)).forward[FINAL_STAGE]
+        pairs = [(fwd, fwd), (fwd, other), (other, fwd.project_mode(0)), (far, fwd)]
+        got = [self.outputs(bra, ket) for bra, ket in pairs]
+        monkeypatch.setattr(qndmzi.states, "_EXP_UNDERFLOW", -math.inf)
+        want = [self.outputs(bra, ket) for bra, ket in pairs]
+        assert got == want
+        assert repr(got) == repr(want)
+        assert got[-1][:3] == (0j, 0j, [0j] * k_probes)
+        if abs(alpha) >= 300:
+            # At least half of the probe exponents lie below the cut, so the column sum drops pairs too.
+            for bra, ket in pairs:
+                exponents = [-0.5 * abs(p - q) ** 2 for u in bra.branches for v in ket.branches
+                             if u.mode == v.mode for p, q in zip(u.probes, v.probes)]
+                assert sum(e < _EXP_UNDERFLOW - 1.0 for e in exponents) >= len(exponents) / 2
+
+    def test_an_overflow_beside_an_underflow_still_raises(self):
+        # Probe 0 is far below the cut; probe 1 holds equal-looking huge amplitudes whose
+        # exponent rounds to a large positive value, which the loop's cmath.exp overflows on.
+        big = 1e154
+        near = [big * (1 + k * 2.0**-52) for k in range(1, 41)]
+        worst = max(near, key=lambda b: -0.5 * big * big - 0.5 * b * b + big * b)
+        assert -0.5 * big * big - 0.5 * worst * worst + big * worst > 710.0
+        bra = HybridState(1, 2, tuple(Branch(0, 0.5, (0j, big)) for _ in range(4)))
+        ket = HybridState(1, 2, tuple(Branch(0, 0.5, (50.0, worst)) for _ in range(4)))
+        for kernel in (_pair_sum, _column_pair_sum, _gram_pair_sum):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^non-finite inner product"):
+                    kernel(bra, ket)
+
+    def test_a_term_that_overflows_beside_an_underflow_still_raises(self):
+        # conj(a_u) a_v is inf, so the loop's term is inf * 0 = nan: no pair may drop.
+        bra = HybridState(1, 1, tuple(Branch(0, 1e200, (0j,)) for _ in range(16)))
+        ket = HybridState(1, 1, tuple(Branch(0, 1e200, (50.0,)) for _ in range(16)))
+        for kernel in (_pair_sum, _column_pair_sum):
+            with pytest.raises(ValueError, match="^non-finite inner product"):
+                kernel(bra, ket)
 
 
 _complex = st.builds(

@@ -22,9 +22,7 @@ call's output must have the bits of the same call with the number
 converted by hand, by ``float``, ``complex`` or ``operator.index``.
 
 Arguments that take engine objects (states, circuits, traces, elements)
-keep a valid one; their contract is the element and state checks'.  The
-report lookups ``TsvfReport.stage``/``overlap_modes`` raise ``KeyError``
-for a label they do not hold, as a mapping does, and are not drawn.
+keep a valid one; their contract is the element and state checks'.
 """
 
 from __future__ import annotations
@@ -131,6 +129,7 @@ def items(valid: tuple, read=None, min_size: int = 0, max_size: int = 4) -> Spec
 PRESET = build_nested_mzi(0.6, 2.0, 0.3)
 TRACE = run_both(PRESET)
 STATE = PRESET.source_state()
+REPORT = tsvf_report(PRESET, trace=TRACE)
 #: A valid, engine-object-only collection argument, or a value that is no collection.
 ELEMENTS = Spec((), None, False, st.one_of(st.just(()), st.just((Snapshot("s"),)), SCALARS))
 
@@ -166,6 +165,8 @@ ENTRIES = {
     "coherent_overlap": (coherent_overlap, [number(0.5), number(0.5j)]),
     "postselect": (lambda *a: postselect(TRACE, *a), [index(0), arg("L3"), arg(True, bool)]),
     "tsvf_report": (lambda t: tsvf_report(PRESET, t, TRACE), [real(1e-10)]),
+    "TsvfReport.stage": (REPORT.stage, [arg("L3")]),
+    "TsvfReport.overlap_modes": (REPORT.overlap_modes, [arg("L3")]),
     "fringe_scan": (lambda *a: fringe_scan(PRESET, *a),
                     [index(0), items((1.0, 2.0, 3.0, 4.0), float, max_size=6)]),
     "leakage_sweep": (lambda *a: leakage_sweep(PRESET, *a), [items((1e-3,), float), index(1), arg("L3")]),

@@ -3,9 +3,9 @@
 Three seeded in-process solves of each workload run under ``tests/traffic.py``'s
 line trace.  ``deep``, a chain of splitters and Kerr marks that doubles its
 branches at every layer, reaches every column step, the column merge and
-both pair sums on columns; ``apparatus``, ``sweep`` and ``cli`` never form a
-column state.  A column path that no workload reaches belongs on the
-per-branch code until one does.
+both pair sums on columns, each with and without its underflow skip;
+``apparatus``, ``sweep`` and ``cli`` never form a column state.  A column
+path that no workload reaches belongs on the per-branch code until one does.
 
 ``tests/traffic.py --tests`` lists the package lines a set of tests never
 runs; one small test module checks its report.
@@ -43,6 +43,31 @@ def _line(module: str, text: str) -> str:
     path = Path("src") / "qndmzi" / module
     [n] = [n for n, line in enumerate((ROOT / path).read_text().splitlines(), 1) if line.strip() == text]
     return f"{path}:{n}: {text}"
+
+
+def _number(text: str) -> int:
+    """The line number of the one line of ``states.py`` that is ``text``."""
+    return int(_line("states.py", text).split(":")[1])
+
+
+#: Per numpy pair sum: the first line of its underflow skip, and a line that only its
+#: no-skip branch runs (None where that branch has no line of its own).
+SKIP_LINES = {
+    "_gram_pair_sum": ("low = E.real < _EXP_UNDERFLOW", "np.exp(E, out=E)"),
+    "_column_pair_sum": ("keep = (re.reshape(-1, k_probes) >= _EXP_UNDERFLOW).all(axis=1).nonzero()[0]", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_LINES))
+def test_deep_runs_both_branches_of_the_underflow_skip(runs, name):
+    # At seed 7 the three solves draw |alpha| = 5.9, 13.5 and 40.2.  The first alone
+    # skips nothing, so each of its pair sums runs the no-skip branch.
+    first = traffic("deep", 1)[f"states.{name}"][1]
+    ran = runs["deep"][f"states.{name}"][1]
+    skip, no_skip = SKIP_LINES[name]
+    assert _number(skip) in ran - first
+    if no_skip:
+        assert _number(no_skip) in ran & first
 
 
 def test_untested_lines_of_one_module():
