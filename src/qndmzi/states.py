@@ -37,12 +37,12 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 per mode block, equal to the loop up to rounding.  Either path also gives
 <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same pass: a
 moment is one more weight row on each block, and a part is its mode's
-block sums, since a block holds one mode.  Both numpy pair sums skip, with
-every bit kept, the overlaps whose ``exp`` is an exact +-0: in a
-Kerr-marked state with |alpha| above a few tens most pairs cost a
-comparison, not a complex ``exp``.  A sweep needs no code of its own here:
-it takes a fixed number of states and pair sums, whatever its number of
-points (:mod:`qndmzi.analysis`).
+block sums, since a block holds one mode.  The Gram path skips, with every
+bit kept, the overlaps whose ``exp`` is an exact +-0: in a Kerr-marked
+state with |alpha| above a few tens most of its pairs cost a comparison,
+not a complex ``exp``.  A sweep needs no code of its own here: it takes a
+fixed number of states and pair sums, whatever its number of points
+(:mod:`qndmzi.analysis`).
 
 The hand-over.  A column step that cannot give the per-branch step's
 bits, or would meet a value that step raises on, raises
@@ -593,45 +593,34 @@ def _column_pair_sum(bra: HybridState, ket: HybridState) -> complex:
     numpy finds the mode-matched pairs (u, v), in the loop's bra-major
     order, and forms each pair's overlap exponents by the loop's own float
     operations (as :func:`_times` does; a float plus a complex adds 0.0 to
-    the imaginary part).  Once at least half of them lie below
-    ``_EXP_UNDERFLOW`` (fewer save less than the checks cost), a pair with
-    one there drops out, where the loop would make its term an exact +-0
-    without raising: no exponent is positive (with K = 1 no dropped one
-    is), every one is finite and |a_u| |a_v| <= 1e300.  The rest runs on
-    Python complex values, probe by probe: each kept pair's term conj(a_u)
-    a_v is multiplied by ``cmath.exp`` of its probe-k exponent for k = 0, 1,
-    ..., as the loop multiplies it, and the terms are summed from 0j in pair
-    order, which adding +-0 never changes.  So the total is the loop's, and
-    an overflow raises the loop's error.
+    the imaginary part).  The rest runs on Python complex values, probe by
+    probe: each pair's term conj(a_u) a_v is multiplied by ``cmath.exp`` of
+    its probe-k exponent for k = 0, 1, ..., as the loop multiplies it, and
+    the terms are summed from 0j in pair order.  So the total is the loop's,
+    and an overflow raises the loop's error.
     """
     import numpy as np
 
     u_modes, u_amps, u_probes = _columns(bra)
     v_modes, v_amps, v_probes = _columns(ket) if ket is not bra else (u_modes, u_amps, u_probes)
     us, vs = (u_modes[:, None] == v_modes).nonzero()
-    k_probes = ket.k_probes
-    # Entry k_probes * i + k is pair i's probe-k exponent.
-    pu, p = u_probes[us].ravel(), v_probes[vs].ravel()
-    ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
-    e = np.empty(len(pu), complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
-        half = 0.5 * (vr * vr + vi * vi)
-        e.real = re = -0.5 * (ur * ur + ui * ui) - half + (ur * vr + ui * vi)
-        e.imag = 0.0 + (ur * vi - ui * vr)
-        drop = (len(re) and re.min() < _EXP_UNDERFLOW and 2 * np.count_nonzero(re < _EXP_UNDERFLOW) >= len(re)
-                and (k_probes == 1 or re.max() <= 0.0) and math.isfinite(e.imag.sum())
-                and float(np.abs(u_amps).max()) * float(np.abs(v_amps).max()) <= 1e300)
-    if drop:
-        keep = (re.reshape(-1, k_probes) >= _EXP_UNDERFLOW).all(axis=1).nonzero()[0]
-        us, vs, e = us[keep], vs[keep], e.reshape(-1, k_probes)[keep].ravel()
     terms = list(map(operator.mul, u_amps[us].conj().tolist(), v_amps[vs].tolist()))
+    e = np.empty(len(us), complex)
     try:
-        for k in range(k_probes):
-            terms = list(map(operator.mul, terms, map(cmath.exp, e[k::k_probes].tolist())))
+        for k in range(ket.k_probes):
+            pu, p = u_probes[us, k], v_probes[vs, k]
+            ur, ui, vr, vi = pu.real, pu.imag, p.real, p.imag
+            # conj(u) * v, with CPython's bits: re ur vr - (-ui) vi, im ur vi + (-ui) vr.
+            with np.errstate(over="ignore", invalid="ignore"):
+                half = 0.5 * (vr * vr + vi * vi)
+                e.real = -0.5 * (ur * ur + ui * ui) - half + (ur * vr + ui * vi)
+                e.imag = 0.0 + (ur * vi - ui * vr)
+            terms = list(map(operator.mul, terms, map(cmath.exp, e.tolist())))
     except OverflowError:
         raise ValueError("non-finite inner product: a coherent overlap overflows") from None
-    total = reduce(operator.add, terms, 0j)
+    total = 0j
+    for term in terms:
+        total += term
     _check_finite(total, "inner product")
     return total
 

@@ -3,7 +3,7 @@
 Three seeded in-process solves of each workload run under ``tests/traffic.py``'s
 line trace.  ``deep``, a chain of splitters and Kerr marks that doubles its
 branches at every layer, reaches every column step, the column merge and
-both pair sums on columns, each with and without its underflow skip;
+both pair sums on columns, the Gram with and without its underflow skip;
 ``apparatus``, ``sweep`` and ``cli`` never form a column state.  A column
 path that no workload reaches belongs on the per-branch code until one does.
 
@@ -38,36 +38,25 @@ def test_other_workloads_form_no_column_state(runs, workload):
     assert "states.merge_branches" in runs[workload]
 
 
+def _number(module: str, text: str) -> int:
+    """The number of the one package line of ``module`` that is ``text``."""
+    lines = (ROOT / "src" / "qndmzi" / module).read_text().splitlines()
+    [n] = [n for n, line in enumerate(lines, 1) if line.strip() == text]
+    return n
+
+
 def _line(module: str, text: str) -> str:
     """``file:line: source`` of the one package line of ``module`` that is ``text``."""
-    path = Path("src") / "qndmzi" / module
-    [n] = [n for n, line in enumerate((ROOT / path).read_text().splitlines(), 1) if line.strip() == text]
-    return f"{path}:{n}: {text}"
+    return f"{Path('src') / 'qndmzi' / module}:{_number(module, text)}: {text}"
 
 
-def _number(text: str) -> int:
-    """The line number of the one line of ``states.py`` that is ``text``."""
-    return int(_line("states.py", text).split(":")[1])
-
-
-#: Per numpy pair sum: the first line of its underflow skip, and a line that only its
-#: no-skip branch runs (None where that branch has no line of its own).
-SKIP_LINES = {
-    "_gram_pair_sum": ("low = E.real < _EXP_UNDERFLOW", "np.exp(E, out=E)"),
-    "_column_pair_sum": ("keep = (re.reshape(-1, k_probes) >= _EXP_UNDERFLOW).all(axis=1).nonzero()[0]", None),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SKIP_LINES))
-def test_deep_runs_both_branches_of_the_underflow_skip(runs, name):
+def test_deep_runs_both_branches_of_the_gram_underflow_skip(runs):
     # At seed 7 the three solves draw |alpha| = 5.9, 13.5 and 40.2.  The first alone
-    # skips nothing, so each of its pair sums runs the no-skip branch.
-    first = traffic("deep", 1)[f"states.{name}"][1]
-    ran = runs["deep"][f"states.{name}"][1]
-    skip, no_skip = SKIP_LINES[name]
-    assert _number(skip) in ran - first
-    if no_skip:
-        assert _number(no_skip) in ran & first
+    # skips nothing, so each of its Gram pair sums takes the plain exp.
+    first = traffic("deep", 1)["states._gram_pair_sum"][1]
+    ran = runs["deep"]["states._gram_pair_sum"][1]
+    assert _number("states.py", "low = E.real < _EXP_UNDERFLOW") in ran - first
+    assert _number("states.py", "np.exp(E, out=E)") in ran & first
 
 
 def test_untested_lines_of_one_module():
