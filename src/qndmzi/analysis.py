@@ -279,7 +279,7 @@ def fringe_scan(circuit: Circuit, mode: int, phis: Iterable[float]) -> FringeSca
         raise ValueError("need at least 4 scan points")
     if circuit.k_probes != 2:
         raise ValueError("fringe scans require exactly two probe modes")
-    _check_mode("mode", mode, circuit.m_modes)
+    mode = _check_mode("mode", mode, circuit.m_modes)
     if not all(map(math.isfinite, phis)):
         raise ValueError("phi must be finite")
     insert_at = max((i for i, el in enumerate(circuit.elements)
@@ -456,7 +456,7 @@ def leakage_sweep(
                       and el.target == SYS and {el.mode_a, el.mode_b} == {1, 2}), None)
     if insert_at is None:
         raise ValueError("circuit has no inner beam splitter on system modes {1, 2}")
-    _check_mode("system mode", arm_mode, circuit.m_modes)
+    arm_mode = _check_mode("system mode", arm_mode, circuit.m_modes)
     if not isinstance(dark_stage, str) or dark_stage not in circuit.stages:
         raise ValueError(f"stage {dark_stage!r} is not a stage of the circuit")
     deltas = tuple([_real("leakage delta", d) for d in _collection("deltas", deltas)])

@@ -50,29 +50,24 @@ class CircuitFormatError(ValueError):
 
 
 def parse_complex(token: str) -> complex:
-    """Parse ``a+bi`` / ``a-bi`` / bare-real literals."""
+    """Parse ``a+bi`` / ``a-bi`` / bare-real literals: the final ``i`` becomes ``j``,
+    then ``complex()`` reads the text (so ``j``, ``1+2j`` and ``(1+2i)`` stay
+    malformed); a bare real goes through ``float()``."""
     if not isinstance(token, str):
         raise ValueError(f"complex literal {token!r} is not a str")
-    tok = token.strip()
+    head = token.rstrip()
     try:
-        # ``complex()`` rejects whitespace inside, and keeps the separators
-        # \x1c-\x1f that ``str.strip()`` removes from the ends.
-        if tok.split() != [tok] or not set(token).isdisjoint("\x1c\x1d\x1e\x1f"):
-            raise ValueError
-        if not tok.endswith("i"):
-            return complex(float(tok), 0.0)
-        body = tok[:-1]
-        # Split real/imaginary at the last sign that is not an exponent sign;
-        # an empty or sign-only imaginary part is a unit, as ``complex("-j")`` reads it.
-        cut = next((k for k in range(len(body) - 1, 0, -1)
-                    if body[k] in "+-" and body[k - 1] not in "eE"), 0)
-        imag = body[cut:]
-        return complex(float(body[:cut] or 0.0), float(imag + "1" if imag in ("", "+", "-") else imag))
+        if head.endswith("i"):
+            return complex(head[:-1] + "j" + token[len(head):])
+        return complex(float(token), 0.0)
     except ValueError:
         raise ValueError(f"malformed complex literal {token!r}") from None
 
 
 def format_complex(z: complex) -> str:
+    """``z`` as ``a+bi`` or ``a-bi``, each part its ``repr``.  An imaginary part of
+    -0.0 is written ``+0.0``: ``parse_complex`` reads back a value equal to ``z``
+    but loses that sign, which ``serialize_circuit`` keeps."""
     z = _complex("value", z)
     sign = "+" if z.imag >= 0 else "-"
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"

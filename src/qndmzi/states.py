@@ -295,7 +295,7 @@ class HybridState:
 
     def project_mode(self, mode: int) -> "HybridState":
         """Unnormalized restriction to branches with the photon in ``mode``."""
-        _check_mode("mode", mode, self.m_modes)
+        mode = _check_mode("mode", mode, self.m_modes)
         kept = tuple(br for br in self.branches if br.mode == mode)
         return _state(self.m_modes, self.k_probes, kept)
 
@@ -693,12 +693,9 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
 
 def _mode_blocks(state: HybridState) -> dict:
     """mode -> (probes, n x K, and amplitudes as complex arrays), modes in order of first use."""
-    import numpy as np
-
     modes, amps, probes = _columns(state)
-    found, first = np.unique(modes, return_index=True)
     blocks = {}
-    for mode in found[np.argsort(first)].tolist():
+    for mode in dict.fromkeys(modes.tolist()):
         rows = (modes == mode).nonzero()[0]
         blocks[mode] = probes[rows], amps[rows]
     return blocks

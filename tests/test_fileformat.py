@@ -149,10 +149,22 @@ class TestParseComplex:
         assert [result.exit_code for result in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
 
-    @pytest.mark.parametrize("bad", ["abc", "1+i2", "2.3.4+0i", "1+nope", "1e+i", "+-i", "2++i"])
+    # complex() reads "(1+2j)", "2j" and "1+2j"; only a final i is swapped for j.
+    @pytest.mark.parametrize("bad", ["abc", "1+i2", "2.3.4+0i", "1+nope", "1e+i", "+-i", "2++i",
+                                     "(1+2i)", "2j", "1+2j", "j", "2ij", "1+2I"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_complex(bad)
+
+    @pytest.mark.parametrize("text, value", [("1_000+2i", 1000 + 2j), ("\u0661+\u0662i", 1 + 2j),
+                                             ("\uff11+\uff12i", 1 + 2j)])
+    def test_underscores_and_unicode_digits_read_as_python_complex(self, text, value):
+        assert _reading(parse_complex, text) == _reading(complex, text[:-1] + "j") == repr(value)
+
+    @pytest.mark.parametrize("tail, malformed", [("\x1c", True), ("\x00", True), ("\u3000", False)])
+    def test_tail_after_the_final_i(self, tail, malformed):
+        # str.rstrip() strips \x1c, which complex() keeps and rejects, so the tail goes back in.
+        assert _reading(parse_complex, "1+2i" + tail) == ("ValueError" if malformed else repr(1 + 2j))
 
     def test_format_round_trips(self):
         rng = random.Random(13)

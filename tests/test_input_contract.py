@@ -190,10 +190,24 @@ def test_entry_returns_or_raises_value_error(entry, data):
         pass
 
 
-#: One fixed value per alternative of ``SCALARS``, and a list where a scalar is expected.
+class _Index:
+    """An integer only through ``__index__``; with no ``__eq__``, it equals no int."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"_Index({self.value})"
+
+
+#: One fixed value per alternative of ``SCALARS``, an ``__index__``-only integer, and a list
+#: where a scalar is expected.
 VALUES = (None, "x", b"x", True, 0, -0.0, math.inf, math.nan, 5e-324, 1 + 2j, 2**1100, np.int64(1),
           np.float16(0.5), np.float32(0.3), np.complex64(1), Decimal("0.3"), Decimal("NaN"),
-          Fraction(1, 3), [0.5])
+          Fraction(1, 3), _Index(0), _Index(1), [0.5])
 
 #: What of a result is compared, where its dataclass fields keep an argument as given.
 OUTPUTS = {
@@ -315,3 +329,26 @@ def test_a_non_integer_mode_is_named_by_its_repr(entry, value):
     with pytest.raises(ValueError) as raised:
         MODE_ARGUMENTS[entry](value)
     assert repr(value) in str(raised.value)
+
+
+#: Calls on one mode whose result or error must not depend on how the mode is given.
+MODE_CALLS = {
+    "HybridState.project_mode": TRACE.forward["L3p"].project_mode,
+    "postselect": lambda m: postselect(TRACE, m),
+    "fringe_scan": lambda m: fringe_scan(PRESET, m, PHIS),
+    "leakage_sweep": lambda m: leakage_sweep(PRESET, [0.01], arm_mode=m),
+}
+
+
+def _outcome(call, value) -> str:
+    try:
+        return repr(call(value))
+    except (ValueError, IndexError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_CALLS))
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_an_index_only_mode_reads_as_its_int(entry, m):
+    # A mode compared as given, not as checked, matched no branch and read as empty.
+    assert _outcome(MODE_CALLS[entry], _Index(m)) == _outcome(MODE_CALLS[entry], m)

@@ -59,16 +59,32 @@ def test_deep_runs_both_branches_of_the_gram_underflow_skip(runs):
     assert _number("states.py", "np.exp(E, out=E)") in ran & first
 
 
-def test_untested_lines_of_one_module():
+def _untested(tests: str) -> set[str]:
+    """The lines that ``tests/traffic.py --tests`` lists as unrun by ``tests``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "traffic.py"), "--tests", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_states.py")],
+         str(ROOT / "tests" / tests)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    listed = set(run.stdout.splitlines())
+    return set(run.stdout.splitlines())
+
+
+def test_untested_lines_of_one_module():
+    listed = _untested("test_states.py")
     # test_states.py runs no fringe scan, and normalizes a null state.
     assert _line("analysis.py", 'raise ValueError("need at least 4 scan points")') in listed
     assert _line("states.py", 'raise ValueError("cannot normalize a null state")') not in listed
     assert _line("states.py", "n = self.norm_sq()") not in listed
+
+
+def test_parse_complex_tests_run_both_branches():
+    # Both reads and the except run; the non-str raise is test_input_contract.py's.
+    listed = _untested("test_fileformat.py::TestParseComplex")
+    start = _number("fileformat.py", "def parse_complex(token: str) -> complex:")
+    end = _number("fileformat.py", "def format_complex(z: complex) -> str:")
+    prefix = f"{Path('src') / 'qndmzi' / 'fileformat.py'}:"
+    in_parse = {line for line in listed
+                if line.startswith(prefix) and start < int(line[len(prefix):].split(":")[0]) < end}
+    assert in_parse == {_line("fileformat.py", 'raise ValueError(f"complex literal {token!r} is not a str")')}
