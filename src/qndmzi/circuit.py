@@ -270,12 +270,8 @@ def build_nested_mzi(r: float, alpha: complex = 2.0, eps_tau: float = 0.0) -> Ci
     kerr = _retuned(_KERR, "eps_tau", eps_tau)
     probe = math.sqrt(2) * alpha
     _check_finite(probe, "source probe amplitude")
-    # _NESTED with the three new values, unchecked, in the dataclass __init__'s field order.
+    # _NESTED with the three new values, unchecked; its dict keeps the dataclass field order.
     circuit = _new(Circuit)
-    vars(circuit).update(
-        m_modes=_NESTED.m_modes, k_probes=_NESTED.k_probes,
-        elements=(outer, *_NESTED_HEAD, kerr, *_NESTED_TAIL, outer),
-        source_mode=_NESTED.source_mode, source_probes=(probe, 0j),
-        postselect_mode=_NESTED.postselect_mode, detect_stage=_NESTED.detect_stage,
-    )
+    vars(circuit).update(vars(_NESTED), elements=(outer, *_NESTED_HEAD, kerr, *_NESTED_TAIL, outer),
+                         source_probes=(probe, 0j))
     return circuit

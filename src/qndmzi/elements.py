@@ -14,12 +14,12 @@ system and probe modes it names, and their reach (the lowest index and one
 past the highest of each kind), which the checker compares in O(1).  They
 sit outside the dataclass fields, so ``==``, ``hash``, ``repr`` and
 ``replace`` ignore them.  An applier reads
-them and hands its steps to one dispatcher, ``_step``: the column step of
-a column state, else, or where it hands over (see :mod:`qndmzi.states`),
-the per-branch step, then the merge.  Only the two steps that a chain of
-branch growth repeats have a column step, a system splitter that splits
-every branch and a Kerr mark: deep circuits of those steps are what reach
-the column form's size.
+them and hands its steps, which live in :mod:`qndmzi.states` with the
+layouts they act on, to one dispatcher there, ``_step``: the column step of
+a column state, else the per-branch step, then the merge.  Only the two
+steps that a chain of branch growth repeats have a column step, a system
+splitter that splits every branch and a Kerr mark: deep circuits of those
+steps are what reach the column form's size.
 
 A splitter and a coupling check their parameter and form its constants in
 one private method, ``_form``; :func:`_retuned` runs it alone to set the
@@ -35,8 +35,8 @@ from numbers import Complex, Real
 from typing import Union
 
 from .states import (
-    HybridState, _HandOver, _branch, _check_finite, _check_mode, _collection, _new,
-    _scale_branches, _scale_columns, _set, _split_columns, _state, merge_branches,
+    HybridState, _check_mode, _collection, _mix_probes, _new, _scale_branches, _scale_columns,
+    _set, _split_branches, _split_columns, _step,
 )
 
 SYS = "sys"
@@ -228,26 +228,6 @@ def _check_indices(el: Element, m_modes: int, k_probes: int) -> None:
             raise IndexError(f"probe mode {idx} outside [0, {k_probes}) in {el!r}")
 
 
-def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
-    """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
-
-    A column state takes the column step, where the element has one (a
-    system splitter or a Kerr mark); where it has none or hands over (see
-    :mod:`qndmzi.states`), or the state has no columns,
-    ``on_branches(state.branches, x, y, z)`` gives the unmerged branches
-    and raises any error, and the merge returns a large result to columns.
-    """
-    if on_columns is not None and state._cols is not None:
-        try:
-            out = on_columns(state, x, y, z)
-        except _HandOver:
-            pass
-        else:
-            return merge_branches(out)
-    out = tuple(on_branches(state.branches, x, y, z))
-    return merge_branches(_state(state.m_modes, state.k_probes, out))
-
-
 def apply_beam_splitter(
     state: HybridState, bs: BeamSplitter, dagger: bool = False
 ) -> HybridState:
@@ -256,53 +236,6 @@ def apply_beam_splitter(
     if bs.target == SYS:
         return _step(state, _split_columns, _split_branches, bs.mode_a, bs.mode_b, u)
     return _step(state, None, _mix_probes, bs.mode_a, bs.mode_b, u)
-
-
-def _split_branches(branches, a: int, b: int, u) -> list:
-    """``branches`` with the photon split by ``u`` between system modes a and b, unmerged.
-
-    A branch in mode a becomes (a, u00 amp) then (b, u10 amp) in its place,
-    one in mode b becomes (a, u01 amp) then (b, u11 amp), and every other
-    branch stays.  Unchecked: every entry is real or imaginary with modulus
-    <= 1, so each part of u * amp is one part of amp scaled by at most 1
-    (plus a zero product) and cannot overflow.
-    """
-    (u00, u01), (u10, u11) = u
-    out = []
-    for br in branches:
-        if br.mode == a:
-            out.append(_branch(a, u00 * br.amp, br.probes))
-            out.append(_branch(b, u10 * br.amp, br.probes))
-        elif br.mode == b:
-            out.append(_branch(a, u01 * br.amp, br.probes))
-            out.append(_branch(b, u11 * br.amp, br.probes))
-        else:
-            out.append(br)
-    return out
-
-
-def _mix_probes(branches, a: int, b: int, u) -> list:
-    """``branches`` with probes a and b mixed by ``u``, [[u00, u01], [u10, u11]], unmerged.
-
-    Raises on a non-finite probe amplitude.  A branch whose probe tuple is
-    the previous branch's (the same object) shares that branch's new tuple.
-    """
-    (u00, u01), (u10, u11) = u
-    isfinite = cmath.isfinite
-    out = []
-    old = None
-    for br in branches:
-        if br.probes is not old:
-            old = br.probes
-            probes = list(old)
-            pa, pb = probes[a], probes[b]
-            probes[a], probes[b] = pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
-            probes = tuple(probes)
-            if not (isfinite(pa) and isfinite(pb)):
-                for p in probes:
-                    _check_finite(p, "probe amplitude")
-        out.append(_branch(br.mode, br.amp, probes))
-    return out
 
 
 def apply_kerr(

@@ -44,11 +44,8 @@ not a complex ``exp``.  A sweep needs no code of its own here: it takes a
 fixed number of states and pair sums, whatever its number of points
 (:mod:`qndmzi.analysis`).
 
-The hand-over.  A column step that cannot give the per-branch step's
-bits, or would meet a value that step raises on, raises
-:class:`_HandOver`.  One ``except``, in ``elements._step`` around the
-column step alone, runs the per-branch step instead, which gives those
-bits or raises its own error; no public function raises it.
+A column step that cannot give the per-branch step's bits runs its
+per-branch twin on the built branches.
 
 The column form serves branch growth, where system splitters and Kerr
 marks keep doubling and marking branches.  A state the engine builds with
@@ -140,10 +137,6 @@ _GRAM_BLOCK = 1 << 14
 
 class DimensionMismatchError(ValueError):
     """Two states disagree on the number of system modes or probe modes."""
-
-
-class _HandOver(Exception):
-    """A fast path declines: the slower code gives its bits (module docstring)."""
 
 
 def _check_shape(a, b) -> None:
@@ -386,9 +379,9 @@ def _count(state: HybridState) -> int:
     return len(state.branches) if cols is None else len(cols[0])
 
 
-def _column_branches(cols: tuple, rows=None):
-    """The :class:`Branch` of every row (or of each of ``rows``) of ``cols``, bit for bit."""
-    modes, amps, probes = cols if rows is None else _take(cols, rows)
+def _column_branches(cols: tuple):
+    """The :class:`Branch` of every row of ``cols``, bit for bit."""
+    modes, amps, probes = cols
     return map(_branch, modes.tolist(), amps.tolist(), zip(*probes.T.tolist()))
 
 
@@ -415,10 +408,11 @@ def _times(factor, z):
 def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     """A system splitter with matrix ``u`` on modes a and b of a column state, unmerged.
 
-    As in :func:`~qndmzi.elements._split_branches`, a branch in mode a
-    becomes (a, u00 amp) then (b, u10 amp) in its place, and one in mode b
-    becomes (a, u01 amp) then (b, u11 amp).  Hands over unless every branch
-    sits in mode a or b.  The products cannot overflow (see there).
+    As in :func:`_split_branches`, a branch in mode a becomes (a, u00 amp)
+    then (b, u10 amp) in its place, and one in mode b becomes (a, u01 amp)
+    then (b, u11 amp).  Unless every branch sits in mode a or b, it runs
+    :func:`_split_branches` on the built branches.  The products cannot
+    overflow (see there).
     """
     import numpy as np
 
@@ -426,7 +420,7 @@ def _split_columns(state: HybridState, a: int, b: int, u) -> HybridState:
     modes, amps, probes = state._cols
     in_a = modes == a
     if np.count_nonzero(in_a | (modes == b)) < len(modes):
-        raise _HandOver
+        return _state(state.m_modes, state.k_probes, tuple(_split_branches(state.branches, a, b, u)))
     # The copies of branch i take slots 2i and 2i + 1.
     out_modes = np.empty(2 * len(modes), np.intp)
     out_modes[0::2], out_modes[1::2] = a, b
@@ -439,7 +433,8 @@ def _scale_columns(state: HybridState, factor: complex, modes, probe: int) -> Hy
     """A Kerr mark on a column state, unmerged: probe ``probe`` times ``factor`` in rows of ``modes``.
 
     Each value changes by :func:`_times`, as the per-branch code forms
-    ``factor * value``.  Hands over where a value written is not finite.
+    ``factor * value``.  Where a value written is not finite, it runs
+    :func:`_scale_branches` on the built branches, which raises.
     """
     import numpy as np
 
@@ -449,7 +444,8 @@ def _scale_columns(state: HybridState, factor: complex, modes, probe: int) -> Hy
     with np.errstate(over="ignore", invalid="ignore"):
         new = np.where(marked, _times(factor, old), old)
     if np.count_nonzero(np.isfinite(new)) < len(new):
-        raise _HandOver
+        return _state(state.m_modes, state.k_probes,
+                      tuple(_scale_branches(state.branches, factor, modes, probe)))
     probes = probes.copy()
     probes[:, probe] = new
     return _column_state(state.m_modes, state.k_probes, (rows, amps, probes))
@@ -483,6 +479,69 @@ def _scale_branches(branches, factor: complex, modes=None, probe=None) -> list:
                 br = _branch(br.mode, br.amp, new)
         out.append(br)
     return out
+
+
+def _split_branches(branches, a: int, b: int, u) -> list:
+    """``branches`` with the photon split by ``u`` between system modes a and b, unmerged.
+
+    A branch in mode a becomes (a, u00 amp) then (b, u10 amp) in its place,
+    one in mode b becomes (a, u01 amp) then (b, u11 amp), and every other
+    branch stays.  Unchecked: every entry is real or imaginary with modulus
+    <= 1, so each part of u * amp is one part of amp scaled by at most 1
+    (plus a zero product) and cannot overflow.
+    """
+    (u00, u01), (u10, u11) = u
+    out = []
+    for br in branches:
+        if br.mode == a:
+            out.append(_branch(a, u00 * br.amp, br.probes))
+            out.append(_branch(b, u10 * br.amp, br.probes))
+        elif br.mode == b:
+            out.append(_branch(a, u01 * br.amp, br.probes))
+            out.append(_branch(b, u11 * br.amp, br.probes))
+        else:
+            out.append(br)
+    return out
+
+
+def _mix_probes(branches, a: int, b: int, u) -> list:
+    """``branches`` with probes a and b mixed by ``u``, [[u00, u01], [u10, u11]], unmerged.
+
+    Raises on a non-finite probe amplitude.  A branch whose probe tuple is
+    the previous branch's (the same object) shares that branch's new tuple.
+    """
+    (u00, u01), (u10, u11) = u
+    isfinite = cmath.isfinite
+    out = []
+    old = None
+    for br in branches:
+        if br.probes is not old:
+            old = br.probes
+            probes = list(old)
+            pa, pb = probes[a], probes[b]
+            probes[a], probes[b] = pa, pb = u00 * pa + u01 * pb, u10 * pa + u11 * pb
+            probes = tuple(probes)
+            if not (isfinite(pa) and isfinite(pb)):
+                for p in probes:
+                    _check_finite(p, "probe amplitude")
+        out.append(_branch(br.mode, br.amp, probes))
+    return out
+
+
+def _step(state: HybridState, on_columns, on_branches, x, y, z) -> HybridState:
+    """One element step on ``state``, merged: ``on_columns(state, x, y, z)`` or ``on_branches``.
+
+    A column state takes the column step, where the element has one (a
+    system splitter or a Kerr mark), which runs ``on_branches`` itself where
+    it cannot give that step's bits.  Every other state and step takes
+    ``on_branches(state.branches, x, y, z)``, which gives the unmerged
+    branches and raises any error.  The merge returns a large result to
+    columns.
+    """
+    if on_columns is not None and state._cols is not None:
+        return merge_branches(on_columns(state, x, y, z))
+    out = tuple(on_branches(state.branches, x, y, z))
+    return merge_branches(_state(state.m_modes, state.k_probes, out))
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -857,7 +916,7 @@ def _column_merge(state: HybridState) -> HybridState:
         runs[order[1:]] = np.cumsum(~close)
         rows = np.sort(order[candidate])
         members = rows.tolist()
-        groups = _merge_groups(list(_column_branches(cols, rows)), runs[rows].tolist())
+        groups = _merge_groups(list(_column_branches(_take(cols, rows))), runs[rows].tolist())
         amps = amps.copy()
         for pos, i in enumerate(members):
             if pos in groups:

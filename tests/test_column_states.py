@@ -50,7 +50,7 @@ from qndmzi import (
     run_forward,
     tsvf_report,
 )
-from qndmzi.states import _HandOver, _pair_sum
+from qndmzi.states import _pair_sum
 from deep_chains import deep_chain
 from test_merge_index import kerr_chain
 from test_preset import _count_builds
@@ -195,19 +195,20 @@ def test_steps_without_a_column_form_on_every_layer(extra, depth):
 
 @contextlib.contextmanager
 def column_steps():
-    """Patch under which the column steps log (name, the state's branch count, outcome) per call."""
+    """Patch under which the column steps log (name, the state's branch count, outcome) per call.
+
+    The outcome is ``"columns"`` where the step's result keeps the column
+    form, ``"branches"`` where the step ran its per-branch twin.
+    """
     calls: list[tuple[str, int, str]] = []
 
     def spy(name):
         step = getattr(qndmzi.elements, name)
 
         def logged(state, *args):
-            try:
-                out = step(state, *args)
-            except _HandOver:
-                calls.append((name, qndmzi.states._count(state), "hand-over"))
-                raise
-            calls.append((name, qndmzi.states._count(state), "columns"))
+            out = step(state, *args)
+            outcome = "branches" if out._cols is None else "columns"
+            calls.append((name, qndmzi.states._count(state), outcome))
             return out
         return mock.patch.object(qndmzi.elements, name, logged)
 
@@ -215,7 +216,7 @@ def column_steps():
         yield calls
 
 
-def test_partial_split_hands_over():
+def test_partial_split_runs_per_branch():
     # At d4 the three-mode chain holds 24 branches in all three modes, so a
     # splitter on modes 0 and 1 leaves the mode-2 branches in place.
     state = run_forward(three_mode_chain(4)).forward["d4"]
@@ -223,7 +224,7 @@ def test_partial_split_hands_over():
     for el in (BeamSplitter(SYS, 0, 1, 0.6), BeamSplitter(SYS, 2, 1, 0.3)):
         with column_steps() as calls:
             got = apply_element(state, el)
-        assert calls == [("_split_columns", 24, "hand-over")]
+        assert calls == [("_split_columns", 24, "branches")]
         assert got._cols is not None
         assert repr(got) == repr(apply_element(twin(state), el))
 
@@ -280,7 +281,7 @@ def merged_columns(probes) -> HybridState:
 
 def test_kerr_mark_whose_probes_overflow_hands_over():
     # Finite parts, modulus past the float range: a quarter turn writes inf,
-    # so the column step hands over and the per-branch step raises.  The
+    # so the column step runs the per-branch step, which raises.  The
     # merge sorts the rows, so the error is compared on the same order.
     col = merged_columns([complex(1.5e308 - k * 1e300, 1.5e308) for k in range(16)])
     mark = KerrCoupling({0}, 0, math.pi / 4)

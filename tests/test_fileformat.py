@@ -382,6 +382,17 @@ class TestRoundTrip:
             again = parse_circuit(serialize_circuit(circuit))
             assert again == circuit
 
+    def test_unknown_element_is_not_written(self):
+        # An object that names no mode passes the circuit's index check, but
+        # the file has no line for it: writing the file without it would drop it.
+        class Marker:
+            _reach = (0, 0, 0)
+            _indices = ((), ())
+
+        circuit = Circuit(2, 1, (BeamSplitter(SYS, 0, 1, 0.5), Marker()), 0, (1j,))
+        with pytest.raises(TypeError, match="^cannot serialize <.*Marker object at "):
+            serialize_circuit(circuit)
+
 
 _finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
 

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-import qndmzi.elements
 import qndmzi.states
 from qndmzi import (
     MERGE_TOL,
@@ -272,7 +271,7 @@ def kerr_chain(depth: int, eps: list[float], alpha: complex) -> Circuit:
 
 def with_reference_merge(monkeypatch, run, *args):
     with monkeypatch.context() as m:
-        m.setattr(qndmzi.elements, "merge_branches", reference_merge_branches)
+        m.setattr(qndmzi.states, "merge_branches", reference_merge_branches)
         return run(*args)
 
 
@@ -398,7 +397,7 @@ def test_shared_probe_tuples_step_as_copies(state, dagger):
         (qndmzi.states._scale_branches, (0.5, frozenset({0, 2}), k)),
     ]
     if k:
-        steps.append((qndmzi.elements._mix_probes, (0, 1, BeamSplitter(PROBE, 0, 1, 0.6)._adjoint)))
+        steps.append((qndmzi.states._mix_probes, (0, 1, BeamSplitter(PROBE, 0, 1, 0.6)._adjoint)))
     for step, args in steps:
         alone = [br for b in state.branches for br in step([b], *args)]
         whole = step(state.branches, *args)
@@ -409,7 +408,7 @@ def test_steps_give_branches_of_one_probe_tuple_one_new_tuple():
     probes = (0.5 + 1j, -0.25j)
     branches = [qndmzi.states._branch(m, 1.0, probes) for m in (0, 1, 2)]
     u = BeamSplitter(PROBE, 0, 1, 0.6).unitary()
-    a, b, c = qndmzi.elements._mix_probes(branches, 0, 1, u)
+    a, b, c = qndmzi.states._mix_probes(branches, 0, 1, u)
     assert a.probes is b.probes is c.probes != probes
     a, b, c = qndmzi.states._scale_branches(branches, 1j, None, 1)
     assert a.probes is b.probes is c.probes != probes

@@ -115,6 +115,9 @@ class TestPresetEqualsLiteral:
         got, want = build_nested_mzi(r, alpha, eps), literal_nested_mzi(r, alpha, eps)
         # The outer splitter and the coupling are retuned templates.
         assert_same_constants(got, want)
+        # Every field in the instance dict, in order: a missing one would
+        # read the class default and pass the fields() round trip below.
+        assert list(vars(got)) == list(vars(want))
         assert got == want
         assert hash(got) == hash(want)
         assert repr(got) == repr(want)

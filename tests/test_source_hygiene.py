@@ -4,7 +4,8 @@ The public API and a ceiling on the line count of ``src/qndmzi/*.py`` are
 pinned, so a change to either shows in review: a change that adds code
 raises the ceiling in its own diff.  Every module-level private function,
 class or constant must be used somewhere else in the package, so a
-refactor cannot leave a superseded helper or bound behind.
+refactor cannot leave a superseded helper or bound behind.  Only
+``states.py`` reads a state's column form.
 """
 
 import ast
@@ -32,7 +33,7 @@ def test_public_api_is_pinned():
 
 
 #: Lines of ``src/qndmzi/*.py`` at most, as ``wc -l`` counts them.
-SOURCE_LINES = 2644
+SOURCE_LINES = 2632
 
 
 def test_source_size_is_pinned():
@@ -74,6 +75,17 @@ def test_every_private_helper_is_used():
         if not any(name in names for node, names in uses if node is not own)
     ]
     assert unused == []
+
+
+def test_only_states_reads_the_column_form():
+    # ``_cols`` picks a state's layout; the steps of both layouts and that
+    # one check live in states.py, so no other module may read it.
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_cols"]
+    assert [where for where in reads if not where.startswith("states.py:")] == []
 
 
 def _imports_numpy(node: ast.AST) -> bool:
