@@ -21,13 +21,14 @@ to drop) costs one pass and comes back as it is, with nothing built.  Below
 ``_COLUMN_MIN`` branches, and for every state with K = 0, the bucket is the
 branch's mode, and groups left in distinct modes sort by mode alone.  From
 there on (with K > 0), the merge runs on the column form: one
-``np.lexsort`` into canonical order comes first, and the bucket is the
-branch's run of sorted same-mode neighbours, each within :data:`MERGE_TOL`
-of the next along Re(probes[0]); a branch alone in its run cannot merge and
-keeps its sorted slot.  Either way a merge costs at worst O(run length x
-groups in the run) summed over its buckets, a mode counting as one run; a
-state that cannot merge costs one O(n log n) sort and a fixed number of
-numpy calls.  The per-branch element steps map branches that share a probe
+``np.lexsort`` into canonical order and one gather of the sorted rows come
+first, and the bucket is the branch's run of sorted same-mode neighbours,
+each within :data:`MERGE_TOL` of the next along Re(probes[0]); a branch
+alone in its run cannot merge and keeps its sorted slot.  Either way a
+merge costs at worst O(run length x groups in the run) summed over its
+buckets, a mode counting as one run; a state that cannot merge costs one
+O(n log n) sort and a fixed number of numpy calls, its sorted gather being
+the result.  The per-branch element steps map branches that share a probe
 tuple (a system splitter's two outputs) to one new tuple, which the merge
 matches by identity.
 
@@ -36,37 +37,40 @@ The pair sum behind :func:`inner_product` is O(n^2) work either way: below
 :func:`coherent_overlap` terms; from there on it is one numpy Gram matrix
 per mode block, equal to the loop up to rounding.  Either path also gives
 <bra|P_m|ket> per mode or <bra|n_k|ket> per probe in the same pass: a
-moment is one more weight row on each block, and a part is its mode's
-block sums, since a block holds one mode.  The Gram path skips, with every
-bit kept, the overlaps whose ``exp`` is an exact +-0: in a Kerr-marked
-state with |alpha| above a few tens most of its pairs cost a comparison,
-not a complex ``exp``.  A sweep needs no code of its own here: it takes a
-fixed number of states and pair sums, whatever its number of points
-(:mod:`qndmzi.analysis`).
+moment is one more weight row on each block, and a part is its mode's block
+sums, since a block holds one mode.  A norm's Gram (``ket is bra``) is
+Hermitian: it takes n(n - 1)/2 ``exp`` per block of n, not n^2, and each
+diagonal overlap is exactly 1, as the loop's is (numpy's complex ``*``
+leaves conj(u) u an imaginary part of order eps |u|^2).  The Gram path
+skips, with every bit kept, the overlaps whose ``exp`` is an exact +-0: in
+a Kerr-marked state with |alpha| above a few tens most of its pairs cost a
+comparison, not a complex ``exp``.  A sweep needs no code of its own here:
+it takes a fixed number of states and pair sums, whatever its number of
+points (:mod:`qndmzi.analysis`).
 
 A column step that cannot give the per-branch step's bits runs its
 per-branch twin on the built branches.
 
-The column form serves branch growth, where system splitters and Kerr
-marks keep doubling and marking branches.  A state the engine builds with
-``_COLUMN_MIN`` branches or more and K > 0 (a column step's unmerged
-output or a merge result) is a private :class:`_ColumnState`: its modes
-(int[n]), amplitudes (complex[n]) and probes (complex[n, K]) are numpy
-columns, and its ``branches`` are built on first read and kept, so ``==``,
-``hash``, ``repr``, ``copy`` and pickling see the same :class:`HybridState`
-as before.  The two steps such a chain repeats (a system splitter that
-splits every branch, and a Kerr mark), :func:`merge_branches`, the Gram
-pair sum and the pair sum's total below it act on the columns with the
-per-branch code's bits: every complex product is formed by :func:`_times`
-on real and imaginary parts, every overlap by ``cmath.exp``, and every sum
-is added in the loop's order.  Every other step (a splitter that leaves a
-branch in place, a phase shift, a probe splitter), projections, scaled
-copies, and moments and parts below ``_GRAM_MIN_PAIRS`` pairs run on the
-built branches, as does a column step where a value would not be finite,
-and the merge after them returns a large result to columns.  Which code
-a state takes is one O(1) check of ``_cols``, None on every other state.
-Building the branches of a large state costs more than a column step on
-it, so they are built only when read, not at every stage.
+The column form serves branch growth, where system splitters and Kerr marks
+keep doubling and marking branches.  A state the engine builds with
+``_COLUMN_MIN`` branches or more and K > 0 (a column step's unmerged output
+or a merge result) is a private :class:`_ColumnState`: its modes (int[n]),
+amplitudes (complex[n]) and probes (complex[n, K]) are numpy columns, and
+its ``branches`` are built on first read and kept, so ``==``, ``hash``,
+``repr``, ``copy`` and pickling see the same :class:`HybridState` as
+before.  The two steps such a chain repeats (a system splitter that splits
+every branch, and a Kerr mark), :func:`merge_branches` and the pair sum's
+total below the Gram act on the columns with the per-branch code's bits:
+every complex product is formed by :func:`_times` on real and imaginary
+parts, every overlap by ``cmath.exp``, and every sum is added in the loop's
+order.  The Gram pair sum reads the columns too.  Every other step (a
+splitter that leaves a branch in place, a phase shift, a probe splitter),
+projections, scaled copies, and moments and parts below ``_GRAM_MIN_PAIRS``
+pairs run on the built branches, as does a column step where a value would
+not be finite, and the merge after them returns a large result to columns.
+Which code a state takes is one O(1) check of ``_cols``, None on every
+other state.  Building the branches of a large state costs more than a
+column step on it, so they are built only when read, not at every stage.
 numpy is imported inside the column and Gram helpers, on first use: by a
 state of ``_COLUMN_MIN`` branches or more with K > 0, by the Gram pair sum
 and by the CLI, which imports it at module level.  The paper's apparatus,
@@ -97,7 +101,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -586,7 +590,8 @@ def _pair_sum(
 
     From ``_GRAM_MIN_PAIRS`` branch pairs on, :func:`_gram_pair_sum` sums
     instead, the moments from the same exponents and each part from its
-    mode's blocks, with the bits of the Gram sum for ``ket.project_mode(m)``.
+    mode's blocks (for ``ket is not bra`` the bits of the Gram sum for
+    ``ket.project_mode(m)``).
     Below it, the total alone of a pair with a column state on either side
     sums in :func:`_column_pair_sum`, with the loop's bits; everything else
     runs the loop over the branches (a column state's are built).  There the
@@ -688,25 +693,29 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
     """:func:`_pair_sum` as one Gram matrix per mode that both sides hold.
 
     For the n bra and m ket branches of one mode, the probes form U (n x K)
-    and V (m x K), and the exponent matrix is the sum over probes j of
+    and V (m x K), and the exponent matrix E is the sum over probes j of
     hu[:, j, None] + hv[None, :, j] + outer(conj(U[:, j]), V[:, j]), with
-    hu = -|U|^2/2 and hv = -|V|^2/2 elementwise: each probe's exponent is
-    the loop's, bit for bit, but the block takes one ``exp`` per pair.  An
-    entry below ``_EXP_UNDERFLOW`` is set to 0 in place of its ``exp``, +-0,
-    whose sign cannot change a sum added from 0j.  As |conj(u) v| <= (|u|^2
-    + |v|^2) / 2, B = 2K (min hu + min hv) bounds Re E and -2 |Im E| from
-    below: a mode whose B rules out the cut, or lets E overflow, takes a
-    plain ``exp``.  The
-    block's sum is w_u . exp(E) . w_v, at most ``_GRAM_BLOCK`` entries at a
-    time, for each pair of weight rows: (conj(a_u), a_v) for the total and,
-    with ``moments`` given, (conj(a_u) conj(u_k), a_v v_k) for
-    ``moments[k]``, all from the one ``exp(E)``.  A block holds one mode, so
-    with ``parts`` given, ``parts[m]`` is mode m's total-weight sums added
-    from 0j: the bits of this sum for ``ket.project_mode(m)``.  Only ufuncs
-    and ``einsum`` run here, never BLAS, whose threads would contend for a
-    process pinned to one core.  Overflow gives inf or NaN without a
-    warning and raises in the finite checks at the end, the total's first;
-    ``parts`` are left unchecked, as the loop leaves them.
+    hu = -|U|^2/2 and hv = -|V|^2/2 elementwise.  The block's sum is
+    w_u . exp(E) . w_v, at most ``_GRAM_BLOCK`` entries at a time, for each
+    pair of weight rows: (conj(a_u), a_v) for the total and, with
+    ``moments`` given, (conj(a_u) conj(u_k), a_v v_k) for ``moments[k]``,
+    all from the one ``exp(E)``.  Each probe's exponent is the loop's, bit
+    for bit, as :func:`_times` forms conj(u) v, but the block takes one
+    ``exp`` per pair.  For ``ket is bra`` the block is Hermitian, each
+    weight row is the other's conjugate and each diagonal overlap is
+    exactly 1, so the block's sum is w_u . w_v + 2 Re of its sum over the
+    pairs u < v alone (numpy's products, which no diagonal pair meets).
+    :func:`_exp` skips the entries that underflow, every bit kept, wherever
+    B = 2K (min hu + min hv) admits one: as |conj(u) v| <= (|u|^2 + |v|^2)
+    / 2, B bounds Re E and -2 |Im E| from below, and a mode whose B rules
+    out the cut, or lets E overflow, takes a plain ``exp``.  A block holds
+    one mode, so with ``parts`` given, ``parts[m]`` is mode m's block sum,
+    for ``ket is not bra`` the bits of this sum for ``ket.project_mode(m)``.
+    Only ufuncs and ``einsum`` run here, never BLAS, whose threads would
+    contend for a process pinned to one core.  Overflow gives inf or NaN
+    without a warning and raises in the finite checks, a Hermitian block's
+    sums over u < v first, then the total's; ``parts`` are left unchecked,
+    as the loop leaves them.
     """
     import numpy as np
 
@@ -725,29 +734,59 @@ def _gram_pair_sum(bra: HybridState, ket: HybridState, moments=None, parts=None)
             hv = hu if ket is bra else -0.5 * (V.real * V.real + V.imag * V.imag)
             # B of the docstring, with a margin for rounding.
             skip = ket.k_probes and -1e300 < 2.0 * ket.k_probes * (hu.min() + hv.min()) < _EXP_UNDERFLOW + 1.0
-            rows = max(1, _GRAM_BLOCK // len(a_v))
-            part = 0j
-            for i in range(0, len(a_u), rows):
-                block = slice(i, i + rows)
-                E = np.zeros((len(hu[block]), len(a_v)), dtype=complex)
-                for j in range(ket.k_probes):
-                    E += hu[block, j, None] + hv[None, :, j] + cu[block, j, None] * V[:, j]
-                if skip:
-                    low = E.real < _EXP_UNDERFLOW
-                    np.exp(E, out=E, where=~low)
-                    E[low] = 0
-                else:
-                    np.exp(E, out=E)
-                chunk = [complex(np.einsum("i,ij,j->", w_u[block], E, w_v)) for w_u, w_v in weights]
-                part += chunk[0]
-                sums = list(map(operator.add, sums, chunk))
+            block = [0j] * len(weights)
+            if ket is bra:
+                us, vs = _upper_pairs(len(a_u))
+                for i in range(0, len(us), _GRAM_BLOCK):
+                    u, v = us[i:i + _GRAM_BLOCK], vs[i:i + _GRAM_BLOCK]
+                    E = np.zeros(len(u), dtype=complex)
+                    for hj, cj, vj in zip(hu.T, cu.T, V.T):
+                        E += hj[u] + hj[v] + cj[u] * vj[v]
+                    _exp(E, skip)
+                    chunk = [complex(np.einsum("i,i,i->", w_u[u], E, w_v[v])) for w_u, w_v in weights]
+                    block = list(map(operator.add, block, chunk))
+                for z in block:
+                    _check_finite(z, "inner product")
+                block = [complex(np.einsum("i,i->", w_u, w_v).real + 2.0 * z.real)
+                         for (w_u, w_v), z in zip(weights, block)]
+            else:
+                rows = max(1, _GRAM_BLOCK // len(a_v))
+                for i in range(0, len(a_u), rows):
+                    u = slice(i, i + rows)
+                    E = np.zeros((len(hu[u]), len(a_v)), dtype=complex)
+                    for j in range(ket.k_probes):
+                        E += hu[u, j, None] + hv[None, :, j] + _times(cu[u, j, None], V[:, j])
+                    _exp(E, skip)
+                    chunk = [complex(np.einsum("i,ij,j->", w_u[u], E, w_v)) for w_u, w_v in weights]
+                    block = list(map(operator.add, block, chunk))
+            sums = list(map(operator.add, sums, block))
             if parts is not None:
-                parts[mode] = part
+                parts[mode] = block[0]
     for z in sums:
         _check_finite(z, "inner product")
     if moments is not None:
         moments[:] = sums[1:]
     return sums[0]
+
+
+@lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, the rows (u, v) of each pair u < v, kept per n."""
+    import numpy as np
+
+    return np.triu_indices(n, 1)
+
+
+def _exp(E, skip: bool) -> None:
+    """``exp(E)`` in place, with 0, not the +-0 of ``exp``, where ``skip`` and Re E < ``_EXP_UNDERFLOW``."""
+    import numpy as np
+
+    if skip:
+        low = E.real < _EXP_UNDERFLOW
+        np.exp(E, out=E, where=~low)
+        E[low] = 0
+    else:
+        np.exp(E, out=E)
 
 
 def _mode_blocks(state: HybridState) -> dict:
@@ -888,48 +927,47 @@ def _column_merge(state: HybridState) -> HybridState:
     gap to a sorted neighbour, taken with the merge test's own subtraction,
     is the smallest gap to any row on that side.  Gaps above
     :data:`MERGE_TOL` split the sorted rows into runs, and rows in distinct
-    runs cannot merge, since ``abs(a - b) >= abs(Re(a - b))``.
-    :func:`_merge_groups` runs on the rows of runs of two or more alone, in
-    input order, with the run as the bucket, and each group takes its first
-    member's sorted slot; every other row is a group of its own.  So
-    groups, amplitude sums, finite checks, drops and order are those of the
-    scan on the whole state.  A gap that overflows is inf, not a warning.
+    runs cannot merge, since ``abs(a - b) >= abs(Re(a - b))``.  The sorted
+    rows are gathered once: where no gap is that small, they are the result
+    before the drop check.  Otherwise :func:`_merge_groups` runs on the rows
+    of runs of two or more alone, in input order, with the run as the
+    bucket; each group takes its first member's sorted slot, whose sum
+    ``abs`` checks, and the group's other members leave.  Every other row is
+    a group of its own.  So groups, amplitude sums, finite checks, drops and
+    order are those of the scan on the whole state.  A gap or size that
+    overflows is inf, not a warning.
     A result of ``_COLUMN_MIN`` rows or more keeps the columns; a smaller
     one is built from them as branches.
     """
     import numpy as np
 
-    modes, amps, probes = cols = _columns(state)
+    modes, amps, probes = _columns(state)
     keys = [modes]
     for p in probes.T:
         keys += [p.real, p.imag]
     order = np.lexsort(keys[::-1])
-    ranked, re0 = modes[order], probes[order, 0].real
+    cols = ranked, amps, probes = _take((modes, amps, probes), order)
+    re0 = probes[:, 0].real
     with np.errstate(over="ignore"):
         close = (ranked[1:] == ranked[:-1]) & (re0[1:] - re0[:-1] <= MERGE_TOL)
+        size = np.abs(amps)
     if np.count_nonzero(close):
-        # The rows that may merge, in input order, and their groups by position.
-        candidate = np.zeros(len(modes), dtype=bool)
-        candidate[1:] = close
-        candidate[:-1] |= close
-        runs = np.zeros(len(modes), dtype=np.intp)
-        runs[order[1:]] = np.cumsum(~close)
-        rows = np.sort(order[candidate])
-        members = rows.tolist()
-        groups = _merge_groups(list(_column_branches(_take(cols, rows))), runs[rows].tolist())
-        amps = amps.copy()
-        for pos, i in enumerate(members):
-            if pos in groups:
-                amps[i] = groups[pos].amp
-        order = order[~np.isin(order, [i for pos, i in enumerate(members) if pos not in groups])]
-    cols = _take((modes, amps, probes), order)
-    with np.errstate(over="ignore"):
-        size = np.abs(cols[1])
+        # The sorted slots of the rows that may merge, in input order, and their groups by position.
+        candidate = np.concatenate(([False], close)) | np.concatenate((close, [False]))
+        runs = np.concatenate(([0], np.cumsum(~close)))
+        slots = candidate.nonzero()[0]
+        slots = slots[np.argsort(order[slots])]
+        groups = _merge_groups(list(_column_branches(_take(cols, slots))), runs[slots].tolist())
+        firsts = [s for pos, s in enumerate(slots.tolist()) if pos in groups]
+        amps[firsts] = [g.amp for g in groups.values()]
+        # Every other member leaves; abs checks each sum.
+        size[slots] = 0.0
+        size[firsts] = MERGE_TOL
     # np.abs and abs may round apart, so a size near MERGE_TOL takes abs.
     keep = size >= 2.0 * MERGE_TOL
     if np.count_nonzero(keep) < len(keep):
         for j in (~keep & (size >= 0.5 * MERGE_TOL)).nonzero()[0].tolist():
-            keep[j] = _nonempty(complex(cols[1][j]))
+            keep[j] = _nonempty(complex(amps[j]))
         cols = _take(cols, keep.nonzero()[0])
     if len(cols[0]) < _COLUMN_MIN:
         return _state(state.m_modes, state.k_probes, tuple(_column_branches(cols)))

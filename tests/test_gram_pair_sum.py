@@ -6,7 +6,9 @@ order and takes one ``exp`` per pair instead of one per probe, once for the
 total, every probe moment and every per-mode part.  Its results must agree with
 ``overlap_reference`` within 1e-12 max(1, |alpha|^2) times the size of the
 quantity, on deep Kerr chains, on bra != ket pairs and on spliced random
-states.  Below the threshold the loop, and so every bit, stays; an
+states.  A ``ket is bra`` sum takes each pair u < v once and the diagonal
+exactly, so a deep chain's norm stays 1 up to |alpha| = 1e150, as its sum with
+an equal copy does.  Below the threshold the loop, and so every bit, stays; an
 overflow must raise as it does in the loop, without a warning.
 """
 
@@ -33,10 +35,11 @@ from qndmzi import (
     inner_product,
     mean_probe_photons,
     run_both,
+    run_forward,
     tsvf_report,
 )
 from qndmzi.states import _EXP_UNDERFLOW, _GRAM_MIN_PAIRS, _column_pair_sum, _gram_pair_sum, _pair_sum
-from deep_chains import self_bra_trace
+from deep_chains import deep_chain, self_bra_trace
 from helpers import random_complex
 from overlap_reference import reference_inner_product, reference_mean_probe_photons
 
@@ -185,6 +188,45 @@ def test_overflow_raises_without_a_warning():
                      lambda: mean_probe_photons(fwd)):
             with pytest.raises(ValueError, match="^non-finite inner product"):
                 call()
+
+
+class TestHermitianGram:
+    """``ket is bra``: each block sums its pairs u < v once, and its diagonal without an ``exp``."""
+
+    @pytest.mark.parametrize("alpha", [1e5, 1e6, 1e7, 1e8, 3e8, 1e9, 1e10, 1e150])
+    def test_norm_of_a_deep_chain_at_large_alpha(self, gram_calls, alpha):
+        rng = random.Random(5)
+        state = run_forward(deep_chain([rng.uniform(0.05, 1.0) for _ in range(7)], alpha)).forward[FINAL_STAGE]
+        assert len(state.branches) == 128
+        copy = HybridState(state.m_modes, state.k_probes, state.branches)
+        for got in (state.norm_sq(), inner_product(state, copy)):
+            assert abs(got - 1.0) <= 1e-14, got
+        assert gram_calls == [(128, 128)] * 2
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("depth", range(6, 10))
+    def test_total_and_means_match_the_full_gram(self, depth, alpha):
+        state = run_both(kerr_chain(depth, alpha)).forward[FINAL_STAGE]
+        copy = HybridState(state.m_modes, state.k_probes, state.branches)
+        got, want = [], []
+        total, full = _gram_pair_sum(state, state, got), _gram_pair_sum(state, copy, want)
+        assert_close(total, full, alpha)
+        for g, w in zip(got, want):
+            assert_close(g, w, alpha)
+        assert [z.imag for z in [total] + got] == [0.0] * 3
+        assert_means_close(state, alpha)
+
+    def test_an_overflow_above_the_diagonal_raises(self):
+        # As in TestUnderflowSkip: an exponent of about +1e292 between the two kinds of branch.
+        big = 1e154
+        near = [big * (1 + k * 2.0**-52) for k in range(1, 41)]
+        worst = max(near, key=lambda b: -0.5 * big * big - 0.5 * b * b + big * b)
+        state = HybridState(1, 2, (Branch(0, 0.125, (0j, big)), Branch(0, 0.125, (50.0, worst))) * 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (state.norm_sq, lambda: mean_probe_photons(state), lambda: _gram_pair_sum(state, state)):
+                with pytest.raises(ValueError, match="^non-finite inner product"):
+                    call()
 
 
 class TestUnderflowSkip:

@@ -17,7 +17,7 @@ from solve_digests import digest
 DIGESTS = {
     "apparatus": "287e088112c313240c96147b8ae51733e804735449731efbcb803512ccd31d44",
     "sweep": "20514afa9afc03d304c5199af1b127c9605a2e4e508b12141d7ae8a1f628eb85",
-    "deep": "d6763514cd0550550166d9e6439fa184b8c001b5527262fdd8f5400a1a31c766",
+    "deep": "30ed4bee7898252d210e6c073cd9863ba17b9b0a8a3809c21276dd8a3643c25e",
     "cli": "33bc4b1f59f87fc235f0d2f87f67eb66eb2919eab543af68ec455df9282295db",
 }
 

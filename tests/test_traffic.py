@@ -53,8 +53,8 @@ def _line(module: str, text: str) -> str:
 def test_deep_runs_both_branches_of_the_gram_underflow_skip(runs):
     # At seed 7 the three solves draw |alpha| = 5.9, 13.5 and 40.2.  The first alone
     # skips nothing, so each of its Gram pair sums takes the plain exp.
-    first = traffic("deep", 1)["states._gram_pair_sum"][1]
-    ran = runs["deep"]["states._gram_pair_sum"][1]
+    first = traffic("deep", 1)["states._exp"][1]
+    ran = runs["deep"]["states._exp"][1]
     assert _number("states.py", "low = E.real < _EXP_UNDERFLOW") in ran - first
     assert _number("states.py", "np.exp(E, out=E)") in ran & first
 

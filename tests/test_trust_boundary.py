@@ -21,6 +21,7 @@ import pytest
 
 import qndmzi.analysis
 from qndmzi import (
+    FINAL_STAGE,
     MERGE_TOL,
     PROBE,
     SYS,
@@ -198,9 +199,10 @@ class TestOnePassStageSums:
         """Parts equal the projected inner products, bit for bit where both take one kernel.
 
         A Gram-sized sum takes its parts from its mode blocks, so a part
-        whose projected sum falls below ``_GRAM_MIN_PAIRS`` (the loop's)
-        agrees only within ``PART_TOL`` times max(1, |part|).  Returns
-        the number of parts compared so.
+        whose projected sum falls below ``_GRAM_MIN_PAIRS`` (the loop's), or
+        a part of a ``bra is ket`` sum (the Hermitian Gram's; the projection
+        is another state), agrees only within ``PART_TOL`` times
+        max(1, |part|).  Returns the number of parts compared so.
         """
         parts = {}
         assert _pair_sum(bra, ket, parts=parts) == inner_product(bra, ket)
@@ -210,7 +212,7 @@ class TestOnePassStageSums:
             projected = ket.project_mode(m)
             want = inner_product(bra, projected)
             got = parts.get(m, 0j)
-            if gram and len(bra.branches) * len(projected.branches) < _GRAM_MIN_PAIRS:
+            if gram and (bra is ket or len(bra.branches) * len(projected.branches) < _GRAM_MIN_PAIRS):
                 assert abs(got - want) <= PART_TOL * max(1.0, abs(want)), (m, got, want)
                 bounded += 1
             else:
@@ -231,8 +233,9 @@ class TestOnePassStageSums:
         assert sum(n >= _GRAM_MIN_PAIRS for n in sizes) == 3
         bounded = sum(self.assert_stage_sums(trace.backward[label], trace.forward[label])
                       for label in trace.circuit.stages)
-        # d6 alone: 64 x 64 pairs, each mode's part 64 x 32.
-        assert bounded == 2
+        # d6: 64 x 64 pairs, each mode's part 64 x 32; d7 and final: bra is ket, 128 x 128 pairs.
+        assert all(trace.backward[s] is trace.forward[s] for s in ("d7", FINAL_STAGE))
+        assert bounded == 2 + 2 * 2
 
     @staticmethod
     def report(bra, ket):
